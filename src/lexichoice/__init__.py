@@ -63,7 +63,6 @@ from .mechanism import (
     DAMechanism,
     MechanismReport,
     MechanismSpace,
-    ObjectSpace,
     all_preferences,
     check_isd,
     check_resource_monotonicity,
@@ -93,11 +92,8 @@ from .rules import (
     build_open_walk,
     build_rotating,
     build_walk_open,
-    cwlex_choose,
-    lex_choose,
     materialize,
     ordering_from_labels,
-    responsive_choose,
 )
 from .serialize import (
     RuleSpec,

@@ -1,175 +1,21 @@
-"""Hot inner loops over exhaustive problem tables.
+"""Hot inner loops over exhaustive problem tables, vectorized with numpy.
 
-Two interchangeable implementations live here:
+Each kernel has exactly one implementation: it works on whole table
+columns at once, looping in Python only over capacities, greedy steps and
+alternatives.  ``tests/test_kernels.py`` holds per-set loop versions of
+every kernel and checks that the outputs here match them bit for bit,
+witness tie-breaks included.
 
-* straight nested loops compiled with numba ``@njit`` (the default), and
-* a vectorized pure-numpy path, selected by setting the environment
-  variable ``LEXICHOICE_NO_NUMBA=1`` before import (also used
-  automatically when numba is not installed).
-
-Both paths produce bit-identical outputs; ``benchmarks/bench_kernels.py``
-compares their throughput.  All tables are int64 arrays of shape
-``(2**n, n+1)`` holding chosen bitmasks, with column 0 fixed empty.
-
-Key tensors encode priority orderings positionally: ``keys[..., alt]`` is
-the rank of ``alt`` (0 = highest priority).
+All tables are int64 arrays of shape ``(2**n, n+1)`` holding chosen
+bitmasks, with column 0 fixed empty.  Key tensors encode priority orderings
+positionally: ``keys[..., alt]`` is the rank of ``alt`` (0 = highest
+priority).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("LEXICHOICE_NO_NUMBA", "").strip().lower()
-USE_NUMBA = _flag not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-
-_NO_PICK = np.int64(1) << np.int64(40)  # sentinel rank larger than any real one
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compiled when enabled)
-# ---------------------------------------------------------------------------
-
-def _cwlex_fill_loops(n, keys, table):
-    # keys: (n, n, n); keys[q-1, t, alt] is the rank used at step t+1 of
-    # capacity q.  Unused steps (t >= q) are never read.
-    size = 1 << n
-    for s in range(1, size):
-        for q in range(1, n + 1):
-            remaining = s
-            chosen = 0
-            for t in range(q):
-                best = -1
-                best_key = _NO_PICK
-                for a in range(n):
-                    if (remaining >> a) & 1:
-                        k = keys[q - 1, t, a]
-                        if k < best_key:
-                            best_key = k
-                            best = a
-                if best < 0:
-                    break
-                chosen |= 1 << best
-                remaining &= ~(1 << best)
-            table[s, q] = chosen
-
-
-def _flex_fill_loops(n, keys, feas, table):
-    # keys: (n, n); keys[t, alt] is the rank used at step t+1.  feas is a
-    # boolean array over all 2**n masks.  Greedy pass stops as soon as no
-    # feasible augmentation exists.
-    size = 1 << n
-    for s in range(1, size):
-        for q in range(1, n + 1):
-            remaining = s
-            chosen = 0
-            for t in range(q):
-                best = -1
-                best_key = _NO_PICK
-                for a in range(n):
-                    if (remaining >> a) & 1 and feas[chosen | (1 << a)]:
-                        k = keys[t, a]
-                        if k < best_key:
-                            best_key = k
-                            best = a
-                if best < 0:
-                    break
-                chosen |= 1 << best
-                remaining &= ~(1 << best)
-            table[s, q] = chosen
-
-
-def _chosen_over_wit_loops(n, table, q, wit):
-    # wit[a, b] = first set S (ascending) with a chosen and b rejected at
-    # capacity q; 0 means no such S.
-    size = 1 << n
-    for s in range(1, size):
-        c = table[s, q]
-        r = s & ~c
-        if r == 0:
-            continue
-        for a in range(n):
-            if (c >> a) & 1:
-                for b in range(n):
-                    if (r >> b) & 1 and wit[a, b] == 0:
-                        wit[a, b] = s
-
-
-def _revealed_wit_loops(n, table, q, wit):
-    # wit[a, b] = first S with a,b not chosen at q-1, a chosen at q and b
-    # rejected at q; 0 means no such S.  Requires q >= 2.
-    size = 1 << n
-    for s in range(1, size):
-        prev = table[s, q - 1]
-        c = table[s, q]
-        new = c & ~prev
-        r = (s & ~c) & ~prev
-        if new == 0 or r == 0:
-            continue
-        for a in range(n):
-            if (new >> a) & 1:
-                for b in range(n):
-                    if (r >> b) & 1 and wit[a, b] == 0:
-                        wit[a, b] = s
-
-
-def _gs_first_violation_loops(n, table, out):
-    # First (S, q, a, b) in canonical order with a chosen from (S, q) but
-    # not from (S without b, q).  out stays all -1 when no violation exists.
-    size = 1 << n
-    for s in range(1, size):
-        for q in range(1, n + 1):
-            c = table[s, q]
-            for a in range(n):
-                if (c >> a) & 1:
-                    for b in range(n):
-                        if b != a and (s >> b) & 1:
-                            sub = s & ~(1 << b)
-                            if sub == 0:
-                                continue
-                            if not (table[sub, q] >> a) & 1:
-                                out[0] = s
-                                out[1] = q
-                                out[2] = a
-                                out[3] = b
-                                return
-
-
-def _path_independence_first_loops(n, table, out):
-    # First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q).
-    size = 1 << n
-    for s in range(1, size):
-        for t in range(1, size):
-            for q in range(1, n + 1):
-                u = s | t
-                m = table[s, q] | table[t, q]
-                if table[u, q] != table[m, q]:
-                    out[0] = s
-                    out[1] = t
-                    out[2] = q
-                    return
-
-
-if USE_NUMBA:
-    _cwlex_fill_loops = njit(cache=True)(_cwlex_fill_loops)
-    _flex_fill_loops = njit(cache=True)(_flex_fill_loops)
-    _chosen_over_wit_loops = njit(cache=True)(_chosen_over_wit_loops)
-    _revealed_wit_loops = njit(cache=True)(_revealed_wit_loops)
-    _gs_first_violation_loops = njit(cache=True)(_gs_first_violation_loops)
-    _path_independence_first_loops = njit(cache=True)(
-        _path_independence_first_loops
-    )
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy implementations
-# ---------------------------------------------------------------------------
 
 def _greedy_pick(remaining, chosen, key, feas=None):
     """Per-set greedy pick of the best remaining (feasible) alternative.
@@ -189,8 +35,22 @@ def _greedy_pick(remaining, chosen, key, feas=None):
     return bits
 
 
-def _cwlex_fill_numpy(n, keys, table):
+def _first_true(cond):
+    idx = np.argmax(cond)
+    if cond[idx]:
+        return int(idx)
+    return 0
+
+
+def cwlex_fill(n: int, keys: np.ndarray) -> np.ndarray:
+    """Materialize a capacity-wise lexicographic rule into a full table.
+
+    ``keys`` has shape (n, n, n); ``keys[q-1, t, alt]`` is the rank used at
+    step t+1 of capacity q.  Unused steps (t >= q) are never read.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
     size = 1 << n
+    table = np.zeros((size, n + 1), dtype=np.int64)
     masks = np.arange(size, dtype=np.int64)
     for q in range(1, n + 1):
         remaining = masks.copy()
@@ -201,10 +61,20 @@ def _cwlex_fill_numpy(n, keys, table):
             remaining &= ~bits
         table[:, q] = chosen
     table[0, :] = 0
+    return table
 
 
-def _flex_fill_numpy(n, keys, feas, table):
+def flex_fill(n: int, keys: np.ndarray, feas: np.ndarray) -> np.ndarray:
+    """Materialize a feasibility-constrained lexicographic rule.
+
+    ``keys`` has shape (n, n); ``keys[t, alt]`` is the rank used at step
+    t+1.  ``feas`` is a boolean array over all 2**n masks.  A set's greedy
+    pass stops as soon as no feasible augmentation exists.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    feas = np.ascontiguousarray(feas, dtype=np.bool_)
     size = 1 << n
+    table = np.zeros((size, n + 1), dtype=np.int64)
     masks = np.arange(size, dtype=np.int64)
     for q in range(1, n + 1):
         remaining = masks.copy()
@@ -218,16 +88,16 @@ def _flex_fill_numpy(n, keys, feas, table):
             remaining &= ~bits
         table[:, q] = chosen
     table[0, :] = 0
+    return table
 
 
-def _first_true(cond):
-    idx = np.argmax(cond)
-    if cond[idx]:
-        return int(idx)
-    return 0
+def chosen_over_wit(n: int, table: np.ndarray, q: int) -> np.ndarray:
+    """First witnessing set per ordered pair (a chosen, b rejected) at q.
 
-
-def _chosen_over_wit_numpy(n, table, q, wit):
+    ``wit[a, b]`` is the first set S (ascending) with a chosen and b
+    rejected at capacity q; 0 means no such S.
+    """
+    wit = np.zeros((n, n), dtype=np.int64)
     masks = np.arange(1 << n, dtype=np.int64)
     c = table[:, q]
     r = masks & ~c
@@ -236,9 +106,16 @@ def _chosen_over_wit_numpy(n, table, q, wit):
         for b in range(n):
             cond = has_a & (((r >> b) & 1) == 1)
             wit[a, b] = _first_true(cond)
+    return wit
 
 
-def _revealed_wit_numpy(n, table, q, wit):
+def revealed_wit(n: int, table: np.ndarray, q: int) -> np.ndarray:
+    """First witnessing set per revealed-preference edge at capacity q.
+
+    ``wit[a, b]`` is the first S with a and b not chosen at q-1, a chosen
+    at q and b rejected at q; 0 means no such S.  Requires q >= 2.
+    """
+    wit = np.zeros((n, n), dtype=np.int64)
     masks = np.arange(1 << n, dtype=np.int64)
     prev = table[:, q - 1]
     c = table[:, q]
@@ -249,9 +126,13 @@ def _revealed_wit_numpy(n, table, q, wit):
         for b in range(n):
             cond = has_a & (((rej >> b) & 1) == 1)
             wit[a, b] = _first_true(cond)
+    return wit
 
 
-def _gs_first_violation_numpy(n, table, out):
+def gs_first_violation(n: int, table: np.ndarray) -> np.ndarray:
+    """First (S, q, a, b) in canonical order with a chosen from (S, q) but
+    not from (S without b, q); all -1 when no violation exists."""
+    out = np.full(4, -1, dtype=np.int64)
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
     viol = np.zeros(size, dtype=bool)
@@ -263,9 +144,9 @@ def _gs_first_violation_numpy(n, table, out):
             lost = c & ~table[sub, q] & ~bit
             viol |= (((masks >> b) & 1) == 1) & (sub != 0) & (lost != 0)
     if not viol.any():
-        return
+        return out
     s = int(np.argmax(viol))
-    # refine within the first violating set, matching the loop order
+    # refine within the first violating set in (q, a, b) order
     for q in range(1, n + 1):
         c = int(table[s, q])
         for a in range(n):
@@ -274,14 +155,15 @@ def _gs_first_violation_numpy(n, table, out):
                     if b != a and (s >> b) & 1:
                         sub = s & ~(1 << b)
                         if sub and not (int(table[sub, q]) >> a) & 1:
-                            out[0] = s
-                            out[1] = q
-                            out[2] = a
-                            out[3] = b
-                            return
+                            out[:] = (s, q, a, b)
+                            return out
+    return out
 
 
-def _path_independence_first_numpy(n, table, out):
+def path_independence_first(n: int, table: np.ndarray) -> np.ndarray:
+    """First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q); all -1 when
+    the table is path independent."""
+    out = np.full(3, -1, dtype=np.int64)
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
     best = None
@@ -297,91 +179,5 @@ def _path_independence_first_numpy(n, table, out):
                 if best is None or cand < best:
                     best = cand
     if best is not None:
-        out[0], out[1], out[2] = best
-
-
-# ---------------------------------------------------------------------------
-# public entry points (dispatch on the selected implementation)
-# ---------------------------------------------------------------------------
-
-ACTIVE = "numba" if USE_NUMBA else "numpy"
-
-
-def cwlex_fill(n: int, keys: np.ndarray) -> np.ndarray:
-    """Materialize a capacity-wise lexicographic rule into a full table."""
-    table = np.zeros((1 << n, n + 1), dtype=np.int64)
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if USE_NUMBA:
-        _cwlex_fill_loops(n, keys, table)
-    else:
-        _cwlex_fill_numpy(n, keys, table)
-    return table
-
-
-def flex_fill(n: int, keys: np.ndarray, feas: np.ndarray) -> np.ndarray:
-    """Materialize a feasibility-constrained lexicographic rule."""
-    table = np.zeros((1 << n, n + 1), dtype=np.int64)
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    feas = np.ascontiguousarray(feas, dtype=np.bool_)
-    if USE_NUMBA:
-        _flex_fill_loops(n, keys, feas, table)
-    else:
-        _flex_fill_numpy(n, keys, feas, table)
-    return table
-
-
-def chosen_over_wit(n: int, table: np.ndarray, q: int) -> np.ndarray:
-    """First witnessing set per ordered pair (a chosen, b rejected) at q."""
-    wit = np.zeros((n, n), dtype=np.int64)
-    if USE_NUMBA:
-        _chosen_over_wit_loops(n, table, q, wit)
-    else:
-        _chosen_over_wit_numpy(n, table, q, wit)
-    return wit
-
-
-def revealed_wit(n: int, table: np.ndarray, q: int) -> np.ndarray:
-    """First witnessing set per revealed-preference edge at capacity q."""
-    wit = np.zeros((n, n), dtype=np.int64)
-    if USE_NUMBA:
-        _revealed_wit_loops(n, table, q, wit)
-    else:
-        _revealed_wit_numpy(n, table, q, wit)
-    return wit
-
-
-def gs_first_violation(n: int, table: np.ndarray) -> np.ndarray:
-    out = np.full(4, -1, dtype=np.int64)
-    if USE_NUMBA:
-        _gs_first_violation_loops(n, table, out)
-    else:
-        _gs_first_violation_numpy(n, table, out)
+        out[:] = best
     return out
-
-
-def path_independence_first(n: int, table: np.ndarray) -> np.ndarray:
-    out = np.full(3, -1, dtype=np.int64)
-    if USE_NUMBA:
-        _path_independence_first_loops(n, table, out)
-    else:
-        _path_independence_first_numpy(n, table, out)
-    return out
-
-
-# implementation pairs exposed for equivalence tests and benchmarks
-LOOP_IMPLS = {
-    "cwlex_fill": _cwlex_fill_loops,
-    "flex_fill": _flex_fill_loops,
-    "chosen_over_wit": _chosen_over_wit_loops,
-    "revealed_wit": _revealed_wit_loops,
-    "gs_first_violation": _gs_first_violation_loops,
-    "path_independence_first": _path_independence_first_loops,
-}
-NUMPY_IMPLS = {
-    "cwlex_fill": _cwlex_fill_numpy,
-    "flex_fill": _flex_fill_numpy,
-    "chosen_over_wit": _chosen_over_wit_numpy,
-    "revealed_wit": _revealed_wit_numpy,
-    "gs_first_violation": _gs_first_violation_numpy,
-    "path_independence_first": _path_independence_first_numpy,
-}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import ChoiceTable, Problem, iter_bits, popcount, popcount_array
+from .core import ChoiceTable, Problem, iter_bits, popcount
 from .rules import CapacityWiseLists
 
 
@@ -66,8 +66,8 @@ def _fail(axiom: str, c: ChoiceTable, witness: dict) -> AxiomReport:
 def check_capacity_filling(c: ChoiceTable) -> AxiomReport:
     """|C(S, q)| must equal min(|S|, q) at every problem."""
     masks = np.arange(1 << c.n, dtype=np.int64)
-    set_sizes = popcount_array(masks)
-    for_all = popcount_array(c.entries[:, 1:])
+    set_sizes = np.bitwise_count(masks)
+    for_all = np.bitwise_count(c.entries[:, 1:])
     want = np.minimum(set_sizes[:, None], np.arange(1, c.n + 1)[None, :])
     viol = for_all != want
     viol[0, :] = False
@@ -231,18 +231,6 @@ def check_cwarp_alternative(c: ChoiceTable) -> AxiomReport:
                                     },
                                 )
     return _pass("cwarp_alternative", c)
-
-
-def _chosen_over_first(c: ChoiceTable, a: int, b: int) -> tuple[int, int] | None:
-    """First problem (canonical order) with a chosen and b rejected."""
-    best = None
-    for q in range(1, c.n + 1):
-        wit = _kernels.chosen_over_wit(c.n, c.entries, q)
-        if wit[a, b]:
-            cand = (int(wit[a, b]), q)
-            if best is None or cand < best:
-                best = cand
-    return best
 
 
 def check_wrarp(c: ChoiceTable) -> AxiomReport:

@@ -30,14 +30,12 @@ from .mechanism import (
 )
 from .rules import (
     CapacityWise,
-    PriorityOrdering,
     Responsive,
     build_open_walk,
     build_walk_open,
     build_compromise,
     materialize,
     ordering_from_labels,
-    responsive_choose,
 )
 
 
@@ -47,10 +45,6 @@ class ReproCase:
     title: str
     run: Callable[[], dict]
     expected: dict
-
-
-def _responsive_fn(ordering: PriorityOrdering):
-    return lambda mask, q: responsive_choose(ordering, Problem(mask, q))
 
 
 def _verdicts(table: ChoiceTable, checks: dict) -> dict:
@@ -85,7 +79,7 @@ def switching_rule_table() -> ChoiceTable:
 
     def choose(mask, q):
         ordering = with_d if (mask >> d) & 1 else without_d
-        return responsive_choose(ordering, Problem(mask, q))
+        return Responsive(ordering).choose(Problem(mask, q))
 
     return ChoiceTable.from_function(u, choose)
 
@@ -99,7 +93,7 @@ def favored_singleton_table() -> ChoiceTable:
     def choose(mask, q):
         if (mask >> a) & 1:
             return 1 << a
-        return responsive_choose(order, Problem(mask, q))
+        return Responsive(order).choose(Problem(mask, q))
 
     return ChoiceTable.from_function(u, choose)
 
@@ -111,7 +105,7 @@ def capacity_switch_table() -> ChoiceTable:
     high = ordering_from_labels(u, "bcda")
 
     def choose(mask, q):
-        return responsive_choose(low if q == 1 else high, Problem(mask, q))
+        return Responsive(low if q == 1 else high).choose(Problem(mask, q))
 
     return ChoiceTable.from_function(u, choose)
 
@@ -125,7 +119,7 @@ def tail_swap_table() -> ChoiceTable:
 
     def choose(mask, q):
         ordering = with_a if (mask >> a) & 1 else without_a
-        return responsive_choose(ordering, Problem(mask, q))
+        return Responsive(ordering).choose(Problem(mask, q))
 
     return ChoiceTable.from_function(u, choose)
 
@@ -152,7 +146,7 @@ def trigger_switch_table() -> ChoiceTable:
     def choose(mask, q):
         if q == 1 and (mask >> c) & 1:
             return 1 << order.top_of(mask)
-        return responsive_choose(other, Problem(mask, q))
+        return Responsive(other).choose(Problem(mask, q))
 
     return ChoiceTable.from_function(u, choose)
 

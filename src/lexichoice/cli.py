@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -58,37 +57,12 @@ FLEX_CHECKS = {
 }
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("LEXICHOICE_JOBS", "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return 1
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
         choices=("json", "text"),
         default="json",
         help="report format on stdout (default: json)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=_default_jobs(),
-        metavar="N",
-        help="worker budget hint (default: $LEXICHOICE_JOBS or 1); results "
-        "are identical for every value",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="K",
-        help="seed for randomized subsets; exhaustive commands ignore it",
     )
 
 
@@ -427,8 +401,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        return _fail_input("--jobs must be a positive integer")
     start = time.perf_counter()
     code = COMMANDS[args.command](args)
     elapsed = time.perf_counter() - start

@@ -147,7 +147,7 @@ class ChoiceTable:
             if np.any(col & ~masks):
                 bad = int(np.argmax((col & ~masks) != 0))
                 raise ValueError(f"entry at (S={bad:#x}, q={q}) is not a subset of S")
-            sizes = popcount_array(col)
+            sizes = np.bitwise_count(col)
             if np.any(sizes > q):
                 bad = int(np.argmax(sizes > q))
                 raise ValueError(f"entry at (S={bad:#x}, q={q}) exceeds capacity")
@@ -173,16 +173,6 @@ class ChoiceTable:
         # canonical order is set-major, capacity-minor; argwhere is row-major
         s, q = (int(v) for v in flat[0])
         return Problem(s, q)
-
-
-def popcount_array(a: np.ndarray) -> np.ndarray:
-    """Elementwise popcount for int64 bitmasks (n <= 16 needs 16 bits)."""
-    a = a.astype(np.uint64)
-    count = np.zeros(a.shape, dtype=np.int64)
-    while np.any(a):
-        count += (a & np.uint64(1)).astype(np.int64)
-        a >>= np.uint64(1)
-    return count
 
 
 def rejected(c: ChoiceTable, p: Problem) -> int:

@@ -39,16 +39,10 @@ class FeasibilityFamily:
         """Boolean membership over all 2**n masks (kernel input)."""
         size = 1 << self.n
         masks = np.arange(size, dtype=np.int64)
-        feas = popcount_vec(masks) <= 1
+        feas = np.bitwise_count(masks) <= 1
         for m in self.maximal:
             feas |= (masks & ~np.int64(m)) == 0
         return feas
-
-
-def popcount_vec(a: np.ndarray) -> np.ndarray:
-    from .core import popcount_array
-
-    return popcount_array(a)
 
 
 def make_family(u: Universe, maximal_sets) -> FeasibilityFamily:

@@ -26,17 +26,6 @@ Allocation = tuple  # per-agent assigned object name or None
 
 
 @dataclass(frozen=True)
-class ObjectSpace:
-    objects: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError("object names must be distinct")
-        if None in self.objects:
-            raise ValueError("the null object is implicit, not listed")
-
-
-@dataclass(frozen=True)
 class AllocationProblem:
     """Preferences (per agent, in agent order) and capacities (in object order)."""
 

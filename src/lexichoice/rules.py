@@ -159,21 +159,6 @@ def _greedy(orderings, p: Problem) -> int:
     return chosen
 
 
-def lex_choose(profile: PriorityProfile, p: Problem) -> int:
-    """Sequential pick by the capacity-indexed orderings of one profile."""
-    return _greedy(profile.orderings, p)
-
-
-def responsive_choose(ordering: PriorityOrdering, p: Problem) -> int:
-    """Top min(|S|, q) alternatives of one fixed ordering."""
-    return _greedy((ordering,) * min(p.capacity, ordering.n), p)
-
-
-def cwlex_choose(lists: CapacityWiseLists, p: Problem) -> int:
-    """Lexicographic pass using the capacity-q ordering list."""
-    return _greedy(lists.at(p.capacity), p)
-
-
 # --- Boston school builders -------------------------------------------------
 #
 # Each builder combines a walk-zone ordering w and an open ordering o into a

@@ -137,17 +137,3 @@ def naive_capacity_filling_holds(choose, n: int) -> bool:
 def rng():
     return random.Random(20240817)
 
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger kernel compilation once so timed tests measure steady state."""
-    from lexichoice import Lexicographic, materialize
-    from lexichoice.axioms import ALL_CHECKS
-
-    u = universe(3)
-    p = PriorityProfile(
-        tuple(PriorityOrdering((0, 1, 2)) for _ in range(3))
-    )
-    t = materialize(Lexicographic(p), u)
-    for chk in ALL_CHECKS.values():
-        chk(t)

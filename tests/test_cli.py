@@ -194,31 +194,17 @@ def test_repro_command(capsys):
     assert code == 0 and "all: PASS" in out
 
 
-def test_jobs_validation_and_env(tmp_path, capsys, monkeypatch):
-    path = _write(tmp_path, "resp.json", RESP_SPEC)
-    code, _, err = _run(capsys, ["check", path, "--jobs", "0"])
-    assert code == 2 and "--jobs" in err
-    monkeypatch.setenv("LEXICHOICE_JOBS", "4")
-    code, out4, _ = _run(capsys, ["check", path])
-    assert code == 0
-    monkeypatch.delenv("LEXICHOICE_JOBS")
-    code, out1, _ = _run(capsys, ["check", path])
-    assert out4 == out1
-
-
-def test_stdout_byte_identical_across_jobs(tmp_path, capsys):
+def test_stdout_byte_identical_across_runs(tmp_path, capsys):
     path = _write(tmp_path, "wo.json", WALK_OPEN_SPEC)
     outputs = []
-    for jobs in ("1", "3"):
-        code, out, _ = _run(
-            capsys, ["check", path, "--replay-witness", "--jobs", jobs]
-        )
+    for _ in range(2):
+        code, out, _ = _run(capsys, ["check", path, "--replay-witness"])
         assert code == 1
         outputs.append(out)
     assert outputs[0] == outputs[1]
     repro = []
-    for jobs in ("1", "2"):
-        code, out, _ = _run(capsys, ["repro", "--jobs", jobs])
+    for _ in range(2):
+        code, out, _ = _run(capsys, ["repro"])
         assert code == 0
         repro.append(out)
     assert repro[0] == repro[1]

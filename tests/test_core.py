@@ -9,7 +9,7 @@ from lexichoice import (
     make_universe,
     rejected,
 )
-from lexichoice.core import iter_bits, popcount, popcount_array
+from lexichoice.core import iter_bits, popcount
 
 from conftest import universe
 
@@ -33,8 +33,6 @@ def test_universe_validation():
 def test_bit_helpers():
     assert list(iter_bits(0b10110)) == [1, 2, 4]
     assert popcount(0b10110) == 3
-    arr = np.array([0, 1, 0b111, 0b1010], dtype=np.int64)
-    assert popcount_array(arr).tolist() == [0, 1, 3, 2]
 
 
 def test_enumerate_problems_canonical_order():

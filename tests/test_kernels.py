@@ -1,5 +1,10 @@
-"""The numba loop kernels and the vectorized numpy kernels must agree bit
-for bit on every output, including witness tie-breaks."""
+"""The vectorized kernels must agree bit for bit with straight per-set loops
+on every output, including witness tie-breaks.
+
+The loop versions below are the reference oracle: each walks sets, then
+capacities, then alternatives in canonical order, exactly as the kernel's
+contract is stated, and writes into a preallocated output.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +13,134 @@ from lexichoice import Lexicographic, materialize
 from lexichoice import _kernels
 
 from conftest import random_profile, universe
+
+_NO_PICK = 1 << 40  # sentinel rank larger than any real one
+
+
+# --- loop oracles --------------------------------------------------------------
+
+
+def _cwlex_fill_loops(n, keys, table):
+    # keys: (n, n, n); keys[q-1, t, alt] is the rank used at step t+1 of
+    # capacity q.  Unused steps (t >= q) are never read.
+    size = 1 << n
+    for s in range(1, size):
+        for q in range(1, n + 1):
+            remaining = s
+            chosen = 0
+            for t in range(q):
+                best = -1
+                best_key = _NO_PICK
+                for a in range(n):
+                    if (remaining >> a) & 1:
+                        k = keys[q - 1, t, a]
+                        if k < best_key:
+                            best_key = k
+                            best = a
+                if best < 0:
+                    break
+                chosen |= 1 << best
+                remaining &= ~(1 << best)
+            table[s, q] = chosen
+
+
+def _flex_fill_loops(n, keys, feas, table):
+    # keys: (n, n); keys[t, alt] is the rank used at step t+1.  feas is a
+    # boolean array over all 2**n masks.  Greedy pass stops as soon as no
+    # feasible augmentation exists.
+    size = 1 << n
+    for s in range(1, size):
+        for q in range(1, n + 1):
+            remaining = s
+            chosen = 0
+            for t in range(q):
+                best = -1
+                best_key = _NO_PICK
+                for a in range(n):
+                    if (remaining >> a) & 1 and feas[chosen | (1 << a)]:
+                        k = keys[t, a]
+                        if k < best_key:
+                            best_key = k
+                            best = a
+                if best < 0:
+                    break
+                chosen |= 1 << best
+                remaining &= ~(1 << best)
+            table[s, q] = chosen
+
+
+def _chosen_over_wit_loops(n, table, q, wit):
+    # wit[a, b] = first set S (ascending) with a chosen and b rejected at
+    # capacity q; 0 means no such S.
+    size = 1 << n
+    for s in range(1, size):
+        c = table[s, q]
+        r = s & ~c
+        if r == 0:
+            continue
+        for a in range(n):
+            if (c >> a) & 1:
+                for b in range(n):
+                    if (r >> b) & 1 and wit[a, b] == 0:
+                        wit[a, b] = s
+
+
+def _revealed_wit_loops(n, table, q, wit):
+    # wit[a, b] = first S with a,b not chosen at q-1, a chosen at q and b
+    # rejected at q; 0 means no such S.  Requires q >= 2.
+    size = 1 << n
+    for s in range(1, size):
+        prev = table[s, q - 1]
+        c = table[s, q]
+        new = c & ~prev
+        r = (s & ~c) & ~prev
+        if new == 0 or r == 0:
+            continue
+        for a in range(n):
+            if (new >> a) & 1:
+                for b in range(n):
+                    if (r >> b) & 1 and wit[a, b] == 0:
+                        wit[a, b] = s
+
+
+def _gs_first_violation_loops(n, table, out):
+    # First (S, q, a, b) in canonical order with a chosen from (S, q) but
+    # not from (S without b, q).  out stays all -1 when no violation exists.
+    size = 1 << n
+    for s in range(1, size):
+        for q in range(1, n + 1):
+            c = table[s, q]
+            for a in range(n):
+                if (c >> a) & 1:
+                    for b in range(n):
+                        if b != a and (s >> b) & 1:
+                            sub = s & ~(1 << b)
+                            if sub == 0:
+                                continue
+                            if not (table[sub, q] >> a) & 1:
+                                out[0] = s
+                                out[1] = q
+                                out[2] = a
+                                out[3] = b
+                                return
+
+
+def _path_independence_first_loops(n, table, out):
+    # First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q).
+    size = 1 << n
+    for s in range(1, size):
+        for t in range(1, size):
+            for q in range(1, n + 1):
+                u = s | t
+                m = table[s, q] | table[t, q]
+                if table[u, q] != table[m, q]:
+                    out[0] = s
+                    out[1] = t
+                    out[2] = q
+                    return
+
+
+# --- inputs --------------------------------------------------------------------
 
 
 def _random_keys(rng, n):
@@ -38,18 +171,19 @@ def _random_table(rng, n):
     return entries
 
 
+# --- kernel vs oracle ----------------------------------------------------------
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cwlex_fill_paths_agree(rng, n):
     for _ in range(20):
         keys = _random_keys(rng, n)
-        t1 = np.zeros((1 << n, n + 1), dtype=np.int64)
-        t2 = np.zeros((1 << n, n + 1), dtype=np.int64)
-        _kernels.LOOP_IMPLS["cwlex_fill"](n, keys, t1)
-        _kernels.NUMPY_IMPLS["cwlex_fill"](n, keys, t2)
-        assert np.array_equal(t1, t2)
+        want = np.zeros((1 << n, n + 1), dtype=np.int64)
+        _cwlex_fill_loops(n, keys, want)
+        assert np.array_equal(_kernels.cwlex_fill(n, keys), want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_flex_fill_paths_agree(rng, n):
     for _ in range(20):
         keys = _random_keys(rng, n)[0]
@@ -68,52 +202,32 @@ def test_flex_fill_paths_agree(rng, n):
                 while sub:
                     feas[sub] = True
                     sub = (sub - 1) & mask
-        t1 = np.zeros((1 << n, n + 1), dtype=np.int64)
-        t2 = np.zeros((1 << n, n + 1), dtype=np.int64)
-        _kernels.LOOP_IMPLS["flex_fill"](n, keys, feas, t1)
-        _kernels.NUMPY_IMPLS["flex_fill"](n, keys, feas, t2)
-        assert np.array_equal(t1, t2)
+        want = np.zeros((1 << n, n + 1), dtype=np.int64)
+        _flex_fill_loops(n, keys, feas, want)
+        assert np.array_equal(_kernels.flex_fill(n, keys, feas), want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_witness_kernels_agree(rng, n):
     for _ in range(20):
         table = _random_table(rng, n)
         for q in range(1, n + 1):
-            w1 = np.zeros((n, n), dtype=np.int64)
-            w2 = np.zeros((n, n), dtype=np.int64)
-            _kernels.LOOP_IMPLS["chosen_over_wit"](n, table, q, w1)
-            _kernels.NUMPY_IMPLS["chosen_over_wit"](n, table, q, w2)
-            assert np.array_equal(w1, w2)
+            want = np.zeros((n, n), dtype=np.int64)
+            _chosen_over_wit_loops(n, table, q, want)
+            assert np.array_equal(_kernels.chosen_over_wit(n, table, q), want)
             if q >= 2:
-                w1 = np.zeros((n, n), dtype=np.int64)
-                w2 = np.zeros((n, n), dtype=np.int64)
-                _kernels.LOOP_IMPLS["revealed_wit"](n, table, q, w1)
-                _kernels.NUMPY_IMPLS["revealed_wit"](n, table, q, w2)
-                assert np.array_equal(w1, w2)
+                want = np.zeros((n, n), dtype=np.int64)
+                _revealed_wit_loops(n, table, q, want)
+                assert np.array_equal(_kernels.revealed_wit(n, table, q), want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_first_violation_kernels_agree(rng, n):
     for _ in range(20):
         table = _random_table(rng, n)
-        o1 = np.full(4, -1, dtype=np.int64)
-        o2 = np.full(4, -1, dtype=np.int64)
-        _kernels.LOOP_IMPLS["gs_first_violation"](n, table, o1)
-        _kernels.NUMPY_IMPLS["gs_first_violation"](n, table, o2)
-        assert np.array_equal(o1, o2)
-        o1 = np.full(3, -1, dtype=np.int64)
-        o2 = np.full(3, -1, dtype=np.int64)
-        _kernels.LOOP_IMPLS["path_independence_first"](n, table, o1)
-        _kernels.NUMPY_IMPLS["path_independence_first"](n, table, o2)
-        assert np.array_equal(o1, o2)
-
-
-def test_dispatch_matches_selected_impl(rng):
-    n = 3
-    keys = _random_keys(rng, n)
-    expected = np.zeros((1 << n, n + 1), dtype=np.int64)
-    impls = _kernels.LOOP_IMPLS if _kernels.USE_NUMBA else _kernels.NUMPY_IMPLS
-    impls["cwlex_fill"](n, keys, expected)
-    assert np.array_equal(_kernels.cwlex_fill(n, keys), expected)
-    assert _kernels.ACTIVE in ("numba", "numpy")
+        want = np.full(4, -1, dtype=np.int64)
+        _gs_first_violation_loops(n, table, want)
+        assert np.array_equal(_kernels.gs_first_violation(n, table), want)
+        want = np.full(3, -1, dtype=np.int64)
+        _path_independence_first_loops(n, table, want)
+        assert np.array_equal(_kernels.path_independence_first(n, table), want)

@@ -5,7 +5,6 @@ from lexichoice import (
     AllocationProblem,
     ChoiceStructure,
     DAMechanism,
-    ObjectSpace,
     Responsive,
     all_preferences,
     build_rotating,
@@ -46,11 +45,7 @@ def _rotating_structure(agent_labels, objects):
     return ChoiceStructure(u, tuple(objects), {x: CapacityWise(lists) for x in objects})
 
 
-def test_object_space_and_preferences():
-    with pytest.raises(ValueError):
-        ObjectSpace(("x", "x"))
-    with pytest.raises(ValueError):
-        ObjectSpace(("x", None))
+def test_preference_validation():
     validate_preference(("x", None, "y"), ("x", "y"))
     with pytest.raises(ValueError):
         validate_preference(("x", "y"), ("x", "y"))

@@ -18,8 +18,6 @@ from lexichoice import (
     materialize,
     ordering_from_labels,
 )
-from lexichoice.rules import cwlex_choose, lex_choose, responsive_choose
-
 from conftest import (
     mask_of,
     members_of,
@@ -67,13 +65,13 @@ def test_choose_functions_match_naive_oracle(rng, n):
         )
         for p in enumerate_problems(u):
             members = members_of(p.set)
-            assert lex_choose(profile, p) == mask_of(
+            assert Lexicographic(profile).choose(p) == mask_of(
                 naive_sequential_choice(profile.orderings[: p.capacity], members, p.capacity)
             )
-            assert responsive_choose(ordering, p) == mask_of(
+            assert Responsive(ordering).choose(p) == mask_of(
                 naive_sequential_choice((ordering,) * p.capacity, members, p.capacity)
             )
-            assert cwlex_choose(lists, p) == mask_of(
+            assert CapacityWise(lists).choose(p) == mask_of(
                 naive_sequential_choice(lists.at(p.capacity), members, p.capacity)
             )
 
