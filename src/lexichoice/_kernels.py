@@ -1,10 +1,15 @@
 """Hot inner loops over exhaustive problem tables, vectorized with numpy.
 
-Each kernel has exactly one implementation: it works on whole table
-columns at once, looping in Python only over capacities, greedy steps and
-alternatives.  ``tests/test_kernels.py`` holds per-set loop versions of
-every kernel and checks that the outputs here match them bit for bit,
-witness tie-breaks included.
+Four kernels, each with exactly one implementation: ``cwlex_fill`` (the
+greedy fill of every capacity-wise and, with a feasibility mask,
+feasibility-constrained rule), ``chosen_over_wit`` (first witnesses of a
+chosen-over relation given two bitmask columns, shared by WRARP, CWARP,
+CWRARP, CSARP and extraction), ``gs_first_violation`` and
+``path_independence_first``.  They work on whole table columns at once,
+looping in Python only over capacities, greedy steps and alternatives.
+``tests/test_kernels.py`` holds per-set loop versions of every kernel and
+checks that the outputs here match them bit for bit, witness tie-breaks
+included.
 
 All tables are int64 arrays of shape ``(2**n, n+1)`` holding chosen
 bitmasks, with column 0 fixed empty.  Key tensors encode priority orderings
@@ -42,13 +47,19 @@ def _first_true(cond):
     return 0
 
 
-def cwlex_fill(n: int, keys: np.ndarray) -> np.ndarray:
+def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.ndarray:
     """Materialize a capacity-wise lexicographic rule into a full table.
 
     ``keys`` has shape (n, n, n); ``keys[q-1, t, alt]`` is the rank used at
-    step t+1 of capacity q.  Unused steps (t >= q) are never read.
+    step t+1 of capacity q.  Unused steps (t >= q) are never read.  With
+    ``feas`` (a boolean array over all 2**n masks) each pick must keep the
+    chosen set feasible; a set with no feasible augmentation at one step has
+    none at any later step, since neither its chosen nor its remaining
+    alternatives change.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
+    if feas is not None:
+        feas = np.ascontiguousarray(feas, dtype=np.bool_)
     size = 1 << n
     table = np.zeros((size, n + 1), dtype=np.int64)
     masks = np.arange(size, dtype=np.int64)
@@ -56,7 +67,7 @@ def cwlex_fill(n: int, keys: np.ndarray) -> np.ndarray:
         remaining = masks.copy()
         chosen = np.zeros(size, dtype=np.int64)
         for t in range(q):
-            bits = _greedy_pick(remaining, chosen, keys[q - 1, t])
+            bits = _greedy_pick(remaining, chosen, keys[q - 1, t], feas)
             chosen |= bits
             remaining &= ~bits
         table[:, q] = chosen
@@ -64,67 +75,18 @@ def cwlex_fill(n: int, keys: np.ndarray) -> np.ndarray:
     return table
 
 
-def flex_fill(n: int, keys: np.ndarray, feas: np.ndarray) -> np.ndarray:
-    """Materialize a feasibility-constrained lexicographic rule.
+def chosen_over_wit(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
+    """First witnessing set per ordered pair of a chosen-over relation.
 
-    ``keys`` has shape (n, n); ``keys[t, alt]`` is the rank used at step
-    t+1.  ``feas`` is a boolean array over all 2**n masks.  A set's greedy
-    pass stops as soon as no feasible augmentation exists.
-    """
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    feas = np.ascontiguousarray(feas, dtype=np.bool_)
-    size = 1 << n
-    table = np.zeros((size, n + 1), dtype=np.int64)
-    masks = np.arange(size, dtype=np.int64)
-    for q in range(1, n + 1):
-        remaining = masks.copy()
-        chosen = np.zeros(size, dtype=np.int64)
-        active = np.ones(size, dtype=bool)
-        for t in range(q):
-            bits = _greedy_pick(remaining, chosen, keys[t], feas=feas)
-            bits = np.where(active, bits, np.int64(0))
-            active &= bits != 0
-            chosen |= bits
-            remaining &= ~bits
-        table[:, q] = chosen
-    table[0, :] = 0
-    return table
-
-
-def chosen_over_wit(n: int, table: np.ndarray, q: int) -> np.ndarray:
-    """First witnessing set per ordered pair (a chosen, b rejected) at q.
-
-    ``wit[a, b]`` is the first set S (ascending) with a chosen and b
-    rejected at capacity q; 0 means no such S.
+    ``chosen`` and ``rejected`` are bitmask columns over all 2**n sets.
+    ``wit[a, b]`` is the first set S (ascending) with a in ``chosen[S]`` and
+    b in ``rejected[S]``; 0 means no such S.
     """
     wit = np.zeros((n, n), dtype=np.int64)
-    masks = np.arange(1 << n, dtype=np.int64)
-    c = table[:, q]
-    r = masks & ~c
     for a in range(n):
-        has_a = ((c >> a) & 1) == 1
+        has_a = ((chosen >> a) & 1) == 1
         for b in range(n):
-            cond = has_a & (((r >> b) & 1) == 1)
-            wit[a, b] = _first_true(cond)
-    return wit
-
-
-def revealed_wit(n: int, table: np.ndarray, q: int) -> np.ndarray:
-    """First witnessing set per revealed-preference edge at capacity q.
-
-    ``wit[a, b]`` is the first S with a and b not chosen at q-1, a chosen
-    at q and b rejected at q; 0 means no such S.  Requires q >= 2.
-    """
-    wit = np.zeros((n, n), dtype=np.int64)
-    masks = np.arange(1 << n, dtype=np.int64)
-    prev = table[:, q - 1]
-    c = table[:, q]
-    new = c & ~prev
-    rej = (masks & ~c) & ~prev
-    for a in range(n):
-        has_a = ((new >> a) & 1) == 1
-        for b in range(n):
-            cond = has_a & (((rej >> b) & 1) == 1)
+            cond = has_a & (((rejected >> b) & 1) == 1)
             wit[a, b] = _first_true(cond)
     return wit
 

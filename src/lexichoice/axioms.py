@@ -156,42 +156,75 @@ def check_iaa(c: ChoiceTable) -> AxiomReport:
 # --- revealed preference axioms ----------------------------------------------
 
 
+def relation_columns(c: ChoiceTable, q: int, revealed: bool = False):
+    """Per set S: C(S, q) and S minus C(S, q), the chosen-over columns at q.
+
+    With ``revealed`` both columns also drop C(S, q-1), which gives the
+    revealed preference columns (C(S, 0) is the empty set).
+    """
+    cur = c.entries[:, q]
+    rej = np.arange(1 << c.n, dtype=np.int64) & ~cur
+    if not revealed:
+        return cur, rej
+    prev = c.entries[:, q - 1]
+    return cur & ~prev, rej & ~prev
+
+
+def first_witnesses(c: ChoiceTable, q: int, revealed: bool = False) -> np.ndarray:
+    """``wit[a, b]``: the first S pairing a and b in :func:`relation_columns`."""
+    return _kernels.chosen_over_wit(c.n, *relation_columns(c, q, revealed))
+
+
+def relation(q: int, wit: np.ndarray) -> RevealedPreference:
+    """The relation whose edges are the nonzero entries of ``wit``."""
+    witnesses = {
+        (int(a), int(b)): int(wit[a, b]) for a, b in np.argwhere(wit)
+    }
+    return RevealedPreference(q, frozenset(witnesses), witnesses)
+
+
 def revealed_pref(c: ChoiceTable, q: int) -> RevealedPreference:
     """Edges (a, b): some S has a, b rejected at q-1, a chosen and b rejected at q."""
     if q < 2:
         raise ValueError("revealed preference requires capacity q >= 2")
     if q > c.n:
         raise ValueError(f"capacity {q} outside 2..{c.n}")
-    wit = _kernels.revealed_wit(c.n, c.entries, q)
-    edges = set()
-    witnesses = {}
-    for a in range(c.n):
-        for b in range(c.n):
-            if wit[a, b]:
-                edges.add((a, b))
-                witnesses[(a, b)] = int(wit[a, b])
-    return RevealedPreference(q, frozenset(edges), witnesses)
+    return relation(q, first_witnesses(c, q, revealed=True))
+
+
+def _first_two_way(wit: np.ndarray) -> tuple[int, int] | None:
+    """First pair (a < b), a-major, with both wit[a, b] and wit[b, a] nonzero."""
+    both = np.triu((wit != 0) & (wit.T != 0), 1)
+    if not both.any():
+        return None
+    a, b = np.argwhere(both)[0]
+    return int(a), int(b)
+
+
+def _asymmetry(axiom: str, c: ChoiceTable, capacities, revealed: bool) -> AxiomReport:
+    """Fail at the first capacity whose relation has a two-way pair."""
+    for q in capacities:
+        wit = first_witnesses(c, q, revealed)
+        pair = _first_two_way(wit)
+        if pair is not None:
+            a, b = pair
+            return _fail(
+                axiom,
+                c,
+                {
+                    "q": q,
+                    "a": c.universe.labels[a],
+                    "b": c.universe.labels[b],
+                    "S_ab": _labels(c, int(wit[a, b])),
+                    "S_ba": _labels(c, int(wit[b, a])),
+                },
+            )
+    return _pass(axiom, c)
 
 
 def check_cwarp(c: ChoiceTable) -> AxiomReport:
     """The revealed preference relation must be asymmetric at every capacity."""
-    for q in range(2, c.n + 1):
-        wit = _kernels.revealed_wit(c.n, c.entries, q)
-        for a in range(c.n):
-            for b in range(a + 1, c.n):
-                if wit[a, b] and wit[b, a]:
-                    return _fail(
-                        "cwarp",
-                        c,
-                        {
-                            "q": q,
-                            "a": c.universe.labels[a],
-                            "b": c.universe.labels[b],
-                            "S_ab": _labels(c, int(wit[a, b])),
-                            "S_ba": _labels(c, int(wit[b, a])),
-                        },
-                    )
-    return _pass("cwarp", c)
+    return _asymmetry("cwarp", c, range(2, c.n + 1), revealed=True)
 
 
 def check_cwarp_alternative(c: ChoiceTable) -> AxiomReport:
@@ -240,54 +273,37 @@ def check_wrarp(c: ChoiceTable) -> AxiomReport:
     b chosen over a at another problem of the same capacity) is exactly a
     symmetric chosen-over pair at that capacity.
     """
-    for q in range(1, c.n + 1):
-        wit = _kernels.chosen_over_wit(c.n, c.entries, q)
-        for a in range(c.n):
-            for b in range(a + 1, c.n):
-                if wit[a, b] and wit[b, a]:
-                    return _fail(
-                        "wrarp",
-                        c,
-                        {
-                            "q": q,
-                            "a": c.universe.labels[a],
-                            "b": c.universe.labels[b],
-                            "S_ab": _labels(c, int(wit[a, b])),
-                            "S_ba": _labels(c, int(wit[b, a])),
-                        },
-                    )
-    return _pass("wrarp", c)
+    return _asymmetry("wrarp", c, range(1, c.n + 1), revealed=False)
 
 
 def check_cwrarp(c: ChoiceTable) -> AxiomReport:
     """Cross-capacity asymmetry of the chosen-over relation."""
-    first: dict[tuple[int, int], tuple[int, int]] = {}
-    for q in range(1, c.n + 1):
-        wit = _kernels.chosen_over_wit(c.n, c.entries, q)
-        for a in range(c.n):
-            for b in range(c.n):
-                if wit[a, b]:
-                    cand = (int(wit[a, b]), q)
-                    if (a, b) not in first or cand < first[(a, b)]:
-                        first[(a, b)] = cand
-    for a in range(c.n):
-        for b in range(a + 1, c.n):
-            if (a, b) in first and (b, a) in first:
-                s_ab, q_ab = first[(a, b)]
-                s_ba, q_ba = first[(b, a)]
-                return _fail(
-                    "cwrarp",
-                    c,
-                    {
-                        "a": c.universe.labels[a],
-                        "b": c.universe.labels[b],
-                        "S_ab": _labels(c, s_ab),
-                        "q_ab": q_ab,
-                        "S_ba": _labels(c, s_ba),
-                        "q_ba": q_ba,
-                    },
-                )
-    return _pass("cwrarp", c)
+    n = c.n
+    # per pair, the least (S, q) over all capacities, encoded S * (n+1) + q
+    first = np.zeros((n, n), dtype=np.int64)
+    for q in range(1, n + 1):
+        wit = first_witnesses(c, q)
+        cand = wit * (n + 1) + q
+        take = (wit != 0) & ((first == 0) | (cand < first))
+        first[take] = cand[take]
+    pair = _first_two_way(first)
+    if pair is None:
+        return _pass("cwrarp", c)
+    a, b = pair
+    s_ab, q_ab = divmod(int(first[a, b]), n + 1)
+    s_ba, q_ba = divmod(int(first[b, a]), n + 1)
+    return _fail(
+        "cwrarp",
+        c,
+        {
+            "a": c.universe.labels[a],
+            "b": c.universe.labels[b],
+            "S_ab": _labels(c, s_ab),
+            "q_ab": q_ab,
+            "S_ba": _labels(c, s_ba),
+            "q_ba": q_ba,
+        },
+    )
 
 
 def check_path_independence(c: ChoiceTable) -> AxiomReport:

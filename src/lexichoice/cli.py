@@ -238,11 +238,27 @@ def cmd_extract(args) -> int:
 def _parse_da_spec(obj: dict) -> tuple[ChoiceStructure, AllocationProblem]:
     from .core import make_universe
 
+    if not isinstance(obj, dict):
+        raise SpecError("allocation spec must be a JSON object")
     for key in ("agents", "objects", "rules", "preferences", "capacities"):
         if key not in obj:
             raise SpecError(f"allocation spec: missing field {key!r}")
+    for key in ("agents", "objects"):
+        labels = obj[key]
+        if (
+            not isinstance(labels, list)
+            or not all(isinstance(x, str) for x in labels)
+            or len(set(labels)) != len(labels)
+        ):
+            raise SpecError(
+                f"allocation spec: {key} must be a list of distinct strings"
+            )
+    if "null" in obj["objects"]:
+        raise SpecError('allocation spec: "null" names the null object')
     agents = make_universe(obj["agents"])
     objects = tuple(obj["objects"])
+    if not isinstance(obj["rules"], dict):
+        raise SpecError("allocation spec: rules must be an object")
     rules = {}
     for x in objects:
         if x not in obj["rules"]:
@@ -252,9 +268,17 @@ def _parse_da_spec(obj: dict) -> tuple[ChoiceStructure, AllocationProblem]:
             raise SpecError("allocation spec: flex rules are not supported here")
         rules[x] = sub.rule
     prefs_raw = obj["preferences"]
-    if not isinstance(prefs_raw, list) or len(prefs_raw) != agents.n:
+    if (
+        not isinstance(prefs_raw, list)
+        or len(prefs_raw) != agents.n
+        or not all(
+            isinstance(row, list) and all(isinstance(lab, str) for lab in row)
+            for row in prefs_raw
+        )
+    ):
         raise SpecError(
-            f"allocation spec: preferences must list exactly {agents.n} rankings"
+            f"allocation spec: preferences must list exactly {agents.n} "
+            "rankings of labels"
         )
     prefs = tuple(
         tuple(None if lab == "null" else lab for lab in row) for row in prefs_raw
@@ -263,7 +287,10 @@ def _parse_da_spec(obj: dict) -> tuple[ChoiceStructure, AllocationProblem]:
     if (
         not isinstance(caps, list)
         or len(caps) != len(objects)
-        or not all(isinstance(q, int) and 0 <= q <= agents.n for q in caps)
+        or not all(
+            isinstance(q, int) and not isinstance(q, bool) and 0 <= q <= agents.n
+            for q in caps
+        )
     ):
         raise SpecError(
             "allocation spec: capacities must list one integer in "

@@ -161,8 +161,8 @@ class ChoiceTable:
             self.entries, other.entries
         )
 
-    def __hash__(self):  # tables are mutable-array-backed; identity hash
-        return id(self)
+    def __hash__(self):  # entries are read-only, so the value hash is stable
+        return hash((self.universe, self.entries.tobytes()))
 
     def first_difference(self, other: "ChoiceTable") -> Problem | None:
         """First problem (canonical order) where the two tables differ."""

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .axioms import AxiomReport, RevealedPreference
+from .axioms import AxiomReport, RevealedPreference, relation, relation_columns
 from .core import ChoiceTable, Problem, Universe, iter_bits, popcount
-from .identify import ExtractionError
-from .rules import PriorityOrdering, PriorityProfile
+from .identify import ExtractionError, linear_extension
+from .rules import Lexicographic, PriorityOrdering, PriorityProfile
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ def flex_choose(profile: PriorityProfile, f: FeasibilityFamily, p: Problem) -> i
 def flex_materialize(
     profile: PriorityProfile, f: FeasibilityFamily, u: Universe
 ) -> FChoiceTable:
-    keys = np.stack([o.key() for o in profile.orderings])
-    entries = _kernels.flex_fill(u.n, keys, f.membership_array())
+    keys = Lexicographic(profile).keys()
+    entries = _kernels.cwlex_fill(u.n, keys, f.membership_array())
     return FChoiceTable(u, f, entries)
 
 
@@ -166,22 +166,13 @@ def f_revealed_pref(c: FChoiceTable, q: int) -> RevealedPreference:
     rejected at q, with C(S, q-1) plus b feasible.  Uses C(S, 0) = empty set."""
     if not 1 <= q <= c.n:
         raise ValueError(f"capacity {q} outside 1..{c.n}")
-    n = c.n
-    edges = set()
-    witnesses: dict[tuple[int, int], int] = {}
-    for s in range(1, 1 << n):
-        prev = int(c.entries[s, q - 1])  # column 0 is the empty set
-        cur = int(c.entries[s, q])
-        new = cur & ~prev
-        rej = (s & ~cur) & ~prev
-        if new == 0 or rej == 0:
-            continue
-        for a in iter_bits(new):
-            for b in iter_bits(rej):
-                if (a, b) not in witnesses and (prev | (1 << b)) in c.family:
-                    edges.add((a, b))
-                    witnesses[(a, b)] = s
-    return RevealedPreference(q, frozenset(edges), witnesses)
+    new, rej = relation_columns(c, q, revealed=True)
+    prev = c.entries[:, q - 1]
+    feas = c.family.membership_array()
+    for b in range(c.n):
+        bit = np.int64(1) << np.int64(b)
+        rej = np.where(feas[prev | bit], rej, rej & ~bit)
+    return relation(q, _kernels.chosen_over_wit(c.n, new, rej))
 
 
 def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
@@ -252,51 +243,22 @@ def check_csarp(c: FChoiceTable) -> AxiomReport:
     return AxiomReport("csarp", "pass", None, checked)
 
 
-def _transitive_closure(n: int, edges: frozenset[tuple[int, int]]) -> list[set[int]]:
-    reach = [set() for _ in range(n)]
-    for a, b in edges:
-        reach[a].add(b)
-    for k in range(n):
-        for a in range(n):
-            if k in reach[a]:
-                reach[a] |= reach[k]
-    return reach
-
-
-def _linear_extension(n: int, reach: list[set[int]]) -> PriorityOrdering:
-    """Canonical completion: repeatedly take the lowest-index source."""
-    remaining = set(range(n))
-    rank: list[int] = []
-    while remaining:
-        sources = [
-            a for a in sorted(remaining)
-            if not any(a in reach[b] for b in remaining if b != a)
-        ]
-        if not sources:
-            raise ExtractionError("revealed preference relation is cyclic")
-        rank.append(sources[0])
-        remaining.remove(sources[0])
-    return PriorityOrdering(tuple(rank))
-
-
 def extract_flex_profile(c: FChoiceTable) -> PriorityProfile:
     """Recover a profile whose feasibility-constrained table equals ``c``.
 
-    Each capacity's ordering is the canonical linear extension of the
-    transitive closure of the revealed preference at that capacity; the
-    result is validated by full re-materialization.
+    Each capacity's ordering is the canonical linear extension (lowest index
+    first) of the revealed preference at that capacity; the result is
+    validated by full re-materialization.
     """
     orderings = []
     for q in range(1, c.n + 1):
-        rp = f_revealed_pref(c, q)
-        cyc = _find_cycle(c.n, rp.edges)
-        if cyc is not None:
+        rank = linear_extension(c.n, f_revealed_pref(c, q).edges)
+        if len(rank) != c.n:
             raise ExtractionError(
                 f"revealed preference at capacity {q} is cyclic",
                 step=f"capacity {q}",
             )
-        reach = _transitive_closure(c.n, rp.edges)
-        orderings.append(_linear_extension(c.n, reach))
+        orderings.append(PriorityOrdering(tuple(rank)))
     profile = PriorityProfile(tuple(orderings))
     got = flex_materialize(profile, c.family, c.universe)
     diff = got.first_difference(c)

@@ -11,8 +11,12 @@ wrong profile.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
+from .axioms import first_witnesses
 from .core import ChoiceTable, Problem, popcount
 from .rules import (
     CapacityWise,
@@ -172,6 +176,30 @@ def extract_responsive(c: ChoiceTable) -> PriorityOrdering:
     return ordering
 
 
+def linear_extension(n: int, edges) -> list[int]:
+    """Kahn order of the relation ``edges`` (pairs (a, b): a before b).
+
+    The lowest-index ready alternative goes first.  On a cyclic relation the
+    order stops short: the alternatives left out are exactly those still
+    holding a predecessor.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in edges:
+        succ[a].append(b)
+        indeg[b] += 1
+    ready = [a for a in range(n) if indeg[a] == 0]
+    rank: list[int] = []
+    while ready:
+        a = heapq.heappop(ready)
+        rank.append(a)
+        for b in succ[a]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(ready, b)
+    return rank
+
+
 def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
     """One ordering per capacity whose top-q sets reproduce the table.
 
@@ -181,33 +209,12 @@ def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
     are broken by lowest index; a cycle or a validation mismatch raises
     :class:`ExtractionError`.
     """
-    from . import _kernels
-
     n = c.n
     orderings: list[PriorityOrdering] = []
     for q in range(1, n + 1):
-        wit = _kernels.chosen_over_wit(n, c.entries, q)
-        succ = [set() for _ in range(n)]
-        indeg = [0] * n
-        for a in range(n):
-            for b in range(n):
-                if wit[a, b] and b not in succ[a]:
-                    succ[a].add(b)
-                    indeg[b] += 1
-        rank: list[int] = []
-        ready = sorted(a for a in range(n) if indeg[a] == 0)
-        while ready:
-            a = ready.pop(0)
-            rank.append(a)
-            added = []
-            for b in succ[a]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    added.append(b)
-            if added:
-                ready = sorted(ready + added)
+        rank = linear_extension(n, np.argwhere(first_witnesses(c, q)).tolist())
         if len(rank) != n:
-            cyc = [c.universe.labels[a] for a in range(n) if indeg[a] > 0]
+            cyc = [lab for a, lab in enumerate(c.universe.labels) if a not in rank]
             raise ExtractionError(
                 f"chosen-over relation at capacity {q} is cyclic among {cyc}; "
                 "the table violates the per-capacity revealed preference axiom",

@@ -65,7 +65,7 @@ class MechanismReport:
 
 
 def validate_preference(pref: Preference, objects: tuple[str, ...]) -> None:
-    if sorted(pref, key=str) != sorted(objects + (None,), key=str):
+    if len(pref) != len(objects) + 1 or set(pref) != {*objects, None}:
         raise ValueError(f"preference {pref!r} is not a ranking of objects + null")
 
 

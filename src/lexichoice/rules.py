@@ -99,10 +99,8 @@ class Lexicographic:
 
     def keys(self) -> np.ndarray:
         n = self.profile.n
-        keys = np.zeros((n, n, n), dtype=np.int64)
         row = np.stack([o.key() for o in self.profile.orderings])
-        keys[:] = row[np.newaxis, :, :]
-        return keys
+        return np.broadcast_to(row, (n, n, n))
 
 
 @dataclass(frozen=True)
@@ -115,9 +113,7 @@ class Responsive:
 
     def keys(self) -> np.ndarray:
         n = self.ordering.n
-        keys = np.zeros((n, n, n), dtype=np.int64)
-        keys[:, :] = self.ordering.key()
-        return keys
+        return np.broadcast_to(self.ordering.key(), (n, n, n))
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,11 @@ def _profile(u: Universe, rows, where: str) -> PriorityProfile:
     )
 
 
+def _is_int64(x) -> bool:
+    """A JSON integer (not a bool or a float) that fits an int64 entry."""
+    return isinstance(x, int) and not isinstance(x, bool) and -(1 << 63) <= x < 1 << 63
+
+
 def parse_spec(obj: dict) -> RuleSpec:
     """Parse and validate a rule-spec dict; raises :class:`SpecError`."""
     if not isinstance(obj, dict):
@@ -159,6 +164,10 @@ def parse_spec(obj: dict) -> RuleSpec:
         return RuleSpec(u, CapacityWise(lists), None, None, digest)
     if kind == "table":
         rows = _require(rule_obj, "entries", "rule")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(_is_int64(x) for x in row) for row in rows
+        ):
+            raise SpecError("rule: entries must be rows of 64-bit integers")
         try:
             entries = np.array(rows, dtype=np.int64)
         except (TypeError, ValueError) as e:

@@ -241,6 +241,64 @@ def test_wrarp_cwrarp_signatures(rng):
     assert not rep.ok
 
 
+def _first_sets_loops(t, q, fresh):
+    # (a, b) -> first S with a chosen and b rejected at q; with ``fresh``
+    # both must also be unchosen at q-1 (the revealed preference relation)
+    first = {}
+    for s in range(1, 1 << t.n):
+        cur = t.choose(Problem(s, q))
+        prev = t.choose(Problem(s, q - 1)) if fresh and q > 1 else 0
+        for a in members_of(cur & ~prev):
+            for b in members_of(s & ~cur & ~prev):
+                first.setdefault((a, b), s)
+    return first
+
+
+def _asymmetry_loops(t):
+    # naive CWARP, WRARP and CWRARP witnesses (None on pass)
+    labels = t.universe.labels
+    sets = lambda s: sorted(t.universe.labels_of(s))
+    pairs = [(a, b) for a in range(t.n) for b in range(a + 1, t.n)]
+    out = {}
+    for axiom, qs, fresh in (("cwarp", range(2, t.n + 1), True),
+                             ("wrarp", range(1, t.n + 1), False)):
+        out[axiom] = None
+        for q in qs:
+            first = _first_sets_loops(t, q, fresh)
+            hit = [(a, b) for a, b in pairs if (a, b) in first and (b, a) in first]
+            if hit:
+                a, b = hit[0]
+                out[axiom] = {"q": q, "a": labels[a], "b": labels[b],
+                              "S_ab": sets(first[(a, b)]), "S_ba": sets(first[(b, a)])}
+                break
+    least = {}
+    for q in range(1, t.n + 1):
+        for pair, s in _first_sets_loops(t, q, False).items():
+            least[pair] = min(least.get(pair, (s, q)), (s, q))
+    hit = [(a, b) for a, b in pairs if (a, b) in least and (b, a) in least]
+    out["cwrarp"] = None
+    if hit:
+        a, b = hit[0]
+        (s_ab, q_ab), (s_ba, q_ba) = least[(a, b)], least[(b, a)]
+        out["cwrarp"] = {"a": labels[a], "b": labels[b], "S_ab": sets(s_ab),
+                         "q_ab": q_ab, "S_ba": sets(s_ba), "q_ba": q_ba}
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_asymmetry_witnesses_match_loop_oracle(rng, n):
+    u = universe(n)
+    for _ in range(15):
+        def rand_choose(mask, q):
+            members = [a for a in range(n) if (mask >> a) & 1]
+            k = rng.randrange(0, min(len(members), q) + 1)
+            return sum(1 << a for a in rng.sample(members, k))
+
+        t = ChoiceTable.from_function(u, rand_choose)
+        for axiom, want in _asymmetry_loops(t).items():
+            assert ALL_CHECKS[axiom](t).witness == want, axiom
+
+
 def test_insertion_property():
     u = universe(3)
     w = PriorityOrdering((0, 1, 2))

@@ -155,6 +155,24 @@ def test_da_input_errors(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", bad)
     code, _, err = _run(capsys, ["da", path])
     assert code == 2 and "capacities" in err
+    null_rules = {"x": DA_SPEC["rules"]["x"], "null": DA_SPEC["rules"]["y"]}
+    for patch, word in [
+        ({"capacities": [True, 1]}, "capacities"),
+        ({"objects": "xy"}, "objects"),
+        ({"objects": ["x", "x"]}, "objects"),
+        ({"objects": ["x", "null"], "rules": null_rules}, "null"),
+    ]:
+        path = _write(tmp_path, "bad.json", dict(DA_SPEC, **patch))
+        code, out, err = _run(capsys, ["da", path])
+        assert code == 2 and word in err and out == ""
+        assert "Traceback" not in err
+
+
+def test_table_entries_must_be_integers(tmp_path, capsys):
+    for entry in [2**64, 1.7]:
+        spec = {"universe": ["a"], "rule": {"kind": "table", "entries": [[0, 0], [0, entry]]}}
+        code, out, err = _run(capsys, ["check", _write(tmp_path, "t.json", spec)])
+        assert code == 2 and out == "" and "integers" in err
 
 
 def test_boston_report(capsys):

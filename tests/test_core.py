@@ -104,6 +104,8 @@ def test_first_difference_canonical():
     assert t.first_difference(other) == Problem(1, 2)
     assert t.first_difference(t) is None
     assert t == ChoiceTable(u, np.array(t.entries))
+    # equal tables hash equal, so a set holds them once
+    assert len({t, ChoiceTable(u, np.array(t.entries)), other}) == 2
 
 
 def test_from_function_matches_callable():

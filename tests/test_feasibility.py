@@ -194,6 +194,42 @@ def test_f_revealed_pref_uses_feasibility_gate(rng):
         f_revealed_pref(t, 0)
 
 
+def _f_revealed_pref_loops(c, q):
+    # Per-set loop: edge (a, b) with a new at q, b present but unchosen at
+    # q-1 and q, and C(S, q-1) plus b feasible; witness = first such S.
+    witnesses = {}
+    for s in range(1, 1 << c.n):
+        prev = int(c.entries[s, q - 1])
+        cur = int(c.entries[s, q])
+        new = cur & ~prev
+        rej = (s & ~cur) & ~prev
+        for a in members_of(new):
+            for b in members_of(rej):
+                if (a, b) not in witnesses and (prev | (1 << b)) in c.family:
+                    witnesses[(a, b)] = s
+    return witnesses
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_f_revealed_pref_matches_loop_oracle(rng, n):
+    u = universe(n)
+    for trial in range(20):
+        f = random_family(rng, n)
+        entries = flex_materialize(random_profile(rng, n), f, u).entries.copy()
+        if trial % 2:
+            # perturb a few entries to random subsets so that cycles appear
+            for _ in range(3):
+                s = rng.randrange(1, 1 << n)
+                q = rng.randrange(1, n + 1)
+                entries[s, q] = s & rng.randrange(1 << n)
+        t = FChoiceTable(u, f, entries)
+        for q in range(1, n + 1):
+            rp = f_revealed_pref(t, q)
+            want = _f_revealed_pref_loops(t, q)
+            assert rp.witnesses == want
+            assert rp.edges == frozenset(want)
+
+
 def test_unconstrained_family_reduces_to_plain_lexicographic(rng):
     n = 4
     u = universe(n)

@@ -21,6 +21,7 @@ from lexichoice import (
     profiles_equivalent,
     residual_sets,
 )
+from lexichoice.identify import linear_extension
 from lexichoice.casebook import (
     constant_singleton_table,
     trigger_switch_table,
@@ -200,3 +201,47 @@ def test_rotating_equivalent_to_alternating_profile():
     alternating = PriorityProfile((w, o, w, o, w))
     assert materialize(Lexicographic(alternating), u) == t
     assert profiles_equivalent(t, alternating, recovered)
+
+
+def _closure_extension(n, edges):
+    # Transitive closure, then repeatedly the lowest-index alternative that
+    # nothing remaining reaches; None when some step has no such source.
+    reach = [set() for _ in range(n)]
+    for a, b in edges:
+        reach[a].add(b)
+    for k in range(n):
+        for a in range(n):
+            if k in reach[a]:
+                reach[a] |= reach[k]
+    remaining = set(range(n))
+    rank = []
+    while remaining:
+        sources = [
+            a for a in sorted(remaining)
+            if not any(a in reach[b] for b in remaining if b != a)
+        ]
+        if not sources:
+            return None
+        rank.append(sources[0])
+        remaining.remove(sources[0])
+    return rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_linear_extension_matches_closure_oracle(rng, n):
+    seen = {"ordered": 0, "cyclic": 0}
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    for _ in range(300):
+        density = rng.random() * 0.5
+        edges = {p for p in pairs if rng.random() < density}
+        want = _closure_extension(n, edges)
+        got = linear_extension(n, sorted(edges, reverse=rng.random() < 0.5))
+        if want is None:
+            seen["cyclic"] += 1
+            assert len(got) < n
+        else:
+            seen["ordered"] += 1
+            assert got == want
+    assert seen["ordered"] > 0
+    if n >= 2:
+        assert seen["cyclic"] > 0

@@ -204,21 +204,26 @@ def test_flex_fill_paths_agree(rng, n):
                     sub = (sub - 1) & mask
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
         _flex_fill_loops(n, keys, feas, want)
-        assert np.array_equal(_kernels.flex_fill(n, keys, feas), want)
+        got = _kernels.cwlex_fill(n, np.broadcast_to(keys, (n, n, n)), feas)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_witness_kernels_agree(rng, n):
     for _ in range(20):
         table = _random_table(rng, n)
+        masks = np.arange(1 << n, dtype=np.int64)
         for q in range(1, n + 1):
+            prev, cur = table[:, q - 1], table[:, q]
             want = np.zeros((n, n), dtype=np.int64)
             _chosen_over_wit_loops(n, table, q, want)
-            assert np.array_equal(_kernels.chosen_over_wit(n, table, q), want)
+            got = _kernels.chosen_over_wit(n, cur, masks & ~cur)
+            assert np.array_equal(got, want)
             if q >= 2:
                 want = np.zeros((n, n), dtype=np.int64)
                 _revealed_wit_loops(n, table, q, want)
-                assert np.array_equal(_kernels.revealed_wit(n, table, q), want)
+                got = _kernels.chosen_over_wit(n, cur & ~prev, masks & ~cur & ~prev)
+                assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

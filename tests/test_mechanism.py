@@ -51,6 +51,10 @@ def test_preference_validation():
         validate_preference(("x", "y"), ("x", "y"))
     with pytest.raises(ValueError):
         validate_preference(("x", "x", None), ("x", "y"))
+    # an object named "None" is distinct from the null object
+    validate_preference(("x", None, "None"), ("None", "x"))
+    with pytest.raises(ValueError):
+        validate_preference(("x", "None", "None"), ("None", "x"))
     assert prefers(("x", None, "y"), "x", None)
     assert not prefers(("x", None, "y"), "y", None)
     assert len(all_preferences(("x", "y"))) == 6

@@ -114,6 +114,9 @@ def test_parse_flex():
         {"universe": ["a"], "rule": {"kind": "boston", "variant": "sideways", "walk": ["a"], "open": ["a"]}},
         {"universe": ["a"], "rule": {"kind": "table", "entries": "nope"}},
         {"universe": ["a"], "rule": {"kind": "table", "entries": [[0, 0], [0, 3]]}},
+        {"universe": ["a"], "rule": {"kind": "table", "entries": [[0, 0], [0, 2**64]]}},
+        {"universe": ["a"], "rule": {"kind": "table", "entries": [[0, 0], [0, 1.7]]}},
+        {"universe": ["a"], "rule": {"kind": "table", "entries": [[0, 0], [0, True]]}},
         {"universe": ["a", "b"], "rule": {"kind": "flex", "profile": [["a", "b"]] * 2, "maximal_feasible_sets": "nope"}},
     ],
 )
