@@ -7,6 +7,12 @@ chosen-over relation given two bitmask columns, shared by WRARP, CWARP,
 CWRARP, CSARP and extraction), ``gs_first_violation`` and
 ``path_independence_first``.  They work on whole table columns at once,
 looping in Python only over capacities, greedy steps and alternatives.
+Gross substitutes (heritage) and path independence share one single-removal
+scan: path independence holds exactly when heritage and outcast do
+(Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
+matching"), so its verdict costs O(n^2 2^n), and the set-major search for
+its first (S, T, q), a Python loop over sets, runs only when the verdict is
+fail.
 ``tests/test_kernels.py`` holds per-set loop versions of every kernel and
 checks that the outputs here match them bit for bit, witness tie-breaks
 included.
@@ -91,20 +97,34 @@ def chosen_over_wit(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndar
     return wit
 
 
+def _removal_violations(n: int, table: np.ndarray, outcast: bool = False) -> np.ndarray:
+    """Per set S, whether removing one b in S breaks heritage at some q:
+    C(S, q) minus b not contained in C(S minus b, q), with S minus b
+    nonempty.  With ``outcast`` also flag a rejected b whose removal changes
+    the choice: b not in C(S, q) and C(S minus b, q) != C(S, q).
+
+    The sets holding b and their partners without b are the two halves of a
+    reshape, so each alternative costs one pass over the table and no gather.
+    """
+    viol = np.zeros(1 << n, dtype=bool)
+    cols = table[:, 1:]
+    for b in range(n):
+        bit = np.int64(1) << np.int64(b)
+        pairs = cols.reshape(-1, 2, 1 << b, n)
+        without, with_b = pairs[:, 0], pairs[:, 1]
+        bad = (with_b & ~without & ~bit) != 0
+        bad[0, 0] = False  # S = {b}: S minus b is empty
+        if outcast:
+            bad |= ((with_b & bit) == 0) & (with_b != without)
+        viol.reshape(-1, 2, 1 << b)[:, 1] |= bad.any(axis=-1)
+    return viol
+
+
 def gs_first_violation(n: int, table: np.ndarray) -> np.ndarray:
     """First (S, q, a, b) in canonical order with a chosen from (S, q) but
     not from (S without b, q); all -1 when no violation exists."""
     out = np.full(4, -1, dtype=np.int64)
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    viol = np.zeros(size, dtype=bool)
-    for q in range(1, n + 1):
-        c = table[:, q]
-        for b in range(n):
-            bit = np.int64(1) << np.int64(b)
-            sub = masks & ~bit
-            lost = c & ~table[sub, q] & ~bit
-            viol |= (((masks >> b) & 1) == 1) & (sub != 0) & (lost != 0)
+    viol = _removal_violations(n, table)
     if not viol.any():
         return out
     s = int(np.argmax(viol))
@@ -124,22 +144,34 @@ def gs_first_violation(n: int, table: np.ndarray) -> np.ndarray:
 
 def path_independence_first(n: int, table: np.ndarray) -> np.ndarray:
     """First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q); all -1 when
-    the table is path independent."""
+    the table is path independent.
+
+    The verdict comes from heritage and outcast, which together are
+    equivalent to path independence for a choice function
+    (Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
+    matching").  Both are checked one removal at a time, in O(n^2 2^n).
+    Only when they fail, or when some C(S, q) is not a subset of S (the
+    equivalence needs that), are the sets S searched in ascending order.
+    Each S is compared with every T and q at once, and the search stops at
+    the first S with a violation.  The condition is symmetric in S and T,
+    so a violation (S, T) with T < S would have stopped the search at T:
+    only T >= S need comparing.
+    """
     out = np.full(3, -1, dtype=np.int64)
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
-    best = None
-    for t in range(1, size):
-        for q in range(1, n + 1):
-            u = masks | t
-            m = table[:, q] | table[t, q]
-            viol = table[u, q] != table[m, q]
-            viol[0] = False
-            if viol.any():
-                s = int(np.argmax(viol))
-                cand = (s, t, q)
-                if best is None or cand < best:
-                    best = cand
-    if best is not None:
-        out[:] = best
+    cols = table[:, 1:]
+    if not (cols & ~masks[:, None]).any() and not _removal_violations(
+        n, table, outcast=True
+    ).any():
+        return out
+    q_idx = np.arange(1, n + 1)
+    for s in range(1, size):
+        union = table[s | masks[s:], 1:]
+        merged = cols[s:] | cols[s]
+        viol = union != table[merged, q_idx]
+        if viol.any():
+            t, q = divmod(int(np.argmax(viol)), n)
+            out[:] = (s, s + t, q + 1)
+            return out
     return out

@@ -124,32 +124,32 @@ def check_iaa(c: ChoiceTable) -> AxiomReport:
     """Irrelevance of accepted alternatives.
 
     Equal rejection sets at q must yield equal newly-accepted sets at q+1.
-    Sets are indexed by rejection-set fingerprint per capacity, so the scan
-    is linear in the problem space rather than quadratic in set pairs.
+    Per capacity, each set is compared with the first set sharing its
+    rejection set, so the scan is linear in the problem space (plus a sort)
+    rather than quadratic in set pairs.
     """
-    size = 1 << c.n
+    masks = np.arange(1, 1 << c.n, dtype=np.int64)
     for q in range(1, c.n):
-        seen: dict[int, tuple[int, int]] = {}
-        for s in range(1, size):
-            rej = s & ~int(c.entries[s, q])
-            new = int(c.entries[s, q + 1]) & rej
-            if rej in seen:
-                s0, new0 = seen[rej]
-                if new != new0:
-                    return _fail(
-                        "iaa",
-                        c,
-                        {
-                            "S": _labels(c, s0),
-                            "S_prime": _labels(c, s),
-                            "q": q,
-                            "rejected": _labels(c, rej),
-                            "new_accepted_S": _labels(c, new0),
-                            "new_accepted_S_prime": _labels(c, new),
-                        },
-                    )
-            else:
-                seen[rej] = (s, new)
+        rej = masks & ~c.entries[1:, q]
+        new = c.entries[1:, q + 1] & rej
+        _, first, group = np.unique(rej, return_index=True, return_inverse=True)
+        first = first[group]
+        bad = new != new[first]
+        if bad.any():
+            i = int(np.argmax(bad))
+            s0, s = int(masks[first[i]]), int(masks[i])
+            return _fail(
+                "iaa",
+                c,
+                {
+                    "S": _labels(c, s0),
+                    "S_prime": _labels(c, s),
+                    "q": q,
+                    "rejected": _labels(c, int(rej[i])),
+                    "new_accepted_S": _labels(c, int(new[first[i]])),
+                    "new_accepted_S_prime": _labels(c, int(new[i])),
+                },
+            )
     return _pass("iaa", c)
 
 

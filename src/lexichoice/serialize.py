@@ -153,7 +153,7 @@ def parse_spec(obj: dict) -> RuleSpec:
         return RuleSpec(u, CapacityWise(lists), None, None, digest)
     if kind == "boston":
         variant = _require(rule_obj, "variant", "rule")
-        if variant not in BOSTON_BUILDERS:
+        if not isinstance(variant, str) or variant not in BOSTON_BUILDERS:
             raise SpecError(
                 f"rule: unknown boston variant {variant!r}; expected one of "
                 f"{sorted(BOSTON_BUILDERS)}"
@@ -181,8 +181,11 @@ def parse_spec(obj: dict) -> RuleSpec:
     if kind == "flex":
         profile = _profile(u, _require(rule_obj, "profile", "rule"), "profile")
         sets = _require(rule_obj, "maximal_feasible_sets", "rule")
-        if not isinstance(sets, list):
-            raise SpecError("rule: maximal_feasible_sets must be a list")
+        if not isinstance(sets, list) or not all(
+            isinstance(x, list) and all(isinstance(lab, str) for lab in x)
+            for x in sets
+        ):
+            raise SpecError("rule: maximal_feasible_sets must be a list of label lists")
         try:
             family = make_family(u, sets)
         except (KeyError, ValueError) as e:

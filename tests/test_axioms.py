@@ -299,6 +299,42 @@ def test_asymmetry_witnesses_match_loop_oracle(rng, n):
             assert ALL_CHECKS[axiom](t).witness == want, axiom
 
 
+def _iaa_loops(t):
+    # naive IAA witness (None on pass): per capacity, the first set with
+    # each rejection set, then the first later set whose new acceptances
+    # at q+1 differ from it
+    sets = lambda s: sorted(t.universe.labels_of(s))
+    for q in range(1, t.n):
+        seen = {}
+        for s in range(1, 1 << t.n):
+            rej = s & ~t.choose(Problem(s, q))
+            new = t.choose(Problem(s, q + 1)) & rej
+            if rej not in seen:
+                seen[rej] = (s, new)
+            elif seen[rej][1] != new:
+                s0, new0 = seen[rej]
+                return {"S": sets(s0), "S_prime": sets(s), "q": q,
+                        "rejected": sets(rej), "new_accepted_S": sets(new0),
+                        "new_accepted_S_prime": sets(new)}
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_iaa_witness_matches_loop_oracle(rng, n):
+    u = universe(n)
+    for mutations in (0, 1, 3, 10):
+        for _ in range(10):
+            entries = materialize(Lexicographic(random_profile(rng, n)), u).entries.copy()
+            for _ in range(mutations):
+                s = rng.randrange(1, 1 << n)
+                members = [a for a in range(n) if (s >> a) & 1]
+                q = rng.randrange(1, n + 1)
+                k = rng.randrange(0, min(len(members), q) + 1)
+                entries[s, q] = sum(1 << a for a in rng.sample(members, k))
+            t = ChoiceTable(u, entries)
+            assert check_iaa(t).witness == _iaa_loops(t)
+
+
 def test_insertion_property():
     u = universe(3)
     w = PriorityOrdering((0, 1, 2))

@@ -175,6 +175,19 @@ def test_table_entries_must_be_integers(tmp_path, capsys):
         assert code == 2 and out == "" and "integers" in err
 
 
+def test_malformed_flex_sets_and_boston_variant(tmp_path, capsys):
+    flex = {"kind": "flex", "profile": LEX_SPEC["rule"]["profile"]}
+    specs = [
+        dict(LEX_SPEC, rule=dict(flex, maximal_feasible_sets=[entry]))
+        for entry in [1.5, "ab", 4, True]
+    ]
+    specs.append(dict(ROTATING_SPEC, rule=dict(ROTATING_SPEC["rule"], variant=["x"])))
+    for spec in specs:
+        code, out, err = _run(capsys, ["check", _write(tmp_path, "bad.json", spec)])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "maximal_feasible_sets" in err or "variant" in err
+
+
 def test_boston_report(capsys):
     code, out, _ = _run(
         capsys,

@@ -6,6 +6,8 @@ capacities, then alternatives in canonical order, exactly as the kernel's
 contract is stated, and writes into a preallocated output.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -153,14 +155,14 @@ def _random_keys(rng, n):
     return keys
 
 
-def _random_table(rng, n):
+def _random_table(rng, n, mutations=3):
     """A materialized rule table (valid) or a mutated (adversarial) one."""
     profile = random_profile(rng, n)
     t = materialize(Lexicographic(profile), universe(n))
     entries = np.array(t.entries)
     if rng.random() < 0.5:
         # perturb a few entries to random subsets to exercise fail paths
-        for _ in range(3):
+        for _ in range(mutations):
             s = rng.randrange(1, 1 << n)
             q = rng.randrange(1, n + 1)
             sub = s
@@ -169,6 +171,15 @@ def _random_table(rng, n):
                     sub &= ~(1 << a)
             entries[s, q] = sub
     return entries
+
+
+def _assert_first_violations_agree(n, table):
+    want = np.full(4, -1, dtype=np.int64)
+    _gs_first_violation_loops(n, table, want)
+    assert np.array_equal(_kernels.gs_first_violation(n, table), want)
+    want = np.full(3, -1, dtype=np.int64)
+    _path_independence_first_loops(n, table, want)
+    assert np.array_equal(_kernels.path_independence_first(n, table), want)
 
 
 # --- kernel vs oracle ----------------------------------------------------------
@@ -226,13 +237,36 @@ def test_witness_kernels_agree(rng, n):
                 assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_first_violation_kernels_agree(rng, n):
-    for _ in range(20):
-        table = _random_table(rng, n)
-        want = np.full(4, -1, dtype=np.int64)
-        _gs_first_violation_loops(n, table, want)
-        assert np.array_equal(_kernels.gs_first_violation(n, table), want)
-        want = np.full(3, -1, dtype=np.int64)
-        _path_independence_first_loops(n, table, want)
-        assert np.array_equal(_kernels.path_independence_first(n, table), want)
+    for mutations in (1, 3, 16):
+        for _ in range(10):
+            _assert_first_violations_agree(n, _random_table(rng, n, mutations))
+
+
+def test_first_violation_kernels_agree_on_every_small_table():
+    # every table at n = 1, row 0 included; at n = 2 every table whose
+    # entries are subsets of their sets (256), and one column repeated at
+    # each capacity with any entries at all, row 0 included (256), where
+    # C(S, q) need not lie in S
+    for col in itertools.product(range(2), repeat=2):
+        _assert_first_violations_agree(1, np.array([[0, col[0]], [0, col[1]]]))
+    subsets = [[m for m in range(4) if m & ~s == 0] for s in range(4)]
+    for col1 in itertools.product(*subsets[1:]):
+        for col2 in itertools.product(*subsets[1:]):
+            table = np.zeros((4, 3), dtype=np.int64)
+            table[1:, 1], table[1:, 2] = col1, col2
+            _assert_first_violations_agree(2, table)
+    for col in itertools.product(range(4), repeat=4):
+        table = np.zeros((4, 3), dtype=np.int64)
+        table[:, 1] = table[:, 2] = col
+        _assert_first_violations_agree(2, table)
+
+
+def test_first_violation_kernels_agree_on_every_single_column_rule():
+    # every choice function at n = 3 (4,096), repeated at each capacity
+    subsets = [[m for m in range(8) if m & ~s == 0] for s in range(8)]
+    for col in itertools.product(*subsets[1:]):
+        table = np.zeros((8, 4), dtype=np.int64)
+        table[1:, 1:] = np.array(col)[:, None]
+        _assert_first_violations_agree(3, table)

@@ -118,6 +118,11 @@ def test_parse_flex():
         {"universe": ["a"], "rule": {"kind": "table", "entries": [[0, 0], [0, 1.7]]}},
         {"universe": ["a"], "rule": {"kind": "table", "entries": [[0, 0], [0, True]]}},
         {"universe": ["a", "b"], "rule": {"kind": "flex", "profile": [["a", "b"]] * 2, "maximal_feasible_sets": "nope"}},
+        {"universe": ["a", "b"], "rule": {"kind": "flex", "profile": [["a", "b"]] * 2, "maximal_feasible_sets": [1.5]}},
+        {"universe": ["a", "b"], "rule": {"kind": "flex", "profile": [["a", "b"]] * 2, "maximal_feasible_sets": ["ab"]}},
+        {"universe": ["a", "b"], "rule": {"kind": "flex", "profile": [["a", "b"]] * 2, "maximal_feasible_sets": [3]}},
+        {"universe": ["a", "b"], "rule": {"kind": "flex", "profile": [["a", "b"]] * 2, "maximal_feasible_sets": [True]}},
+        {"universe": ["a"], "rule": {"kind": "boston", "variant": ["x"], "walk": ["a"], "open": ["a"]}},
     ],
 )
 def test_parse_spec_rejects_malformed(bad):
