@@ -8,7 +8,6 @@ regression casebook.
 
 from .axioms import (
     ALL_CHECKS,
-    CORE_AXIOMS,
     AxiomReport,
     RevealedPreference,
     check_capacity_filling,
@@ -35,6 +34,7 @@ from .core import (
     rejected,
 )
 from .feasibility import (
+    FLEX_CHECKS,
     FChoiceTable,
     FeasibilityFamily,
     agent_partition_family,
@@ -42,7 +42,6 @@ from .feasibility import (
     check_f_capacity_filling,
     extract_flex_profile,
     f_revealed_pref,
-    flex_choose,
     flex_materialize,
     make_family,
     replay_f_witness,

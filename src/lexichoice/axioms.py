@@ -363,8 +363,6 @@ ALL_CHECKS = {
     "path_independence": check_path_independence,
 }
 
-CORE_AXIOMS = ("capacity_filling", "gross_substitutes", "monotonicity", "iaa")
-
 
 def replay_witness(c: ChoiceTable, axiom: str, w: dict) -> bool:
     """Re-evaluate a fail witness against the raw table.

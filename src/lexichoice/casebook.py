@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .axioms import (
-    check_capacity_filling,
-    check_cwarp,
-    check_gross_substitutes,
-    check_iaa,
-    check_insertion,
-    check_monotonicity,
-)
+from .axioms import ALL_CHECKS, check_insertion
 from .core import ChoiceTable, Problem, make_universe
 from .identify import ExtractionError, extract_lex_profile
 from .mechanism import (
@@ -47,8 +40,8 @@ class ReproCase:
     expected: dict
 
 
-def _verdicts(table: ChoiceTable, checks: dict) -> dict:
-    return {name: chk(table).verdict for name, chk in checks.items()}
+def _verdicts(table: ChoiceTable, names) -> dict:
+    return {name: ALL_CHECKS[name](table).verdict for name in names}
 
 
 def _rejections(table: ChoiceTable, problems: dict[str, tuple]) -> dict:
@@ -68,104 +61,105 @@ def _is_lexicographic(table: ChoiceTable) -> bool:
 
 
 # --- small hand-built tables ---------------------------------------------------
+#
+# Each hand table reads its cells from materialized responsive tables; C(S, 1)
+# of a responsive table is the top-priority member of S.
+
+
+def _responsive(u, labels) -> ChoiceTable:
+    return materialize(Responsive(ordering_from_labels(u, labels)), u)
 
 
 def switching_rule_table() -> ChoiceTable:
     """Two responsive branches switched by the presence of one alternative."""
     u = make_universe("abcde")
-    with_d = ordering_from_labels(u, "abcde")
-    without_d = ordering_from_labels(u, "acbde")
+    with_d = _responsive(u, "abcde")
+    without_d = _responsive(u, "acbde")
     d = u.index("d")
 
-    def choose(mask, q):
-        ordering = with_d if (mask >> d) & 1 else without_d
-        return Responsive(ordering).choose(Problem(mask, q))
+    def cell(mask, q):
+        return (with_d if (mask >> d) & 1 else without_d).choose(Problem(mask, q))
 
-    return ChoiceTable.from_function(u, choose)
+    return ChoiceTable.from_function(u, cell)
 
 
 def favored_singleton_table() -> ChoiceTable:
     """Fixed singleton when one alternative is present, responsive otherwise."""
     u = make_universe("abc")
-    order = ordering_from_labels(u, "abc")
+    order = _responsive(u, "abc")
     a = u.index("a")
 
-    def choose(mask, q):
+    def cell(mask, q):
         if (mask >> a) & 1:
             return 1 << a
-        return Responsive(order).choose(Problem(mask, q))
+        return order.choose(Problem(mask, q))
 
-    return ChoiceTable.from_function(u, choose)
+    return ChoiceTable.from_function(u, cell)
 
 
 def capacity_switch_table() -> ChoiceTable:
     """One ordering at capacity 1, a different ordering above."""
     u = make_universe("abcd")
-    low = ordering_from_labels(u, "abcd")
-    high = ordering_from_labels(u, "bcda")
+    low = _responsive(u, "abcd")
+    high = _responsive(u, "bcda")
 
-    def choose(mask, q):
-        return Responsive(low if q == 1 else high).choose(Problem(mask, q))
+    def cell(mask, q):
+        return (low if q == 1 else high).choose(Problem(mask, q))
 
-    return ChoiceTable.from_function(u, choose)
+    return ChoiceTable.from_function(u, cell)
 
 
 def tail_swap_table() -> ChoiceTable:
     """Two responsive branches differing only below the switching alternative."""
     u = make_universe("abcd")
-    with_a = ordering_from_labels(u, "abcd")
-    without_a = ordering_from_labels(u, "abdc")
+    with_a = _responsive(u, "abcd")
+    without_a = _responsive(u, "abdc")
     a = u.index("a")
 
-    def choose(mask, q):
-        ordering = with_a if (mask >> a) & 1 else without_a
-        return Responsive(ordering).choose(Problem(mask, q))
+    def cell(mask, q):
+        return (with_a if (mask >> a) & 1 else without_a).choose(Problem(mask, q))
 
-    return ChoiceTable.from_function(u, choose)
+    return ChoiceTable.from_function(u, cell)
 
 
 def constant_singleton_table() -> ChoiceTable:
     """Always the single top-priority alternative, regardless of capacity."""
     u = make_universe("abc")
-    order = ordering_from_labels(u, "abc")
-
-    def choose(mask, q):
-        return 1 << order.top_of(mask)
-
-    return ChoiceTable.from_function(u, choose)
+    order = _responsive(u, "abc")
+    return ChoiceTable.from_function(u, lambda mask, q: order.choose(Problem(mask, 1)))
 
 
 def trigger_switch_table() -> ChoiceTable:
     """Top of one ordering at capacity 1 when a trigger is present, else
     responsive to another ordering."""
     u = make_universe("abc")
-    order = ordering_from_labels(u, "abc")
-    other = ordering_from_labels(u, "bac")
+    order = _responsive(u, "abc")
+    other = _responsive(u, "bac")
     c = u.index("c")
 
-    def choose(mask, q):
+    def cell(mask, q):
         if q == 1 and (mask >> c) & 1:
-            return 1 << order.top_of(mask)
-        return Responsive(other).choose(Problem(mask, q))
+            return order.choose(Problem(mask, 1))
+        return other.choose(Problem(mask, q))
 
-    return ChoiceTable.from_function(u, choose)
+    return ChoiceTable.from_function(u, cell)
 
 
 def exception_patch_table() -> ChoiceTable:
     """Priority-maximal at capacity 1, whole set above, one exception."""
     u = make_universe("abc")
-    order = ordering_from_labels(u, "abc")
+    order = _responsive(u, "abc")
     full = u.full_mask
     bc = u.mask_of("bc")
 
-    def choose(mask, q):
+    def cell(mask, q):
         if q == 1:
-            return 1 << order.top_of(mask)
+            return order.choose(Problem(mask, 1))
         if mask == full and q == 2:
             return bc
         return mask
 
-    return ChoiceTable.from_function(u, choose)
+    return ChoiceTable.from_function(u, cell)
 
 
 # --- two-ordering school tables ------------------------------------------------
@@ -220,122 +214,35 @@ def impossibility_structure() -> ChoiceStructure:
 
 # --- case runners ---------------------------------------------------------------
 
-_FOUR = {
-    "capacity_filling": check_capacity_filling,
-    "gross_substitutes": check_gross_substitutes,
-    "monotonicity": check_monotonicity,
-    "iaa": check_iaa,
-}
+_FOUR = ("capacity_filling", "gross_substitutes", "monotonicity", "iaa")
+_FOUR_CWARP = _FOUR + ("cwarp",)
+_NO_GS = ("capacity_filling", "monotonicity", "iaa", "cwarp")
 
 
-def _run_switching_rule() -> dict:
-    t = switching_rule_table()
-    u = t.universe
-    return {
-        "axioms": _verdicts(
-            t,
-            {
-                "capacity_filling": check_capacity_filling,
-                "monotonicity": check_monotonicity,
-                "iaa": check_iaa,
-                "cwarp": check_cwarp,
-            },
-        ),
-        "cwarp_witness": check_cwarp(t).witness,
-        "spot_checks": {
-            "C({a,b,c,d},2)": sorted(
-                u.labels_of(t.choose(Problem(u.mask_of("abcd"), 2)))
-            ),
-            "C({a,b,c,e},2)": sorted(
-                u.labels_of(t.choose(Problem(u.mask_of("abce"), 2)))
-            ),
-        },
-    }
+def _axiom_run(build, axioms, witnesses=(), spot_checks=None):
+    """Runner: each axiom's verdict on ``build()``, the fail witness of each
+    axiom in ``witnesses``, and C(S, q) at each named (S, q) in ``spot_checks``."""
+
+    def run() -> dict:
+        t = build()
+        u = t.universe
+        reports = {name: ALL_CHECKS[name](t) for name in axioms}
+        out = {"axioms": {name: rep.verdict for name, rep in reports.items()}}
+        for name in witnesses:
+            out[f"{name}_witness"] = reports[name].witness
+        if spot_checks is not None:
+            out["spot_checks"] = {
+                key: sorted(u.labels_of(t.choose(Problem(u.mask_of(s), q))))
+                for key, (s, q) in spot_checks.items()
+            }
+        return out
+
+    return run
 
 
-def _run_favored_singleton() -> dict:
-    t = favored_singleton_table()
-    return {
-        "axioms": _verdicts(
-            t,
-            {
-                "capacity_filling": check_capacity_filling,
-                "monotonicity": check_monotonicity,
-                "cwarp": check_cwarp,
-                "iaa": check_iaa,
-            },
-        ),
-        "capacity_filling_witness": check_capacity_filling(t).witness,
-        "iaa_witness": check_iaa(t).witness,
-    }
-
-
-def _run_capacity_switch() -> dict:
-    t = capacity_switch_table()
-    return {
-        "axioms": _verdicts(
-            t,
-            {
-                "capacity_filling": check_capacity_filling,
-                "monotonicity": check_monotonicity,
-                "cwarp": check_cwarp,
-                "iaa": check_iaa,
-            },
-        ),
-        "monotonicity_witness": check_monotonicity(t).witness,
-        "iaa_witness": check_iaa(t).witness,
-    }
-
-
-def _run_tail_swap() -> dict:
-    t = tail_swap_table()
-    return {
-        "axioms": _verdicts(
-            t,
-            {
-                "capacity_filling": check_capacity_filling,
-                "monotonicity": check_monotonicity,
-                "cwarp": check_cwarp,
-                "iaa": check_iaa,
-            },
-        ),
-        "cwarp_witness": check_cwarp(t).witness,
-        "iaa_witness": check_iaa(t).witness,
-    }
-
-
-def _run_constant_singleton() -> dict:
-    t = constant_singleton_table()
-    return {
-        "axioms": _verdicts(t, _FOUR),
-        "capacity_filling_witness": check_capacity_filling(t).witness,
-    }
-
-
-def _run_trigger_switch() -> dict:
-    t = trigger_switch_table()
-    checks = dict(_FOUR)
-    checks["cwarp"] = check_cwarp
-    return {
-        "axioms": _verdicts(t, checks),
-        "gross_substitutes_witness": check_gross_substitutes(t).witness,
-    }
-
-
-def _run_exception_patch() -> dict:
-    t = exception_patch_table()
-    return {
-        "axioms": _verdicts(t, _FOUR),
-        "monotonicity_witness": check_monotonicity(t).witness,
-    }
-
-
-def _run_walk_open_axioms() -> dict:
+def walk_open_table() -> ChoiceTable:
     u, lists = walk_open_rule_5()
-    t = materialize(CapacityWise(lists), u)
-    checks = dict(_FOUR)
-    checks["cwarp"] = check_cwarp
-    return {"axioms": _verdicts(t, checks)}
+    return materialize(CapacityWise(lists), u)
 
 
 _REJ_5 = {
@@ -416,7 +323,12 @@ _case(
     "switching_rule",
     "presence-switched responsive rule: all axioms but pairwise "
     "revealed-preference asymmetry",
-    _run_switching_rule,
+    _axiom_run(
+        switching_rule_table,
+        ("capacity_filling", "monotonicity", "iaa", "cwarp"),
+        ("cwarp",),
+        {"C({a,b,c,d},2)": ("abcd", 2), "C({a,b,c,e},2)": ("abce", 2)},
+    ),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -442,7 +354,7 @@ _case(
     "favored_singleton",
     "fixed-singleton rule: capacity-filling is needed for rejection-based "
     "consistency",
-    _run_favored_singleton,
+    _axiom_run(favored_singleton_table, _NO_GS, ("capacity_filling", "iaa")),
     {
         "axioms": {
             "capacity_filling": "fail",
@@ -466,7 +378,7 @@ _case(
     "capacity_switch",
     "capacity-switched responsive rule: monotonicity is needed for "
     "rejection-based consistency",
-    _run_capacity_switch,
+    _axiom_run(capacity_switch_table, _NO_GS, ("monotonicity", "iaa")),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -490,7 +402,7 @@ _case(
     "tail_swap",
     "presence-switched responsive rule: revealed-preference asymmetry is "
     "needed for rejection-based consistency",
-    _run_tail_swap,
+    _axiom_run(tail_swap_table, _NO_GS, ("cwarp", "iaa")),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -519,7 +431,7 @@ _case(
 _case(
     "constant_singleton",
     "constant-singleton rule: violates only capacity-filling",
-    _run_constant_singleton,
+    _axiom_run(constant_singleton_table, _FOUR, ("capacity_filling",)),
     {
         "axioms": {
             "capacity_filling": "fail",
@@ -534,7 +446,7 @@ _case(
 _case(
     "trigger_switch",
     "trigger-switched rule: violates only removal stability",
-    _run_trigger_switch,
+    _axiom_run(trigger_switch_table, _FOUR_CWARP, ("gross_substitutes",)),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -555,7 +467,7 @@ _case(
 _case(
     "exception_patch",
     "exception-patched rule: violates only monotonicity",
-    _run_exception_patch,
+    _axiom_run(exception_patch_table, _FOUR, ("monotonicity",)),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -570,7 +482,7 @@ _case(
 _case(
     "walk_open_axioms",
     "walk-open rule: violates only the rejection-consistency pair",
-    _run_walk_open_axioms,
+    _axiom_run(walk_open_table, _FOUR_CWARP),
     {
         "axioms": {
             "capacity_filling": "pass",

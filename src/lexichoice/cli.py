@@ -23,16 +23,14 @@ import time
 
 from . import casebook
 from .axioms import ALL_CHECKS, replay_witness
-
-from .feasibility import check_csarp, check_f_capacity_filling, replay_f_witness
+from .feasibility import FLEX_CHECKS, extract_flex_profile, replay_f_witness
 from .identify import (
     ExtractionError,
     extract_capacity_wise_responsive,
     extract_lex_profile,
     extract_responsive,
 )
-from .feasibility import extract_flex_profile
-from .mechanism import AllocationProblem, ChoiceStructure, da_allocate
+from .mechanism import da_allocate
 from .rules import (
     BOSTON_BUILDERS,
     CapacityWise,
@@ -43,18 +41,14 @@ from .rules import (
 from .serialize import (
     SpecError,
     canonical_json,
+    load_json,
     load_spec,
     ordering_labels,
-    parse_spec,
+    parse_da_spec,
     profile_labels,
     report_dict,
     spec_digest,
 )
-
-FLEX_CHECKS = {
-    "f_capacity_filling": check_f_capacity_filling,
-    "csarp": check_csarp,
-}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -235,82 +229,10 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _parse_da_spec(obj: dict) -> tuple[ChoiceStructure, AllocationProblem]:
-    from .core import make_universe
-
-    if not isinstance(obj, dict):
-        raise SpecError("allocation spec must be a JSON object")
-    for key in ("agents", "objects", "rules", "preferences", "capacities"):
-        if key not in obj:
-            raise SpecError(f"allocation spec: missing field {key!r}")
-    for key in ("agents", "objects"):
-        labels = obj[key]
-        if (
-            not isinstance(labels, list)
-            or not all(isinstance(x, str) for x in labels)
-            or len(set(labels)) != len(labels)
-        ):
-            raise SpecError(
-                f"allocation spec: {key} must be a list of distinct strings"
-            )
-    if "null" in obj["objects"]:
-        raise SpecError('allocation spec: "null" names the null object')
-    agents = make_universe(obj["agents"])
-    objects = tuple(obj["objects"])
-    if not isinstance(obj["rules"], dict):
-        raise SpecError("allocation spec: rules must be an object")
-    rules = {}
-    for x in objects:
-        if x not in obj["rules"]:
-            raise SpecError(f"allocation spec: no rule for object {x!r}")
-        sub = parse_spec({"universe": obj["agents"], "rule": obj["rules"][x]})
-        if sub.is_flex:
-            raise SpecError("allocation spec: flex rules are not supported here")
-        rules[x] = sub.rule
-    prefs_raw = obj["preferences"]
-    if (
-        not isinstance(prefs_raw, list)
-        or len(prefs_raw) != agents.n
-        or not all(
-            isinstance(row, list) and all(isinstance(lab, str) for lab in row)
-            for row in prefs_raw
-        )
-    ):
-        raise SpecError(
-            f"allocation spec: preferences must list exactly {agents.n} "
-            "rankings of labels"
-        )
-    prefs = tuple(
-        tuple(None if lab == "null" else lab for lab in row) for row in prefs_raw
-    )
-    caps = obj["capacities"]
-    if (
-        not isinstance(caps, list)
-        or len(caps) != len(objects)
-        or not all(
-            isinstance(q, int) and not isinstance(q, bool) and 0 <= q <= agents.n
-            for q in caps
-        )
-    ):
-        raise SpecError(
-            "allocation spec: capacities must list one integer in "
-            f"0..{agents.n} per object"
-        )
-    return ChoiceStructure(agents, objects, rules), AllocationProblem(
-        prefs, tuple(caps)
-    )
-
-
 def cmd_da(args) -> int:
     try:
-        with open(args.spec) as fh:
-            obj = json.load(fh)
-    except OSError as e:
-        return _fail_input(f"cannot read {args.spec}: {e}")
-    except json.JSONDecodeError as e:
-        return _fail_input(f"{args.spec}: invalid JSON: {e}")
-    try:
-        cs, prob = _parse_da_spec(obj)
+        obj = load_json(args.spec)
+        cs, prob = parse_da_spec(obj)
         if args.trace:
             alloc, rounds = da_allocate(cs, prob, trace=True)
         else:

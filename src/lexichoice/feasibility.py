@@ -5,18 +5,25 @@ a subset of some maximal set, so downward closure holds by construction and
 singletons are always added.  Feasibility-constrained lexicographic choice
 greedily picks the best remaining alternative that keeps the chosen set
 feasible, stopping early when no feasible augmentation exists.
+
+Like a plain rule, a profile and family are evaluated only through their
+table: ``flex_materialize(profile, family, u).choose(p)``, filled by
+``_kernels.cwlex_fill`` with the family's ``membership_array()`` as its
+mask.  The checkers scan whole tables against that array, find the first
+violating problem in canonical order, and build its witness from that one
+cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .axioms import AxiomReport, RevealedPreference, relation, relation_columns
-from .core import ChoiceTable, Problem, Universe, iter_bits, popcount
-from .identify import ExtractionError, linear_extension
+from .core import ChoiceTable, Universe, iter_bits, popcount
+from .identify import ExtractionError, linear_extension, require_rebuild
 from .rules import Lexicographic, PriorityOrdering, PriorityProfile
 
 
@@ -26,14 +33,9 @@ class FeasibilityFamily:
 
     n: int
     maximal: tuple[int, ...]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __contains__(self, mask: int) -> bool:
-        if mask in self._memo:
-            return self._memo[mask]
-        ok = popcount(mask) <= 1 or any(mask & ~m == 0 for m in self.maximal)
-        self._memo[mask] = ok
-        return ok
+        return popcount(mask) <= 1 or any(mask & ~m == 0 for m in self.maximal)
 
     def membership_array(self) -> np.ndarray:
         """Boolean membership over all 2**n masks (kernel input)."""
@@ -100,32 +102,13 @@ class FChoiceTable(ChoiceTable):
         self.family = family
 
     def validate(self) -> None:
-        super().validate()
-        for mask in range(1, 1 << self.n):
-            for q in range(1, self.n + 1):
-                got = int(self.entries[mask, q])
-                if got == 0:
-                    raise ValueError(f"empty choice at (S={mask:#x}, q={q})")
-                if got not in self.family:
-                    raise ValueError(f"infeasible choice at (S={mask:#x}, q={q})")
-
-
-def flex_choose(profile: PriorityProfile, f: FeasibilityFamily, p: Problem) -> int:
-    """Greedy feasibility-constrained lexicographic pick for one problem."""
-    remaining = p.set
-    chosen = 0
-    for t in range(p.capacity):
-        best = None
-        ordering = profile.orderings[t]
-        for alt in ordering.rank:
-            if (remaining >> alt) & 1 and (chosen | (1 << alt)) in f:
-                best = alt
-                break
-        if best is None:
-            break
-        chosen |= 1 << best
-        remaining &= ~(1 << best)
-    return chosen
+        super().validate()  # every entry is now a subset of its S
+        body = self.entries[1:, 1:]
+        bad = (body == 0) | ~self.family.membership_array()[body]
+        if bad.any():
+            s, qi = (int(v) for v in np.argwhere(bad)[0])
+            what = "empty" if body[s, qi] == 0 else "infeasible"
+            raise ValueError(f"{what} choice at (S={s + 1:#x}, q={qi + 1})")
 
 
 def flex_materialize(
@@ -137,28 +120,43 @@ def flex_materialize(
 
 
 def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
-    """Rejection only when capacity is full or the augmentation is infeasible."""
+    """Rejection only when capacity is full or the augmentation is infeasible.
+
+    A problem (S, q) violates it when |C(S, q)| != q and some a in S outside
+    C(S, q) keeps C(S, q) + a in the family; the witness is the first such
+    problem and its lowest such a.
+    """
     n = c.n
     checked = ((1 << n) - 1) * n
-    for s in range(1, 1 << n):
-        for q in range(1, n + 1):
-            got = int(c.entries[s, q])
-            if popcount(got) == q:
-                continue
-            for a in iter_bits(s & ~got):
-                if (got | (1 << a)) in c.family:
-                    return AxiomReport(
-                        "f_capacity_filling",
-                        "fail",
-                        {
-                            "S": sorted(c.universe.labels_of(s)),
-                            "q": q,
-                            "alt": c.universe.labels[a],
-                            "chosen": sorted(c.universe.labels_of(got)),
-                        },
-                        checked,
-                    )
-    return AxiomReport("f_capacity_filling", "pass", None, checked)
+    full = np.int64(c.universe.full_mask)
+    feas = c.family.membership_array()
+    got = c.entries[:, 1:]
+    absent = np.arange(1 << n, dtype=np.int64)[:, None] & ~got
+    # cells in canonical order that are not full and leave something out
+    cells = np.flatnonzero((np.bitwise_count(got) != np.arange(1, n + 1)) & (absent != 0))
+    got, absent = got.ravel()[cells], absent.ravel()[cells]
+    viol = np.zeros(cells.size, dtype=bool)
+    for a in range(n):
+        aug = got | (np.int64(1) << np.int64(a))
+        # membership of any int64 mask, as FeasibilityFamily.__contains__
+        member = (np.bitwise_count(aug) <= 1) | (((aug & ~full) == 0) & feas[aug & full])
+        viol |= ((absent >> a) & 1).astype(bool) & member
+    if not viol.any():
+        return AxiomReport("f_capacity_filling", "pass", None, checked)
+    s, qi = divmod(int(cells[np.argmax(viol)]), n)
+    chosen = int(c.entries[s, qi + 1])
+    a = next(a for a in iter_bits(s & ~chosen) if (chosen | (1 << a)) in c.family)
+    return AxiomReport(
+        "f_capacity_filling",
+        "fail",
+        {
+            "S": sorted(c.universe.labels_of(s)),
+            "q": qi + 1,
+            "alt": c.universe.labels[a],
+            "chosen": sorted(c.universe.labels_of(chosen)),
+        },
+        checked,
+    )
 
 
 def f_revealed_pref(c: FChoiceTable, q: int) -> RevealedPreference:
@@ -243,6 +241,12 @@ def check_csarp(c: FChoiceTable) -> AxiomReport:
     return AxiomReport("csarp", "pass", None, checked)
 
 
+FLEX_CHECKS = {
+    "f_capacity_filling": check_f_capacity_filling,
+    "csarp": check_csarp,
+}
+
+
 def extract_flex_profile(c: FChoiceTable) -> PriorityProfile:
     """Recover a profile whose feasibility-constrained table equals ``c``.
 
@@ -260,12 +264,10 @@ def extract_flex_profile(c: FChoiceTable) -> PriorityProfile:
             )
         orderings.append(PriorityOrdering(tuple(rank)))
     profile = PriorityProfile(tuple(orderings))
-    got = flex_materialize(profile, c.family, c.universe)
-    diff = got.first_difference(c)
-    if diff is not None:
-        raise ExtractionError(
-            "table is not feasibility-constrained lexicographic: first "
-            f"mismatch at problem {diff}",
-            problem=diff,
-        )
+    require_rebuild(
+        c,
+        flex_materialize(profile, c.family, c.universe),
+        "table is not feasibility-constrained lexicographic: first "
+        "mismatch at problem {}",
+    )
     return profile

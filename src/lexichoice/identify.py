@@ -43,6 +43,16 @@ class ExtractionError(ValueError):
         self.problem = problem
 
 
+def require_rebuild(c: ChoiceTable, rebuilt: ChoiceTable, message: str) -> None:
+    """Raise :class:`ExtractionError` unless ``rebuilt`` equals ``c``.
+
+    ``message`` names the first mismatching problem through its ``{}``.
+    """
+    diff = rebuilt.first_difference(c)
+    if diff is not None:
+        raise ExtractionError(message.format(diff), problem=diff)
+
+
 @dataclass(frozen=True)
 class ResidualSets:
     """The chain A_1 = A, A_t = A minus C(A, t-1); |A_t| = n - t + 1."""
@@ -98,11 +108,9 @@ def extract_lex_profile(c: ChoiceTable) -> PriorityProfile:
         for h in heads:
             drop |= 1 << h
         rank: list[int] = []
-        remaining = full
         # first entry: the new alternative appearing at capacity i
         a_i1 = _peel_singleton(c, full, i, drop, step=f"ordering {i}, position 1")
         rank.append(a_i1)
-        remaining &= ~(1 << a_i1)
         # positions 2..n-i+1: peel at capacity i, ignoring earlier heads
         for j in range(2, n - i + 2):
             peeled = 0
@@ -112,21 +120,18 @@ def extract_lex_profile(c: ChoiceTable) -> PriorityProfile:
                 c, full & ~peeled, i, drop, step=f"ordering {i}, position {j}"
             )
             rank.append(a_ij)
-            remaining &= ~(1 << a_ij)
         # tail positions: earlier orderings' heads, in construction order
         rank.extend(heads)
         heads.append(a_i1)
         orderings.append(PriorityOrdering(tuple(rank)))
 
     profile = PriorityProfile(tuple(orderings))
-    got = materialize(Lexicographic(profile), c.universe)
-    diff = got.first_difference(c)
-    if diff is not None:
-        raise ExtractionError(
-            f"extracted profile fails validation at problem {diff}; "
-            "the table is not lexicographic",
-            problem=diff,
-        )
+    require_rebuild(
+        c,
+        materialize(Lexicographic(profile), c.universe),
+        "extracted profile fails validation at problem {}; "
+        "the table is not lexicographic",
+    )
     return profile
 
 
@@ -166,13 +171,11 @@ def extract_responsive(c: ChoiceTable) -> PriorityOrdering:
         rank.append(alt)
         remaining &= ~(1 << alt)
     ordering = PriorityOrdering(tuple(rank))
-    got = materialize(Responsive(ordering), c.universe)
-    diff = got.first_difference(c)
-    if diff is not None:
-        raise ExtractionError(
-            f"table is not responsive: first mismatch at problem {diff}",
-            problem=diff,
-        )
+    require_rebuild(
+        c,
+        materialize(Responsive(ordering), c.universe),
+        "table is not responsive: first mismatch at problem {}",
+    )
     return ordering
 
 
@@ -224,12 +227,9 @@ def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
     lists = CapacityWiseLists(
         tuple(tuple([o] * q) for q, o in enumerate(orderings, start=1))
     )
-    got = materialize(CapacityWise(lists), c.universe)
-    diff = got.first_difference(c)
-    if diff is not None:
-        raise ExtractionError(
-            "table is not capacity-wise responsive: first mismatch at "
-            f"problem {diff}",
-            problem=diff,
-        )
+    require_rebuild(
+        c,
+        materialize(CapacityWise(lists), c.universe),
+        "table is not capacity-wise responsive: first mismatch at problem {}",
+    )
     return orderings

@@ -5,6 +5,11 @@ responsive rules (one ordering), capacity-wise lexicographic rules (a
 separate ordering list per capacity, including the four Boston school
 builders), and raw-table rules.  ``materialize`` turns any of them into a
 :class:`~lexichoice.core.ChoiceTable`, the common input of all checkers.
+
+A rule only describes its priorities; the table is the only evaluator.  The
+choice at one problem is ``materialize(rule, u).choose(p)``: the ordering
+kinds are filled by the one greedy kernel, ``_kernels.cwlex_fill``, and a
+``TableRule`` is its table.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import ChoiceTable, Problem, Universe
+from .core import ChoiceTable, Universe
 
 
 @dataclass(frozen=True)
@@ -37,16 +42,6 @@ class PriorityOrdering:
         for pos, alt in enumerate(self.rank):
             key[alt] = pos
         return key
-
-    def top_of(self, mask: int) -> int:
-        """Highest-priority alternative present in ``mask`` (index)."""
-        for alt in self.rank:
-            if (mask >> alt) & 1:
-                return alt
-        raise ValueError("empty choice set")
-
-    def prefers(self, a: int, b: int) -> bool:
-        return self.rank.index(a) < self.rank.index(b)
 
 
 @dataclass(frozen=True)
@@ -94,9 +89,6 @@ class CapacityWiseLists:
 class Lexicographic:
     profile: PriorityProfile
 
-    def choose(self, p: Problem) -> int:
-        return _greedy(self.profile.orderings, p)
-
     def keys(self) -> np.ndarray:
         n = self.profile.n
         row = np.stack([o.key() for o in self.profile.orderings])
@@ -107,10 +99,6 @@ class Lexicographic:
 class Responsive:
     ordering: PriorityOrdering
 
-    def choose(self, p: Problem) -> int:
-        n = self.ordering.n
-        return _greedy((self.ordering,) * n, p)
-
     def keys(self) -> np.ndarray:
         n = self.ordering.n
         return np.broadcast_to(self.ordering.key(), (n, n, n))
@@ -119,9 +107,6 @@ class Responsive:
 @dataclass(frozen=True)
 class CapacityWise:
     lists: CapacityWiseLists
-
-    def choose(self, p: Problem) -> int:
-        return _greedy(self.lists.at(p.capacity), p)
 
     def keys(self) -> np.ndarray:
         n = self.lists.n
@@ -136,23 +121,8 @@ class CapacityWise:
 class TableRule:
     table: ChoiceTable
 
-    def choose(self, p: Problem) -> int:
-        return self.table.choose(p)
-
 
 ChoiceRule = Lexicographic | Responsive | CapacityWise | TableRule
-
-
-def _greedy(orderings, p: Problem) -> int:
-    remaining = p.set
-    chosen = 0
-    for t in range(min(p.capacity, len(orderings))):
-        if remaining == 0:
-            break
-        alt = orderings[t].top_of(remaining)
-        chosen |= 1 << alt
-        remaining &= ~(1 << alt)
-    return chosen
 
 
 # --- Boston school builders -------------------------------------------------

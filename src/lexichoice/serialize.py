@@ -11,6 +11,11 @@ A rule spec is a JSON object with a ``universe`` (ordered label list) and a
 - ``table``: ``entries`` = raw (2^n) x (n+1) matrix of chosen bitmasks
 - ``flex``: ``profile`` as above plus ``maximal_feasible_sets`` (label lists)
 
+An allocation spec (the ``da`` command) lists ``agents``, ``objects``, one
+rule object per object over the agents (``rules``), one ranking of object
+labels and ``"null"`` per agent (``preferences``) and one capacity per
+object (``capacities``).
+
 Canonical JSON (sorted keys, fixed separators, trailing newline) makes every
 report byte-reproducible.
 """
@@ -30,6 +35,7 @@ from .feasibility import (
     flex_materialize,
     make_family,
 )
+from .mechanism import AllocationProblem, ChoiceStructure
 from .rules import (
     BOSTON_BUILDERS,
     CapacityWise,
@@ -194,15 +200,84 @@ def parse_spec(obj: dict) -> RuleSpec:
     raise SpecError(f"rule: unknown kind {kind!r}")
 
 
-def load_spec(path: str) -> RuleSpec:
+def load_json(path: str):
+    """The JSON value in the file at ``path``; raises :class:`SpecError`."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise SpecError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SpecError(f"{path}: invalid JSON: {e}") from None
-    return parse_spec(obj)
+
+
+def load_spec(path: str) -> RuleSpec:
+    return parse_spec(load_json(path))
+
+
+def parse_da_spec(obj) -> tuple[ChoiceStructure, AllocationProblem]:
+    """Parse and validate an allocation-spec dict; raises :class:`SpecError`."""
+    if not isinstance(obj, dict):
+        raise SpecError("allocation spec must be a JSON object")
+    for key in ("agents", "objects", "rules", "preferences", "capacities"):
+        if key not in obj:
+            raise SpecError(f"allocation spec: missing field {key!r}")
+    for key in ("agents", "objects"):
+        labels = obj[key]
+        if (
+            not isinstance(labels, list)
+            or not all(isinstance(x, str) for x in labels)
+            or len(set(labels)) != len(labels)
+        ):
+            raise SpecError(
+                f"allocation spec: {key} must be a list of distinct strings"
+            )
+    if "null" in obj["objects"]:
+        raise SpecError('allocation spec: "null" names the null object')
+    agents = make_universe(obj["agents"])
+    objects = tuple(obj["objects"])
+    if not isinstance(obj["rules"], dict):
+        raise SpecError("allocation spec: rules must be an object")
+    rules = {}
+    for x in objects:
+        if x not in obj["rules"]:
+            raise SpecError(f"allocation spec: no rule for object {x!r}")
+        sub = parse_spec({"universe": obj["agents"], "rule": obj["rules"][x]})
+        if sub.is_flex:
+            raise SpecError("allocation spec: flex rules are not supported here")
+        rules[x] = sub.rule
+    prefs_raw = obj["preferences"]
+    if (
+        not isinstance(prefs_raw, list)
+        or len(prefs_raw) != agents.n
+        or not all(
+            isinstance(row, list) and all(isinstance(lab, str) for lab in row)
+            for row in prefs_raw
+        )
+    ):
+        raise SpecError(
+            f"allocation spec: preferences must list exactly {agents.n} "
+            "rankings of labels"
+        )
+    prefs = tuple(
+        tuple(None if lab == "null" else lab for lab in row) for row in prefs_raw
+    )
+    caps = obj["capacities"]
+    if (
+        not isinstance(caps, list)
+        or len(caps) != len(objects)
+        or not all(
+            isinstance(q, int) and not isinstance(q, bool) and 0 <= q <= agents.n
+            for q in caps
+        )
+    ):
+        raise SpecError(
+            "allocation spec: capacities must list one integer in "
+            f"0..{agents.n} per object"
+        )
+    return ChoiceStructure(agents, objects, rules), AllocationProblem(
+        prefs, tuple(caps)
+    )
 
 
 def ordering_labels(u: Universe, ordering: PriorityOrdering) -> list[str]:

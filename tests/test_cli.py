@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
-
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexichoice.cli import main
 
@@ -239,3 +242,141 @@ def test_stdout_byte_identical_across_runs(tmp_path, capsys):
         assert code == 0
         repro.append(out)
     assert repro[0] == repro[1]
+
+
+# --- fuzz contract: exit codes over arbitrary specs -------------------------
+
+LABELS = ["a", "b", "c", "d"]
+KINDS = ["lexicographic", "responsive", "capacity_wise", "boston", "table", "flex", "x"]
+_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 17)
+    | st.floats(-2, 2)
+    | st.sampled_from(LABELS + ["", "z", "null", "kind"])
+)
+ANY_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "rule", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def _ordering(draw, labels, valid=18):
+    # mostly a valid ordering, so that specs with several of them still parse
+    how = draw(st.sampled_from(["valid"] * valid + ["labels", "json"]))
+    if how == "labels":
+        return draw(st.lists(st.sampled_from(labels + ["z"]), max_size=len(labels) + 1))
+    if how == "json":
+        return draw(ANY_JSON)
+    return draw(st.permutations(labels))
+
+
+def _table_entries(draw, n):
+    # rows of chosen subsets of S with at most q members: often a valid
+    # table; now and then its last entry is not a 64-bit integer
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [[0] * (n + 1)]
+    for s in range(1, 1 << n):
+        members = [a for a in range(n) if s >> a & 1]
+        row = [0]
+        for q in range(1, n + 1):
+            rnd.shuffle(members)
+            k = min(q, len(members)) - (rnd.random() < 0.2)
+            row.append(sum(1 << a for a in members[: max(k, 0)]))
+        rows.append(row)
+    if draw(st.sampled_from(["keep"] * 2 + ["junk"])) == "junk":
+        rows[-1][-1] = draw(st.sampled_from([2**64, 1.5, True, -1, "a", None]))
+    return rows
+
+
+def _rule(draw, kind, labels):
+    n = len(labels)
+    rule = {"kind": kind}
+    if kind in ("lexicographic", "flex"):
+        rule["profile"] = [_ordering(draw, labels) for _ in range(n)]
+    if kind == "flex":
+        rule["maximal_feasible_sets"] = draw(
+            st.lists(st.lists(st.sampled_from(labels), unique=True), max_size=3)
+            | ANY_JSON
+        )
+    if kind == "responsive":
+        rule["ordering"] = _ordering(draw, labels)
+    if kind == "capacity_wise":
+        rule["lists"] = [[_ordering(draw, labels) for _ in range(q)] for q in range(1, n + 1)]
+    if kind == "boston":
+        rule["variant"] = draw(st.sampled_from(["walk_open", "rotating", "x"]) | ANY_JSON)
+        rule["walk"] = _ordering(draw, labels)
+        rule["open"] = _ordering(draw, labels)
+    if kind == "table":
+        rule["entries"] = _table_entries(draw, n)
+    return rule
+
+
+def _mutate(draw, spec: dict) -> object:
+    """Replace or drop one top-level field, or the whole spec, now and then."""
+    how = draw(st.sampled_from(["keep"] * 9 + ["replace", "drop", "whole"]))
+    key = draw(st.sampled_from(sorted(spec)))
+    if how == "replace":
+        spec[key] = draw(ANY_JSON)
+    elif how == "drop":
+        del spec[key]
+    elif how == "whole":
+        return draw(ANY_JSON)
+    return spec
+
+
+@st.composite
+def cli_calls(draw, kind):
+    """(command, spec, flags) with every rule of the spec of the given kind."""
+    command = draw(st.sampled_from(["check", "extract", "da"]))
+    if command == "da":
+        agents = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+        objects = draw(st.lists(st.sampled_from(["x", "y"]), min_size=1, unique=True))
+        spec = {
+            "agents": agents,
+            "objects": objects,
+            "rules": {x: _rule(draw, kind, agents) for x in objects},
+            "preferences": [_ordering(draw, objects + ["null"], valid=6) for _ in agents],
+            "capacities": [draw(st.integers(0, len(agents))) for _ in objects],
+        }
+        return command, _mutate(draw, spec), []
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
+    spec = _mutate(draw, {"universe": labels, "rule": _rule(draw, kind, labels)})
+    if command == "check":
+        return command, spec, draw(st.sampled_from([[], ["--replay-witness"]]))
+    matching = ["flex"] if kind == "flex" else ["lexicographic", "responsive", "capacity_wise"]
+    # the last two mismatch a flex or a plain spec now and then
+    return command, spec, ["--kind", draw(st.sampled_from(matching + ["flex", "lexicographic"]))]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_exit_codes_on_arbitrary_specs(tmp_path_factory, kind):
+    # exit 0, 1 or 2 only; never a traceback; exit 1 only with a fail verdict
+    # or a failed extraction; exit 2 prints nothing on stdout
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(call=cli_calls(kind))
+    def run(call):
+        command, spec, flags = call
+        path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *flags])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+            return
+        payload = json.loads(out.getvalue())
+        if command == "check":
+            failed = [a for a, r in payload["axioms"].items() if r["verdict"] == "fail"]
+            assert (code == 1) == bool(failed) == (not payload["all_pass"])
+        elif command == "extract":
+            assert (code == 1) == (payload["extracted"] is False)
+        else:
+            assert code == 0
+
+    run()

@@ -12,12 +12,12 @@ from lexichoice import (
     check_monotonicity,
     extract_flex_profile,
     f_revealed_pref,
-    flex_choose,
     flex_materialize,
     make_family,
     make_universe,
     replay_f_witness,
 )
+from lexichoice.core import ChoiceTable, iter_bits, popcount
 from lexichoice.feasibility import FChoiceTable
 
 from conftest import (
@@ -89,7 +89,7 @@ def test_agent_partition_family():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_flex_choose_matches_naive_oracle(rng, n):
+def test_flex_materialize_matches_naive_oracle(rng, n):
     u = universe(n)
     for _ in range(10):
         f = random_family(rng, n)
@@ -102,7 +102,6 @@ def test_flex_choose_matches_naive_oracle(rng, n):
                 want = mask_of(
                     naive_flex_choice(profile, sets, members_of(s), q)
                 )
-                assert flex_choose(profile, f, Problem(s, q)) == want
                 assert t.choose(Problem(s, q)) == want
 
 
@@ -228,6 +227,84 @@ def test_f_revealed_pref_matches_loop_oracle(rng, n):
             want = _f_revealed_pref_loops(t, q)
             assert rp.witnesses == want
             assert rp.edges == frozenset(want)
+
+
+def _f_capacity_filling_loop(c):
+    # Per-cell loop: the first (S, q) with |C(S, q)| != q and some a in S
+    # outside C(S, q) keeping C(S, q) + a feasible; a is the lowest such.
+    n = c.n
+    for s in range(1, 1 << n):
+        for q in range(1, n + 1):
+            got = int(c.entries[s, q])
+            if popcount(got) == q:
+                continue
+            for a in iter_bits(s & ~got):
+                if (got | (1 << a)) in c.family:
+                    return {
+                        "S": sorted(c.universe.labels_of(s)),
+                        "q": q,
+                        "alt": c.universe.labels[a],
+                        "chosen": sorted(c.universe.labels_of(got)),
+                    }
+    return None
+
+
+def _validate_loop(c):
+    # Per-cell loop after the plain table checks: the first empty or
+    # infeasible entry in canonical order.
+    ChoiceTable.validate(c)
+    for mask in range(1, 1 << c.n):
+        for q in range(1, c.n + 1):
+            got = int(c.entries[mask, q])
+            if got == 0:
+                raise ValueError(f"empty choice at (S={mask:#x}, q={q})")
+            if got not in c.family:
+                raise ValueError(f"infeasible choice at (S={mask:#x}, q={q})")
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _perturbed_flex_table(rng, n, mode):
+    u = universe(n)
+    f = random_family(rng, n)
+    entries = flex_materialize(random_profile(rng, n), f, u).entries.copy()
+    for _ in range(rng.randrange(4)):
+        s, q = rng.randrange(1, 1 << n), rng.randrange(1, n + 1)
+        members = sorted(members_of(s))
+        rng.shuffle(members)
+        entries[s, q] = {
+            "subset": s & rng.randrange(1 << n),
+            "any": rng.randrange(1 << n),  # often not a subset of S
+            "whole": s,  # exceeds q when |S| > q
+            "empty": 0,
+            "filled": mask_of(members[:q]),  # capacity-filled, maybe infeasible
+        }[mode]
+    return FChoiceTable(u, f, entries)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_flex_scans_match_loop_oracles(rng, n):
+    # verdict, witness and validation message against the per-cell loops
+    seen = set()
+    for trial in range(60):
+        mode = ("subset", "any", "whole", "empty", "filled")[trial % 5]
+        t = _perturbed_flex_table(rng, n, mode)
+        rep = check_f_capacity_filling(t)
+        want = _f_capacity_filling_loop(t)
+        assert rep.verdict == ("pass" if want is None else "fail")
+        assert rep.witness == want
+        msg = _error(t.validate)
+        assert msg == _error(_validate_loop, t)
+        seen.add(rep.verdict)
+        seen.add(msg and msg.split(" at ")[0])
+    # both verdicts, a valid table, and each kind of validation error
+    assert seen == {"pass", "fail", None, "entry", "empty choice", "infeasible choice"}
 
 
 def test_unconstrained_family_reduces_to_plain_lexicographic(rng):

@@ -4,6 +4,7 @@ from lexichoice import (
     BOSTON_BUILDERS,
     CapacityWise,
     CapacityWiseLists,
+    ChoiceTable,
     Lexicographic,
     PriorityOrdering,
     PriorityProfile,
@@ -33,11 +34,7 @@ def test_ordering_validation_and_helpers():
         PriorityOrdering((0, 0, 1))
     o = PriorityOrdering((2, 0, 1))
     assert o.key().tolist() == [1, 2, 0]
-    assert o.top_of(0b011) == 0
-    assert o.top_of(0b110) == 2
-    assert o.prefers(2, 1) and not o.prefers(1, 2)
-    with pytest.raises(ValueError):
-        o.top_of(0)
+    assert o.n == 3
 
 
 def test_profile_and_lists_validation():
@@ -51,8 +48,18 @@ def test_profile_and_lists_validation():
         CapacityWiseLists(((o3,), (o3,), (o3, o3, o3)))  # wrong lengths
 
 
+def _oracle_table(u, orderings_at) -> ChoiceTable:
+    """The naive greedy choice with ``orderings_at(q)`` at every problem."""
+
+    def choose(mask, q):
+        return mask_of(naive_sequential_choice(orderings_at(q), members_of(mask), q))
+
+    return ChoiceTable.from_function(u, choose)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_choose_functions_match_naive_oracle(rng, n):
+    # a rule is evaluated as materialize(rule, u).choose(p)
     u = universe(n)
     for _ in range(10):
         profile = random_profile(rng, n)
@@ -63,40 +70,35 @@ def test_choose_functions_match_naive_oracle(rng, n):
                 for q in range(1, n + 1)
             )
         )
+        lex = materialize(Lexicographic(profile), u)
+        resp = materialize(Responsive(ordering), u)
+        cw = materialize(CapacityWise(lists), u)
         for p in enumerate_problems(u):
             members = members_of(p.set)
-            assert Lexicographic(profile).choose(p) == mask_of(
+            assert lex.choose(p) == mask_of(
                 naive_sequential_choice(profile.orderings[: p.capacity], members, p.capacity)
             )
-            assert Responsive(ordering).choose(p) == mask_of(
+            assert resp.choose(p) == mask_of(
                 naive_sequential_choice((ordering,) * p.capacity, members, p.capacity)
             )
-            assert CapacityWise(lists).choose(p) == mask_of(
+            assert cw.choose(p) == mask_of(
                 naive_sequential_choice(lists.at(p.capacity), members, p.capacity)
             )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_materialize_matches_per_problem_choose(rng, n):
+    # whole tables: the four Boston builders and table rules against tables
+    # filled cell by cell by the naive oracle
     u = universe(n)
-    for _ in range(5):
-        rules = [
-            Lexicographic(random_profile(rng, n)),
-            Responsive(random_ordering(rng, n)),
-            CapacityWise(
-                CapacityWiseLists(
-                    tuple(
-                        tuple(random_ordering(rng, n) for _ in range(q))
-                        for q in range(1, n + 1)
-                    )
-                )
-            ),
-        ]
-        for rule in rules:
-            t = materialize(rule, u)
+    for _ in range(3):
+        w, o = random_ordering(rng, n), random_ordering(rng, n)
+        for build in BOSTON_BUILDERS.values():
+            lists = build(w, o, n)
+            t = materialize(CapacityWise(lists), u)
             t.validate()
-            for p in enumerate_problems(u):
-                assert t.choose(p) == rule.choose(p)
+            assert t == _oracle_table(u, lists.at)
+            assert materialize(TableRule(t), u) is t
 
 
 def test_materialize_table_rule_and_mismatches(rng):
