@@ -40,10 +40,6 @@ class ReproCase:
     expected: dict
 
 
-def _verdicts(table: ChoiceTable, names) -> dict:
-    return {name: ALL_CHECKS[name](table).verdict for name in names}
-
-
 def _rejections(table: ChoiceTable, problems: dict[str, tuple]) -> dict:
     out = {}
     for key, (labels, q) in problems.items():
@@ -219,25 +215,20 @@ _FOUR_CWARP = _FOUR + ("cwarp",)
 _NO_GS = ("capacity_filling", "monotonicity", "iaa", "cwarp")
 
 
-def _axiom_run(build, axioms, witnesses=(), spot_checks=None):
-    """Runner: each axiom's verdict on ``build()``, the fail witness of each
-    axiom in ``witnesses``, and C(S, q) at each named (S, q) in ``spot_checks``."""
-
-    def run() -> dict:
-        t = build()
-        u = t.universe
-        reports = {name: ALL_CHECKS[name](t) for name in axioms}
-        out = {"axioms": {name: rep.verdict for name, rep in reports.items()}}
-        for name in witnesses:
-            out[f"{name}_witness"] = reports[name].witness
-        if spot_checks is not None:
-            out["spot_checks"] = {
-                key: sorted(u.labels_of(t.choose(Problem(u.mask_of(s), q))))
-                for key, (s, q) in spot_checks.items()
-            }
-        return out
-
-    return run
+def _axioms(t: ChoiceTable, axioms, witnesses=(), spot_checks=None) -> dict:
+    """Each axiom's verdict on ``t``, the fail witness of each axiom in
+    ``witnesses``, and C(S, q) at each named (S, q) in ``spot_checks``."""
+    u = t.universe
+    reports = {name: ALL_CHECKS[name](t) for name in axioms}
+    out = {"axioms": {name: rep.verdict for name, rep in reports.items()}}
+    for name in witnesses:
+        out[f"{name}_witness"] = reports[name].witness
+    if spot_checks is not None:
+        out["spot_checks"] = {
+            key: sorted(u.labels_of(t.choose(Problem(u.mask_of(s), q))))
+            for key, (s, q) in spot_checks.items()
+        }
+    return out
 
 
 def walk_open_table() -> ChoiceTable:
@@ -263,7 +254,7 @@ def _run_school(builder, rejections) -> dict:
     u, lists = builder()
     t = materialize(CapacityWise(lists), u)
     return {
-        "axioms": _verdicts(t, _FOUR),
+        **_axioms(t, _FOUR),
         "insertion": check_insertion(lists).verdict,
         "rejections": _rejections(t, rejections),
         "lexicographic": _is_lexicographic(t),
@@ -323,8 +314,8 @@ _case(
     "switching_rule",
     "presence-switched responsive rule: all axioms but pairwise "
     "revealed-preference asymmetry",
-    _axiom_run(
-        switching_rule_table,
+    lambda: _axioms(
+        switching_rule_table(),
         ("capacity_filling", "monotonicity", "iaa", "cwarp"),
         ("cwarp",),
         {"C({a,b,c,d},2)": ("abcd", 2), "C({a,b,c,e},2)": ("abce", 2)},
@@ -354,7 +345,7 @@ _case(
     "favored_singleton",
     "fixed-singleton rule: capacity-filling is needed for rejection-based "
     "consistency",
-    _axiom_run(favored_singleton_table, _NO_GS, ("capacity_filling", "iaa")),
+    lambda: _axioms(favored_singleton_table(), _NO_GS, ("capacity_filling", "iaa")),
     {
         "axioms": {
             "capacity_filling": "fail",
@@ -378,7 +369,7 @@ _case(
     "capacity_switch",
     "capacity-switched responsive rule: monotonicity is needed for "
     "rejection-based consistency",
-    _axiom_run(capacity_switch_table, _NO_GS, ("monotonicity", "iaa")),
+    lambda: _axioms(capacity_switch_table(), _NO_GS, ("monotonicity", "iaa")),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -402,7 +393,7 @@ _case(
     "tail_swap",
     "presence-switched responsive rule: revealed-preference asymmetry is "
     "needed for rejection-based consistency",
-    _axiom_run(tail_swap_table, _NO_GS, ("cwarp", "iaa")),
+    lambda: _axioms(tail_swap_table(), _NO_GS, ("cwarp", "iaa")),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -431,7 +422,7 @@ _case(
 _case(
     "constant_singleton",
     "constant-singleton rule: violates only capacity-filling",
-    _axiom_run(constant_singleton_table, _FOUR, ("capacity_filling",)),
+    lambda: _axioms(constant_singleton_table(), _FOUR, ("capacity_filling",)),
     {
         "axioms": {
             "capacity_filling": "fail",
@@ -446,7 +437,7 @@ _case(
 _case(
     "trigger_switch",
     "trigger-switched rule: violates only removal stability",
-    _axiom_run(trigger_switch_table, _FOUR_CWARP, ("gross_substitutes",)),
+    lambda: _axioms(trigger_switch_table(), _FOUR_CWARP, ("gross_substitutes",)),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -467,7 +458,7 @@ _case(
 _case(
     "exception_patch",
     "exception-patched rule: violates only monotonicity",
-    _axiom_run(exception_patch_table, _FOUR, ("monotonicity",)),
+    lambda: _axioms(exception_patch_table(), _FOUR, ("monotonicity",)),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -482,7 +473,7 @@ _case(
 _case(
     "walk_open_axioms",
     "walk-open rule: violates only the rejection-consistency pair",
-    _axiom_run(walk_open_table, _FOUR_CWARP),
+    lambda: _axioms(walk_open_table(), _FOUR_CWARP),
     {
         "axioms": {
             "capacity_filling": "pass",

@@ -113,6 +113,15 @@ def test_check_input_error(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_non_utf8_spec_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "bytes.json"
+    p.write_bytes(b"\xff")
+    for cmd in ["check", "extract", "da"]:
+        code, out, err = _run(capsys, [cmd, str(p)])
+        assert code == 2 and out == "", cmd
+        assert f"error: {p}: invalid JSON" in err and "Traceback" not in err, cmd
+
+
 def test_extract_kinds(tmp_path, capsys):
     path = _write(tmp_path, "lex.json", LEX_SPEC)
     code, out, _ = _run(capsys, ["extract", path])

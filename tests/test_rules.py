@@ -88,16 +88,31 @@ def test_choose_functions_match_naive_oracle(rng, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_materialize_matches_per_problem_choose(rng, n):
-    # whole tables: the four Boston builders and table rules against tables
-    # filled cell by cell by the naive oracle
+    # whole tables: random rules of the three kinds, the four Boston builders
+    # and table rules against tables filled cell by cell by the naive oracle
     u = universe(n)
-    for _ in range(3):
-        w, o = random_ordering(rng, n), random_ordering(rng, n)
+    for _ in range(5):
+        profile = random_profile(rng, n)
+        o = random_ordering(rng, n)
+        lists = CapacityWiseLists(
+            tuple(
+                tuple(random_ordering(rng, n) for _ in range(q))
+                for q in range(1, n + 1)
+            )
+        )
+        w = random_ordering(rng, n)
+        cases = [
+            (Lexicographic(profile), lambda q: profile.orderings[:q]),
+            (Responsive(o), lambda q: (o,) * q),
+            (CapacityWise(lists), lists.at),
+        ]
         for build in BOSTON_BUILDERS.values():
-            lists = build(w, o, n)
-            t = materialize(CapacityWise(lists), u)
+            boston = build(w, o, n)
+            cases.append((CapacityWise(boston), boston.at))
+        for rule, orderings_at in cases:
+            t = materialize(rule, u)
             t.validate()
-            assert t == _oracle_table(u, lists.at)
+            assert t == _oracle_table(u, orderings_at)
             assert materialize(TableRule(t), u) is t
 
 
