@@ -12,7 +12,6 @@ from .axioms import (
     RevealedPreference,
     check_capacity_filling,
     check_cwarp,
-    check_cwarp_alternative,
     check_cwrarp,
     check_gross_substitutes,
     check_iaa,
@@ -60,7 +59,6 @@ from .mechanism import (
     AllocationProblem,
     ChoiceStructure,
     DAMechanism,
-    MechanismReport,
     MechanismSpace,
     all_preferences,
     check_isd,

@@ -1,11 +1,11 @@
 """Exhaustive axiom checkers over choice tables.
 
 Every checker scans the full problem space and returns an
-:class:`AxiomReport`: a pass verdict, or a fail verdict carrying the first
-counterexample found in a deterministic canonical order (sets ascending by
-bitmask, capacities ascending, alternatives ascending).  Fail witnesses are
-structured label-based dicts that :func:`replay_witness` can re-check
-against the raw table.
+:class:`AxiomReport`.  The report fails exactly when it carries a witness:
+the first counterexample found in a deterministic canonical order (sets
+ascending by bitmask, capacities ascending, alternatives ascending).
+Witnesses are structured label-based dicts that :func:`replay_witness` can
+re-check against the raw table.
 """
 
 from __future__ import annotations
@@ -21,14 +21,18 @@ from .rules import CapacityWiseLists
 
 @dataclass(frozen=True)
 class AxiomReport:
+    """The outcome of one checker: it fails exactly when it has a witness."""
+
     axiom: str
-    verdict: str  # "pass" | "fail"
-    witness: dict | None
-    problems_checked: int
+    witness: dict | None = None
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.witness is None else "fail"
 
     @property
     def ok(self) -> bool:
-        return self.verdict == "pass"
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -48,18 +52,6 @@ def _labels(c: ChoiceTable, mask: int) -> list[str]:
     return sorted(c.universe.labels_of(mask))
 
 
-def _n_problems(c: ChoiceTable) -> int:
-    return ((1 << c.n) - 1) * c.n
-
-
-def _pass(axiom: str, c: ChoiceTable) -> AxiomReport:
-    return AxiomReport(axiom, "pass", None, _n_problems(c))
-
-
-def _fail(axiom: str, c: ChoiceTable, witness: dict) -> AxiomReport:
-    return AxiomReport(axiom, "fail", witness, _n_problems(c))
-
-
 # --- the four characterizing axioms -----------------------------------------
 
 
@@ -72,12 +64,11 @@ def check_capacity_filling(c: ChoiceTable) -> AxiomReport:
     viol = for_all != want
     viol[0, :] = False
     if not viol.any():
-        return _pass("capacity_filling", c)
+        return AxiomReport("capacity_filling")
     s, qi = np.argwhere(viol)[0]
     s, q = int(s), int(qi) + 1
-    return _fail(
+    return AxiomReport(
         "capacity_filling",
-        c,
         {
             "S": _labels(c, s),
             "q": q,
@@ -90,11 +81,10 @@ def check_gross_substitutes(c: ChoiceTable) -> AxiomReport:
     """Chosen alternatives stay chosen when other alternatives are removed."""
     out = _kernels.gs_first_violation(c.n, c.entries)
     if out[0] < 0:
-        return _pass("gross_substitutes", c)
+        return AxiomReport("gross_substitutes")
     s, q, a, b = (int(v) for v in out)
-    return _fail(
+    return AxiomReport(
         "gross_substitutes",
-        c,
         {
             "S": _labels(c, s),
             "q": q,
@@ -109,13 +99,12 @@ def check_monotonicity(c: ChoiceTable) -> AxiomReport:
     lost = c.entries[:, 1:c.n] & ~c.entries[:, 2:c.n + 1]
     viol = lost != 0
     if not viol.any():
-        return _pass("monotonicity", c)
+        return AxiomReport("monotonicity")
     s, qi = np.argwhere(viol)[0]
     s, q = int(s), int(qi) + 1
     alt = next(iter_bits(int(lost[s, qi])))
-    return _fail(
+    return AxiomReport(
         "monotonicity",
-        c,
         {"S": _labels(c, s), "q": q, "alt": c.universe.labels[alt]},
     )
 
@@ -138,9 +127,8 @@ def check_iaa(c: ChoiceTable) -> AxiomReport:
         if bad.any():
             i = int(np.argmax(bad))
             s0, s = int(masks[first[i]]), int(masks[i])
-            return _fail(
+            return AxiomReport(
                 "iaa",
-                c,
                 {
                     "S": _labels(c, s0),
                     "S_prime": _labels(c, s),
@@ -150,7 +138,7 @@ def check_iaa(c: ChoiceTable) -> AxiomReport:
                     "new_accepted_S_prime": _labels(c, int(new[i])),
                 },
             )
-    return _pass("iaa", c)
+    return AxiomReport("iaa")
 
 
 # --- revealed preference axioms ----------------------------------------------
@@ -208,9 +196,8 @@ def _asymmetry(axiom: str, c: ChoiceTable, capacities, revealed: bool) -> AxiomR
         pair = _first_two_way(wit)
         if pair is not None:
             a, b = pair
-            return _fail(
+            return AxiomReport(
                 axiom,
-                c,
                 {
                     "q": q,
                     "a": c.universe.labels[a],
@@ -219,51 +206,12 @@ def _asymmetry(axiom: str, c: ChoiceTable, capacities, revealed: bool) -> AxiomR
                     "S_ba": _labels(c, int(wit[b, a])),
                 },
             )
-    return _pass(axiom, c)
+    return AxiomReport(axiom)
 
 
 def check_cwarp(c: ChoiceTable) -> AxiomReport:
     """The revealed preference relation must be asymmetric at every capacity."""
     return _asymmetry("cwarp", c, range(2, c.n + 1), revealed=True)
-
-
-def check_cwarp_alternative(c: ChoiceTable) -> AxiomReport:
-    """Pairwise-set formulation of the same asymmetry condition.
-
-    Quantifies over pairs of sets directly, as an independent cross-check of
-    :func:`check_cwarp`; quadratic in the number of sets, so intended for
-    small universes.
-    """
-    size = 1 << c.n
-    for q in range(2, c.n + 1):
-        for s in range(1, size):
-            cs_prev = int(c.entries[s, q - 1])
-            cs = int(c.entries[s, q])
-            for t in range(1, size):
-                ct_prev = int(c.entries[t, q - 1])
-                ct = int(c.entries[t, q])
-                both = s & t
-                excluded = both & ~(cs_prev | ct_prev)
-                for a in iter_bits(excluded):
-                    if not (cs >> a) & 1:
-                        continue
-                    for b in iter_bits(excluded):
-                        if b == a:
-                            continue
-                        if (ct >> b) & 1 and not (cs >> b) & 1:
-                            if not (ct >> a) & 1:
-                                return _fail(
-                                    "cwarp_alternative",
-                                    c,
-                                    {
-                                        "q": q,
-                                        "S": _labels(c, s),
-                                        "T": _labels(c, t),
-                                        "a": c.universe.labels[a],
-                                        "b": c.universe.labels[b],
-                                    },
-                                )
-    return _pass("cwarp_alternative", c)
 
 
 def check_wrarp(c: ChoiceTable) -> AxiomReport:
@@ -288,13 +236,12 @@ def check_cwrarp(c: ChoiceTable) -> AxiomReport:
         first[take] = cand[take]
     pair = _first_two_way(first)
     if pair is None:
-        return _pass("cwrarp", c)
+        return AxiomReport("cwrarp")
     a, b = pair
     s_ab, q_ab = divmod(int(first[a, b]), n + 1)
     s_ba, q_ba = divmod(int(first[b, a]), n + 1)
-    return _fail(
+    return AxiomReport(
         "cwrarp",
-        c,
         {
             "a": c.universe.labels[a],
             "b": c.universe.labels[b],
@@ -310,11 +257,10 @@ def check_path_independence(c: ChoiceTable) -> AxiomReport:
     """C(S union T, q) must equal C(C(S,q) union C(T,q), q) for all S, T, q."""
     out = _kernels.path_independence_first(c.n, c.entries)
     if out[0] < 0:
-        return _pass("path_independence", c)
+        return AxiomReport("path_independence")
     s, t, q = (int(v) for v in out)
-    return _fail(
+    return AxiomReport(
         "path_independence",
-        c,
         {"S": _labels(c, s), "T": _labels(c, t), "q": q},
     )
 
@@ -338,15 +284,13 @@ def check_insertion(lists: CapacityWiseLists) -> AxiomReport:
         if not _is_insertion(lists.at(q - 1), lists.at(q)):
             return AxiomReport(
                 "insertion",
-                "fail",
                 {
                     "q": q,
                     "list_prev": [list(o.rank) for o in lists.at(q - 1)],
                     "list_q": [list(o.rank) for o in lists.at(q)],
                 },
-                lists.n,
             )
-    return AxiomReport("insertion", "pass", None, lists.n)
+    return AxiomReport("insertion")
 
 
 # --- witness replay -----------------------------------------------------------

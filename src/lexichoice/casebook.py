@@ -48,7 +48,8 @@ def _rejections(table: ChoiceTable, problems: dict[str, tuple]) -> dict:
     return out
 
 
-def _is_lexicographic(table: ChoiceTable) -> bool:
+def is_lexicographic(table: ChoiceTable) -> bool:
+    """Whether ``extract_lex_profile`` recovers a profile generating ``table``."""
     try:
         extract_lex_profile(table)
         return True
@@ -211,11 +212,11 @@ def impossibility_structure() -> ChoiceStructure:
 # --- case runners ---------------------------------------------------------------
 
 _FOUR = ("capacity_filling", "gross_substitutes", "monotonicity", "iaa")
-_FOUR_CWARP = _FOUR + ("cwarp",)
+FOUR_CWARP = _FOUR + ("cwarp",)
 _NO_GS = ("capacity_filling", "monotonicity", "iaa", "cwarp")
 
 
-def _axioms(t: ChoiceTable, axioms, witnesses=(), spot_checks=None) -> dict:
+def run_axioms(t: ChoiceTable, axioms, witnesses=(), spot_checks=None) -> dict:
     """Each axiom's verdict on ``t``, the fail witness of each axiom in
     ``witnesses``, and C(S, q) at each named (S, q) in ``spot_checks``."""
     u = t.universe
@@ -254,10 +255,10 @@ def _run_school(builder, rejections) -> dict:
     u, lists = builder()
     t = materialize(CapacityWise(lists), u)
     return {
-        **_axioms(t, _FOUR),
+        **run_axioms(t, _FOUR),
         "insertion": check_insertion(lists).verdict,
         "rejections": _rejections(t, rejections),
-        "lexicographic": _is_lexicographic(t),
+        "lexicographic": is_lexicographic(t),
     }
 
 
@@ -314,7 +315,7 @@ _case(
     "switching_rule",
     "presence-switched responsive rule: all axioms but pairwise "
     "revealed-preference asymmetry",
-    lambda: _axioms(
+    lambda: run_axioms(
         switching_rule_table(),
         ("capacity_filling", "monotonicity", "iaa", "cwarp"),
         ("cwarp",),
@@ -345,7 +346,7 @@ _case(
     "favored_singleton",
     "fixed-singleton rule: capacity-filling is needed for rejection-based "
     "consistency",
-    lambda: _axioms(favored_singleton_table(), _NO_GS, ("capacity_filling", "iaa")),
+    lambda: run_axioms(favored_singleton_table(), _NO_GS, ("capacity_filling", "iaa")),
     {
         "axioms": {
             "capacity_filling": "fail",
@@ -369,7 +370,7 @@ _case(
     "capacity_switch",
     "capacity-switched responsive rule: monotonicity is needed for "
     "rejection-based consistency",
-    lambda: _axioms(capacity_switch_table(), _NO_GS, ("monotonicity", "iaa")),
+    lambda: run_axioms(capacity_switch_table(), _NO_GS, ("monotonicity", "iaa")),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -393,7 +394,7 @@ _case(
     "tail_swap",
     "presence-switched responsive rule: revealed-preference asymmetry is "
     "needed for rejection-based consistency",
-    lambda: _axioms(tail_swap_table(), _NO_GS, ("cwarp", "iaa")),
+    lambda: run_axioms(tail_swap_table(), _NO_GS, ("cwarp", "iaa")),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -422,7 +423,7 @@ _case(
 _case(
     "constant_singleton",
     "constant-singleton rule: violates only capacity-filling",
-    lambda: _axioms(constant_singleton_table(), _FOUR, ("capacity_filling",)),
+    lambda: run_axioms(constant_singleton_table(), _FOUR, ("capacity_filling",)),
     {
         "axioms": {
             "capacity_filling": "fail",
@@ -437,7 +438,7 @@ _case(
 _case(
     "trigger_switch",
     "trigger-switched rule: violates only removal stability",
-    lambda: _axioms(trigger_switch_table(), _FOUR_CWARP, ("gross_substitutes",)),
+    lambda: run_axioms(trigger_switch_table(), FOUR_CWARP, ("gross_substitutes",)),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -458,7 +459,7 @@ _case(
 _case(
     "exception_patch",
     "exception-patched rule: violates only monotonicity",
-    lambda: _axioms(exception_patch_table(), _FOUR, ("monotonicity",)),
+    lambda: run_axioms(exception_patch_table(), _FOUR, ("monotonicity",)),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -473,7 +474,7 @@ _case(
 _case(
     "walk_open_axioms",
     "walk-open rule: violates only the rejection-consistency pair",
-    lambda: _axioms(walk_open_table(), _FOUR_CWARP),
+    lambda: run_axioms(walk_open_table(), FOUR_CWARP),
     {
         "axioms": {
             "capacity_filling": "pass",
@@ -587,20 +588,19 @@ def run_case(case_id: str) -> tuple[dict, dict, bool]:
     return observed, case.expected, observed == case.expected
 
 
+def case_record(case_id: str) -> dict:
+    """One case's JSON-able result, as ``repro`` reports it."""
+    observed, expected, ok = run_case(case_id)
+    return {
+        "id": case_id,
+        "title": CASES[case_id].title,
+        "ok": ok,
+        "observed": observed,
+        "expected": expected,
+    }
+
+
 def run_all() -> dict:
     """Replay every case; deterministic, JSON-able summary."""
-    results = []
-    all_ok = True
-    for case_id in CASES:
-        observed, expected, ok = run_case(case_id)
-        all_ok &= ok
-        results.append(
-            {
-                "id": case_id,
-                "title": CASES[case_id].title,
-                "ok": ok,
-                "observed": observed,
-                "expected": expected,
-            }
-        )
-    return {"ok": all_ok, "cases": results}
+    results = [case_record(case_id) for case_id in CASES]
+    return {"ok": all(r["ok"] for r in results), "cases": results}

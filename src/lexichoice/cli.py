@@ -22,7 +22,8 @@ import sys
 import time
 
 from . import casebook
-from .axioms import ALL_CHECKS, replay_witness
+from .axioms import ALL_CHECKS, check_insertion, replay_witness
+from .core import make_universe
 from .feasibility import FLEX_CHECKS, extract_flex_profile, replay_f_witness
 from .identify import (
     ExtractionError,
@@ -260,9 +261,6 @@ def cmd_boston_report(args) -> int:
     labels = [x.strip() for x in args.universe.split(",") if x.strip()]
     walk = [x.strip() for x in args.walk.split(",") if x.strip()]
     open_ = [x.strip() for x in getattr(args, "open").split(",") if x.strip()]
-    from .core import make_universe
-    from .axioms import check_insertion
-
     try:
         u = make_universe(labels)
         w = ordering_from_labels(u, walk)
@@ -270,32 +268,16 @@ def cmd_boston_report(args) -> int:
     except (KeyError, ValueError) as e:
         return _fail_input(str(e))
     variants = {}
-    lexicographic = []
     for name in sorted(BOSTON_BUILDERS):
         lists = BOSTON_BUILDERS[name](w, o, u.n)
         table = materialize(CapacityWise(lists), u)
-        verdicts = {
-            axiom: ALL_CHECKS[axiom](table).verdict
-            for axiom in (
-                "capacity_filling",
-                "gross_substitutes",
-                "monotonicity",
-                "iaa",
-                "cwarp",
-            )
-        }
-        try:
-            extract_lex_profile(table)
-            is_lex = True
-            lexicographic.append(name)
-        except ExtractionError:
-            is_lex = False
         variants[name] = {
-            "axioms": verdicts,
+            **casebook.run_axioms(table, casebook.FOUR_CWARP),
             "insertion": check_insertion(lists).verdict,
             "boston_requirement": boston_requirement_holds(lists, w, o),
-            "lexicographic": is_lex,
+            "lexicographic": casebook.is_lexicographic(table),
         }
+    lexicographic = [name for name, v in variants.items() if v["lexicographic"]]
     payload = {"variants": variants, "lexicographic_variants": lexicographic}
     lines = []
     for name, v in variants.items():
@@ -314,19 +296,8 @@ def cmd_repro(args) -> int:
             return _fail_input(
                 f"unknown case {args.case!r}; available: {list(casebook.CASES)}"
             )
-        observed, expected, ok = casebook.run_case(args.case)
-        payload = {
-            "ok": ok,
-            "cases": [
-                {
-                    "id": args.case,
-                    "title": casebook.CASES[args.case].title,
-                    "ok": ok,
-                    "observed": observed,
-                    "expected": expected,
-                }
-            ],
-        }
+        case = casebook.case_record(args.case)
+        payload = {"ok": case["ok"], "cases": [case]}
     else:
         payload = casebook.run_all()
     lines = [

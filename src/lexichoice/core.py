@@ -73,7 +73,12 @@ def make_universe(labels) -> Universe:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of ``mask`` in ascending order."""
+    """Yield set bit positions of ``mask`` in ascending order.
+
+    A negative mask has infinitely many set bits, so it is refused.
+    """
+    if mask < 0:
+        raise ValueError(f"negative bitmask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

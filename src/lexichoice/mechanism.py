@@ -3,8 +3,9 @@
 Agents form a universe; each object carries a choice rule over agent
 subsets.  The deferred acceptance loop re-chooses each round from held plus
 new applicants, with the null object accepting everyone.  Property checkers
-quantify over an explicitly enumerated problem space and return a
-:class:`MechanismReport` with a replayable witness on failure.
+quantify over an explicitly enumerated problem space and return an
+:class:`~lexichoice.axioms.AxiomReport`, the same report as the table
+checkers: it fails exactly when it carries a replayable witness.
 
 Preferences are tuples ranking every object and ``None`` (the null object),
 best first.  Allocation problems and allocations are index-aligned tuples,
@@ -17,7 +18,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .axioms import check_capacity_filling, check_gross_substitutes, check_monotonicity
+from .axioms import (
+    AxiomReport,
+    check_capacity_filling,
+    check_gross_substitutes,
+    check_monotonicity,
+)
 from .core import Problem, Universe, iter_bits
 from .rules import ChoiceRule, materialize
 
@@ -50,18 +56,6 @@ class ChoiceStructure:
         if obj not in self._tables:
             self._tables[obj] = materialize(self.rules[obj], self.agents)
         return self._tables[obj]
-
-
-@dataclass(frozen=True)
-class MechanismReport:
-    prop: str
-    verdict: str  # "pass" | "fail"
-    witness: dict | None
-    space_checked: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "pass"
 
 
 def validate_preference(pref: Preference, objects: tuple[str, ...]) -> None:
@@ -196,13 +190,6 @@ class MechanismSpace:
             for caps in self.capacities:
                 yield AllocationProblem(prefs, caps)
 
-    def counts(self) -> dict:
-        return {
-            "profiles": len(self.profiles),
-            "capacity_profiles": len(self.capacities),
-            "problems": len(self.profiles) * len(self.capacities),
-        }
-
 
 def exhaustive_space(agents, objects) -> MechanismSpace:
     """All preference profiles and all capacity profiles (0..n per object)."""
@@ -253,26 +240,23 @@ def sampled_space(agents, objects, n_profiles: int, seed: int) -> MechanismSpace
 # --- serialization helpers for witnesses --------------------------------------
 
 
-def _pref_labels(pref: Preference) -> list:
-    return ["null" if x is None else x for x in pref]
+def _object_labels(objects) -> list:
+    """A preference or an allocation, with the null object as "null"."""
+    return ["null" if x is None else x for x in objects]
 
 
 def _profile_labels(profile) -> list:
-    return [_pref_labels(p) for p in profile]
+    return [_object_labels(p) for p in profile]
 
 
-def _alloc_labels(a: Allocation) -> list:
-    return ["null" if x is None else x for x in a]
-
-
-def _agent_names(space: MechanismSpace, agent_set) -> list[str]:
-    return sorted(space.agents[i] for i in agent_set)
+def _agent_names(agents, agent_set) -> list[str]:
+    return sorted(agents[i] for i in agent_set)
 
 
 # --- property checkers ---------------------------------------------------------
 
 
-def check_unavailable_type_invariance(m: Mechanism, space: MechanismSpace) -> MechanismReport:
+def check_unavailable_type_invariance(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """Shuffling unavailable objects in preferences must not move the allocation.
 
     Two profiles are compared when every agent ranks the available objects
@@ -291,24 +275,22 @@ def check_unavailable_type_invariance(m: Mechanism, space: MechanismSpace) -> Me
             if sig in seen:
                 prefs0, alloc0 = seen[sig]
                 if alloc != alloc0:
-                    return MechanismReport(
+                    return AxiomReport(
                         "unavailable_type_invariance",
-                        "fail",
                         {
                             "capacities": list(caps),
                             "R": _profile_labels(prefs0),
                             "R_prime": _profile_labels(prefs),
-                            "allocation_R": _alloc_labels(alloc0),
-                            "allocation_R_prime": _alloc_labels(alloc),
+                            "allocation_R": _object_labels(alloc0),
+                            "allocation_R_prime": _object_labels(alloc),
                         },
-                        space.counts(),
                     )
             else:
                 seen[sig] = (prefs, alloc)
-    return MechanismReport("unavailable_type_invariance", "pass", None, space.counts())
+    return AxiomReport("unavailable_type_invariance")
 
 
-def check_weak_non_wastefulness(m: Mechanism, space: MechanismSpace) -> MechanismReport:
+def check_weak_non_wastefulness(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """No agent at the null object may prefer a non-exhausted available object."""
     for prob in space.problems():
         alloc = m(prob)
@@ -318,22 +300,20 @@ def check_weak_non_wastefulness(m: Mechanism, space: MechanismSpace) -> Mechanis
                 continue
             for x, q in zip(space.objects, prob.capacities):
                 if q > 0 and filled[x] < q and prefers(prob.preferences[i], x, None):
-                    return MechanismReport(
+                    return AxiomReport(
                         "weak_non_wastefulness",
-                        "fail",
                         {
                             "R": _profile_labels(prob.preferences),
                             "capacities": list(prob.capacities),
                             "agent": space.agents[i],
                             "object": x,
-                            "allocation": _alloc_labels(alloc),
+                            "allocation": _object_labels(alloc),
                         },
-                        space.counts(),
                     )
-    return MechanismReport("weak_non_wastefulness", "pass", None, space.counts())
+    return AxiomReport("weak_non_wastefulness")
 
 
-def check_resource_monotonicity(m: Mechanism, space: MechanismSpace) -> MechanismReport:
+def check_resource_monotonicity(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """Raising capacities componentwise must not hurt any agent."""
     pairs = [
         (q1, q2)
@@ -347,23 +327,21 @@ def check_resource_monotonicity(m: Mechanism, space: MechanismSpace) -> Mechanis
             a2 = m(AllocationProblem(prefs, q2))
             for i, pref in enumerate(prefs):
                 if not weakly_prefers(pref, a2[i], a1[i]):
-                    return MechanismReport(
+                    return AxiomReport(
                         "resource_monotonicity",
-                        "fail",
                         {
                             "R": _profile_labels(prefs),
                             "capacities": list(q1),
                             "capacities_higher": list(q2),
                             "agent": space.agents[i],
-                            "allocation_low": _alloc_labels(a1),
-                            "allocation_high": _alloc_labels(a2),
+                            "allocation_low": _object_labels(a1),
+                            "allocation_high": _object_labels(a2),
                         },
-                        space.counts(),
                     )
-    return MechanismReport("resource_monotonicity", "pass", None, space.counts())
+    return AxiomReport("resource_monotonicity")
 
 
-def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> MechanismReport:
+def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """Moving the null object up, while keeping assignments acceptable, is inert.
 
     Compares profile pairs that rank the objects identically, where every
@@ -395,22 +373,20 @@ def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> Mechanis
                         continue
                     alloc2 = m(AllocationProblem(prefs2, caps))
                     if alloc2 != alloc:
-                        return MechanismReport(
+                        return AxiomReport(
                             "truncation_invariance",
-                            "fail",
                             {
                                 "capacities": list(caps),
                                 "R": _profile_labels(prefs),
                                 "R_prime": _profile_labels(prefs2),
-                                "allocation_R": _alloc_labels(alloc),
-                                "allocation_R_prime": _alloc_labels(alloc2),
+                                "allocation_R": _object_labels(alloc),
+                                "allocation_R_prime": _object_labels(alloc2),
                             },
-                            space.counts(),
                         )
-    return MechanismReport("truncation_invariance", "pass", None, space.counts())
+    return AxiomReport("truncation_invariance")
 
 
-def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> MechanismReport:
+def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """No agent may gain from any unilateral misreport."""
     deviations = all_preferences(space.objects)
     for prob in space.problems():
@@ -424,27 +400,25 @@ def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> MechanismRe
                 )
                 alloc2 = m(AllocationProblem(misreport, prob.capacities))
                 if not weakly_prefers(pref, alloc[i], alloc2[i]):
-                    return MechanismReport(
+                    return AxiomReport(
                         "strategy_proofness",
-                        "fail",
                         {
                             "R": _profile_labels(prob.preferences),
                             "capacities": list(prob.capacities),
                             "agent": space.agents[i],
-                            "misreport": _pref_labels(dev),
-                            "truthful_allotment": _alloc_labels(alloc)[i],
-                            "misreport_allotment": _alloc_labels(alloc2)[i],
+                            "misreport": _object_labels(dev),
+                            "truthful_allotment": _object_labels(alloc)[i],
+                            "misreport_allotment": _object_labels(alloc2)[i],
                         },
-                        space.counts(),
                     )
-    return MechanismReport("strategy_proofness", "pass", None, space.counts())
+    return AxiomReport("strategy_proofness")
 
 
-def _isd_scan(m, space, caps_for_object, prop_name) -> MechanismReport:
-    n = len(space.agents)
+def _isd_scan(m, space, caps_for_object, prop_name) -> AxiomReport:
+    agents = space.agents
     for k, x in enumerate(space.objects):
         for caps in caps_for_object(k):
-            if caps[k] >= n:
+            if caps[k] >= len(agents):
                 continue  # capacity already at its ceiling, no increase exists
             caps_up = caps[:k] + (caps[k] + 1,) + caps[k + 1:]
             seen: dict[frozenset, tuple] = {}
@@ -454,33 +428,31 @@ def _isd_scan(m, space, caps_for_object, prop_name) -> MechanismReport:
                 if d in seen:
                     prefs0, d_up0 = seen[d]
                     if d_up != d_up0:
-                        return MechanismReport(
+                        return AxiomReport(
                             prop_name,
-                            "fail",
                             {
                                 "object": x,
                                 "capacities": list(caps),
                                 "R": _profile_labels(prefs0),
                                 "R_prime": _profile_labels(prefs),
-                                "demand_before": _agent_names(space, d),
-                                "demand_after_R": _agent_names(space, d_up0),
-                                "demand_after_R_prime": _agent_names(space, d_up),
+                                "demand_before": _agent_names(agents, d),
+                                "demand_after_R": _agent_names(agents, d_up0),
+                                "demand_after_R_prime": _agent_names(agents, d_up),
                             },
-                            space.counts(),
                         )
                 else:
                     seen[d] = (prefs, d_up)
-    return MechanismReport(prop_name, "pass", None, space.counts())
+    return AxiomReport(prop_name)
 
 
-def check_isd(m: Mechanism, space: MechanismSpace) -> MechanismReport:
+def check_isd(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """Equal demands before a unit capacity increase imply equal demands after."""
     return _isd_scan(
         m, space, lambda k: space.capacities, "irrelevance_of_satisfied_demand"
     )
 
 
-def check_weak_isd(m: Mechanism, space: MechanismSpace) -> MechanismReport:
+def check_weak_isd(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """The same implication, restricted to capacity profiles where every object
     other than the increased one has zero capacity."""
 
@@ -578,7 +550,6 @@ def find_impossibility_witness(cs: ChoiceStructure) -> dict:
     if d_before_r != d_before_rp or d_after_r == d_after_rp:
         raise ValueError("constructed configuration failed to replay the violation")
 
-    names = lambda d: sorted(agents[k] for k in d)
     return {
         "agent_i": agents[i],
         "agent_j": agents[j],
@@ -588,8 +559,8 @@ def find_impossibility_witness(cs: ChoiceStructure) -> dict:
         "R_prime": _profile_labels(rp),
         "capacities": list(q),
         "capacities_increased": list(q_up),
-        "demand_before_R": names(d_before_r),
-        "demand_before_R_prime": names(d_before_rp),
-        "demand_after_R": names(d_after_r),
-        "demand_after_R_prime": names(d_after_rp),
+        "demand_before_R": _agent_names(agents, d_before_r),
+        "demand_before_R_prime": _agent_names(agents, d_before_rp),
+        "demand_after_R": _agent_names(agents, d_after_r),
+        "demand_after_R_prime": _agent_names(agents, d_after_rp),
     }

@@ -294,7 +294,6 @@ def report_dict(report) -> dict:
         "axiom": report.axiom,
         "verdict": report.verdict,
         "witness": report.witness,
-        "problems_checked": report.problems_checked,
     }
 
 

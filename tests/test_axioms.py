@@ -1,12 +1,19 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from lexichoice import (
     ALL_CHECKS,
+    FLEX_CHECKS,
+    MECHANISM_CHECKS,
+    AxiomReport,
     CapacityWise,
     CapacityWiseLists,
+    ChoiceStructure,
     ChoiceTable,
+    DAMechanism,
+    FChoiceTable,
     Lexicographic,
     PriorityOrdering,
 
@@ -14,7 +21,6 @@ from lexichoice import (
     Responsive,
     check_capacity_filling,
     check_cwarp,
-    check_cwarp_alternative,
     check_cwrarp,
     check_gross_substitutes,
     check_iaa,
@@ -22,10 +28,13 @@ from lexichoice import (
     check_monotonicity,
     check_path_independence,
     check_wrarp,
+    exhaustive_space,
+    make_family,
     materialize,
     replay_witness,
     revealed_pref,
 )
+from lexichoice.core import iter_bits
 from lexichoice.casebook import (
     favored_singleton_table,
     capacity_switch_table,
@@ -178,14 +187,57 @@ def test_iaa_cwarp_agree_given_core_axioms(rng):
             assert check_iaa(t).ok == check_cwarp(t).ok
 
 
+def _perturbed_lex_table(rng, n: int, mutations: int) -> ChoiceTable:
+    """A random lexicographic table with ``mutations`` cells replaced by
+    random subsets of their set, each within capacity."""
+    u = universe(n)
+    entries = materialize(Lexicographic(random_profile(rng, n)), u).entries.copy()
+    for _ in range(mutations):
+        s = rng.randrange(1, 1 << n)
+        members = [a for a in range(n) if (s >> a) & 1]
+        q = rng.randrange(1, n + 1)
+        k = rng.randrange(0, min(len(members), q) + 1)
+        entries[s, q] = sum(1 << a for a in rng.sample(members, k))
+    return ChoiceTable(u, entries)
+
+
+def _cwarp_pairwise_holds(c: ChoiceTable) -> bool:
+    """Pairwise-set formulation of CWARP, the oracle of :func:`check_cwarp`.
+
+    Quantifies over pairs of sets (S, T) directly: no a, b in both, unchosen
+    at q-1 in either, may have a chosen over b in S and b chosen over a in T.
+    """
+    size = 1 << c.n
+    for q in range(2, c.n + 1):
+        for s in range(1, size):
+            cs_prev = int(c.entries[s, q - 1])
+            cs = int(c.entries[s, q])
+            for t in range(1, size):
+                ct_prev = int(c.entries[t, q - 1])
+                ct = int(c.entries[t, q])
+                excluded = s & t & ~(cs_prev | ct_prev)
+                for a in iter_bits(excluded):
+                    if not (cs >> a) & 1:
+                        continue
+                    for b in iter_bits(excluded):
+                        if b == a:
+                            continue
+                        if (ct >> b) & 1 and not (cs >> b) & 1 and not (ct >> a) & 1:
+                            return False
+    return True
+
+
 def test_cwarp_alternative_formulation_agrees(rng):
     tables = list(_fixture_tables().values())
-    for _ in range(10):
-        tables.append(
-            materialize(Lexicographic(random_profile(rng, 4)), universe(4))
-        )
+    for mutations in (0, 1, 3):
+        for _ in range(10):
+            tables.append(_perturbed_lex_table(rng, 4, mutations))
+    verdicts = set()
     for t in tables:
-        assert check_cwarp(t).ok == check_cwarp_alternative(t).ok
+        ok = check_cwarp(t).ok
+        assert ok == _cwarp_pairwise_holds(t)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_revealed_pref_responsive_follows_ordering(rng):
@@ -321,17 +373,9 @@ def _iaa_loops(t):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_iaa_witness_matches_loop_oracle(rng, n):
-    u = universe(n)
     for mutations in (0, 1, 3, 10):
         for _ in range(10):
-            entries = materialize(Lexicographic(random_profile(rng, n)), u).entries.copy()
-            for _ in range(mutations):
-                s = rng.randrange(1, 1 << n)
-                members = [a for a in range(n) if (s >> a) & 1]
-                q = rng.randrange(1, n + 1)
-                k = rng.randrange(0, min(len(members), q) + 1)
-                entries[s, q] = sum(1 << a for a in rng.sample(members, k))
-            t = ChoiceTable(u, entries)
+            t = _perturbed_lex_table(rng, n, mutations)
             assert check_iaa(t).witness == _iaa_loops(t)
 
 
@@ -344,3 +388,33 @@ def test_insertion_property():
     bad = CapacityWiseLists(((w,), (w, o), (o, w, w)))
     rep = check_insertion(bad)
     assert not rep.ok and rep.witness["q"] == 3
+
+
+def test_every_checker_returns_an_axiom_report():
+    assert [f.name for f in dataclasses.fields(AxiomReport)] == ["axiom", "witness"]
+    verdicts = set()
+
+    def report(rep, name):
+        assert type(rep) is AxiomReport and rep.axiom == name
+        assert rep.ok == (rep.witness is None)
+        assert rep.verdict == ("pass" if rep.witness is None else "fail")
+        verdicts.add(rep.verdict)
+
+    for t in _fixture_tables().values():
+        for name, chk in ALL_CHECKS.items():
+            report(chk(t), name)
+        # with every set feasible, the flex checkers read the plain table
+        f = make_family(t.universe, [t.universe.full_mask])
+        for name, chk in FLEX_CHECKS.items():
+            report(chk(FChoiceTable(t.universe, f, t.entries)), name)
+    w, o = PriorityOrdering((0, 1, 2)), PriorityOrdering((2, 1, 0))
+    for lists in (((w,), (w, o), (w, w, o)), ((w,), (w, o), (o, w, w))):
+        report(check_insertion(CapacityWiseLists(lists)), "insertion")
+    u = universe(2)
+    rules = {"x": Responsive(PriorityOrdering((0, 1))),
+             "y": Responsive(PriorityOrdering((1, 0)))}
+    mech = DAMechanism(ChoiceStructure(u, ("x", "y"), rules))
+    space = exhaustive_space(u.labels, ("x", "y"))
+    for name, chk in MECHANISM_CHECKS.items():
+        report(chk(mech, space), name)
+    assert verdicts == {"pass", "fail"}

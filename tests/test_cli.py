@@ -67,6 +67,9 @@ def test_check_pass(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["all_pass"]
     assert set(payload["axioms"]) >= {"capacity_filling", "iaa", "cwarp"}
+    for name, entry in payload["axioms"].items():
+        assert set(entry) == {"axiom", "verdict", "witness"}
+        assert entry["axiom"] == name and entry["witness"] is None
     assert "elapsed" in err and "elapsed" not in out
 
 
@@ -78,6 +81,12 @@ def test_check_fail_with_replay(tmp_path, capsys):
     assert not payload["all_pass"]
     assert payload["axioms"]["iaa"]["verdict"] == "fail"
     assert payload["axioms"]["iaa"]["witness_replayed"] is True
+    for entry in payload["axioms"].values():
+        keys = {"axiom", "verdict", "witness"}
+        if entry["verdict"] == "fail":
+            keys.add("witness_replayed")
+        assert set(entry) == keys
+        assert (entry["witness"] is None) == (entry["verdict"] == "pass")
 
 
 def test_check_axiom_subset_and_text_format(tmp_path, capsys):

@@ -4,8 +4,14 @@ import pytest
 from lexichoice import (
     ChoiceTable,
     DomainError,
+    FChoiceTable,
+    PriorityOrdering,
+    PriorityProfile,
     Problem,
+    check_f_capacity_filling,
     enumerate_problems,
+    flex_materialize,
+    make_family,
     make_universe,
     rejected,
 )
@@ -33,6 +39,23 @@ def test_universe_validation():
 def test_bit_helpers():
     assert list(iter_bits(0b10110)) == [1, 2, 4]
     assert popcount(0b10110) == 3
+
+
+def test_negative_masks_are_refused():
+    # a negative int has infinitely many set bits
+    with pytest.raises(ValueError, match="negative bitmask"):
+        list(iter_bits(-2))
+    u = make_universe("ab")
+    with pytest.raises(ValueError, match="negative bitmask"):
+        u.labels_of(-2)
+    # an unvalidated flex table whose C({a}, 2) is -2 reaches the witness build
+    f = make_family(u, [u.full_mask])
+    order = PriorityOrdering((0, 1))
+    t = flex_materialize(PriorityProfile((order, order)), f, u)
+    entries = np.array(t.entries)
+    entries[u.mask_of("a"), 2] = -2
+    with pytest.raises(ValueError, match="negative bitmask"):
+        check_f_capacity_filling(FChoiceTable(u, f, entries))
 
 
 def test_enumerate_problems_canonical_order():
