@@ -5,14 +5,18 @@ greedy fill of every capacity-wise and, with a feasibility mask,
 feasibility-constrained rule), ``chosen_over_wit`` (first witnesses of a
 chosen-over relation given two bitmask columns, shared by WRARP, CWARP,
 CWRARP, CSARP and extraction), ``gs_first_violation`` and
-``path_independence_first``.  They work on whole table columns at once,
-looping in Python only over capacities, greedy steps and alternatives.
-Gross substitutes (heritage) and path independence share one single-removal
-scan: path independence holds exactly when heritage and outcast do
-(Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
-matching"), so its verdict costs O(n^2 2^n), and the set-major search for
-its first (S, T, q), a Python loop over sets, runs only when the verdict is
-fail.
+``path_independence_first``.  They work on whole table columns at once.
+``cwlex_fill`` makes each greedy pick one gather from a per-ordering "top"
+table (the best alternative of every mask, built by a subset DP in n
+vectorized steps) and starts capacity q from capacity q-1's column when q's
+orderings extend q-1's, so a lexicographic fill is n gathers.
+``chosen_over_wit`` makes one pass per alternative: a running OR over the
+sets that choose it.  Gross substitutes (heritage) and path independence
+share one single-removal scan: path independence holds exactly when
+heritage and outcast do (Aizerman-Malishevski 1981; see Chambers-Yenmez
+2017, "Choice and matching"), so its verdict costs O(n^2 2^n), and the
+set-major search for its first (S, T, q), a Python loop over sets, runs
+only when the verdict is fail.
 ``tests/test_kernels.py`` holds per-set loop versions of every kernel and
 checks that the outputs here match them bit for bit, witness tie-breaks
 included.
@@ -28,29 +32,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def _greedy_pick(remaining, chosen, key, feas=None):
-    """Per-set greedy pick of the best remaining (feasible) alternative.
+def _top_bits(key: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``top[mask]``: the bit of the best alternative in ``mask`` (lowest
+    ``key``, then lowest index), 0 for the empty mask.
 
-    Returns the picked-alternative bitmask per set (0 where nothing could
-    be picked).
+    A subset DP on the highest bit: a mask with highest bit b is ``2**b |
+    lower`` with ``lower < 2**b``, and its best is b unless ``lower`` holds
+    an alternative that beats b, so each b is one vectorized step.
     """
-    size = remaining.shape[0]
-    pick = np.full(size, -1, dtype=np.int64)
-    for alt in np.argsort(key, kind="stable"):
-        avail = ((remaining >> alt) & 1) == 1
-        if feas is not None:
-            avail &= feas[chosen | (np.int64(1) << np.int64(alt))]
-        sel = (pick < 0) & avail
-        pick[sel] = alt
-    bits = np.where(pick >= 0, np.int64(1) << np.maximum(pick, 0), np.int64(0))
-    return bits
-
-
-def _first_true(cond):
-    idx = np.argmax(cond)
-    if cond[idx]:
-        return int(idx)
-    return 0
+    key = key.tolist()
+    top = np.zeros_like(masks)
+    for b in range(len(key)):
+        lo = 1 << b
+        beats_b = sum(1 << a for a in range(b) if key[a] <= key[b])
+        top[lo : 2 * lo] = np.where(masks[:lo] & beats_b, top[:lo], lo)
+    return top
 
 
 def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.ndarray:
@@ -62,20 +58,40 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
     chosen set feasible; a set with no feasible augmentation at one step has
     none at any later step, since neither its chosen nor its remaining
     alternatives change.
+
+    Each greedy step is one gather, ``chosen | top[remaining]``, from the
+    step's top table (:func:`_top_bits`); with ``feas``, ``remaining`` is
+    first narrowed to the alternatives a with ``feas[chosen | a]``, read from
+    a per-mask table of them.  When capacity q's first q-1 orderings are
+    capacity q-1's, its first q-1 picks are capacity q-1's choice, so it
+    starts there and makes one pick: a lexicographic or responsive fill takes
+    n picks, not n(n+1)/2.  Only the last top table is kept, which is all a
+    repeated ordering needs.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if feas is not None:
-        feas = np.ascontiguousarray(feas, dtype=np.bool_)
     size = 1 << n
-    table = np.zeros((size, n + 1), dtype=np.int64)
     masks = np.arange(size, dtype=np.int64)
+    if feas is not None:
+        feas = np.asarray(feas, dtype=np.bool_)
+        augment = np.zeros(size, dtype=np.int64)
+        for a in range(n):
+            bit = np.int64(1) << np.int64(a)
+            augment |= np.where(feas[masks | bit], bit, np.int64(0))
+    table = np.zeros((size, n + 1), dtype=np.int64)
+    top_key = top = None
     for q in range(1, n + 1):
-        remaining = masks.copy()
-        chosen = np.zeros(size, dtype=np.int64)
-        for t in range(q):
-            bits = _greedy_pick(remaining, chosen, keys[q - 1, t], feas)
-            chosen |= bits
-            remaining &= ~bits
+        if q > 1 and np.array_equal(keys[q - 1, : q - 1], keys[q - 2, : q - 1]):
+            start = q - 1  # chosen still holds C(S, q-1)
+        else:
+            start, chosen = 0, np.zeros(size, dtype=np.int64)
+        for t in range(start, q):
+            if top_key is None or not np.array_equal(keys[q - 1, t], top_key):
+                top_key = keys[q - 1, t]
+                top = _top_bits(top_key, masks)
+            remaining = masks ^ chosen
+            if feas is not None:
+                remaining &= augment[chosen]
+            chosen = chosen | top[remaining]
         table[:, q] = chosen
     table[0, :] = 0
     return table
@@ -87,13 +103,20 @@ def chosen_over_wit(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndar
     ``chosen`` and ``rejected`` are bitmask columns over all 2**n sets.
     ``wit[a, b]`` is the first set S (ascending) with a in ``chosen[S]`` and
     b in ``rejected[S]``; 0 means no such S.
+
+    One pass per a: over the sets with a chosen, in ascending order, a
+    running OR of their rejected masks gains each b exactly at ``wit[a, b]``.
     """
+    chosen = np.ascontiguousarray(chosen)  # table columns are strided
     wit = np.zeros((n, n), dtype=np.int64)
+    alt_bits = np.int64(1) << np.arange(n, dtype=np.int64)
     for a in range(n):
-        has_a = ((chosen >> a) & 1) == 1
-        for b in range(n):
-            cond = has_a & (((rejected >> b) & 1) == 1)
-            wit[a, b] = _first_true(cond)
+        sets = np.flatnonzero((chosen & alt_bits[a]) != 0)
+        seen = np.bitwise_or.accumulate(rejected[sets])
+        gained = seen.copy()
+        gained[1:] &= ~seen[:-1]
+        first = np.flatnonzero(gained)  # each bit is gained once at most
+        wit[a] = sets[first] @ ((gained[first, None] & alt_bits) != 0)
     return wit
 
 

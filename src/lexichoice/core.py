@@ -64,7 +64,15 @@ class Universe:
             mask |= 1 << self.index(lab)
         return mask
 
+    def require_mask(self, mask: int) -> None:
+        """Refuse a bitmask that is negative or has a bit at or above n."""
+        if mask < 0:
+            raise ValueError(f"negative bitmask {mask}")
+        if mask >> self.n:
+            raise ValueError(f"bitmask {mask:#x} has a bit outside the {self.n} alternatives")
+
     def labels_of(self, mask: int) -> tuple[str, ...]:
+        self.require_mask(mask)
         return tuple(self.labels[i] for i in iter_bits(mask))
 
 

@@ -124,10 +124,14 @@ def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
 
     A problem (S, q) violates it when |C(S, q)| != q and some a in S outside
     C(S, q) keeps C(S, q) + a in the family; the witness is the first such
-    problem and its lowest such a.
+    problem and its lowest such a.  A table with an entry outside the
+    universe (negative, or a bit at or above n) is refused with ValueError.
     """
     n = c.n
     full = np.int64(c.universe.full_mask)
+    outside = c.entries[(c.entries & ~full) != 0]
+    if outside.size:
+        c.universe.require_mask(int(outside[0]))
     feas = c.family.membership_array()
     got = c.entries[:, 1:]
     absent = np.arange(1 << n, dtype=np.int64)[:, None] & ~got

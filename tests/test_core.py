@@ -58,6 +58,22 @@ def test_negative_masks_are_refused():
         check_f_capacity_filling(FChoiceTable(u, f, entries))
 
 
+def test_out_of_universe_masks_are_refused():
+    u = make_universe("ab")
+    with pytest.raises(ValueError, match="outside the 2 alternatives"):
+        u.labels_of(0b100)
+    assert u.labels_of(0b11) == ("a", "b")
+    # an unvalidated flex table whose C({a, b}, 2) is {c}, outside the universe
+    f = make_family(u, [u.full_mask])
+    order = PriorityOrdering((0, 1))
+    t = flex_materialize(PriorityProfile((order, order)), f, u)
+    entries = np.array(t.entries)
+    entries[u.full_mask, 2] = 0b100
+    with pytest.raises(ValueError, match="outside the 2 alternatives"):
+        check_f_capacity_filling(FChoiceTable(u, f, entries))
+    assert check_f_capacity_filling(t).ok
+
+
 def test_enumerate_problems_canonical_order():
     u = universe(2)
     got = list(enumerate_problems(u))

@@ -7,14 +7,22 @@ contract is stated, and writes into a preallocated output.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from lexichoice import Lexicographic, materialize
+from lexichoice import (
+    BOSTON_BUILDERS,
+    CapacityWise,
+    CapacityWiseLists,
+    Lexicographic,
+    Responsive,
+    materialize,
+)
 from lexichoice import _kernels
 
-from conftest import random_profile, universe
+from conftest import random_ordering, random_profile, universe
 
 _NO_PICK = 1 << 40  # sentinel rank larger than any real one
 
@@ -87,6 +95,21 @@ def _chosen_over_wit_loops(n, table, q, wit):
                         wit[a, b] = s
 
 
+def _chosen_over_wit_columns_loops(n, chosen, rejected):
+    # first S (ascending, row 0 included) with a in chosen[S] and b in
+    # rejected[S]; a first S of 0 reads as no witness, as in the kernel
+    wit = np.zeros((n, n), dtype=np.int64)
+    found = np.zeros((n, n), dtype=bool)
+    for s in range(len(chosen)):
+        for a in range(n):
+            if (chosen[s] >> a) & 1:
+                for b in range(n):
+                    if (rejected[s] >> b) & 1 and not found[a, b]:
+                        found[a, b] = True
+                        wit[a, b] = s
+    return wit
+
+
 def _revealed_wit_loops(n, table, q, wit):
     # wit[a, b] = first S with a,b not chosen at q-1, a chosen at q and b
     # rejected at q; 0 means no such S.  Requires q >= 2.
@@ -155,6 +178,56 @@ def _random_keys(rng, n):
     return keys
 
 
+def _random_family(rng, n):
+    """Membership of a random downward-closed family holding every singleton."""
+    feas = np.zeros(1 << n, dtype=np.bool_)
+    feas[0] = True
+    for a in range(n):
+        feas[1 << a] = True
+    for mask in range(1, 1 << n):
+        if feas[mask]:
+            continue
+        feas[mask] = rng.random() < 0.4
+    # force downward closure
+    for mask in range((1 << n) - 1, 0, -1):
+        if feas[mask]:
+            sub = (mask - 1) & mask
+            while sub:
+                feas[sub] = True
+                sub = (sub - 1) & mask
+    return feas
+
+
+def _prefix_extends(keys, q):
+    """Whether capacity q's first q-1 orderings are capacity q-1's."""
+    return np.array_equal(keys[q - 1, : q - 1], keys[q - 2, : q - 1])
+
+
+def _structured_keys(rng, n):
+    """Key tensors of the rule kinds the library builds, by name."""
+    out = {
+        "lexicographic": Lexicographic(random_profile(rng, n)).keys(),
+        "responsive": Responsive(random_ordering(rng, n)).keys(),
+    }
+    w, o = random_ordering(rng, n), random_ordering(rng, n)
+    for variant, build in BOSTON_BUILDERS.items():
+        out[variant] = CapacityWise(build(w, o, n)).keys()
+    # one ordering repeated q times per capacity, as extraction rebuilds a
+    # capacity-wise responsive rule; neighbours share it only sometimes
+    pool = [random_ordering(rng, n) for _ in range(2)]
+    out["responsive_per_capacity"] = CapacityWise(CapacityWiseLists(tuple(
+        (rng.choice(pool),) * q for q in range(1, n + 1)))).keys()
+    # each list extends the previous one at some capacities only
+    lists = [(random_ordering(rng, n),)]
+    for q in range(2, n + 1):
+        if rng.random() < 0.5:
+            lists.append(lists[-1] + (random_ordering(rng, n),))
+        else:
+            lists.append(tuple(random_ordering(rng, n) for _ in range(q)))
+    out["partial_prefix"] = CapacityWise(CapacityWiseLists(tuple(lists))).keys()
+    return out
+
+
 def _random_table(rng, n, mutations=3):
     """A materialized rule table (valid) or a mutated (adversarial) one."""
     profile = random_profile(rng, n)
@@ -198,25 +271,41 @@ def test_cwlex_fill_paths_agree(rng, n):
 def test_flex_fill_paths_agree(rng, n):
     for _ in range(20):
         keys = _random_keys(rng, n)[0]
-        feas = np.zeros(1 << n, dtype=np.bool_)
-        feas[0] = True
-        for a in range(n):
-            feas[1 << a] = True
-        for mask in range(1, 1 << n):
-            if feas[mask]:
-                continue
-            feas[mask] = rng.random() < 0.4
-        # force downward closure
-        for mask in range((1 << n) - 1, 0, -1):
-            if feas[mask]:
-                sub = (mask - 1) & mask
-                while sub:
-                    feas[sub] = True
-                    sub = (sub - 1) & mask
+        feas = _random_family(rng, n)
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
         _flex_fill_loops(n, keys, feas, want)
         got = _kernels.cwlex_fill(n, np.broadcast_to(keys, (n, n, n)), feas)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cwlex_fill_agrees_on_structured_keys(n):
+    # random keys almost never let capacity q start from capacity q-1's
+    # choice; these rule kinds do at every q or at some q only
+    rng = random.Random(f"structured-{n}")
+    extends = set()  # (kind, whether capacity q's list extends q-1's)
+    for _ in range(5):
+        for kind, keys in _structured_keys(rng, n).items():
+            extends.update((kind, _prefix_extends(keys, q)) for q in range(2, n + 1))
+            want = np.zeros((1 << n, n + 1), dtype=np.int64)
+            _cwlex_fill_loops(n, keys, want)
+            assert np.array_equal(_kernels.cwlex_fill(n, keys), want), kind
+    if n >= 4:  # compromise first breaks its prefix at q = 4
+        for kind in ("lexicographic", "responsive", "rotating"):
+            assert (kind, False) not in extends
+        for kind in ("walk_open", "compromise", "responsive_per_capacity", "partial_prefix"):
+            assert (kind, False) in extends and (kind, True) in extends
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_flex_fill_agrees_on_lexicographic_keys(n):
+    rng = random.Random(f"flex-lexicographic-{n}")
+    for _ in range(10):
+        keys = Lexicographic(random_profile(rng, n)).keys()
+        feas = _random_family(rng, n)
+        want = np.zeros((1 << n, n + 1), dtype=np.int64)
+        _flex_fill_loops(n, keys[0], feas, want)
+        assert np.array_equal(_kernels.cwlex_fill(n, keys, feas), want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -235,6 +324,41 @@ def test_witness_kernels_agree(rng, n):
                 _revealed_wit_loops(n, table, q, want)
                 got = _kernels.chosen_over_wit(n, cur & ~prev, masks & ~cur & ~prev)
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chosen_over_wit_agrees_on_arbitrary_columns(n):
+    # columns that no table produces: row 0 set, chosen and rejected
+    # overlapping, bits that come back after their first set
+    rng = np.random.default_rng(n)
+    size = 1 << n
+    last = size - 1
+
+    def agree(chosen, rejected):
+        want = _chosen_over_wit_columns_loops(n, chosen, rejected)
+        assert np.array_equal(_kernels.chosen_over_wit(n, chosen, rejected), want)
+        return want
+
+    for _ in range(10):
+        chosen = rng.integers(0, size, size, dtype=np.int64)
+        rejected = rng.integers(0, size, size, dtype=np.int64)
+        agree(chosen, rejected)
+        agree(chosen, chosen | rejected)  # every chosen alternative also rejected
+        # an all-zero chosen column has no witness at all
+        assert not agree(np.zeros(size, dtype=np.int64), rejected).any()
+        # a pair whose only witness is the last set
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        lone = np.where((chosen >> a) & 1 == 1, rejected & ~(1 << b), rejected)
+        lone[last] |= 1 << b
+        with_a = chosen.copy()
+        with_a[last] |= 1 << a
+        assert agree(with_a, lone)[a, b] == last
+    # the same pair in every set: each bit reappears after its first set
+    chosen = np.full(size, size - 1, dtype=np.int64)
+    wit = agree(chosen, chosen)
+    assert not wit.any()  # first witnessed at S = 0, which reads as none
+    chosen[0] = 0
+    assert (agree(chosen, chosen) == 1).all()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
