@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 from .axioms import (
@@ -25,15 +26,19 @@ from .axioms import (
     check_monotonicity,
 )
 from .core import Problem, Universe, iter_bits
-from .rules import ChoiceRule, materialize
+from .rules import ChoiceRule, TableRule, materialize
 
 Preference = tuple  # ranking of objects + None, best first
 Allocation = tuple  # per-agent assigned object name or None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllocationProblem:
-    """Preferences (per agent, in agent order) and capacities (in object order)."""
+    """Preferences (per agent, in agent order) and capacities (in object order).
+
+    Slotted: a memo holds one per distinct problem, tens of thousands in a
+    mechanism sweep.
+    """
 
     preferences: tuple[Preference, ...]
     capacities: tuple[int, ...]
@@ -53,9 +58,20 @@ class ChoiceStructure:
         self._tables = {}
 
     def table(self, obj: str):
-        if obj not in self._tables:
-            self._tables[obj] = materialize(self.rules[obj], self.agents)
-        return self._tables[obj]
+        """The object's choice table, materialized on first use.
+
+        A ``TableRule`` table is validated then: deferred acceptance relies on
+        every choice being a subset of its pool, so that an agent is held by
+        at most one object.  Ordering rules yield valid tables by construction.
+        """
+        table = self._tables.get(obj)
+        if table is None:
+            rule = self.rules[obj]
+            table = materialize(rule, self.agents)
+            if isinstance(rule, TableRule):
+                table.validate()
+            self._tables[obj] = table
+        return table
 
 
 def validate_preference(pref: Preference, objects: tuple[str, ...]) -> None:
@@ -72,6 +88,27 @@ def weakly_prefers(pref: Preference, x, y) -> bool:
     return x == y or prefers(pref, x, y)
 
 
+def require_problem(prob: AllocationProblem, n: int, objects: tuple[str, ...]) -> None:
+    """Refuse a problem without one ranking per agent and one capacity in
+    0..n per object."""
+    if len(prob.preferences) != n:
+        raise ValueError(
+            f"problem lists {len(prob.preferences)} preferences for {n} agents"
+        )
+    ranking = {*objects, None}
+    for pref in prob.preferences:
+        if len(pref) != len(ranking) or set(pref) != ranking:
+            validate_preference(pref, objects)  # names the offending ranking
+    if len(prob.capacities) != len(objects):
+        raise ValueError(
+            f"problem lists {len(prob.capacities)} capacities for "
+            f"{len(objects)} objects"
+        )
+    for x, q in zip(objects, prob.capacities):
+        if isinstance(q, bool) or not isinstance(q, Integral) or not 0 <= q <= n:
+            raise ValueError(f"capacity {q!r} of object {x!r} is not in 0..{n}")
+
+
 def all_preferences(objects: tuple[str, ...]):
     """All strict rankings of objects + null, in a deterministic order."""
     return [tuple(p) for p in itertools.permutations(objects + (None,))]
@@ -86,49 +123,47 @@ def da_allocate(
     available object re-chooses from its held set plus new applicants.  Runs
     are capped at n * |O| + 1 rounds; exceeding the cap means some rule is
     violating its contract.
-    """
-    agents = cs.agents.labels
-    n = len(agents)
-    objects = cs.objects
-    caps = dict(zip(objects, prob.capacities))
-    for pref in prob.preferences:
-        validate_preference(pref, objects)
 
-    ptr = [0] * n
-    held: dict[str, int] = {x: 0 for x in objects}  # bitmask of agents
-    at_null = 0
+    An agent is held by at most one object and an agent who reaches the null
+    object stays there, so the agents rejected in a round (ascending) are
+    exactly the next round's applicants.  Raises ``ValueError`` on a
+    malformed problem (not one ranking per agent, or not one capacity in
+    0..n per object) and, through ``ChoiceStructure.table``, on an invalid
+    ``TableRule`` table.
+    """
+    n = cs.agents.n
+    objects = cs.objects
+    require_problem(prob, n, objects)
+    prefs = prob.preferences
+    caps = dict(zip(objects, prob.capacities))
+
+    ptr = [-1] * n  # position of each agent's latest application
+    held: dict[str, int] = dict.fromkeys(objects, 0)  # bitmask of agents
+    free = cs.agents.full_mask
     rounds = []
     limit = n * len(objects) + 1
     for _ in range(limit + 1):
-        placed = at_null
-        for x in objects:
-            placed |= held[x]
-        free = [i for i in range(n) if not (placed >> i) & 1]
         if not free:
             break
         applicants: dict[str, int] = {}
-        for i in free:
-            target = prob.preferences[i][ptr[i]]
-            if target is None:
-                at_null |= 1 << i
-            else:
-                applicants[target] = applicants.get(target, 0) | (1 << i)
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            ptr[i] += 1
+            target = prefs[i][ptr[i]]
+            if target is not None:
+                applicants[target] = applicants.get(target, 0) | low
         if trace:
             rounds.append(
                 {x: sorted(cs.agents.labels_of(m)) for x, m in applicants.items()}
             )
-        for x in objects:
-            if x not in applicants:
-                continue
-            pool = held[x] | applicants[x]
-            if caps[x] > 0:
-                accepted = cs.table(x).choose(Problem(pool, caps[x]))
-            else:
-                accepted = 0
-            rejected = pool & ~accepted
+        for x, new in applicants.items():
+            pool = held[x] | new
+            q = caps[x]
+            accepted = int(cs.table(x).entries[pool, q]) if q else 0
             held[x] = accepted
-            for i in iter_bits(rejected):
-                ptr[i] += 1
+            free |= pool & ~accepted
     else:
         raise RuntimeError(
             f"deferred acceptance exceeded {limit} rounds; a choice rule is "
@@ -168,9 +203,10 @@ class DAMechanism:
         return self.structure.objects
 
     def __call__(self, prob: AllocationProblem) -> Allocation:
-        if prob not in self._cache:
-            self._cache[prob] = da_allocate(self.structure, prob)
-        return self._cache[prob]
+        alloc = self._cache.get(prob)
+        if alloc is None:
+            alloc = self._cache[prob] = da_allocate(self.structure, prob)
+        return alloc
 
 
 Mechanism = Callable[[AllocationProblem], Allocation]
@@ -315,24 +351,27 @@ def check_weak_non_wastefulness(m: Mechanism, space: MechanismSpace) -> AxiomRep
 
 def check_resource_monotonicity(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """Raising capacities componentwise must not hurt any agent."""
+    caps = space.capacities
     pairs = [
-        (q1, q2)
-        for q1 in space.capacities
-        for q2 in space.capacities
+        (j1, j2)
+        for j1, q1 in enumerate(caps)
+        for j2, q2 in enumerate(caps)
         if q1 != q2 and all(a <= b for a, b in zip(q1, q2))
     ]
     for prefs in space.profiles:
-        for q1, q2 in pairs:
-            a1 = m(AllocationProblem(prefs, q1))
-            a2 = m(AllocationProblem(prefs, q2))
+        allocs = [m(AllocationProblem(prefs, q)) for q in caps]
+        for j1, j2 in pairs:
+            a1, a2 = allocs[j1], allocs[j2]
+            if a1 == a2:
+                continue
             for i, pref in enumerate(prefs):
                 if not weakly_prefers(pref, a2[i], a1[i]):
                     return AxiomReport(
                         "resource_monotonicity",
                         {
                             "R": _profile_labels(prefs),
-                            "capacities": list(q1),
-                            "capacities_higher": list(q2),
+                            "capacities": list(caps[j1]),
+                            "capacities_higher": list(caps[j2]),
                             "agent": space.agents[i],
                             "allocation_low": _object_labels(a1),
                             "allocation_high": _object_labels(a2),
@@ -348,69 +387,103 @@ def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> AxiomRep
     agent's acceptable set under the second profile is contained in their
     acceptable set under the first (each agent truncates, never extends), and
     where each agent's assignment under the first profile stays weakly above
-    null under the second.
+    null under the second.  Only the last condition depends on capacities, so
+    the (R, R') pairs of each group are listed once.
     """
-
-    def acceptable(pref):
-        return frozenset(pref[: pref.index(None)])
-
+    acceptable: dict[Preference, frozenset] = {}
     by_order: dict[tuple, list] = {}
     for prefs in space.profiles:
+        for pref in prefs:
+            if pref not in acceptable:
+                acceptable[pref] = frozenset(pref[: pref.index(None)])
         key = tuple(tuple(x for x in pref if x is not None) for pref in prefs)
         by_order.setdefault(key, []).append(prefs)
+    groups = []
+    for group in by_order.values():
+        accs = [tuple(acceptable[pref] for pref in prefs) for prefs in group]
+        pairs = [
+            (a, b)
+            for a, prefs in enumerate(group)
+            for b, prefs2 in enumerate(group)
+            if prefs2 != prefs and all(s2 <= s for s, s2 in zip(accs[a], accs[b]))
+        ]
+        if pairs:
+            groups.append((group, accs, pairs))
     for caps in space.capacities:
-        for group in by_order.values():
-            for prefs in group:
-                alloc = m(AllocationProblem(prefs, caps))
-                for prefs2 in group:
-                    if prefs2 == prefs:
-                        continue
-                    if not all(
-                        acceptable(prefs2[i]) <= acceptable(prefs[i])
-                        and weakly_prefers(prefs2[i], alloc[i], None)
-                        for i in range(len(alloc))
-                    ):
-                        continue
-                    alloc2 = m(AllocationProblem(prefs2, caps))
-                    if alloc2 != alloc:
-                        return AxiomReport(
-                            "truncation_invariance",
-                            {
-                                "capacities": list(caps),
-                                "R": _profile_labels(prefs),
-                                "R_prime": _profile_labels(prefs2),
-                                "allocation_R": _object_labels(alloc),
-                                "allocation_R_prime": _object_labels(alloc2),
-                            },
-                        )
+        for group, accs, pairs in groups:
+            allocs = [m(AllocationProblem(prefs, caps)) for prefs in group]
+            for a, b in pairs:
+                alloc, alloc2 = allocs[a], allocs[b]
+                if alloc2 == alloc or not all(
+                    x is None or x in s for x, s in zip(alloc, accs[b])
+                ):
+                    continue
+                return AxiomReport(
+                    "truncation_invariance",
+                    {
+                        "capacities": list(caps),
+                        "R": _profile_labels(group[a]),
+                        "R_prime": _profile_labels(group[b]),
+                        "allocation_R": _object_labels(alloc),
+                        "allocation_R_prime": _object_labels(alloc2),
+                    },
+                )
     return AxiomReport("truncation_invariance")
 
 
 def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> AxiomReport:
-    """No agent may gain from any unilateral misreport."""
+    """No agent may gain from any unilateral misreport.
+
+    For each agent, report of the other agents and capacity vector, one row
+    records, as a bitmask over the objects and null, every allotment the
+    agent reaches by some report; every profile that shares the row reads it.
+    A problem fails for the agent when the row holds an allotment that the
+    agent's true preference ranks above the truthful one, and only then are
+    the misreports replayed in order for the first witness.
+    """
     deviations = all_preferences(space.objects)
-    for prob in space.problems():
-        alloc = m(prob)
-        for i, pref in enumerate(prob.preferences):
-            for dev in deviations:
-                if dev == pref:
+    bit = {x: 1 << k for k, x in enumerate(space.objects + (None,))}
+    # better[pref][x]: bitmask of the allotments pref ranks above x
+    better = {
+        pref: {x: sum(bit[y] for y in pref[:k]) for k, x in enumerate(pref)}
+        for pref in deviations
+    }
+    rows: list[dict[tuple, list]] = [{} for _ in space.agents]
+    for prefs in space.profiles:
+        cells = []
+        for i, by_others in enumerate(rows):
+            others = prefs[:i] + prefs[i + 1:]
+            cell = by_others.get(others)
+            if cell is None:
+                cell = by_others[others] = [None] * len(space.capacities)
+            cells.append(cell)
+        for c, caps in enumerate(space.capacities):
+            alloc = m(AllocationProblem(prefs, caps))
+            for i, pref in enumerate(prefs):
+                reach = cells[i][c]
+                if reach is None:
+                    reach = 0
+                    for dev in deviations:
+                        misreport = prefs[:i] + (dev,) + prefs[i + 1:]
+                        reach |= bit[m(AllocationProblem(misreport, caps))[i]]
+                    cells[i][c] = reach
+                if not reach & better[pref][alloc[i]]:
                     continue
-                misreport = (
-                    prob.preferences[:i] + (dev,) + prob.preferences[i + 1:]
-                )
-                alloc2 = m(AllocationProblem(misreport, prob.capacities))
-                if not weakly_prefers(pref, alloc[i], alloc2[i]):
-                    return AxiomReport(
-                        "strategy_proofness",
-                        {
-                            "R": _profile_labels(prob.preferences),
-                            "capacities": list(prob.capacities),
-                            "agent": space.agents[i],
-                            "misreport": _object_labels(dev),
-                            "truthful_allotment": _object_labels(alloc)[i],
-                            "misreport_allotment": _object_labels(alloc2)[i],
-                        },
-                    )
+                for dev in deviations:
+                    misreport = prefs[:i] + (dev,) + prefs[i + 1:]
+                    alloc2 = m(AllocationProblem(misreport, caps))
+                    if not weakly_prefers(pref, alloc[i], alloc2[i]):
+                        return AxiomReport(
+                            "strategy_proofness",
+                            {
+                                "R": _profile_labels(prefs),
+                                "capacities": list(caps),
+                                "agent": space.agents[i],
+                                "misreport": _object_labels(dev),
+                                "truthful_allotment": _object_labels(alloc)[i],
+                                "misreport_allotment": _object_labels(alloc2)[i],
+                            },
+                        )
     return AxiomReport("strategy_proofness")
 
 

@@ -1,14 +1,24 @@
+import random
+
 import pytest
 
 from lexichoice import (
     MECHANISM_CHECKS,
     AllocationProblem,
     ChoiceStructure,
+    ChoiceTable,
     DAMechanism,
+    MechanismSpace,
+    Problem,
     Responsive,
+    TableRule,
     all_preferences,
+    AxiomReport,
     build_rotating,
+    check_gross_substitutes,
+    check_resource_monotonicity,
     check_strategy_proofness,
+    check_truncation_invariance,
     check_weak_isd,
     check_weak_non_wastefulness,
     da_allocate,
@@ -19,10 +29,24 @@ from lexichoice import (
     sampled_space,
     single_object_space,
 )
-from lexichoice.mechanism import prefers, validate_preference
-from lexichoice.rules import CapacityWise, ordering_from_labels
+from lexichoice.core import iter_bits
+from lexichoice.mechanism import (
+    _object_labels,
+    _profile_labels,
+    prefers,
+    validate_preference,
+    weakly_prefers,
+)
+from lexichoice.rules import (
+    BOSTON_BUILDERS,
+    CapacityWise,
+    CapacityWiseLists,
+    Lexicographic,
+    materialize,
+    ordering_from_labels,
+)
 
-from conftest import random_ordering
+from conftest import random_ordering, random_profile
 
 
 def _responsive_structure(agent_labels, object_orders):
@@ -276,8 +300,6 @@ def test_isd_impossibility_witness_preconditions():
     cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
     with pytest.raises(ValueError):
         find_impossibility_witness(cs)  # fewer than three objects
-    from lexichoice import ChoiceTable, TableRule
-
     u = make_universe(("i", "j"))
     bad = ChoiceTable.from_function(u, lambda mask, q: mask & -mask)
     cs3 = ChoiceStructure(
@@ -297,3 +319,332 @@ def test_full_isd_fails_for_three_objects():
     w = find_impossibility_witness(cs)
     assert w["demand_before_R"] == w["demand_before_R_prime"]
     assert w["demand_after_R"] != w["demand_after_R_prime"]
+
+
+# --- malformed problems and tables ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "prefs, caps",
+    [
+        ((("x", "y", None),) * 2, (1,)),  # a capacity missing
+        ((("x", "y", None),) * 2, (1, 1, 5)),  # an extra capacity
+        ((("x", "y", None),) * 2, (-1, 1)),  # a negative capacity
+        ((("x", "y", None),) * 2, (3, 1)),  # a capacity above n
+        ((("x", "y", None),), (1, 1)),  # a preference missing
+        ((("x", "y", None),) * 3, (1, 1)),  # an extra preference
+    ],
+    ids=["short_caps", "long_caps", "negative_cap", "cap_above_n", "short_prefs", "long_prefs"],
+)
+def test_da_refuses_malformed_problems(prefs, caps):
+    cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
+    with pytest.raises(ValueError):
+        da_allocate(cs, AllocationProblem(prefs, caps))
+
+
+def test_structure_refuses_invalid_table_rule():
+    """C({i}, 1) = {i, j} at x would let x hold j while y holds j too."""
+    u = make_universe(("i", "j"))
+    entries = materialize(Responsive(ordering_from_labels(u, ("i", "j"))), u).entries.copy()
+    entries[0b01, 1] = 0b11
+    cs = ChoiceStructure(
+        u,
+        ("x", "y"),
+        {
+            "x": TableRule(ChoiceTable(u, entries)),
+            "y": Responsive(ordering_from_labels(u, ("j", "i"))),
+        },
+    )
+    prefs = (("x", "y", None), ("y", "x", None))
+    with pytest.raises(ValueError):
+        da_allocate(cs, AllocationProblem(prefs, (1, 1)))
+
+
+# --- deferred acceptance against the loop that rescans placed agents ------------
+
+
+def _placed_scan_da(cs, prob):
+    """Each round, every agent neither held nor at null applies."""
+    n = cs.agents.n
+    objects = cs.objects
+    caps = dict(zip(objects, prob.capacities))
+    ptr = [0] * n
+    held = {x: 0 for x in objects}
+    at_null = 0
+    rounds = []
+    for _ in range(n * len(objects) + 2):
+        placed = at_null
+        for x in objects:
+            placed |= held[x]
+        free = [i for i in range(n) if not (placed >> i) & 1]
+        if not free:
+            break
+        applicants = {}
+        for i in free:
+            target = prob.preferences[i][ptr[i]]
+            if target is None:
+                at_null |= 1 << i
+            else:
+                applicants[target] = applicants.get(target, 0) | (1 << i)
+        rounds.append({x: sorted(cs.agents.labels_of(m)) for x, m in applicants.items()})
+        for x in objects:
+            if x not in applicants:
+                continue
+            pool = held[x] | applicants[x]
+            accepted = cs.table(x).choose(Problem(pool, caps[x])) if caps[x] > 0 else 0
+            held[x] = accepted
+            for i in iter_bits(pool & ~accepted):
+                ptr[i] += 1
+    else:
+        raise RuntimeError("round cap exceeded")
+    assignment = [None] * n
+    for x in objects:
+        for i in iter_bits(held[x]):
+            assignment[i] = x
+    return tuple(assignment), rounds
+
+
+def _non_gs_table(rng, u):
+    """A valid table, a responsive one with entries redrawn until it fails
+    gross substitutes."""
+    entries = materialize(Responsive(random_ordering(rng, u.n)), u).entries.copy()
+    while check_gross_substitutes(ChoiceTable(u, entries.copy())).ok:
+        s = rng.randrange(3, 1 << u.n)
+        q = rng.randrange(1, u.n + 1)
+        members = list(iter_bits(s))
+        entries[s, q] = sum(1 << i for i in rng.sample(members, rng.randint(0, min(q, len(members)))))
+    table = ChoiceTable(u, entries)
+    table.validate()
+    return table
+
+
+def _random_rule(rng, u, kind):
+    if kind == "responsive":
+        return Responsive(random_ordering(rng, u.n))
+    if kind == "lexicographic":
+        return Lexicographic(random_profile(rng, u.n))
+    if kind == "capacity_wise":
+        return CapacityWise(CapacityWiseLists(tuple(
+            tuple(random_ordering(rng, u.n) for _ in range(q)) for q in range(1, u.n + 1)
+        )))
+    if kind == "table":
+        return TableRule(_non_gs_table(rng, u))
+    w, o = random_ordering(rng, u.n), random_ordering(rng, u.n)
+    return CapacityWise(BOSTON_BUILDERS[kind](w, o, u.n))
+
+
+DA_RULE_KINDS = ("responsive", "lexicographic", "capacity_wise", "table", *BOSTON_BUILDERS)
+
+
+def test_da_matches_placed_scan_loop():
+    """Allocations and traced rounds, key order included, on random
+    structures: Boston variants and tables failing gross substitutes are
+    where proposal order could matter."""
+    rng = random.Random(8)
+    for trial in range(150):
+        objects = ("x", "y", "z", "w")[: rng.randint(1, 4)]
+        kinds = [DA_RULE_KINDS[(trial + k) % len(DA_RULE_KINDS)] for k in range(len(objects))]
+        # every rule over two agents is gross-substitutable
+        n = rng.randint(3 if "table" in kinds else 2, 5)
+        u = make_universe(tuple("abcde"[:n]))
+        cs = ChoiceStructure(u, objects, {x: _random_rule(rng, u, k) for x, k in zip(objects, kinds)})
+        prefs = all_preferences(objects)
+        for _ in range(20):
+            prob = AllocationProblem(
+                tuple(rng.choice(prefs) for _ in range(n)),
+                tuple(rng.randint(0, n) for _ in objects),
+            )
+            want, want_rounds = _placed_scan_da(cs, prob)
+            got, rounds = da_allocate(cs, prob, trace=True)
+            assert got == want, (kinds, prob)
+            assert [list(r.items()) for r in rounds] == [list(r.items()) for r in want_rounds]
+            assert da_allocate(cs, prob) == want
+
+
+# --- the rewritten checkers against their per-pair loops -------------------------
+
+
+def _resource_monotonicity_loop(m, space):
+    pairs = [
+        (q1, q2)
+        for q1 in space.capacities
+        for q2 in space.capacities
+        if q1 != q2 and all(a <= b for a, b in zip(q1, q2))
+    ]
+    for prefs in space.profiles:
+        for q1, q2 in pairs:
+            a1 = m(AllocationProblem(prefs, q1))
+            a2 = m(AllocationProblem(prefs, q2))
+            for i, pref in enumerate(prefs):
+                if not weakly_prefers(pref, a2[i], a1[i]):
+                    return AxiomReport(
+                        "resource_monotonicity",
+                        {
+                            "R": _profile_labels(prefs),
+                            "capacities": list(q1),
+                            "capacities_higher": list(q2),
+                            "agent": space.agents[i],
+                            "allocation_low": _object_labels(a1),
+                            "allocation_high": _object_labels(a2),
+                        },
+                    )
+    return AxiomReport("resource_monotonicity")
+
+
+def _truncation_invariance_loop(m, space):
+    def acceptable(pref):
+        return frozenset(pref[: pref.index(None)])
+
+    by_order = {}
+    for prefs in space.profiles:
+        key = tuple(tuple(x for x in pref if x is not None) for pref in prefs)
+        by_order.setdefault(key, []).append(prefs)
+    for caps in space.capacities:
+        for group in by_order.values():
+            for prefs in group:
+                alloc = m(AllocationProblem(prefs, caps))
+                for prefs2 in group:
+                    if prefs2 == prefs:
+                        continue
+                    if not all(
+                        acceptable(prefs2[i]) <= acceptable(prefs[i])
+                        and weakly_prefers(prefs2[i], alloc[i], None)
+                        for i in range(len(alloc))
+                    ):
+                        continue
+                    alloc2 = m(AllocationProblem(prefs2, caps))
+                    if alloc2 != alloc:
+                        return AxiomReport(
+                            "truncation_invariance",
+                            {
+                                "capacities": list(caps),
+                                "R": _profile_labels(prefs),
+                                "R_prime": _profile_labels(prefs2),
+                                "allocation_R": _object_labels(alloc),
+                                "allocation_R_prime": _object_labels(alloc2),
+                            },
+                        )
+    return AxiomReport("truncation_invariance")
+
+
+def _strategy_proofness_loop(m, space):
+    deviations = all_preferences(space.objects)
+    for prob in space.problems():
+        alloc = m(prob)
+        for i, pref in enumerate(prob.preferences):
+            for dev in deviations:
+                if dev == pref:
+                    continue
+                misreport = prob.preferences[:i] + (dev,) + prob.preferences[i + 1:]
+                alloc2 = m(AllocationProblem(misreport, prob.capacities))
+                if not weakly_prefers(pref, alloc[i], alloc2[i]):
+                    return AxiomReport(
+                        "strategy_proofness",
+                        {
+                            "R": _profile_labels(prob.preferences),
+                            "capacities": list(prob.capacities),
+                            "agent": space.agents[i],
+                            "misreport": _object_labels(dev),
+                            "truthful_allotment": _object_labels(alloc)[i],
+                            "misreport_allotment": _object_labels(alloc2)[i],
+                        },
+                    )
+    return AxiomReport("strategy_proofness")
+
+
+REWRITTEN_CHECKS = {
+    "resource_monotonicity": (check_resource_monotonicity, _resource_monotonicity_loop),
+    "truncation_invariance": (check_truncation_invariance, _truncation_invariance_loop),
+    "strategy_proofness": (check_strategy_proofness, _strategy_proofness_loop),
+}
+
+
+def _structure(rng, kind, agents, objects):
+    """Rotating, responsive or Boston-builder rules, one per object."""
+    u = make_universe(agents)
+    rules = {}
+    for x in objects:
+        w, o = random_ordering(rng, u.n), random_ordering(rng, u.n)
+        if kind == "responsive":
+            rules[x] = Responsive(w)
+        else:
+            rules[x] = CapacityWise(BOSTON_BUILDERS[kind](w, o, u.n))
+    return ChoiceStructure(u, objects, rules)
+
+
+def _mechanisms(rng, kind, agents, objects):
+    cs = _structure(rng, kind, agents, objects)
+    da = DAMechanism(cs)
+    other = DAMechanism(_structure(rng, "responsive", agents, objects))
+    n = len(agents)
+
+    def capacity_dependent(prob):
+        return (None,) * n if sum(prob.capacities) >= 2 else da(prob)
+
+    def preference_dependent(prob):
+        return (da if prefers(prob.preferences[0], objects[-1], None) else other)(prob)
+
+    def truncation_dependent(prob):
+        # many truncation pairs break it, so the first witness depends on
+        # the order in which pairs are tried
+        acceptable = sum(pref.index(None) for pref in prob.preferences)
+        return (da if acceptable % 2 else other)(prob)
+
+    return {
+        "da": da,
+        "immediate_acceptance": _ImmediateAcceptance(cs),
+        "reject_all": lambda prob: (None,) * n,
+        "capacity_dependent": capacity_dependent,
+        "preference_dependent": preference_dependent,
+        "truncation_dependent": truncation_dependent,
+    }
+
+
+def _memoized(m):
+    """The loops ask for one problem many times; a memo keeps them fast."""
+    memo = {}
+
+    def call(prob):
+        if prob not in memo:
+            memo[prob] = m(prob)
+        return memo[prob]
+
+    return call
+
+
+ORACLE_SPACES = [
+    ("rotating", "exhaustive", 2, ("x", "y")),
+    ("responsive", "reversed", 2, ("x", "y")),
+    ("walk_open", "exhaustive", 3, ("x", "y")),
+    ("responsive", "single", 3, ("x", "y")),
+    ("compromise", "single", 2, ("x", "y")),
+    ("open_walk", "sampled", 4, ("x", "y")),
+    ("rotating", "sampled", 2, ("x", "y", "z")),
+]
+
+
+def test_rewritten_checkers_match_their_loops():
+    """Verdict and first witness agree on every mechanism and space, sampled
+    spaces included: their misreports fall outside the space."""
+    rng = random.Random(11)
+    verdicts = {name: set() for name in REWRITTEN_CHECKS}
+    for kind, space_kind, n, objects in ORACLE_SPACES:
+        agents = tuple("ijkl"[:n])
+        if space_kind == "exhaustive":
+            space = exhaustive_space(agents, objects)
+        elif space_kind == "single":
+            space = single_object_space(agents, objects)
+        elif space_kind == "reversed":  # capacities and profiles in reverse order
+            space = exhaustive_space(agents, objects)
+            space = MechanismSpace(agents, objects, space.profiles[::-1], space.capacities[::-1])
+        else:
+            space = sampled_space(agents, objects, 8, seed=rng.randrange(1000))
+        for mech_name, m in _mechanisms(rng, kind, agents, objects).items():
+            m = _memoized(m)
+            for name, (check, loop) in REWRITTEN_CHECKS.items():
+                got, want = check(m, space), loop(m, space)
+                assert (got.verdict, got.witness) == (want.verdict, want.witness), (
+                    kind, space_kind, n, mech_name, name,
+                )
+                verdicts[name].add(want.verdict)
+    assert all(v == {"pass", "fail"} for v in verdicts.values()), verdicts
