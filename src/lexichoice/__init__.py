@@ -9,7 +9,6 @@ regression casebook.
 from .axioms import (
     ALL_CHECKS,
     AxiomReport,
-    RevealedPreference,
     check_capacity_filling,
     check_cwarp,
     check_cwrarp,

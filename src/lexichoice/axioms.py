@@ -35,19 +35,6 @@ class AxiomReport:
         return self.witness is None
 
 
-@dataclass(frozen=True)
-class RevealedPreference:
-    """The capacity-wise revealed preference relation at one capacity.
-
-    ``edges`` holds ordered index pairs (a, b): a revealed preferred to b.
-    ``witnesses`` maps each edge to the first set exhibiting it.
-    """
-
-    capacity: int
-    edges: frozenset[tuple[int, int]]
-    witnesses: dict[tuple[int, int], int]
-
-
 def _labels(c: ChoiceTable, mask: int) -> list[str]:
     return sorted(c.universe.labels_of(mask))
 
@@ -163,21 +150,18 @@ def first_witnesses(c: ChoiceTable, q: int, revealed: bool = False) -> np.ndarra
     return _kernels.chosen_over_wit(c.n, *relation_columns(c, q, revealed))
 
 
-def relation(q: int, wit: np.ndarray) -> RevealedPreference:
-    """The relation whose edges are the nonzero entries of ``wit``."""
-    witnesses = {
-        (int(a), int(b)): int(wit[a, b]) for a, b in np.argwhere(wit)
-    }
-    return RevealedPreference(q, frozenset(witnesses), witnesses)
+def revealed_pref(c: ChoiceTable, q: int) -> np.ndarray:
+    """The revealed preference relation at capacity q as an (n, n) matrix.
 
-
-def revealed_pref(c: ChoiceTable, q: int) -> RevealedPreference:
-    """Edges (a, b): some S has a, b rejected at q-1, a chosen and b rejected at q."""
+    a is revealed preferred to b when some S has a and b unchosen at q-1, a
+    chosen and b rejected at q; ``wit[a, b]`` is the first (lowest bitmask)
+    such S, and 0 means no edge.
+    """
     if q < 2:
         raise ValueError("revealed preference requires capacity q >= 2")
     if q > c.n:
         raise ValueError(f"capacity {q} outside 2..{c.n}")
-    return relation(q, first_witnesses(c, q, revealed=True))
+    return first_witnesses(c, q, revealed=True)
 
 
 def _first_two_way(wit: np.ndarray) -> tuple[int, int] | None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .axioms import ALL_CHECKS, check_insertion
 from .core import ChoiceTable, Problem, make_universe
 from .identify import ExtractionError, extract_lex_profile
@@ -59,12 +61,19 @@ def is_lexicographic(table: ChoiceTable) -> bool:
 
 # --- small hand-built tables ---------------------------------------------------
 #
-# Each hand table reads its cells from materialized responsive tables; C(S, 1)
-# of a responsive table is the top-priority member of S.
+# Each hand table is a column edit of materialized responsive tables: per-set
+# switches select whole rows by whether the set holds an alternative, and
+# capacity switches copy columns.  C(S, 1) of a responsive table is the
+# top-priority member of S.
 
 
-def _responsive(u, labels) -> ChoiceTable:
-    return materialize(Responsive(ordering_from_labels(u, labels)), u)
+def _responsive(u, labels) -> np.ndarray:
+    return materialize(Responsive(ordering_from_labels(u, labels)), u).entries
+
+
+def _holds(u, label) -> np.ndarray:
+    """Per set (bitmask row), whether it holds ``label``."""
+    return ((np.arange(1 << u.n) >> u.index(label)) & 1).astype(bool)
 
 
 def switching_rule_table() -> ChoiceTable:
@@ -72,38 +81,23 @@ def switching_rule_table() -> ChoiceTable:
     u = make_universe("abcde")
     with_d = _responsive(u, "abcde")
     without_d = _responsive(u, "acbde")
-    d = u.index("d")
-
-    def cell(mask, q):
-        return (with_d if (mask >> d) & 1 else without_d).choose(Problem(mask, q))
-
-    return ChoiceTable.from_function(u, cell)
+    return ChoiceTable(u, np.where(_holds(u, "d")[:, None], with_d, without_d))
 
 
 def favored_singleton_table() -> ChoiceTable:
     """Fixed singleton when one alternative is present, responsive otherwise."""
     u = make_universe("abc")
-    order = _responsive(u, "abc")
-    a = u.index("a")
-
-    def cell(mask, q):
-        if (mask >> a) & 1:
-            return 1 << a
-        return order.choose(Problem(mask, q))
-
-    return ChoiceTable.from_function(u, cell)
+    entries = _responsive(u, "abc").copy()
+    entries[_holds(u, "a"), 1:] = u.mask_of("a")
+    return ChoiceTable(u, entries)
 
 
 def capacity_switch_table() -> ChoiceTable:
     """One ordering at capacity 1, a different ordering above."""
     u = make_universe("abcd")
-    low = _responsive(u, "abcd")
-    high = _responsive(u, "bcda")
-
-    def cell(mask, q):
-        return (low if q == 1 else high).choose(Problem(mask, q))
-
-    return ChoiceTable.from_function(u, cell)
+    entries = _responsive(u, "bcda").copy()
+    entries[:, 1] = _responsive(u, "abcd")[:, 1]
+    return ChoiceTable(u, entries)
 
 
 def tail_swap_table() -> ChoiceTable:
@@ -111,52 +105,34 @@ def tail_swap_table() -> ChoiceTable:
     u = make_universe("abcd")
     with_a = _responsive(u, "abcd")
     without_a = _responsive(u, "abdc")
-    a = u.index("a")
-
-    def cell(mask, q):
-        return (with_a if (mask >> a) & 1 else without_a).choose(Problem(mask, q))
-
-    return ChoiceTable.from_function(u, cell)
+    return ChoiceTable(u, np.where(_holds(u, "a")[:, None], with_a, without_a))
 
 
 def constant_singleton_table() -> ChoiceTable:
     """Always the single top-priority alternative, regardless of capacity."""
     u = make_universe("abc")
-    order = _responsive(u, "abc")
-    return ChoiceTable.from_function(u, lambda mask, q: order.choose(Problem(mask, 1)))
+    entries = _responsive(u, "abc").copy()
+    entries[:, 2:] = entries[:, 1:2]
+    return ChoiceTable(u, entries)
 
 
 def trigger_switch_table() -> ChoiceTable:
     """Top of one ordering at capacity 1 when a trigger is present, else
     responsive to another ordering."""
     u = make_universe("abc")
-    order = _responsive(u, "abc")
-    other = _responsive(u, "bac")
-    c = u.index("c")
-
-    def cell(mask, q):
-        if q == 1 and (mask >> c) & 1:
-            return order.choose(Problem(mask, 1))
-        return other.choose(Problem(mask, q))
-
-    return ChoiceTable.from_function(u, cell)
+    entries = _responsive(u, "bac").copy()
+    trigger = _holds(u, "c")
+    entries[trigger, 1] = _responsive(u, "abc")[trigger, 1]
+    return ChoiceTable(u, entries)
 
 
 def exception_patch_table() -> ChoiceTable:
     """Priority-maximal at capacity 1, whole set above, one exception."""
     u = make_universe("abc")
-    order = _responsive(u, "abc")
-    full = u.full_mask
-    bc = u.mask_of("bc")
-
-    def cell(mask, q):
-        if q == 1:
-            return order.choose(Problem(mask, 1))
-        if mask == full and q == 2:
-            return bc
-        return mask
-
-    return ChoiceTable.from_function(u, cell)
+    entries = _responsive(u, "abc").copy()
+    entries[:, 2:] = np.arange(1 << u.n)[:, None]
+    entries[u.full_mask, 2] = u.mask_of("bc")
+    return ChoiceTable(u, entries)
 
 
 # --- two-ordering school tables ------------------------------------------------

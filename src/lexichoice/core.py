@@ -114,6 +114,11 @@ class ChoiceTable:
     ``entries[S, q]`` is the chosen bitmask for problem (S, q); column 0 is
     fixed at the empty set (the C(S, 0) = empty-set convention) and row 0 is
     unused.
+
+    The table never changes once built.  A C-contiguous int64 array that
+    owns its data is frozen in place (made read-only, so the caller's array
+    is too); any other input, a view included, is copied first, so writing
+    to the array it views cannot change the table.
     """
 
     def __init__(self, universe: Universe, entries: np.ndarray):
@@ -124,8 +129,11 @@ class ChoiceTable:
                 f"got {entries.shape}"
             )
         self.universe = universe
-        self.entries = np.ascontiguousarray(entries, dtype=np.int64)
-        self.entries.setflags(write=False)
+        entries = np.ascontiguousarray(entries, dtype=np.int64)
+        if entries.base is not None:
+            entries = entries.copy()
+        entries.setflags(write=False)
+        self.entries = entries
 
     @classmethod
     def from_function(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .axioms import AxiomReport, RevealedPreference, relation, relation_columns
+from .axioms import AxiomReport, relation_columns
 from .core import ChoiceTable, Universe, iter_bits, popcount
 from .identify import ExtractionError, linear_extension, require_rebuild
 from .rules import Lexicographic, PriorityOrdering, PriorityProfile
@@ -140,9 +140,7 @@ def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
     got, absent = got.ravel()[cells], absent.ravel()[cells]
     viol = np.zeros(cells.size, dtype=bool)
     for a in range(n):
-        aug = got | (np.int64(1) << np.int64(a))
-        # membership of any int64 mask, as FeasibilityFamily.__contains__
-        member = (np.bitwise_count(aug) <= 1) | (((aug & ~full) == 0) & feas[aug & full])
+        member = feas[got | (np.int64(1) << np.int64(a))]
         viol |= ((absent >> a) & 1).astype(bool) & member
     if not viol.any():
         return AxiomReport("f_capacity_filling")
@@ -160,9 +158,14 @@ def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
     )
 
 
-def f_revealed_pref(c: FChoiceTable, q: int) -> RevealedPreference:
-    """Edges a over b at q: a, b unchosen at q-1, a chosen and b present but
-    rejected at q, with C(S, q-1) plus b feasible.  Uses C(S, 0) = empty set."""
+def f_revealed_pref(c: FChoiceTable, q: int) -> np.ndarray:
+    """The feasibility-aware revealed preference at q as an (n, n) matrix.
+
+    a is revealed preferred to b when some S has a and b unchosen at q-1, a
+    chosen and b present but rejected at q, and C(S, q-1) plus b feasible
+    (C(S, 0) is the empty set); ``wit[a, b]`` is the first such S, and 0
+    means no edge.
+    """
     if not 1 <= q <= c.n:
         raise ValueError(f"capacity {q} outside 1..{c.n}")
     new, rej = relation_columns(c, q, revealed=True)
@@ -171,7 +174,7 @@ def f_revealed_pref(c: FChoiceTable, q: int) -> RevealedPreference:
     for b in range(c.n):
         bit = np.int64(1) << np.int64(b)
         rej = np.where(feas[prev | bit], rej, rej & ~bit)
-    return relation(q, _kernels.chosen_over_wit(c.n, new, rej))
+    return _kernels.chosen_over_wit(c.n, new, rej)
 
 
 def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
@@ -190,16 +193,19 @@ def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
     if axiom == "csarp":
         q = w["q"]
         cycle = [u.index(lab) for lab in w["cycle"]]
-        edges = f_revealed_pref(c, q).edges
+        wit = f_revealed_pref(c, q)
         return all(
-            (cycle[i], cycle[i + 1]) in edges for i in range(len(cycle) - 1)
+            wit[cycle[i], cycle[i + 1]] for i in range(len(cycle) - 1)
         ) and cycle[0] == cycle[-1]
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
-def _find_cycle(n: int, edges: frozenset[tuple[int, int]]) -> list[int] | None:
+def _find_cycle(wit: np.ndarray) -> list[int] | None:
+    """The first cycle of the relation ``wit`` found by depth-first search
+    from the lowest index, successors in ascending order."""
+    n = len(wit)
     succ = [[] for _ in range(n)]
-    for a, b in sorted(edges):
+    for a, b in np.argwhere(wit).tolist():
         succ[a].append(b)
     color = [0] * n
     stack: list[int] = []
@@ -229,7 +235,7 @@ def _find_cycle(n: int, edges: frozenset[tuple[int, int]]) -> list[int] | None:
 def check_csarp(c: FChoiceTable) -> AxiomReport:
     """The feasibility-aware revealed preference must be acyclic at each q."""
     for q in range(1, c.n + 1):
-        cyc = _find_cycle(c.n, f_revealed_pref(c, q).edges)
+        cyc = _find_cycle(f_revealed_pref(c, q))
         if cyc is not None:
             return AxiomReport(
                 "csarp", {"q": q, "cycle": [c.universe.labels[v] for v in cyc]}
@@ -252,7 +258,7 @@ def extract_flex_profile(c: FChoiceTable) -> PriorityProfile:
     """
     orderings = []
     for q in range(1, c.n + 1):
-        rank = linear_extension(c.n, f_revealed_pref(c, q).edges)
+        rank = linear_extension(f_revealed_pref(c, q))
         if len(rank) != c.n:
             raise ExtractionError(
                 f"revealed preference at capacity {q} is cyclic",

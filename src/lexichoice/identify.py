@@ -179,16 +179,19 @@ def extract_responsive(c: ChoiceTable) -> PriorityOrdering:
     return ordering
 
 
-def linear_extension(n: int, edges) -> list[int]:
-    """Kahn order of the relation ``edges`` (pairs (a, b): a before b).
+def linear_extension(wit: np.ndarray) -> list[int]:
+    """Kahn order of the relation ``wit`` (nonzero ``wit[a, b]``: a before b).
 
-    The lowest-index ready alternative goes first.  On a cyclic relation the
-    order stops short: the alternatives left out are exactly those still
-    holding a predecessor.
+    ``wit`` is an (n, n) first-witness matrix such as
+    :func:`~lexichoice.axioms.revealed_pref` returns.  The lowest-index
+    ready alternative goes first.  On a cyclic relation the order stops
+    short: the alternatives left out are exactly those still holding a
+    predecessor.
     """
+    n = len(wit)
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    for a, b in edges:
+    for a, b in np.argwhere(wit).tolist():
         succ[a].append(b)
         indeg[b] += 1
     ready = [a for a in range(n) if indeg[a] == 0]
@@ -215,7 +218,7 @@ def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
     n = c.n
     orderings: list[PriorityOrdering] = []
     for q in range(1, n + 1):
-        rank = linear_extension(n, np.argwhere(first_witnesses(c, q)).tolist())
+        rank = linear_extension(first_witnesses(c, q))
         if len(rank) != n:
             cyc = [lab for a, lab in enumerate(c.universe.labels) if a not in rank]
             raise ExtractionError(

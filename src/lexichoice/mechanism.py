@@ -194,14 +194,6 @@ class DAMechanism:
         self.structure = structure
         self._cache: dict[AllocationProblem, Allocation] = {}
 
-    @property
-    def agents(self):
-        return self.structure.agents.labels
-
-    @property
-    def objects(self):
-        return self.structure.objects
-
     def __call__(self, prob: AllocationProblem) -> Allocation:
         alloc = self._cache.get(prob)
         if alloc is None:
@@ -330,12 +322,13 @@ def check_weak_non_wastefulness(m: Mechanism, space: MechanismSpace) -> AxiomRep
     """No agent at the null object may prefer a non-exhausted available object."""
     for prob in space.problems():
         alloc = m(prob)
-        filled = {x: sum(1 for a in alloc if a == x) for x in space.objects}
         for i, a_i in enumerate(alloc):
             if a_i is not None:
                 continue
+            pref = prob.preferences[i]
+            acceptable = pref[: pref.index(None)]
             for x, q in zip(space.objects, prob.capacities):
-                if q > 0 and filled[x] < q and prefers(prob.preferences[i], x, None):
+                if x in acceptable and alloc.count(x) < q:
                     return AxiomReport(
                         "weak_non_wastefulness",
                         {

@@ -150,12 +150,7 @@ def build_walk_open(w: PriorityOrdering, o: PriorityOrdering, n: int) -> Capacit
 
 def build_open_walk(w: PriorityOrdering, o: PriorityOrdering, n: int) -> CapacityWiseLists:
     """First ceil(q/2) entries open, the rest walk-zone."""
-    _check_wo(w, o, n)
-    lists = []
-    for q in range(1, n + 1):
-        k = (q + 1) // 2
-        lists.append((o,) * k + (w,) * (q - k))
-    return CapacityWiseLists(tuple(lists))
+    return build_walk_open(o, w, n)
 
 
 def build_rotating(w: PriorityOrdering, o: PriorityOrdering, n: int) -> CapacityWiseLists:

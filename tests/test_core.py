@@ -152,3 +152,19 @@ def test_from_function_matches_callable():
     t = ChoiceTable.from_function(u, lambda mask, q: mask & -mask)
     for p in enumerate_problems(u):
         assert t.choose(p) == p.set & -p.set
+
+
+def test_table_from_a_view_ignores_later_writes():
+    u = universe(3)
+    base = ChoiceTable.from_function(u, lambda mask, q: mask & -mask).entries.copy()
+    t = ChoiceTable(u, base[:])
+    t.validate()
+    before = hash(t)
+    base[1, 1] = 0b110  # C({a}, 1) = {b, c} in the array the view reads
+    t.validate()
+    assert t.choose(Problem(1, 1)) == 0b001
+    assert hash(t) == before
+    # an owned array is frozen in place, not copied
+    owned = base.copy()
+    assert ChoiceTable(u, owned).entries is owned
+    assert not owned.flags.writeable

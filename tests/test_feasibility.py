@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from lexichoice import (
     ExtractionError,
     FeasibilityFamily,
+    PriorityProfile,
     Problem,
     agent_partition_family,
     check_csarp,
@@ -15,6 +17,7 @@ from lexichoice import (
     flex_materialize,
     make_family,
     make_universe,
+    ordering_from_labels,
     replay_f_witness,
 )
 from lexichoice.core import ChoiceTable, iter_bits, popcount
@@ -127,8 +130,6 @@ def test_flex_extraction_round_trip(rng, n):
 
 
 def _patched_table(t: FChoiceTable, edits) -> FChoiceTable:
-    import numpy as np
-
     entries = np.array(t.entries)
     for (s, q), v in edits.items():
         entries[s, q] = v
@@ -156,8 +157,6 @@ def test_csarp_failure_and_replay():
     f = make_family(u, [u.full_mask])
     # hand-built cyclic behavior at capacity 1: from {a,b} pick a, from
     # {b,c} pick b, from {a,c} pick c
-    import numpy as np
-
     entries = np.zeros((1 << n, n + 1), dtype=np.int64)
     pick1 = {0b011: 0b001, 0b110: 0b010, 0b101: 0b100, 0b111: 0b001}
     for s in range(1, 1 << n):
@@ -179,14 +178,36 @@ def test_csarp_failure_and_replay():
         extract_flex_profile(t)
 
 
+def test_csarp_cycle_witness_on_perturbed_flex_table():
+    u = universe(4)
+    f = make_family(u, ["abc", "cd"])
+    profile = PriorityProfile(
+        tuple(ordering_from_labels(u, r) for r in ("abcd", "bcda", "dcba", "cadb"))
+    )
+    entries = flex_materialize(profile, f, u).entries.copy()
+    entries[u.mask_of("bcd"), 1] = u.mask_of("d")  # d over b and c at q = 1
+    t = FChoiceTable(u, f, entries)
+    t.validate()
+    rep = check_csarp(t)
+    # the search starts at a, which lies on no cycle; a's stack prefix is cut
+    assert rep.witness == {"q": 1, "cycle": ["b", "c", "d", "b"]}
+    assert replay_f_witness(t, "csarp", rep.witness)
+    assert not replay_f_witness(t, "csarp", {"q": 1, "cycle": ["b", "d", "c", "b"]})
+    with pytest.raises(ExtractionError) as err:
+        extract_flex_profile(t)
+    assert str(err.value) == "revealed preference at capacity 1 is cyclic"
+    assert err.value.step == "capacity 1"
+
+
 def test_f_revealed_pref_uses_feasibility_gate(rng):
     n = 3
     u = universe(n)
     f = make_family(u, ["ab", "c"])
     t = flex_materialize(random_profile(rng, n), f, u)
     for q in range(1, n + 1):
-        rp = f_revealed_pref(t, q)
-        for (a, b), s in rp.witnesses.items():
+        wit = f_revealed_pref(t, q)
+        for a, b in np.argwhere(wit):
+            s = int(wit[a, b])
             prev = t.choose(Problem(s, q - 1)) if q > 1 else 0
             assert (prev | (1 << b)) in f
     with pytest.raises(ValueError):
@@ -223,10 +244,10 @@ def test_f_revealed_pref_matches_loop_oracle(rng, n):
                 entries[s, q] = s & rng.randrange(1 << n)
         t = FChoiceTable(u, f, entries)
         for q in range(1, n + 1):
-            rp = f_revealed_pref(t, q)
+            wit = f_revealed_pref(t, q)
             want = _f_revealed_pref_loops(t, q)
-            assert rp.witnesses == want
-            assert rp.edges == frozenset(want)
+            assert wit.shape == (n, n)
+            assert {(int(a), int(b)): int(wit[a, b]) for a, b in np.argwhere(wit)} == want
 
 
 def _f_capacity_filling_loop(c):

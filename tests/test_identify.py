@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from lexichoice import (
@@ -179,15 +180,25 @@ def test_capacity_wise_responsive_round_trip(rng):
 
 def test_capacity_wise_responsive_failures():
     assert not check_wrarp(trigger_switch_table()).ok
-    with pytest.raises(ExtractionError):
+    with pytest.raises(ExtractionError) as err:
         extract_capacity_wise_responsive(trigger_switch_table())
+    assert str(err.value) == (
+        "chosen-over relation at capacity 1 is cyclic among ['a', 'b', 'c']; "
+        "the table violates the per-capacity revealed preference axiom"
+    )
+    assert err.value.step == "capacity 1"
     # genuinely mixed per-capacity lists are not per-capacity responsive:
     # settled empirically and pinned
     u, ow = open_walk_rule_5()
     t = materialize(CapacityWise(ow), u)
     assert not check_wrarp(t).ok
-    with pytest.raises(ExtractionError):
+    with pytest.raises(ExtractionError) as err:
         extract_capacity_wise_responsive(t)
+    assert str(err.value) == (
+        "chosen-over relation at capacity 2 is cyclic among ['c', 'd']; "
+        "the table violates the per-capacity revealed preference axiom"
+    )
+    assert err.value.step == "capacity 2"
 
 
 def test_rotating_equivalent_to_alternating_profile():
@@ -235,7 +246,10 @@ def test_linear_extension_matches_closure_oracle(rng, n):
         density = rng.random() * 0.5
         edges = {p for p in pairs if rng.random() < density}
         want = _closure_extension(n, edges)
-        got = linear_extension(n, sorted(edges, reverse=rng.random() < 0.5))
+        wit = np.zeros((n, n), dtype=np.int64)
+        for a, b in edges:
+            wit[a, b] = rng.randrange(1, 1 << n)  # any witness marks an edge
+        got = linear_extension(wit)
         if want is None:
             seen["cyclic"] += 1
             assert len(got) < n

@@ -552,7 +552,30 @@ def _strategy_proofness_loop(m, space):
     return AxiomReport("strategy_proofness")
 
 
+def _weak_non_wastefulness_loop(m, space):
+    for prob in space.problems():
+        alloc = m(prob)
+        filled = {x: sum(1 for a in alloc if a == x) for x in space.objects}
+        for i, a_i in enumerate(alloc):
+            if a_i is not None:
+                continue
+            for x, q in zip(space.objects, prob.capacities):
+                if q > 0 and filled[x] < q and prefers(prob.preferences[i], x, None):
+                    return AxiomReport(
+                        "weak_non_wastefulness",
+                        {
+                            "R": _profile_labels(prob.preferences),
+                            "capacities": list(prob.capacities),
+                            "agent": space.agents[i],
+                            "object": x,
+                            "allocation": _object_labels(alloc),
+                        },
+                    )
+    return AxiomReport("weak_non_wastefulness")
+
+
 REWRITTEN_CHECKS = {
+    "weak_non_wastefulness": (check_weak_non_wastefulness, _weak_non_wastefulness_loop),
     "resource_monotonicity": (check_resource_monotonicity, _resource_monotonicity_loop),
     "truncation_invariance": (check_truncation_invariance, _truncation_invariance_loop),
     "strategy_proofness": (check_strategy_proofness, _strategy_proofness_loop),
