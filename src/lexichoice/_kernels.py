@@ -1,22 +1,27 @@
 """Hot inner loops over exhaustive problem tables, vectorized with numpy.
 
-Four kernels, each with exactly one implementation: ``cwlex_fill`` (the
+Five kernels, each with exactly one implementation: ``cwlex_fill`` (the
 greedy fill of every capacity-wise and, with a feasibility mask,
-feasibility-constrained rule), ``chosen_over_wit`` (first witnesses of a
-chosen-over relation given two bitmask columns, shared by WRARP, CWARP,
-CWRARP, CSARP and extraction), ``gs_first_violation`` and
+feasibility-constrained rule), ``chosen_over_edges`` (the edges of a
+chosen-over relation given two bitmask columns, which decide WRARP, CWARP,
+CWRARP, CSARP and order both extractions), ``chosen_over_wit`` (the first
+witnessing set of every edge, behind only the public ``revealed_pref`` and
+``f_revealed_pref`` matrices), ``gs_first_violation`` and
 ``path_independence_first``.  They work on whole table columns at once.
 ``cwlex_fill`` makes each greedy pick one gather from a per-ordering "top"
 table (the best alternative of every mask, built by a subset DP in n
 vectorized steps) and starts capacity q from capacity q-1's column when q's
 orderings extend q-1's, so a lexicographic fill is n gathers.
-``chosen_over_wit`` makes one pass per alternative: a running OR over the
-sets that choose it.  Gross substitutes (heritage) and path independence
-share one single-removal scan: path independence holds exactly when
-heritage and outcast do (Aizerman-Malishevski 1981; see Chambers-Yenmez
-2017, "Choice and matching"), so its verdict costs O(n^2 2^n), and the
-set-major search for its first (S, T, q), a Python loop over sets, runs
-only when the verdict is fail.
+``chosen_over_edges`` is one scatter-OR of rejected masks into chosen-mask
+slots and n OR-reductions; a checker that fails looks up the witnessing
+sets of its one reported pair afterwards.  ``chosen_over_wit`` makes one
+pass per alternative: a running OR over the sets that choose it.  Gross
+substitutes (heritage) and path independence share one single-removal
+scan: path independence holds exactly when heritage and outcast do
+(Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
+matching"), so its verdict costs O(n^2 2^n), and the set-major search for
+its first (S, T, q), a Python loop over sets, runs only when the verdict is
+fail.
 ``tests/test_kernels.py`` holds per-set loop versions of every kernel and
 checks that the outputs here match them bit for bit, witness tie-breaks
 included.
@@ -49,6 +54,18 @@ def _top_bits(key: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return top
 
 
+def _augmentations(n: int, feas: np.ndarray) -> np.ndarray:
+    """``augment[m]``: the bitmask of the alternatives b with ``feas[m | b]``,
+    over all 2**n masks m (b in m counts exactly when m is feasible)."""
+    feas = np.asarray(feas, dtype=np.bool_)
+    masks = np.arange(1 << n, dtype=np.int64)
+    augment = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        bit = np.int64(1) << np.int64(b)
+        augment |= np.where(feas[masks | bit], bit, np.int64(0))
+    return augment
+
+
 def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.ndarray:
     """Materialize a capacity-wise lexicographic rule into a full table.
 
@@ -72,11 +89,7 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
     if feas is not None:
-        feas = np.asarray(feas, dtype=np.bool_)
-        augment = np.zeros(size, dtype=np.int64)
-        for a in range(n):
-            bit = np.int64(1) << np.int64(a)
-            augment |= np.where(feas[masks | bit], bit, np.int64(0))
+        augment = _augmentations(n, feas)
     table = np.zeros((size, n + 1), dtype=np.int64)
     top_key = top = None
     for q in range(1, n + 1):
@@ -107,7 +120,6 @@ def chosen_over_wit(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndar
     One pass per a: over the sets with a chosen, in ascending order, a
     running OR of their rejected masks gains each b exactly at ``wit[a, b]``.
     """
-    chosen = np.ascontiguousarray(chosen)  # table columns are strided
     wit = np.zeros((n, n), dtype=np.int64)
     alt_bits = np.int64(1) << np.arange(n, dtype=np.int64)
     for a in range(n):
@@ -118,6 +130,32 @@ def chosen_over_wit(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndar
         first = np.flatnonzero(gained)  # each bit is gained once at most
         wit[a] = sets[first] @ ((gained[first, None] & alt_bits) != 0)
     return wit
+
+
+def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
+    """The edges of a chosen-over relation as an (n, n) bool matrix.
+
+    ``chosen`` and ``rejected`` are bitmask columns over all 2**n sets;
+    ``edges[a, b]`` is true when some S has a in ``chosen[S]`` and b in
+    ``rejected[S]``.  ``chosen`` masks must lie in 0..2**n-1 (they index
+    slots); bits of ``rejected`` at or above n are ignored.  Every row
+    counts, row 0 included: on table columns row 0 is empty, so ``edges ==
+    (chosen_over_wit(...) != 0)`` there, but arbitrary columns may witness
+    a pair at S = 0 only, which ``chosen_over_wit`` reads as no witness.
+
+    One scatter ORs each set's rejected mask into the slot of its chosen
+    mask.  Row a is then the OR of the slots whose mask holds a: from the
+    highest a down, the upper half of the slots, which are then folded onto
+    the lower half, so the rows cost two passes over the slots in all.
+    """
+    slots = np.zeros(1 << n, dtype=np.int64)
+    np.bitwise_or.at(slots, chosen, rejected)
+    rows = np.zeros(n, dtype=np.int64)
+    for a in range(n - 1, -1, -1):
+        half = 1 << a
+        rows[a] = np.bitwise_or.reduce(slots[half:])
+        slots = slots[:half] | slots[half:]
+    return ((rows[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(bool)
 
 
 def _removal_violations(n: int, table: np.ndarray, outcast: bool = False) -> np.ndarray:

@@ -135,19 +135,27 @@ def relation_columns(c: ChoiceTable, q: int, revealed: bool = False):
     """Per set S: C(S, q) and S minus C(S, q), the chosen-over columns at q.
 
     With ``revealed`` both columns also drop C(S, q-1), which gives the
-    revealed preference columns (C(S, 0) is the empty set).
+    revealed preference columns (C(S, 0) is the empty set).  Bits at or
+    above n are dropped, so the chosen column can index 2**n slots; the
+    relations read no other bits.
     """
-    cur = c.entries[:, q]
-    rej = np.arange(1 << c.n, dtype=np.int64) & ~cur
+    full = np.int64(c.universe.full_mask)
+    cur = c.entries[:, q] & full  # one read of a strided column
+    masks = np.arange(1 << c.n, dtype=np.int64)
     if not revealed:
-        return cur, rej
-    prev = c.entries[:, q - 1]
-    return cur & ~prev, rej & ~prev
+        return cur, masks & ~cur
+    prev = c.entries[:, q - 1] & full
+    return cur & ~prev, masks & ~(cur | prev)
 
 
-def first_witnesses(c: ChoiceTable, q: int, revealed: bool = False) -> np.ndarray:
-    """``wit[a, b]``: the first S pairing a and b in :func:`relation_columns`."""
-    return _kernels.chosen_over_wit(c.n, *relation_columns(c, q, revealed))
+def relation_edges(c: ChoiceTable, q: int, revealed: bool = False) -> np.ndarray:
+    """``edges[a, b]``: whether some S pairs a and b in :func:`relation_columns`."""
+    return _kernels.chosen_over_edges(c.n, *relation_columns(c, q, revealed))
+
+
+def _first_set(chosen: np.ndarray, rejected: np.ndarray, a: int, b: int) -> int:
+    """The first S with a in ``chosen[S]`` and b in ``rejected[S]`` (0 if none)."""
+    return int(np.argmax(((chosen >> a) & (rejected >> b) & 1) != 0))
 
 
 def revealed_pref(c: ChoiceTable, q: int) -> np.ndarray:
@@ -161,12 +169,12 @@ def revealed_pref(c: ChoiceTable, q: int) -> np.ndarray:
         raise ValueError("revealed preference requires capacity q >= 2")
     if q > c.n:
         raise ValueError(f"capacity {q} outside 2..{c.n}")
-    return first_witnesses(c, q, revealed=True)
+    return _kernels.chosen_over_wit(c.n, *relation_columns(c, q, revealed=True))
 
 
-def _first_two_way(wit: np.ndarray) -> tuple[int, int] | None:
-    """First pair (a < b), a-major, with both wit[a, b] and wit[b, a] nonzero."""
-    both = np.triu((wit != 0) & (wit.T != 0), 1)
+def _first_two_way(edges: np.ndarray) -> tuple[int, int] | None:
+    """First pair (a < b), a-major, with both edges[a, b] and edges[b, a]."""
+    both = np.triu(edges & edges.T, 1)
     if not both.any():
         return None
     a, b = np.argwhere(both)[0]
@@ -176,8 +184,8 @@ def _first_two_way(wit: np.ndarray) -> tuple[int, int] | None:
 def _asymmetry(axiom: str, c: ChoiceTable, capacities, revealed: bool) -> AxiomReport:
     """Fail at the first capacity whose relation has a two-way pair."""
     for q in capacities:
-        wit = first_witnesses(c, q, revealed)
-        pair = _first_two_way(wit)
+        cols = relation_columns(c, q, revealed)
+        pair = _first_two_way(_kernels.chosen_over_edges(c.n, *cols))
         if pair is not None:
             a, b = pair
             return AxiomReport(
@@ -186,8 +194,8 @@ def _asymmetry(axiom: str, c: ChoiceTable, capacities, revealed: bool) -> AxiomR
                     "q": q,
                     "a": c.universe.labels[a],
                     "b": c.universe.labels[b],
-                    "S_ab": _labels(c, int(wit[a, b])),
-                    "S_ba": _labels(c, int(wit[b, a])),
+                    "S_ab": _labels(c, _first_set(*cols, a, b)),
+                    "S_ba": _labels(c, _first_set(*cols, b, a)),
                 },
             )
     return AxiomReport(axiom)
@@ -209,21 +217,27 @@ def check_wrarp(c: ChoiceTable) -> AxiomReport:
 
 
 def check_cwrarp(c: ChoiceTable) -> AxiomReport:
-    """Cross-capacity asymmetry of the chosen-over relation."""
+    """Cross-capacity asymmetry of the chosen-over relation.
+
+    The verdict reads the union of the per-capacity edges; on fail, each
+    direction of the first two-way pair reports its least (S, q) over the
+    capacities that hold that edge.
+    """
     n = c.n
-    # per pair, the least (S, q) over all capacities, encoded S * (n+1) + q
-    first = np.zeros((n, n), dtype=np.int64)
-    for q in range(1, n + 1):
-        wit = first_witnesses(c, q)
-        cand = wit * (n + 1) + q
-        take = (wit != 0) & ((first == 0) | (cand < first))
-        first[take] = cand[take]
-    pair = _first_two_way(first)
+    edges = np.array([relation_edges(c, q) for q in range(1, n + 1)])
+    pair = _first_two_way(edges.any(axis=0))
     if pair is None:
         return AxiomReport("cwrarp")
     a, b = pair
-    s_ab, q_ab = divmod(int(first[a, b]), n + 1)
-    s_ba, q_ba = divmod(int(first[b, a]), n + 1)
+
+    def least(a: int, b: int) -> tuple[int, int]:
+        return min(
+            (_first_set(*relation_columns(c, q), a, b), q)
+            for q in range(1, n + 1)
+            if edges[q - 1, a, b]
+        )
+
+    (s_ab, q_ab), (s_ba, q_ba) = least(a, b), least(b, a)
     return AxiomReport(
         "cwrarp",
         {
@@ -348,7 +362,8 @@ def replay_witness(c: ChoiceTable, axiom: str, w: dict) -> bool:
     if axiom == "path_independence":
         s, t, q = m(w["S"]), m(w["T"]), w["q"]
         merged = c.choose(Problem(s, q)) | c.choose(Problem(t, q))
-        return c.choose(Problem(s | t, q)) != c.choose(Problem(merged, q))
+        # row 0 holds C(empty set, q) = empty set, which choose() refuses
+        return c.choose(Problem(s | t, q)) != int(c.entries[merged, q])
     raise ValueError(f"unknown axiom {axiom!r}")
 
 

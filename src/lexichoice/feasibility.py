@@ -158,6 +158,27 @@ def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
     )
 
 
+def _f_relation(c: FChoiceTable, q: int, augment: np.ndarray):
+    """The CSARP columns at q: the revealed preference columns with a
+    rejected b kept only when C(S, q-1) plus b is feasible.
+
+    ``augment`` is ``_kernels._augmentations`` of the family, built once per
+    table; the revealed columns never hold a bit of C(S, q-1).
+    """
+    if not 1 <= q <= c.n:
+        raise ValueError(f"capacity {q} outside 1..{c.n}")
+    new, rej = relation_columns(c, q, revealed=True)
+    return new, rej & augment[c.entries[:, q - 1]]
+
+
+def _augment_table(c: FChoiceTable) -> np.ndarray:
+    return _kernels._augmentations(c.n, c.family.membership_array())
+
+
+def _f_edges(c: FChoiceTable, q: int, augment: np.ndarray) -> np.ndarray:
+    return _kernels.chosen_over_edges(c.n, *_f_relation(c, q, augment))
+
+
 def f_revealed_pref(c: FChoiceTable, q: int) -> np.ndarray:
     """The feasibility-aware revealed preference at q as an (n, n) matrix.
 
@@ -166,15 +187,7 @@ def f_revealed_pref(c: FChoiceTable, q: int) -> np.ndarray:
     (C(S, 0) is the empty set); ``wit[a, b]`` is the first such S, and 0
     means no edge.
     """
-    if not 1 <= q <= c.n:
-        raise ValueError(f"capacity {q} outside 1..{c.n}")
-    new, rej = relation_columns(c, q, revealed=True)
-    prev = c.entries[:, q - 1]
-    feas = c.family.membership_array()
-    for b in range(c.n):
-        bit = np.int64(1) << np.int64(b)
-        rej = np.where(feas[prev | bit], rej, rej & ~bit)
-    return _kernels.chosen_over_wit(c.n, new, rej)
+    return _kernels.chosen_over_wit(c.n, *_f_relation(c, q, _augment_table(c)))
 
 
 def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
@@ -193,9 +206,9 @@ def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
     if axiom == "csarp":
         q = w["q"]
         cycle = [u.index(lab) for lab in w["cycle"]]
-        wit = f_revealed_pref(c, q)
+        edges = _f_edges(c, q, _augment_table(c))
         return all(
-            wit[cycle[i], cycle[i + 1]] for i in range(len(cycle) - 1)
+            edges[cycle[i], cycle[i + 1]] for i in range(len(cycle) - 1)
         ) and cycle[0] == cycle[-1]
     raise ValueError(f"unknown axiom {axiom!r}")
 
@@ -234,8 +247,9 @@ def _find_cycle(wit: np.ndarray) -> list[int] | None:
 
 def check_csarp(c: FChoiceTable) -> AxiomReport:
     """The feasibility-aware revealed preference must be acyclic at each q."""
+    augment = _augment_table(c)
     for q in range(1, c.n + 1):
-        cyc = _find_cycle(f_revealed_pref(c, q))
+        cyc = _find_cycle(_f_edges(c, q, augment))
         if cyc is not None:
             return AxiomReport(
                 "csarp", {"q": q, "cycle": [c.universe.labels[v] for v in cyc]}
@@ -256,9 +270,10 @@ def extract_flex_profile(c: FChoiceTable) -> PriorityProfile:
     first) of the revealed preference at that capacity; the result is
     validated by full re-materialization.
     """
+    augment = _augment_table(c)
     orderings = []
     for q in range(1, c.n + 1):
-        rank = linear_extension(f_revealed_pref(c, q))
+        rank = linear_extension(_f_edges(c, q, augment))
         if len(rank) != c.n:
             raise ExtractionError(
                 f"revealed preference at capacity {q} is cyclic",

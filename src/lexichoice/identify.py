@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import first_witnesses
+from .axioms import relation_edges
 from .core import ChoiceTable, Problem, popcount
 from .rules import (
     CapacityWise,
@@ -182,11 +182,12 @@ def extract_responsive(c: ChoiceTable) -> PriorityOrdering:
 def linear_extension(wit: np.ndarray) -> list[int]:
     """Kahn order of the relation ``wit`` (nonzero ``wit[a, b]``: a before b).
 
-    ``wit`` is an (n, n) first-witness matrix such as
-    :func:`~lexichoice.axioms.revealed_pref` returns.  The lowest-index
-    ready alternative goes first.  On a cyclic relation the order stops
-    short: the alternatives left out are exactly those still holding a
-    predecessor.
+    ``wit`` is an (n, n) edge matrix such as
+    :func:`~lexichoice.axioms.relation_edges` returns, or a first-witness
+    matrix such as :func:`~lexichoice.axioms.revealed_pref` returns.  The
+    lowest-index ready alternative goes first.  On a cyclic relation the
+    order stops short: the alternatives left out are exactly those still
+    holding a predecessor.
     """
     n = len(wit)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -218,7 +219,7 @@ def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
     n = c.n
     orderings: list[PriorityOrdering] = []
     for q in range(1, n + 1):
-        rank = linear_extension(first_witnesses(c, q))
+        rank = linear_extension(relation_edges(c, q))
         if len(rank) != n:
             cyc = [lab for a, lab in enumerate(c.universe.labels) if a not in rank]
             raise ExtractionError(

@@ -191,8 +191,14 @@ def test_iaa_cwarp_agree_given_core_axioms(rng):
 def _perturbed_lex_table(rng, n: int, mutations: int) -> ChoiceTable:
     """A random lexicographic table with ``mutations`` cells replaced by
     random subsets of their set, each within capacity."""
+    return _perturbed_table(rng, Lexicographic(random_profile(rng, n)), n, mutations)
+
+
+def _perturbed_table(rng, rule, n: int, mutations: int) -> ChoiceTable:
+    """The table of ``rule`` with ``mutations`` cells replaced by random
+    subsets of their set, each within capacity."""
     u = universe(n)
-    entries = materialize(Lexicographic(random_profile(rng, n)), u).entries.copy()
+    entries = materialize(rule, u).entries.copy()
     for _ in range(mutations):
         s = rng.randrange(1, 1 << n)
         members = [a for a in range(n) if (s >> a) & 1]
@@ -341,7 +347,7 @@ def _asymmetry_loops(t):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_asymmetry_witnesses_match_loop_oracle(rng, n):
     u = universe(n)
     for _ in range(15):
@@ -353,6 +359,20 @@ def test_asymmetry_witnesses_match_loop_oracle(rng, n):
         t = ChoiceTable.from_function(u, rand_choose)
         for axiom, want in _asymmetry_loops(t).items():
             assert ALL_CHECKS[axiom](t).witness == want, axiom
+    # ordering-built tables with a few perturbed cells: sparse violations,
+    # so witnesses come late and the relations are dense
+    for mutations in (1, 2, 4):
+        for _ in range(5):
+            lists = CapacityWiseLists(tuple(
+                tuple(random_ordering(rng, n) for _ in range(q)) for q in range(1, n + 1)
+            ))
+            for rule in (Lexicographic(random_profile(rng, n)),
+                         Responsive(random_ordering(rng, n)), CapacityWise(lists)):
+                t = _perturbed_table(rng, rule, n, mutations)
+                for axiom, want in _asymmetry_loops(t).items():
+                    assert ALL_CHECKS[axiom](t).witness == want, axiom
+                    if want is not None:
+                        assert replay_witness(t, axiom, want), axiom
 
 
 def _iaa_loops(t):

@@ -89,6 +89,21 @@ def test_check_fail_with_replay(tmp_path, capsys):
         assert (entry["witness"] is None) == (entry["verdict"] == "pass")
 
 
+def test_path_independence_replay_with_empty_choices(tmp_path, capsys):
+    # C({a}, q) and C({b}, q) are empty, so the merged set is the empty set,
+    # whose choice is row 0 of the table
+    spec = {
+        "universe": ["a", "b"],
+        "rule": {"kind": "table", "entries": [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 1]]},
+    }
+    path = _write(tmp_path, "empty.json", spec)
+    code, out, err = _run(capsys, ["check", path, "--replay-witness"])
+    assert code == 1 and "Traceback" not in err
+    entry = json.loads(out)["axioms"]["path_independence"]
+    assert entry["witness"] == {"S": ["a"], "T": ["b"], "q": 1}
+    assert entry["witness_replayed"] is True
+
+
 def test_check_axiom_subset_and_text_format(tmp_path, capsys):
     path = _write(tmp_path, "wo.json", WALK_OPEN_SPEC)
     code, out, _ = _run(

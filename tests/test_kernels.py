@@ -110,6 +110,19 @@ def _chosen_over_wit_columns_loops(n, chosen, rejected):
     return wit
 
 
+def _chosen_over_edges_loops(n, chosen, rejected):
+    # edges[a, b]: some S (row 0 included) with a in chosen[S] and b in
+    # rejected[S]
+    edges = np.zeros((n, n), dtype=bool)
+    for s in range(len(chosen)):
+        for a in range(n):
+            if (chosen[s] >> a) & 1:
+                for b in range(n):
+                    if (rejected[s] >> b) & 1:
+                        edges[a, b] = True
+    return edges
+
+
 def _revealed_wit_loops(n, table, q, wit):
     # wit[a, b] = first S with a,b not chosen at q-1, a chosen at q and b
     # rejected at q; 0 means no such S.  Requires q >= 2.
@@ -359,6 +372,62 @@ def test_chosen_over_wit_agrees_on_arbitrary_columns(n):
     assert not wit.any()  # first witnessed at S = 0, which reads as none
     chosen[0] = 0
     assert (agree(chosen, chosen) == 1).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_augmentations_agree(n):
+    rng = random.Random(f"augmentations-{n}")
+    for _ in range(10):
+        feas = _random_family(rng, n)
+        want = [sum(1 << b for b in range(n) if feas[m | (1 << b)]) for m in range(1 << n)]
+        assert _kernels._augmentations(n, feas).tolist() == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_chosen_over_edges_agree_on_table_columns(rng, n):
+    # chosen-over and revealed columns of valid and perturbed tables; row 0
+    # is empty there, so the edges are exactly the nonzero first witnesses
+    masks = np.arange(1 << n, dtype=np.int64)
+    for _ in range(20):
+        table = _random_table(rng, n)
+        for q in range(1, n + 1):
+            prev, cur = table[:, q - 1], table[:, q]
+            columns = [(cur, masks & ~cur)]
+            if q >= 2:
+                columns.append((cur & ~prev, masks & ~cur & ~prev))
+            for chosen, rejected in columns:
+                got = _kernels.chosen_over_edges(n, chosen, rejected)
+                assert got.dtype == np.bool_ and got.shape == (n, n)
+                assert np.array_equal(got, _chosen_over_edges_loops(n, chosen, rejected))
+                assert np.array_equal(got, _kernels.chosen_over_wit(n, chosen, rejected) != 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chosen_over_edges_agree_on_arbitrary_columns(n):
+    # row 0 set, chosen and rejected overlapping, rejected bits at or
+    # above n
+    rng = np.random.default_rng(n)
+    size = 1 << n
+
+    def agree(chosen, rejected):
+        want = _chosen_over_edges_loops(n, chosen, rejected)
+        assert np.array_equal(_kernels.chosen_over_edges(n, chosen, rejected), want)
+        return want
+
+    for _ in range(10):
+        chosen = rng.integers(0, size, size, dtype=np.int64)
+        rejected = rng.integers(0, size, size, dtype=np.int64)
+        agree(chosen, rejected)
+        agree(chosen, chosen | rejected)
+        agree(chosen, rejected | (rejected << n))
+        assert not agree(np.zeros(size, dtype=np.int64), rejected).any()
+    # a pair witnessed only at S = 0 is an edge, though it has no first
+    # witness in chosen_over_wit's reading
+    chosen = np.zeros(size, dtype=np.int64)
+    chosen[0] = 1
+    rejected = np.full(size, size - 1, dtype=np.int64)
+    assert agree(chosen, rejected)[0].all()
+    assert not _kernels.chosen_over_wit(n, chosen, rejected).any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
