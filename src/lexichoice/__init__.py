@@ -60,6 +60,7 @@ from .mechanism import (
     DAMechanism,
     MechanismSpace,
     all_preferences,
+    allocations,
     check_isd,
     check_resource_monotonicity,
     check_strategy_proofness,

@@ -8,8 +8,10 @@ quantify over an explicitly enumerated problem space and return an
 checkers: it fails exactly when it carries a replayable witness.
 
 Preferences are tuples ranking every object and ``None`` (the null object),
-best first.  Allocation problems and allocations are index-aligned tuples,
-so they are hashable and mechanism evaluations can be memoized.
+best first.  Allocation problems and allocations are index-aligned tuples.
+The checkers read all allocations of a space from one array
+(:func:`allocations`), which deferred acceptance fills for every problem at
+once; any other mechanism is called once per problem.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable
+
+import numpy as np
 
 from .axioms import (
     AxiomReport,
@@ -34,11 +38,7 @@ Allocation = tuple  # per-agent assigned object name or None
 
 @dataclass(frozen=True, slots=True)
 class AllocationProblem:
-    """Preferences (per agent, in agent order) and capacities (in object order).
-
-    Slotted: a memo holds one per distinct problem, tens of thousands in a
-    mechanism sweep.
-    """
+    """Preferences (per agent, in agent order) and capacities (in object order)."""
 
     preferences: tuple[Preference, ...]
     capacities: tuple[int, ...]
@@ -84,8 +84,8 @@ def prefers(pref: Preference, x, y) -> bool:
     return pref.index(x) < pref.index(y)
 
 
-def weakly_prefers(pref: Preference, x, y) -> bool:
-    return x == y or prefers(pref, x, y)
+def _capacity_ok(q, n: int) -> bool:
+    return not isinstance(q, bool) and isinstance(q, Integral) and 0 <= q <= n
 
 
 def require_problem(prob: AllocationProblem, n: int, objects: tuple[str, ...]) -> None:
@@ -105,7 +105,7 @@ def require_problem(prob: AllocationProblem, n: int, objects: tuple[str, ...]) -
             f"{len(objects)} objects"
         )
     for x, q in zip(objects, prob.capacities):
-        if isinstance(q, bool) or not isinstance(q, Integral) or not 0 <= q <= n:
+        if not _capacity_ok(q, n):
             raise ValueError(f"capacity {q!r} of object {x!r} is not in 0..{n}")
 
 
@@ -165,10 +165,7 @@ def da_allocate(
             held[x] = accepted
             free |= pool & ~accepted
     else:
-        raise RuntimeError(
-            f"deferred acceptance exceeded {limit} rounds; a choice rule is "
-            "violating its contract"
-        )
+        raise _rounds_exceeded(limit)
 
     assignment: list = [None] * n
     for x in objects:
@@ -188,17 +185,17 @@ def demand(a: Allocation, preferences: tuple[Preference, ...], x) -> frozenset[i
 
 
 class DAMechanism:
-    """Memoized deferred acceptance mechanism over a choice structure."""
+    """Deferred acceptance over a choice structure.
+
+    Called on one problem it runs :func:`da_allocate`; :func:`allocations`
+    runs it on every problem of a space at once.
+    """
 
     def __init__(self, structure: ChoiceStructure):
         self.structure = structure
-        self._cache: dict[AllocationProblem, Allocation] = {}
 
     def __call__(self, prob: AllocationProblem) -> Allocation:
-        alloc = self._cache.get(prob)
-        if alloc is None:
-            alloc = self._cache[prob] = da_allocate(self.structure, prob)
-        return alloc
+        return da_allocate(self.structure, prob)
 
 
 Mechanism = Callable[[AllocationProblem], Allocation]
@@ -265,6 +262,182 @@ def sampled_space(agents, objects, n_profiles: int, seed: int) -> MechanismSpace
     return MechanismSpace(agents, objects, profiles, capacities)
 
 
+# --- allocation arrays -----------------------------------------------------------
+#
+# Object ``objects[s]`` is slot s and the null object is slot |O|.  A space's
+# allocations are one int8 array indexed by (profile, capacity vector, agent),
+# and each agent's ranking is its position k in ``all_preferences(objects)``.
+
+
+def _slot_tables(objects) -> tuple[np.ndarray, np.ndarray]:
+    """``slot_at[k, r]``, the slot that ranking k puts r-th (best first), and
+    ``rank_of[k, s]``, the position of slot s in ranking k."""
+    slot = {x: s for s, x in enumerate(objects)}
+    slot[None] = len(objects)
+    slot_at = np.array(
+        [[slot[x] for x in pref] for pref in all_preferences(objects)], dtype=np.int8
+    )
+    return slot_at, np.argsort(slot_at, axis=1).astype(np.int8)
+
+
+def _profile_ids(space: MechanismSpace) -> np.ndarray:
+    """``(P, n)``: the ranking id of each agent in each profile.
+
+    A malformed space raises the ``ValueError`` that :func:`require_problem`
+    raises on its first malformed problem.
+    """
+    n, objects, profiles = len(space.agents), space.objects, space.profiles
+    ids = {pref: k for k, pref in enumerate(all_preferences(objects))}
+    flat = list(map(ids.get, itertools.chain.from_iterable(profiles)))
+    bad_caps = [
+        c for c, caps in enumerate(space.capacities)
+        if len(caps) != len(objects) or not all(_capacity_ok(q, n) for q in caps)
+    ]
+    if None in flat or bad_caps or set(map(len, profiles)) - {n}:
+        bad_rows = [
+            p for p, prefs in enumerate(profiles)
+            if len(prefs) != n or any(pref not in ids for pref in prefs)
+        ]
+        if profiles and space.capacities and (bad_rows or bad_caps):
+            p = min(bad_rows[:1] + [0] * bool(bad_caps))
+            c = 0 if p in bad_rows[:1] else bad_caps[0]
+            require_problem(AllocationProblem(profiles[p], space.capacities[c]), n, objects)
+            raise ValueError(f"problem {p}, {c} of the space is malformed")
+    return np.array(flat, dtype=np.int32).reshape(len(profiles), n)
+
+
+def _capacity_array(space: MechanismSpace) -> np.ndarray:
+    return np.array(space.capacities, dtype=np.int16).reshape(
+        len(space.capacities), len(space.objects)
+    )
+
+
+def _rounds_exceeded(limit: int) -> RuntimeError:
+    return RuntimeError(
+        f"deferred acceptance exceeded {limit} rounds; a choice rule is "
+        "violating its contract"
+    )
+
+
+def _da_slots(cs: ChoiceStructure, space: MechanismSpace, pidx: np.ndarray) -> np.ndarray:
+    """:func:`da_allocate` on every problem of the space at once.
+
+    Problem ``p * C + c`` keeps, per agent, the index into the flattened
+    ``slot_at`` of their latest application, the agent mask that each
+    object holds and the mask of the agents rejected in the last round.  A
+    round moves each rejected agent one place down their ranking; each
+    object that got applicants re-chooses from what it holds plus them with
+    one gather from its table, and the others keep what they hold.  A
+    problem whose agents are all placed leaves the loop, so each problem
+    runs da_allocate's rounds, under the same cap.
+    """
+    n, objects = cs.agents.n, cs.objects
+    if tuple(space.objects) != objects:
+        raise ValueError("the space's objects are not the structure's objects")
+    n_obj = len(objects)
+    n_caps = len(space.capacities)
+    if pidx.shape[1] != n and pidx.size and n_caps:  # names the agent count
+        require_problem(AllocationProblem(space.profiles[0], space.capacities[0]), n, objects)
+    caps = _capacity_array(space)
+    slot_at = _slot_tables(objects)[0].reshape(-1)
+    mask_t = np.min_scalar_type(cs.agents.full_mask)
+    shifts = np.arange(n, dtype=mask_t)
+    bits = np.left_shift(mask_t.type(1), shifts)
+    members = ((np.arange(1 << n, dtype=mask_t)[:, None] >> shifts) & 1).astype(bool)
+    total = len(pidx) * n_caps
+    out = np.empty((total, n), dtype=np.int8)
+    problem = np.arange(total, dtype=np.int32)
+    at = np.repeat(pidx * (n_obj + 1) - 1, n_caps, axis=0)
+    held = np.zeros((total, n_obj), dtype=mask_t)
+    free = np.full(total, cs.agents.full_mask, dtype=mask_t)
+    tables = [None] * n_obj
+    limit = n * n_obj + 1
+    for _ in range(limit):
+        if not problem.size:
+            break
+        moving = members[free]
+        at += moving
+        target = slot_at[at]
+        cap_row = problem % n_caps
+        rejected = np.zeros(problem.size, dtype=mask_t)
+        for x in range(n_obj):
+            new = ((target == x) & moving) @ bits
+            rows = np.flatnonzero(new)
+            if not rows.size:
+                continue
+            pool = held[rows, x] | new[rows]
+            q = caps[cap_row[rows], x]
+            if tables[x] is None and q.any():  # da_allocate reads a table only at q > 0
+                tables[x] = cs.table(objects[x]).entries  # column 0 is empty
+            accepted = (
+                tables[x][pool, q].astype(mask_t) if tables[x] is not None
+                else np.zeros_like(pool)
+            )
+            held[rows, x] = accepted
+            rejected[rows] |= pool & ~accepted
+        # with no one rejected, each agent's last application is their allotment
+        done = rejected == 0
+        out[problem[done]] = target[done]
+        going = ~done
+        problem, at, held, free = problem[going], at[going], held[going], rejected[going]
+    if problem.size:
+        raise _rounds_exceeded(limit)
+    return out.reshape(len(pidx), n_caps, n)
+
+
+def _allocate(m: Mechanism, space: MechanismSpace, pidx: np.ndarray) -> np.ndarray:
+    if isinstance(m, DAMechanism):
+        return _da_slots(m.structure, space, pidx)
+    slot = {x: s for s, x in enumerate(space.objects)}
+    slot[None] = len(space.objects)
+    out = np.empty((len(space.profiles), len(space.capacities), pidx.shape[1]), dtype=np.int8)
+    for p, prefs in enumerate(space.profiles):
+        for c, caps in enumerate(space.capacities):
+            out[p, c] = [slot[x] for x in m(AllocationProblem(prefs, caps))]
+    return out
+
+
+def allocations(m: Mechanism, space: MechanismSpace) -> np.ndarray:
+    """Every allocation of the space, as one ``(P, C, n)`` int8 array.
+
+    ``out[p, c, i]`` is the slot of agent i's object at ``space.profiles[p]``
+    and ``space.capacities[c]``: s for ``space.objects[s]``, |O| for null.
+    A :class:`DAMechanism` fills it by one deferred acceptance over all
+    problems at once; any other mechanism is called once per problem.  A
+    malformed space raises the ``ValueError`` of :func:`require_problem`,
+    and a ``TableRule`` table that deferred acceptance reads is validated.
+    """
+    return _allocate(m, space, _profile_ids(space))
+
+
+def _ranked(rank_of: np.ndarray, pidx: np.ndarray, alloc: np.ndarray) -> np.ndarray:
+    """``out[p, c, i] = rank_of[pidx[p, i], alloc[p, c, i]]``: the position of
+    each allotment in its agent's ranking, for the profiles of ``pidx``."""
+    rows = pidx * rank_of.shape[1]
+    return rank_of.reshape(-1)[rows[:, None, :] + alloc[: len(pidx)]]
+
+
+def _codes(digits: np.ndarray, base: int) -> np.ndarray:
+    """Each row of ``digits`` read as one base-``base`` number, least
+    significant first (Python ints where int64 would overflow)."""
+    n = digits.shape[1]
+    dtype = np.int64 if base ** n < 2 ** 63 else object
+    return digits.astype(dtype) @ np.array([base ** i for i in range(n)], dtype=dtype)
+
+
+def _first_of(keys: np.ndarray) -> np.ndarray:
+    """For each key, the index of the first key equal to it."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """The first True index of ``mask`` in row-major order, or None."""
+    if not mask.any():
+        return None
+    return tuple(int(j) for j in np.unravel_index(np.argmax(mask), mask.shape))
+
+
 # --- serialization helpers for witnesses --------------------------------------
 
 
@@ -277,260 +450,343 @@ def _profile_labels(profile) -> list:
     return [_object_labels(p) for p in profile]
 
 
+def _slot_labels(space: MechanismSpace, slots) -> list:
+    """An allocation row of slots, as :func:`_object_labels` prints it."""
+    names = space.objects + (None,)
+    return _object_labels(names[s] for s in slots)
+
+
 def _agent_names(agents, agent_set) -> list[str]:
     return sorted(agents[i] for i in agent_set)
 
 
 # --- property checkers ---------------------------------------------------------
+#
+# Each checker reads one allocation array through per-profile rank tables and
+# reports the first witness in the space's order: the loops that each
+# docstring describes.
 
 
 def check_unavailable_type_invariance(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """Shuffling unavailable objects in preferences must not move the allocation.
 
     Two profiles are compared when every agent ranks the available objects
-    and the null object identically.
+    and the null object identically.  For each capacity vector in order, the
+    first profile whose allocation differs from that of the first profile
+    with its restricted rankings is the witness.
     """
-    for caps in space.capacities:
-        available = tuple(
-            x for x, q in zip(space.objects, caps) if q > 0
-        ) + (None,)
-        seen: dict[tuple, tuple] = {}
-        for prefs in space.profiles:
-            sig = tuple(
-                tuple(x for x in pref if x in available) for pref in prefs
-            )
-            alloc = m(AllocationProblem(prefs, caps))
-            if sig in seen:
-                prefs0, alloc0 = seen[sig]
-                if alloc != alloc0:
-                    return AxiomReport(
-                        "unavailable_type_invariance",
-                        {
-                            "capacities": list(caps),
-                            "R": _profile_labels(prefs0),
-                            "R_prime": _profile_labels(prefs),
-                            "allocation_R": _object_labels(alloc0),
-                            "allocation_R_prime": _object_labels(alloc),
-                        },
-                    )
-            else:
-                seen[sig] = (prefs, alloc)
-    return AxiomReport("unavailable_type_invariance")
+    pidx = _profile_ids(space)
+    alloc = _allocate(m, space, pidx)
+    slot_at, _ = _slot_tables(space.objects)
+    n_prefs, width = slot_at.shape
+    caps = _capacity_array(space)
+    available = np.concatenate([caps > 0, np.ones((len(caps), 1), dtype=bool)], axis=1)
+    patterns, pattern_of = np.unique(available, axis=0, return_inverse=True)
+    firsts = np.empty((len(patterns), len(pidx)), dtype=np.intp)
+    for t, avail in enumerate(patterns):
+        restricted = slot_at[avail[slot_at]].reshape(n_prefs, -1)
+        same_as = _first_of(_codes(restricted, width))
+        firsts[t] = _first_of(_codes(same_as[pidx], n_prefs))
+    first = firsts[pattern_of.reshape(-1)]  # (C, P)
+    columns = np.arange(len(caps))[:, None]
+    found = _first((alloc[first, columns] != alloc.transpose(1, 0, 2)).any(2))
+    if found is None:
+        return AxiomReport("unavailable_type_invariance")
+    c, p = found
+    p0 = int(first[c, p])
+    return AxiomReport(
+        "unavailable_type_invariance",
+        {
+            "capacities": list(space.capacities[c]),
+            "R": _profile_labels(space.profiles[p0]),
+            "R_prime": _profile_labels(space.profiles[p]),
+            "allocation_R": _slot_labels(space, alloc[p0, c]),
+            "allocation_R_prime": _slot_labels(space, alloc[p, c]),
+        },
+    )
 
 
 def check_weak_non_wastefulness(m: Mechanism, space: MechanismSpace) -> AxiomReport:
-    """No agent at the null object may prefer a non-exhausted available object."""
-    for prob in space.problems():
-        alloc = m(prob)
-        for i, a_i in enumerate(alloc):
-            if a_i is not None:
-                continue
-            pref = prob.preferences[i]
-            acceptable = pref[: pref.index(None)]
-            for x, q in zip(space.objects, prob.capacities):
-                if x in acceptable and alloc.count(x) < q:
-                    return AxiomReport(
-                        "weak_non_wastefulness",
-                        {
-                            "R": _profile_labels(prob.preferences),
-                            "capacities": list(prob.capacities),
-                            "agent": space.agents[i],
-                            "object": x,
-                            "allocation": _object_labels(alloc),
-                        },
-                    )
-    return AxiomReport("weak_non_wastefulness")
+    """No agent at the null object may prefer a non-exhausted available object.
+
+    The witness is the first (profile, capacities, agent, object) in order.
+    """
+    pidx = _profile_ids(space)
+    alloc = _allocate(m, space, pidx)
+    _, rank_of = _slot_tables(space.objects)
+    n_obj = len(space.objects)
+    ranks = rank_of[pidx][:, None]  # (P, 1, n, O + 1)
+    caps = _capacity_array(space)
+    at_null = alloc == n_obj
+    ones = np.ones(alloc.shape[2], dtype=np.int16)
+    wasted = [  # per object: agents at null who rank it above null while a seat is free
+        at_null
+        & (ranks[..., x] < ranks[..., n_obj])
+        & ((alloc == x) @ ones < caps[:, x])[..., None]
+        for x in range(n_obj)
+    ]
+    found = _first(np.logical_or.reduce(wasted)) if wasted else None
+    if found is None:
+        return AxiomReport("weak_non_wastefulness")
+    p, c, i = found
+    x = next(x for x in range(n_obj) if wasted[x][p, c, i])
+    return AxiomReport(
+        "weak_non_wastefulness",
+        {
+            "R": _profile_labels(space.profiles[p]),
+            "capacities": list(space.capacities[c]),
+            "agent": space.agents[i],
+            "object": space.objects[x],
+            "allocation": _slot_labels(space, alloc[p, c]),
+        },
+    )
 
 
 def check_resource_monotonicity(m: Mechanism, space: MechanismSpace) -> AxiomReport:
-    """Raising capacities componentwise must not hurt any agent."""
+    """Raising capacities componentwise must not hurt any agent.
+
+    Pairs of capacity vectors are taken lower-first in space order; the
+    witness is the first (profile, pair, agent).  Profiles are decided one
+    lower vector at a time, against the best rank over its higher vectors.
+    """
     caps = space.capacities
-    pairs = [
-        (j1, j2)
-        for j1, q1 in enumerate(caps)
-        for j2, q2 in enumerate(caps)
-        if q1 != q2 and all(a <= b for a, b in zip(q1, q2))
+    higher = [
+        [j2 for j2, q2 in enumerate(caps) if q1 != q2 and all(a <= b for a, b in zip(q1, q2))]
+        for q1 in caps
     ]
-    for prefs in space.profiles:
-        allocs = [m(AllocationProblem(prefs, q)) for q in caps]
-        for j1, j2 in pairs:
-            a1, a2 = allocs[j1], allocs[j2]
-            if a1 == a2:
-                continue
-            for i, pref in enumerate(prefs):
-                if not weakly_prefers(pref, a2[i], a1[i]):
-                    return AxiomReport(
-                        "resource_monotonicity",
-                        {
-                            "R": _profile_labels(prefs),
-                            "capacities": list(caps[j1]),
-                            "capacities_higher": list(caps[j2]),
-                            "agent": space.agents[i],
-                            "allocation_low": _object_labels(a1),
-                            "allocation_high": _object_labels(a2),
-                        },
-                    )
-    return AxiomReport("resource_monotonicity")
+    pidx = _profile_ids(space)
+    alloc = _allocate(m, space, pidx)
+    _, rank_of = _slot_tables(space.objects)
+    ranked = _ranked(rank_of, pidx, alloc)  # (P, C, n)
+    hurt = np.zeros(len(pidx), dtype=bool)
+    for j1, ups in enumerate(higher):
+        if ups:
+            hurt |= (ranked[:, ups].max(1) > ranked[:, j1]).any(1)
+    if not hurt.any():
+        return AxiomReport("resource_monotonicity")
+    p = int(np.argmax(hurt))
+    low, high = np.array([(j1, j2) for j1, ups in enumerate(higher) for j2 in ups]).T
+    j, i = _first(ranked[p, high] > ranked[p, low])
+    j1, j2 = int(low[j]), int(high[j])
+    return AxiomReport(
+        "resource_monotonicity",
+        {
+            "R": _profile_labels(space.profiles[p]),
+            "capacities": list(caps[j1]),
+            "capacities_higher": list(caps[j2]),
+            "agent": space.agents[i],
+            "allocation_low": _slot_labels(space, alloc[p, j1]),
+            "allocation_high": _slot_labels(space, alloc[p, j2]),
+        },
+    )
 
 
 def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """Moving the null object up, while keeping assignments acceptable, is inert.
 
-    Compares profile pairs that rank the objects identically, where every
-    agent's acceptable set under the second profile is contained in their
-    acceptable set under the first (each agent truncates, never extends), and
-    where each agent's assignment under the first profile stays weakly above
-    null under the second.  Only the last condition depends on capacities, so
-    the (R, R') pairs of each group are listed once.
+    Compares profile pairs (R, R') that rank the objects identically, where
+    every agent's acceptable set under R' is contained in their acceptable
+    set under R (each agent truncates, never extends), and where each agent's
+    assignment under R stays weakly above null under R'.  Only the last
+    condition depends on capacities, so the pairs are listed once: groups of
+    profiles that rank the objects alike in order of first appearance, R then
+    R' in space order within a group.  The witness is the first pair of the
+    first capacity vector whose allocations differ.
     """
-    acceptable: dict[Preference, frozenset] = {}
-    by_order: dict[tuple, list] = {}
-    for prefs in space.profiles:
-        for pref in prefs:
-            if pref not in acceptable:
-                acceptable[pref] = frozenset(pref[: pref.index(None)])
-        key = tuple(tuple(x for x in pref if x is not None) for pref in prefs)
-        by_order.setdefault(key, []).append(prefs)
-    groups = []
-    for group in by_order.values():
-        accs = [tuple(acceptable[pref] for pref in prefs) for prefs in group]
-        pairs = [
-            (a, b)
-            for a, prefs in enumerate(group)
-            for b, prefs2 in enumerate(group)
-            if prefs2 != prefs and all(s2 <= s for s, s2 in zip(accs[a], accs[b]))
-        ]
-        if pairs:
-            groups.append((group, accs, pairs))
-    for caps in space.capacities:
-        for group, accs, pairs in groups:
-            allocs = [m(AllocationProblem(prefs, caps)) for prefs in group]
-            for a, b in pairs:
-                alloc, alloc2 = allocs[a], allocs[b]
-                if alloc2 == alloc or not all(
-                    x is None or x in s for x, s in zip(alloc, accs[b])
-                ):
-                    continue
-                return AxiomReport(
-                    "truncation_invariance",
-                    {
-                        "capacities": list(caps),
-                        "R": _profile_labels(group[a]),
-                        "R_prime": _profile_labels(group[b]),
-                        "allocation_R": _object_labels(alloc),
-                        "allocation_R_prime": _object_labels(alloc2),
-                    },
-                )
+    pidx = _profile_ids(space)
+    alloc = _allocate(m, space, pidx)
+    n_prof, n_caps, n = alloc.shape
+    slot_at, rank_of = _slot_tables(space.objects)
+    n_prefs, width = slot_at.shape
+    n_obj = width - 1
+    orders = slot_at[slot_at != n_obj].reshape(n_prefs, n_obj)
+    order_id = _first_of(_codes(orders, max(n_obj, 1)))
+    group = _first_of(_codes(order_id[pidx], n_prefs))
+    # slots ranked weakly above null, null included, per ranking and per profile
+    accept = ((rank_of <= rank_of[:, n_obj:]) << np.arange(width)).sum(1)
+    acc = accept[pidx]
+    members = np.argsort(group, kind="stable")
+    starts = np.flatnonzero(np.diff(group[members], prepend=-1))
+    first, second = [], []
+    for g in np.split(members, starts[1:]):
+        if len(g) < 2:
+            continue
+        within = ((acc[g][None] & ~acc[g][:, None]) == 0).all(2)
+        within &= (pidx[g][None] != pidx[g][:, None]).any(2)
+        a, b = np.nonzero(within)
+        first.append(g[a])
+        second.append(g[b])
+    if not first:
+        return AxiomReport("truncation_invariance")
+    first, second = np.concatenate(first), np.concatenate(second)
+    # an allocation row as one mask with bit i * width + slot per agent i
+    dtype = np.int64 if n * width < 63 else object
+    offsets = np.arange(n) * width
+    allowed = (acc.astype(dtype) << offsets).sum(1)[second]
+    one = np.array(1, dtype=dtype)
+    for c in range(n_caps):
+        held = (one << (offsets + alloc[:, c])).sum(1)
+        x, y = held[first], held[second]
+        found = _first((x != y) & ((x & ~allowed) == 0))
+        if found is None:
+            continue
+        a, b = int(first[found[0]]), int(second[found[0]])
+        return AxiomReport(
+            "truncation_invariance",
+            {
+                "capacities": list(space.capacities[c]),
+                "R": _profile_labels(space.profiles[a]),
+                "R_prime": _profile_labels(space.profiles[b]),
+                "allocation_R": _slot_labels(space, alloc[a, c]),
+                "allocation_R_prime": _slot_labels(space, alloc[b, c]),
+            },
+        )
     return AxiomReport("truncation_invariance")
 
 
 def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """No agent may gain from any unilateral misreport.
 
-    For each agent, report of the other agents and capacity vector, one row
-    records, as a bitmask over the objects and null, every allotment the
-    agent reaches by some report; every profile that shares the row reads it.
-    A problem fails for the agent when the row holds an allotment that the
-    agent's true preference ranks above the truthful one, and only then are
-    the misreports replayed in order for the first witness.
+    Every profile that replaces one agent's ranking by another ranking is
+    looked up by its base-K code over the K rankings; those outside the
+    space (a sampled one) are appended to the profiles whose allocations
+    are computed.  A (profile, capacities, agent) fails when its best
+    reachable allotment beats the truthful one; the witness is the first
+    that fails, with its first misreport in ``all_preferences`` order.
     """
-    deviations = all_preferences(space.objects)
-    bit = {x: 1 << k for k, x in enumerate(space.objects + (None,))}
-    # better[pref][x]: bitmask of the allotments pref ranks above x
-    better = {
-        pref: {x: sum(bit[y] for y in pref[:k]) for k, x in enumerate(pref)}
-        for pref in deviations
-    }
-    rows: list[dict[tuple, list]] = [{} for _ in space.agents]
-    for prefs in space.profiles:
-        cells = []
-        for i, by_others in enumerate(rows):
-            others = prefs[:i] + prefs[i + 1:]
-            cell = by_others.get(others)
-            if cell is None:
-                cell = by_others[others] = [None] * len(space.capacities)
-            cells.append(cell)
+    pidx = _profile_ids(space)
+    n_prof, n = pidx.shape
+    prefs = all_preferences(space.objects)
+    n_prefs = len(prefs)
+    codes = _codes(pidx, n_prefs)
+    weights = _codes(np.eye(n, dtype=np.int64), n_prefs)
+    misreport = codes[:, None, None] + (
+        np.arange(n_prefs) - pidx[..., None]
+    ) * weights[:, None]  # (P, n, K)
+    order = np.argsort(codes, kind="stable")
+    at = np.searchsorted(codes[order], misreport)
+    known = codes[order][np.minimum(at, n_prof - 1)] == misreport if n_prof else at < 0
+    extra = np.unique(misreport[~known])
+    extra_rows = (extra[:, None] // weights % n_prefs).astype(np.int32).reshape(-1, n)
+    profiles = space.profiles + tuple(
+        tuple(prefs[k] for k in row) for row in extra_rows.tolist()
+    )
+    if extra.size:
+        every = np.concatenate([codes, extra])
+        order = np.argsort(every, kind="stable")
+        at = np.searchsorted(every[order], misreport)
+    lookup = order[at]  # (P, n, K): the first listed profile of each misreport
+    alloc = _allocate(
+        m,
+        MechanismSpace(space.agents, space.objects, profiles, space.capacities),
+        np.concatenate([pidx, extra_rows]),
+    )
+    _, rank_of = _slot_tables(space.objects)
+    truthful = _ranked(rank_of, pidx, alloc)  # (P, C, n)
+    rows = pidx * rank_of.shape[1]
+    gains = np.empty(truthful.shape, dtype=bool)
+    for i in range(n):
+        reached = alloc[:, :, i][lookup[:, i].T]  # (K, P, C): agent i's allotments
+        best = rank_of.reshape(-1)[rows[:, i, None] + reached].min(0)
+        gains[:, :, i] = best < truthful[:, :, i]
+    found = _first(gains)
+    if found is None:
+        return AxiomReport("strategy_proofness")
+    p, c, i = found
+    reports = lookup[p, i]
+    k = int(np.argmax(rank_of[pidx[p, i], alloc[reports, c, i]] < truthful[p, c, i]))
+    return AxiomReport(
+        "strategy_proofness",
+        {
+            "R": _profile_labels(space.profiles[p]),
+            "capacities": list(space.capacities[c]),
+            "agent": space.agents[i],
+            "misreport": _object_labels(prefs[k]),
+            "truthful_allotment": _slot_labels(space, [alloc[p, c, i]])[0],
+            "misreport_allotment": _slot_labels(space, [alloc[reports[k], c, i]])[0],
+        },
+    )
+
+
+def _isd_scan(m, space, scanned, prop_name) -> AxiomReport:
+    """Demand for each object k (in order) before and after a unit increase of
+    its capacity from each capacity vector ``scanned(k, caps)`` admits (in
+    order); the increased vectors that the space lacks are appended to the
+    ones allocated.  Per vector, the witness is the first profile whose
+    demand after differs from that of the first profile with its demand
+    before."""
+    pidx = _profile_ids(space)
+    n_prof, n = pidx.shape
+    capacities = list(space.capacities)
+    index: dict[tuple, int] = {}
+    for c, caps in enumerate(capacities):
+        index.setdefault(caps, c)
+    steps = []  # per object: (vector, increased vector) pairs
+    for k in range(len(space.objects)):
+        steps.append([])
         for c, caps in enumerate(space.capacities):
-            alloc = m(AllocationProblem(prefs, caps))
-            for i, pref in enumerate(prefs):
-                reach = cells[i][c]
-                if reach is None:
-                    reach = 0
-                    for dev in deviations:
-                        misreport = prefs[:i] + (dev,) + prefs[i + 1:]
-                        reach |= bit[m(AllocationProblem(misreport, caps))[i]]
-                    cells[i][c] = reach
-                if not reach & better[pref][alloc[i]]:
-                    continue
-                for dev in deviations:
-                    misreport = prefs[:i] + (dev,) + prefs[i + 1:]
-                    alloc2 = m(AllocationProblem(misreport, caps))
-                    if not weakly_prefers(pref, alloc[i], alloc2[i]):
-                        return AxiomReport(
-                            "strategy_proofness",
-                            {
-                                "R": _profile_labels(prefs),
-                                "capacities": list(caps),
-                                "agent": space.agents[i],
-                                "misreport": _object_labels(dev),
-                                "truthful_allotment": _object_labels(alloc)[i],
-                                "misreport_allotment": _object_labels(alloc2)[i],
-                            },
-                        )
-    return AxiomReport("strategy_proofness")
-
-
-def _isd_scan(m, space, caps_for_object, prop_name) -> AxiomReport:
-    agents = space.agents
+            if caps[k] >= len(space.agents) or not scanned(k, caps):
+                continue  # at its ceiling no increase exists
+            up = caps[:k] + (caps[k] + 1,) + caps[k + 1:]
+            if up not in index:
+                index[up] = len(capacities)
+                capacities.append(up)
+            steps[k].append((c, index[up]))
+    if not any(steps):
+        return AxiomReport(prop_name)
+    alloc = _allocate(
+        m, MechanismSpace(space.agents, space.objects, space.profiles, tuple(capacities)), pidx
+    )
+    _, rank_of = _slot_tables(space.objects)
+    ranks = rank_of[pidx]
+    ranked = _ranked(rank_of, pidx, alloc)
+    mask_t = np.min_scalar_type((1 << n) - 1)
+    bits = np.left_shift(mask_t.type(1), np.arange(n, dtype=mask_t))
     for k, x in enumerate(space.objects):
-        for caps in caps_for_object(k):
-            if caps[k] >= len(agents):
-                continue  # capacity already at its ceiling, no increase exists
-            caps_up = caps[:k] + (caps[k] + 1,) + caps[k + 1:]
-            seen: dict[frozenset, tuple] = {}
-            for prefs in space.profiles:
-                d = demand(m(AllocationProblem(prefs, caps)), prefs, x)
-                d_up = demand(m(AllocationProblem(prefs, caps_up)), prefs, x)
-                if d in seen:
-                    prefs0, d_up0 = seen[d]
-                    if d_up != d_up0:
-                        return AxiomReport(
-                            prop_name,
-                            {
-                                "object": x,
-                                "capacities": list(caps),
-                                "R": _profile_labels(prefs0),
-                                "R_prime": _profile_labels(prefs),
-                                "demand_before": _agent_names(agents, d),
-                                "demand_after_R": _agent_names(agents, d_up0),
-                                "demand_after_R_prime": _agent_names(agents, d_up),
-                            },
-                        )
-                else:
-                    seen[d] = (prefs, d_up)
+        if not steps[k]:
+            continue
+        base, up = np.array(steps[k]).T
+        wanted = (ranks[:, None, :, k] < ranked) @ bits  # (P, C') demand masks
+        before, after = wanted[:, base].T, wanted[:, up].T  # (J, P)
+        keys = (np.arange(len(base), dtype=np.int64)[:, None] << n) + before
+        first = _first_of(keys.reshape(-1)).reshape(before.shape)
+        seen_after = after.reshape(-1)[first]
+        found = _first(after != seen_after)
+        if found is None:
+            continue
+        j, p = found
+        p0 = int(first[j, p]) - j * n_prof
+        agents = space.agents
+        return AxiomReport(
+            prop_name,
+            {
+                "object": x,
+                "capacities": list(space.capacities[base[j]]),
+                "R": _profile_labels(space.profiles[p0]),
+                "R_prime": _profile_labels(space.profiles[p]),
+                "demand_before": _agent_names(agents, iter_bits(int(before[j, p]))),
+                "demand_after_R": _agent_names(agents, iter_bits(int(seen_after[j, p]))),
+                "demand_after_R_prime": _agent_names(agents, iter_bits(int(after[j, p]))),
+            },
+        )
     return AxiomReport(prop_name)
 
 
 def check_isd(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """Equal demands before a unit capacity increase imply equal demands after."""
     return _isd_scan(
-        m, space, lambda k: space.capacities, "irrelevance_of_satisfied_demand"
+        m, space, lambda k, caps: True, "irrelevance_of_satisfied_demand"
     )
 
 
 def check_weak_isd(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     """The same implication, restricted to capacity profiles where every object
     other than the increased one has zero capacity."""
-
-    def caps_for_object(k):
-        return tuple(
-            caps
-            for caps in space.capacities
-            if all(q == 0 for j, q in enumerate(caps) if j != k)
-        )
-
     return _isd_scan(
-        m, space, caps_for_object, "weak_irrelevance_of_satisfied_demand"
+        m,
+        space,
+        lambda k, caps: all(q == 0 for j, q in enumerate(caps) if j != k),
+        "weak_irrelevance_of_satisfied_demand",
     )
 
 

@@ -125,6 +125,11 @@ def naive_monotone_holds(choose, n: int) -> bool:
     return True
 
 
+def weakly_prefers(pref, x, y) -> bool:
+    """x is y, or the ranking ``pref`` (best first) puts x above y."""
+    return x == y or pref.index(x) < pref.index(y)
+
+
 def naive_capacity_filling_holds(choose, n: int) -> bool:
     for s in all_subsets(n):
         for q in range(1, n + 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,8 +18,10 @@ from lexichoice import (
     build_rotating,
     check_gross_substitutes,
     check_resource_monotonicity,
+    check_isd,
     check_strategy_proofness,
     check_truncation_invariance,
+    check_unavailable_type_invariance,
     check_weak_isd,
     check_weak_non_wastefulness,
     da_allocate,
@@ -32,10 +35,11 @@ from lexichoice import (
 from lexichoice.core import iter_bits
 from lexichoice.mechanism import (
     _object_labels,
+    _agent_names,
     _profile_labels,
+    allocations,
     prefers,
     validate_preference,
-    weakly_prefers,
 )
 from lexichoice.rules import (
     BOSTON_BUILDERS,
@@ -46,7 +50,7 @@ from lexichoice.rules import (
     ordering_from_labels,
 )
 
-from conftest import random_ordering, random_profile
+from conftest import random_ordering, random_profile, weakly_prefers
 
 
 def _responsive_structure(agent_labels, object_orders):
@@ -124,12 +128,13 @@ def test_demand():
     assert demand(alloc, prefs, None) == set()
 
 
-def test_mechanism_memoization():
-    cs = _responsive_structure(("i", "j"), {"x": ("i", "j")})
+def test_da_mechanism_call_is_da_allocate():
+    """Called on one problem, a DAMechanism runs da_allocate; it keeps no memo."""
+    cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
     mech = DAMechanism(cs)
-    p = AllocationProblem((("x", None), ("x", None)), (1,))
-    assert mech(p) == mech(p)
-    assert len(mech._cache) == 1
+    for prob in exhaustive_space(("i", "j"), ("x", "y")).problems():
+        assert mech(prob) == da_allocate(cs, prob)
+    assert vars(mech) == {"structure": cs}
 
 
 def test_spaces():
@@ -342,12 +347,12 @@ def test_da_refuses_malformed_problems(prefs, caps):
         da_allocate(cs, AllocationProblem(prefs, caps))
 
 
-def test_structure_refuses_invalid_table_rule():
+def _invalid_table_structure():
     """C({i}, 1) = {i, j} at x would let x hold j while y holds j too."""
     u = make_universe(("i", "j"))
     entries = materialize(Responsive(ordering_from_labels(u, ("i", "j"))), u).entries.copy()
     entries[0b01, 1] = 0b11
-    cs = ChoiceStructure(
+    return ChoiceStructure(
         u,
         ("x", "y"),
         {
@@ -355,6 +360,10 @@ def test_structure_refuses_invalid_table_rule():
             "y": Responsive(ordering_from_labels(u, ("j", "i"))),
         },
     )
+
+
+def test_structure_refuses_invalid_table_rule():
+    cs = _invalid_table_structure()
     prefs = (("x", "y", None), ("y", "x", None))
     with pytest.raises(ValueError):
         da_allocate(cs, AllocationProblem(prefs, (1, 1)))
@@ -459,6 +468,86 @@ def test_da_matches_placed_scan_loop():
             assert got == want, (kinds, prob)
             assert [list(r.items()) for r in rounds] == [list(r.items()) for r in want_rounds]
             assert da_allocate(cs, prob) == want
+
+
+# --- the whole-space deferred acceptance against da_allocate ---------------------
+
+
+def _allocation_rows(space, alloc):
+    names = space.objects + (None,)
+    return [
+        [tuple(names[s] for s in alloc[p, c]) for c in range(len(space.capacities))]
+        for p in range(len(space.profiles))
+    ]
+
+
+def _per_problem_rows(cs, space):
+    return [
+        [da_allocate(cs, AllocationProblem(prefs, caps)) for caps in space.capacities]
+        for prefs in space.profiles
+    ]
+
+
+def test_array_da_matches_da_allocate():
+    """Every problem of exhaustive and single-object spaces, on structures
+    that mix all rule kinds: Boston variants and tables failing gross
+    substitutes are where proposal order could matter."""
+    rng = random.Random(12)
+    seen = set()
+    for trial in range(2 * len(DA_RULE_KINDS)):
+        n_obj = (1, 2, 2, 3)[trial % 4]
+        objects = ("x", "y", "z")[:n_obj]
+        kinds = [DA_RULE_KINDS[(trial + k) % len(DA_RULE_KINDS)] for k in range(n_obj)]
+        # every rule over two agents is gross-substitutable, and three
+        # objects take two agents to keep the exhaustive space small
+        n = 2 if n_obj == 3 else (3 if "table" in kinds else rng.randint(2, 3))
+        if n_obj == 3 and "table" in kinds:
+            kinds = ["lexicographic" if k == "table" else k for k in kinds]
+        seen.update(kinds)
+        agents = tuple("abcd"[:n])
+        u = make_universe(agents)
+        cs = ChoiceStructure(u, objects, {x: _random_rule(rng, u, k) for x, k in zip(objects, kinds)})
+        for space in (exhaustive_space(agents, objects), single_object_space(agents, objects)):
+            got = allocations(DAMechanism(cs), space)
+            assert got.shape == (len(space.profiles), len(space.capacities), n)
+            assert _allocation_rows(space, got) == _per_problem_rows(cs, space), kinds
+    assert seen == set(DA_RULE_KINDS)
+
+
+def _first_error(cs, space):
+    """The ValueError that da_allocate raises on the space's first bad problem."""
+    for prob in space.problems():
+        try:
+            da_allocate(cs, prob)
+        except ValueError as e:
+            return str(e)
+    raise AssertionError("no problem of the space is malformed")
+
+
+@pytest.mark.parametrize(
+    "edit", ["cap_above_n", "bad_ranking", "short_profile", "cap_and_ranking", "invalid_table"]
+)
+def test_array_da_refuses_malformed_spaces(edit):
+    """The same ValueError as the per-problem loop's first failure."""
+    cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
+    space = exhaustive_space(("i", "j"), ("x", "y"))
+    bad_ranking = (("x", "y", None), ("x", "x", None))
+    profiles, capacities = space.profiles, space.capacities
+    if edit == "cap_above_n":
+        capacities = capacities[:4] + ((3, 1),) + capacities[4:]
+    elif edit == "bad_ranking":
+        profiles = profiles[:5] + (bad_ranking,) + profiles[5:]
+    elif edit == "short_profile":
+        profiles = profiles[:5] + ((("x", "y", None),),) + profiles[5:]
+    elif edit == "cap_and_ranking":  # the capacity comes first, at the first profile
+        capacities = capacities[:4] + ((1, -1),) + capacities[4:]
+        profiles = profiles[:5] + (bad_ranking,) + profiles[5:]
+    else:
+        cs = _invalid_table_structure()
+    space = dataclasses.replace(space, profiles=profiles, capacities=capacities)
+    with pytest.raises(ValueError) as got:
+        allocations(DAMechanism(cs), space)
+    assert str(got.value) == _first_error(cs, space)
 
 
 # --- the rewritten checkers against their per-pair loops -------------------------
@@ -574,7 +663,86 @@ def _weak_non_wastefulness_loop(m, space):
     return AxiomReport("weak_non_wastefulness")
 
 
+def _unavailable_type_invariance_loop(m, space):
+    for caps in space.capacities:
+        available = tuple(
+            x for x, q in zip(space.objects, caps) if q > 0
+        ) + (None,)
+        seen = {}
+        for prefs in space.profiles:
+            sig = tuple(
+                tuple(x for x in pref if x in available) for pref in prefs
+            )
+            alloc = m(AllocationProblem(prefs, caps))
+            if sig in seen:
+                prefs0, alloc0 = seen[sig]
+                if alloc != alloc0:
+                    return AxiomReport(
+                        "unavailable_type_invariance",
+                        {
+                            "capacities": list(caps),
+                            "R": _profile_labels(prefs0),
+                            "R_prime": _profile_labels(prefs),
+                            "allocation_R": _object_labels(alloc0),
+                            "allocation_R_prime": _object_labels(alloc),
+                        },
+                    )
+            else:
+                seen[sig] = (prefs, alloc)
+    return AxiomReport("unavailable_type_invariance")
+
+
+def _isd_loop(m, space, caps_for_object, prop_name):
+    agents = space.agents
+    for k, x in enumerate(space.objects):
+        for caps in caps_for_object(k):
+            if caps[k] >= len(agents):
+                continue
+            caps_up = caps[:k] + (caps[k] + 1,) + caps[k + 1:]
+            seen = {}
+            for prefs in space.profiles:
+                d = demand(m(AllocationProblem(prefs, caps)), prefs, x)
+                d_up = demand(m(AllocationProblem(prefs, caps_up)), prefs, x)
+                if d in seen:
+                    prefs0, d_up0 = seen[d]
+                    if d_up != d_up0:
+                        return AxiomReport(
+                            prop_name,
+                            {
+                                "object": x,
+                                "capacities": list(caps),
+                                "R": _profile_labels(prefs0),
+                                "R_prime": _profile_labels(prefs),
+                                "demand_before": _agent_names(agents, d),
+                                "demand_after_R": _agent_names(agents, d_up0),
+                                "demand_after_R_prime": _agent_names(agents, d_up),
+                            },
+                        )
+                else:
+                    seen[d] = (prefs, d_up)
+    return AxiomReport(prop_name)
+
+
+def _isd_full_loop(m, space):
+    return _isd_loop(m, space, lambda k: space.capacities, "irrelevance_of_satisfied_demand")
+
+
+def _weak_isd_loop(m, space):
+    def caps_for_object(k):
+        return [
+            caps for caps in space.capacities
+            if all(q == 0 for j, q in enumerate(caps) if j != k)
+        ]
+
+    return _isd_loop(m, space, caps_for_object, "weak_irrelevance_of_satisfied_demand")
+
+
 REWRITTEN_CHECKS = {
+    "unavailable_type_invariance": (
+        check_unavailable_type_invariance, _unavailable_type_invariance_loop,
+    ),
+    "irrelevance_of_satisfied_demand": (check_isd, _isd_full_loop),
+    "weak_irrelevance_of_satisfied_demand": (check_weak_isd, _weak_isd_loop),
     "weak_non_wastefulness": (check_weak_non_wastefulness, _weak_non_wastefulness_loop),
     "resource_monotonicity": (check_resource_monotonicity, _resource_monotonicity_loop),
     "truncation_invariance": (check_truncation_invariance, _truncation_invariance_loop),
@@ -643,12 +811,16 @@ ORACLE_SPACES = [
     ("compromise", "single", 2, ("x", "y")),
     ("open_walk", "sampled", 4, ("x", "y")),
     ("rotating", "sampled", 2, ("x", "y", "z")),
+    ("walk_open", "duplicates", 2, ("x", "y")),
 ]
 
 
 def test_rewritten_checkers_match_their_loops():
     """Verdict and first witness agree on every mechanism and space, sampled
-    spaces included: their misreports fall outside the space."""
+    spaces included: their misreports fall outside the space, and they may
+    list a profile twice.  A DAMechanism is checked unwrapped, so that it
+    takes the whole-space deferred acceptance, and behind a memo, so that it
+    is called once per problem like any other mechanism."""
     rng = random.Random(11)
     verdicts = {name: set() for name in REWRITTEN_CHECKS}
     for kind, space_kind, n, objects in ORACLE_SPACES:
@@ -660,14 +832,59 @@ def test_rewritten_checkers_match_their_loops():
         elif space_kind == "reversed":  # capacities and profiles in reverse order
             space = exhaustive_space(agents, objects)
             space = MechanismSpace(agents, objects, space.profiles[::-1], space.capacities[::-1])
+        elif space_kind == "duplicates":  # 40 draws from 36 profiles
+            space = sampled_space(agents, objects, 40, seed=rng.randrange(1000))
+            assert len(set(space.profiles)) < len(space.profiles)
         else:
             space = sampled_space(agents, objects, 8, seed=rng.randrange(1000))
         for mech_name, m in _mechanisms(rng, kind, agents, objects).items():
-            m = _memoized(m)
+            memoized = _memoized(m)
             for name, (check, loop) in REWRITTEN_CHECKS.items():
-                got, want = check(m, space), loop(m, space)
-                assert (got.verdict, got.witness) == (want.verdict, want.witness), (
-                    kind, space_kind, n, mech_name, name,
-                )
+                want = loop(memoized, space)
+                for form in (memoized, m) if isinstance(m, DAMechanism) else (memoized,):
+                    got = check(form, space)
+                    assert (got.verdict, got.witness) == (want.verdict, want.witness), (
+                        kind, space_kind, n, mech_name, name, form is m,
+                    )
                 verdicts[name].add(want.verdict)
     assert all(v == {"pass", "fail"} for v in verdicts.values()), verdicts
+
+
+# --- the paper's characterization, exhaustively at 5 agents x 2 objects ---------
+
+
+def test_rotating_da_characterization_5x2():
+    """Deferred acceptance over the rotating lexicographic rule (walk-zone,
+    open, walk-zone, ...) on all 7,776 profiles x 36 capacity vectors.
+
+    Truncation invariance fails here, as it already does at 4 agents: under
+    R, agent l's application to x starts a rejection chain that leaves l
+    unassigned but moves k to x and m to y; when l truncates to null-first,
+    m keeps x and k keeps y.  The witness replays on da_allocate.
+    """
+    agents = ("i", "j", "k", "l", "m")
+    cs = _rotating_structure(agents, ("x", "y"))
+    mech = DAMechanism(cs)
+    space = exhaustive_space(agents, ("x", "y"))
+    assert len(space.profiles) * len(space.capacities) == 7776 * 36
+    for chk in (
+        check_unavailable_type_invariance,
+        check_weak_non_wastefulness,
+        check_resource_monotonicity,
+        check_strategy_proofness,
+        check_weak_isd,
+    ):
+        rep = chk(mech, space)
+        assert rep.ok, (rep.axiom, rep.witness)
+    rep = check_truncation_invariance(mech, space)
+    accept_y, accept_x, null_first = ["y", "x", "null"], ["x", "y", "null"], ["null", "x", "y"]
+    assert rep.witness == {
+        "capacities": [1, 2],
+        "R": [null_first, accept_y, accept_y, accept_x, accept_x],
+        "R_prime": [null_first, accept_y, accept_y, null_first, accept_x],
+        "allocation_R": ["null", "y", "x", "null", "y"],
+        "allocation_R_prime": ["null", "y", "y", "null", "x"],
+    }
+    for profile, alloc in (("R", "allocation_R"), ("R_prime", "allocation_R_prime")):
+        prefs = tuple(tuple(None if x == "null" else x for x in p) for p in rep.witness[profile])
+        assert _object_labels(da_allocate(cs, AllocationProblem(prefs, (1, 2)))) == rep.witness[alloc]
