@@ -1,12 +1,10 @@
 """Hot inner loops over exhaustive problem tables, vectorized with numpy.
 
-Five kernels, each with exactly one implementation: ``cwlex_fill`` (the
+Four kernels, each with exactly one implementation: ``cwlex_fill`` (the
 greedy fill of every capacity-wise and, with a feasibility mask,
 feasibility-constrained rule), ``chosen_over_edges`` (the edges of a
 chosen-over relation given two bitmask columns, which decide WRARP, CWARP,
-CWRARP, CSARP and order both extractions), ``chosen_over_wit`` (the first
-witnessing set of every edge, behind only the public ``revealed_pref`` and
-``f_revealed_pref`` matrices), ``gs_first_violation`` and
+CWRARP, CSARP and order both extractions), ``gs_first_violation`` and
 ``path_independence_first``.  They work on whole table columns at once.
 ``cwlex_fill`` makes each greedy pick one gather from a per-ordering "top"
 table (the best alternative of every mask, built by a subset DP in n
@@ -14,14 +12,12 @@ vectorized steps) and starts capacity q from capacity q-1's column when q's
 orderings extend q-1's, so a lexicographic fill is n gathers.
 ``chosen_over_edges`` is one scatter-OR of rejected masks into chosen-mask
 slots and n OR-reductions; a checker that fails looks up the witnessing
-sets of its one reported pair afterwards.  ``chosen_over_wit`` makes one
-pass per alternative: a running OR over the sets that choose it.  Gross
-substitutes (heritage) and path independence share one single-removal
-scan: path independence holds exactly when heritage and outcast do
-(Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
-matching"), so its verdict costs O(n^2 2^n), and the set-major search for
-its first (S, T, q), a Python loop over sets, runs only when the verdict is
-fail.
+sets of its one reported pair afterwards.  Gross substitutes (heritage)
+and path independence share one single-removal scan: path independence
+holds exactly when heritage and outcast do (Aizerman-Malishevski 1981; see
+Chambers-Yenmez 2017, "Choice and matching"), so its verdict costs
+O(n^2 2^n), and the set-major search for its first (S, T, q), a Python
+loop over sets, runs only when the verdict is fail.
 ``tests/test_kernels.py`` holds per-set loop versions of every kernel and
 checks that the outputs here match them bit for bit, witness tie-breaks
 included.
@@ -110,28 +106,6 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
     return table
 
 
-def chosen_over_wit(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
-    """First witnessing set per ordered pair of a chosen-over relation.
-
-    ``chosen`` and ``rejected`` are bitmask columns over all 2**n sets.
-    ``wit[a, b]`` is the first set S (ascending) with a in ``chosen[S]`` and
-    b in ``rejected[S]``; 0 means no such S.
-
-    One pass per a: over the sets with a chosen, in ascending order, a
-    running OR of their rejected masks gains each b exactly at ``wit[a, b]``.
-    """
-    wit = np.zeros((n, n), dtype=np.int64)
-    alt_bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    for a in range(n):
-        sets = np.flatnonzero((chosen & alt_bits[a]) != 0)
-        seen = np.bitwise_or.accumulate(rejected[sets])
-        gained = seen.copy()
-        gained[1:] &= ~seen[:-1]
-        first = np.flatnonzero(gained)  # each bit is gained once at most
-        wit[a] = sets[first] @ ((gained[first, None] & alt_bits) != 0)
-    return wit
-
-
 def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
     """The edges of a chosen-over relation as an (n, n) bool matrix.
 
@@ -139,9 +113,7 @@ def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.nd
     ``edges[a, b]`` is true when some S has a in ``chosen[S]`` and b in
     ``rejected[S]``.  ``chosen`` masks must lie in 0..2**n-1 (they index
     slots); bits of ``rejected`` at or above n are ignored.  Every row
-    counts, row 0 included: on table columns row 0 is empty, so ``edges ==
-    (chosen_over_wit(...) != 0)`` there, but arbitrary columns may witness
-    a pair at S = 0 only, which ``chosen_over_wit`` reads as no witness.
+    counts, row 0 included; on table columns row 0 is empty.
 
     One scatter ORs each set's rejected mask into the slot of its chosen
     mask.  Row a is then the OR of the slots whose mask holds a: from the

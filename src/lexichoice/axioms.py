@@ -158,6 +158,16 @@ def _first_set(chosen: np.ndarray, rejected: np.ndarray, a: int, b: int) -> int:
     return int(np.argmax(((chosen >> a) & (rejected >> b) & 1) != 0))
 
 
+def first_witnesses(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
+    """``wit[a, b]``: the first S with a in ``chosen[S]`` and b in
+    ``rejected[S]``, one :func:`_first_set` per edge of
+    ``chosen_over_edges``; 0 means no such S, or none but S = 0."""
+    wit = np.zeros((n, n), dtype=np.int64)
+    for a, b in np.argwhere(_kernels.chosen_over_edges(n, chosen, rejected)):
+        wit[a, b] = _first_set(chosen, rejected, a, b)
+    return wit
+
+
 def revealed_pref(c: ChoiceTable, q: int) -> np.ndarray:
     """The revealed preference relation at capacity q as an (n, n) matrix.
 
@@ -169,7 +179,7 @@ def revealed_pref(c: ChoiceTable, q: int) -> np.ndarray:
         raise ValueError("revealed preference requires capacity q >= 2")
     if q > c.n:
         raise ValueError(f"capacity {q} outside 2..{c.n}")
-    return _kernels.chosen_over_wit(c.n, *relation_columns(c, q, revealed=True))
+    return first_witnesses(c.n, *relation_columns(c, q, revealed=True))
 
 
 def _first_two_way(edges: np.ndarray) -> tuple[int, int] | None:

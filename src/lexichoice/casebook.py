@@ -17,11 +17,10 @@ from .axioms import ALL_CHECKS, check_insertion
 from .core import ChoiceTable, Problem, make_universe
 from .identify import ExtractionError, extract_lex_profile
 from .mechanism import (
-    AllocationProblem,
     ChoiceStructure,
-    DAMechanism,
-    demand,
+    MechanismSpace,
     find_impossibility_witness,
+    space_demands,
 )
 from .rules import (
     CapacityWise,
@@ -240,7 +239,6 @@ def _run_school(builder, rejections) -> dict:
 
 def _run_demand_discontinuity() -> dict:
     cs = walk_open_structure(("x",))
-    mech = DAMechanism(cs)
     agents = cs.agents.labels
     accept_all = ("x", None)
     reject = (None, "x")
@@ -248,12 +246,10 @@ def _run_demand_discontinuity() -> dict:
     def profile(refuser):
         return tuple(reject if i == refuser else accept_all for i in agents)
 
-    r = profile("b")
-    r_prime = profile("e")
+    space = MechanismSpace(agents, ("x",), (profile("b"), profile("e")), ((2,), (3,)))
     demands = {}
-    for tag, prefs in (("R", r), ("R_prime", r_prime)):
-        for qtag, caps in (("q", (2,)), ("q_plus_1", (3,))):
-            d = demand(mech(AllocationProblem(prefs, caps)), prefs, "x")
+    for tag, row in zip(("R", "R_prime"), space_demands(cs, space, "x")):
+        for qtag, d in zip(("q", "q_plus_1"), row):
             demands[f"demand_{tag}_{qtag}"] = sorted(agents[i] for i in d)
     demands["isd_violated"] = (
         demands["demand_R_q"] == demands["demand_R_prime_q"]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .axioms import AxiomReport, relation_columns
+from .axioms import AxiomReport, first_witnesses, relation_columns
 from .core import ChoiceTable, Universe, iter_bits, popcount
 from .identify import ExtractionError, linear_extension, require_rebuild
 from .rules import Lexicographic, PriorityOrdering, PriorityProfile
@@ -187,7 +187,7 @@ def f_revealed_pref(c: FChoiceTable, q: int) -> np.ndarray:
     (C(S, 0) is the empty set); ``wit[a, b]`` is the first such S, and 0
     means no edge.
     """
-    return _kernels.chosen_over_wit(c.n, *_f_relation(c, q, _augment_table(c)))
+    return first_witnesses(c.n, *_f_relation(c, q, _augment_table(c)))
 
 
 def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:

@@ -1,8 +1,8 @@
 """Variable-capacity object allocation: deferred acceptance and mechanism axioms.
 
 Agents form a universe; each object carries a choice rule over agent
-subsets.  The deferred acceptance loop re-chooses each round from held plus
-new applicants, with the null object accepting everyone.  Property checkers
+subsets.  Deferred acceptance re-chooses each round from held plus new
+applicants, with the null object accepting everyone.  Property checkers
 quantify over an explicitly enumerated problem space and return an
 :class:`~lexichoice.axioms.AxiomReport`, the same report as the table
 checkers: it fails exactly when it carries a replayable witness.
@@ -10,8 +10,9 @@ checkers: it fails exactly when it carries a replayable witness.
 Preferences are tuples ranking every object and ``None`` (the null object),
 best first.  Allocation problems and allocations are index-aligned tuples.
 The checkers read all allocations of a space from one array
-(:func:`allocations`), which deferred acceptance fills for every problem at
-once; any other mechanism is called once per problem.
+(:func:`allocations`), which the one deferred acceptance implementation
+fills for every problem at once; :func:`da_allocate` is its call on one
+problem, and any other mechanism is called once per problem.
 """
 
 from __future__ import annotations
@@ -120,61 +121,20 @@ def da_allocate(
     """Deferred acceptance over the structure's per-object choice rules.
 
     Each round, rejected agents apply to their next-preferred object; every
-    available object re-chooses from its held set plus new applicants.  Runs
-    are capped at n * |O| + 1 rounds; exceeding the cap means some rule is
-    violating its contract.
-
-    An agent is held by at most one object and an agent who reaches the null
-    object stays there, so the agents rejected in a round (ascending) are
-    exactly the next round's applicants.  Raises ``ValueError`` on a
-    malformed problem (not one ranking per agent, or not one capacity in
-    0..n per object) and, through ``ChoiceStructure.table``, on an invalid
+    available object re-chooses from its held set plus new applicants.  This
+    is :func:`allocations` of a :class:`DAMechanism` on the one-problem
+    space.  With ``trace`` it also returns the rounds: per round, each
+    object that got applicants maps to their sorted labels, keyed in the
+    order of their lowest applicant.  Raises ``ValueError`` on a malformed
+    problem (not one ranking per agent, or not one capacity in 0..n per
+    object) and, through ``ChoiceStructure.table``, on an invalid
     ``TableRule`` table.
     """
-    n = cs.agents.n
-    objects = cs.objects
-    require_problem(prob, n, objects)
-    prefs = prob.preferences
-    caps = dict(zip(objects, prob.capacities))
-
-    ptr = [-1] * n  # position of each agent's latest application
-    held: dict[str, int] = dict.fromkeys(objects, 0)  # bitmask of agents
-    free = cs.agents.full_mask
-    rounds = []
-    limit = n * len(objects) + 1
-    for _ in range(limit + 1):
-        if not free:
-            break
-        applicants: dict[str, int] = {}
-        while free:
-            low = free & -free
-            free ^= low
-            i = low.bit_length() - 1
-            ptr[i] += 1
-            target = prefs[i][ptr[i]]
-            if target is not None:
-                applicants[target] = applicants.get(target, 0) | low
-        if trace:
-            rounds.append(
-                {x: sorted(cs.agents.labels_of(m)) for x, m in applicants.items()}
-            )
-        for x, new in applicants.items():
-            pool = held[x] | new
-            q = caps[x]
-            accepted = int(cs.table(x).entries[pool, q]) if q else 0
-            held[x] = accepted
-            free |= pool & ~accepted
-    else:
-        raise _rounds_exceeded(limit)
-
-    assignment: list = [None] * n
-    for x in objects:
-        for i in iter_bits(held[x]):
-            assignment[i] = x
-    result = tuple(assignment)
-    if trace:
-        return result, rounds
-    return result
+    space = MechanismSpace(cs.agents.labels, cs.objects, (prob.preferences,), (prob.capacities,))
+    rounds = [] if trace else None
+    slots = _da_slots(cs, space, _profile_ids(space), rounds)[0, 0].tolist()
+    result = tuple((cs.objects + (None,))[s] for s in slots)
+    return (result, rounds) if trace else result
 
 
 def demand(a: Allocation, preferences: tuple[Preference, ...], x) -> frozenset[int]:
@@ -182,6 +142,17 @@ def demand(a: Allocation, preferences: tuple[Preference, ...], x) -> frozenset[i
     return frozenset(
         i for i, pref in enumerate(preferences) if a[i] != x and prefers(pref, x, a[i])
     )
+
+
+def space_demands(cs: ChoiceStructure, space: MechanismSpace, x) -> list[list[frozenset[int]]]:
+    """``out[p][c]``: the :func:`demand` for x under deferred acceptance at
+    ``space.profiles[p]`` and ``space.capacities[c]``, from one
+    :func:`allocations` call."""
+    names = space.objects + (None,)
+    return [
+        [demand(tuple(names[s] for s in row), prefs, x) for row in rows]
+        for prefs, rows in zip(space.profiles, allocations(DAMechanism(cs), space).tolist())
+    ]
 
 
 class DAMechanism:
@@ -284,26 +255,47 @@ def _profile_ids(space: MechanismSpace) -> np.ndarray:
     """``(P, n)``: the ranking id of each agent in each profile.
 
     A malformed space raises the ``ValueError`` that :func:`require_problem`
-    raises on its first malformed problem.
+    raises on its first malformed problem.  Rankings given as lists (or any
+    other sequence) are read as tuples.
     """
     n, objects, profiles = len(space.agents), space.objects, space.profiles
     ids = {pref: k for k, pref in enumerate(all_preferences(objects))}
-    flat = list(map(ids.get, itertools.chain.from_iterable(profiles)))
-    bad_caps = [
-        c for c, caps in enumerate(space.capacities)
-        if len(caps) != len(objects) or not all(_capacity_ok(q, n) for q in caps)
-    ]
-    if None in flat or bad_caps or set(map(len, profiles)) - {n}:
-        bad_rows = [
-            p for p, prefs in enumerate(profiles)
-            if len(prefs) != n or any(pref not in ids for pref in prefs)
-        ]
-        if profiles and space.capacities and (bad_rows or bad_caps):
-            p = min(bad_rows[:1] + [0] * bool(bad_caps))
-            c = 0 if p in bad_rows[:1] else bad_caps[0]
-            require_problem(AllocationProblem(profiles[p], space.capacities[c]), n, objects)
-            raise ValueError(f"problem {p}, {c} of the space is malformed")
+    try:
+        flat = list(map(ids.get, itertools.chain.from_iterable(profiles)))
+    except TypeError:  # an unhashable ranking, such as a list
+        flat = [None]
+    if (
+        None in flat
+        or set(map(len, profiles)) - {n}
+        or not all(
+            len(caps) == len(objects) and all(_capacity_ok(q, n) for q in caps)
+            for caps in space.capacities
+        )
+    ):
+        _require_space(space, n)
+        flat = [ids[tuple(pref)] for pref in itertools.chain.from_iterable(profiles)]
     return np.array(flat, dtype=np.int32).reshape(len(profiles), n)
+
+
+def _require_space(space: MechanismSpace, n: int) -> None:
+    """:func:`require_problem` on every problem of the space, in order.  A
+    profile or capacity vector that no problem holds (the space lists no
+    capacity vectors, or no profiles) is checked on its own and named."""
+    objects = space.objects
+    for prob in space.problems():
+        require_problem(prob, n, objects)
+    alone = [
+        (f"profile {p}", AllocationProblem(prefs, (0,) * len(objects)))
+        for p, prefs in enumerate(space.profiles)
+    ] + [
+        (f"capacity vector {c}", AllocationProblem((objects + (None,),) * n, caps))
+        for c, caps in enumerate(space.capacities)
+    ]
+    for name, prob in alone:
+        try:
+            require_problem(prob, n, objects)
+        except ValueError as e:
+            raise ValueError(f"{name} of the space is malformed: {e}") from None
 
 
 def _capacity_array(space: MechanismSpace) -> np.ndarray:
@@ -312,24 +304,23 @@ def _capacity_array(space: MechanismSpace) -> np.ndarray:
     )
 
 
-def _rounds_exceeded(limit: int) -> RuntimeError:
-    return RuntimeError(
-        f"deferred acceptance exceeded {limit} rounds; a choice rule is "
-        "violating its contract"
-    )
-
-
-def _da_slots(cs: ChoiceStructure, space: MechanismSpace, pidx: np.ndarray) -> np.ndarray:
-    """:func:`da_allocate` on every problem of the space at once.
+def _da_slots(
+    cs: ChoiceStructure, space: MechanismSpace, pidx: np.ndarray, rounds: list | None = None
+) -> np.ndarray:
+    """Deferred acceptance on every problem of the space at once.
 
     Problem ``p * C + c`` keeps, per agent, the index into the flattened
     ``slot_at`` of their latest application, the agent mask that each
     object holds and the mask of the agents rejected in the last round.  A
     round moves each rejected agent one place down their ranking; each
     object that got applicants re-chooses from what it holds plus them with
-    one gather from its table, and the others keep what they hold.  A
-    problem whose agents are all placed leaves the loop, so each problem
-    runs da_allocate's rounds, under the same cap.
+    one gather from its table, and the others keep what they hold.  An agent
+    is held by at most one object and an agent who reaches the null object
+    stays there, so a problem with no one rejected is done: each agent's
+    last application is their allotment.  Runs are capped at n * |O| + 1
+    rounds; exceeding the cap means some rule is violating its contract.
+    ``rounds``, given for a one-problem space, receives the trace that
+    :func:`da_allocate` returns.
     """
     n, objects = cs.agents.n, cs.objects
     if tuple(space.objects) != objects:
@@ -341,9 +332,7 @@ def _da_slots(cs: ChoiceStructure, space: MechanismSpace, pidx: np.ndarray) -> n
     caps = _capacity_array(space)
     slot_at = _slot_tables(objects)[0].reshape(-1)
     mask_t = np.min_scalar_type(cs.agents.full_mask)
-    shifts = np.arange(n, dtype=mask_t)
-    bits = np.left_shift(mask_t.type(1), shifts)
-    members = ((np.arange(1 << n, dtype=mask_t)[:, None] >> shifts) & 1).astype(bool)
+    bits = np.left_shift(mask_t.type(1), np.arange(n, dtype=mask_t))
     total = len(pidx) * n_caps
     out = np.empty((total, n), dtype=np.int8)
     problem = np.arange(total, dtype=np.int32)
@@ -355,19 +344,22 @@ def _da_slots(cs: ChoiceStructure, space: MechanismSpace, pidx: np.ndarray) -> n
     for _ in range(limit):
         if not problem.size:
             break
-        moving = members[free]
+        moving = (free[:, None] & bits) != 0
         at += moving
         target = slot_at[at]
         cap_row = problem % n_caps
         rejected = np.zeros(problem.size, dtype=mask_t)
+        applied = {}
         for x in range(n_obj):
             new = ((target == x) & moving) @ bits
             rows = np.flatnonzero(new)
             if not rows.size:
                 continue
+            if rounds is not None:
+                applied[objects[x]] = int(new[0])
             pool = held[rows, x] | new[rows]
             q = caps[cap_row[rows], x]
-            if tables[x] is None and q.any():  # da_allocate reads a table only at q > 0
+            if tables[x] is None and q.any():  # a table is read only at q > 0
                 tables[x] = cs.table(objects[x]).entries  # column 0 is empty
             accepted = (
                 tables[x][pool, q].astype(mask_t) if tables[x] is not None
@@ -375,13 +367,20 @@ def _da_slots(cs: ChoiceStructure, space: MechanismSpace, pidx: np.ndarray) -> n
             )
             held[rows, x] = accepted
             rejected[rows] |= pool & ~accepted
-        # with no one rejected, each agent's last application is their allotment
+        if rounds is not None:
+            rounds.append({
+                x: sorted(cs.agents.labels_of(m))
+                for x, m in sorted(applied.items(), key=lambda item: item[1] & -item[1])
+            })
         done = rejected == 0
         out[problem[done]] = target[done]
         going = ~done
         problem, at, held, free = problem[going], at[going], held[going], rejected[going]
     if problem.size:
-        raise _rounds_exceeded(limit)
+        raise RuntimeError(
+            f"deferred acceptance exceeded {limit} rounds; a choice rule is "
+            "violating its contract"
+        )
     return out.reshape(len(pidx), n_caps, n)
 
 
@@ -863,12 +862,10 @@ def find_impossibility_witness(cs: ChoiceStructure) -> dict:
     q = tuple(1 if k == ib else 0 for k in range(len(cs.objects)))
     q_up = tuple(1 if k in (ia, ib) else 0 for k in range(len(cs.objects)))
 
-    mech = DAMechanism(cs)
     r, rp = tuple(prefs_r), tuple(prefs_rp)
-    d_before_r = demand(mech(AllocationProblem(r, q)), r, a)
-    d_before_rp = demand(mech(AllocationProblem(rp, q)), rp, a)
-    d_after_r = demand(mech(AllocationProblem(r, q_up)), r, a)
-    d_after_rp = demand(mech(AllocationProblem(rp, q_up)), rp, a)
+    (d_before_r, d_after_r), (d_before_rp, d_after_rp) = space_demands(
+        cs, MechanismSpace(agents, cs.objects, (r, rp), (q, q_up)), a
+    )
     if d_before_r != d_before_rp or d_after_r == d_after_rp:
         raise ValueError("constructed configuration failed to replay the violation")
 

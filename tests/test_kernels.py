@@ -21,6 +21,7 @@ from lexichoice import (
     materialize,
 )
 from lexichoice import _kernels
+from lexichoice.axioms import first_witnesses
 
 from conftest import random_ordering, random_profile, universe
 
@@ -330,12 +331,12 @@ def test_witness_kernels_agree(rng, n):
             prev, cur = table[:, q - 1], table[:, q]
             want = np.zeros((n, n), dtype=np.int64)
             _chosen_over_wit_loops(n, table, q, want)
-            got = _kernels.chosen_over_wit(n, cur, masks & ~cur)
+            got = first_witnesses(n, cur, masks & ~cur)
             assert np.array_equal(got, want)
             if q >= 2:
                 want = np.zeros((n, n), dtype=np.int64)
                 _revealed_wit_loops(n, table, q, want)
-                got = _kernels.chosen_over_wit(n, cur & ~prev, masks & ~cur & ~prev)
+                got = first_witnesses(n, cur & ~prev, masks & ~cur & ~prev)
                 assert np.array_equal(got, want)
 
 
@@ -349,7 +350,7 @@ def test_chosen_over_wit_agrees_on_arbitrary_columns(n):
 
     def agree(chosen, rejected):
         want = _chosen_over_wit_columns_loops(n, chosen, rejected)
-        assert np.array_equal(_kernels.chosen_over_wit(n, chosen, rejected), want)
+        assert np.array_equal(first_witnesses(n, chosen, rejected), want)
         return want
 
     for _ in range(10):
@@ -399,7 +400,7 @@ def test_chosen_over_edges_agree_on_table_columns(rng, n):
                 got = _kernels.chosen_over_edges(n, chosen, rejected)
                 assert got.dtype == np.bool_ and got.shape == (n, n)
                 assert np.array_equal(got, _chosen_over_edges_loops(n, chosen, rejected))
-                assert np.array_equal(got, _kernels.chosen_over_wit(n, chosen, rejected) != 0)
+                assert np.array_equal(got, _chosen_over_wit_columns_loops(n, chosen, rejected) != 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -422,12 +423,12 @@ def test_chosen_over_edges_agree_on_arbitrary_columns(n):
         agree(chosen, rejected | (rejected << n))
         assert not agree(np.zeros(size, dtype=np.int64), rejected).any()
     # a pair witnessed only at S = 0 is an edge, though it has no first
-    # witness in chosen_over_wit's reading
+    # witness in first_witnesses' reading
     chosen = np.zeros(size, dtype=np.int64)
     chosen[0] = 1
     rejected = np.full(size, size - 1, dtype=np.int64)
     assert agree(chosen, rejected)[0].all()
-    assert not _kernels.chosen_over_wit(n, chosen, rejected).any()
+    assert not first_witnesses(n, chosen, rejected).any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

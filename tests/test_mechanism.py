@@ -39,6 +39,7 @@ from lexichoice.mechanism import (
     _profile_labels,
     allocations,
     prefers,
+    require_problem,
     validate_preference,
 )
 from lexichoice.rules import (
@@ -470,7 +471,47 @@ def test_da_matches_placed_scan_loop():
             assert da_allocate(cs, prob) == want
 
 
-# --- the whole-space deferred acceptance against da_allocate ---------------------
+@pytest.mark.parametrize("n", [9, 16])
+def test_traced_da_matches_placed_scan_loop_on_wide_masks(n):
+    """Allocations and traced rounds, key order included, with four objects
+    at sizes whose agent masks are uint16."""
+    rng = random.Random(n)
+    objects = ("w", "x", "y", "z")
+    kinds = ("lexicographic", "capacity_wise", "responsive", *BOSTON_BUILDERS)
+    u = make_universe(tuple(f"a{i}" for i in range(n)))
+    prefs = all_preferences(objects)
+    longest = 0
+    for trial in range(2):
+        rules = {x: _random_rule(rng, u, kinds[(trial + k) % len(kinds)]) for k, x in enumerate(objects)}
+        cs = ChoiceStructure(u, objects, rules)
+        for _ in range(10):
+            prob = AllocationProblem(
+                tuple(rng.choice(prefs) for _ in range(n)),
+                tuple(rng.randint(0, n // 2) for _ in objects),
+            )
+            want, want_rounds = _placed_scan_da(cs, prob)
+            got, rounds = da_allocate(cs, prob, trace=True)
+            assert got == want, prob
+            assert [list(r.items()) for r in rounds] == [list(r.items()) for r in want_rounds]
+            longest = max(longest, len(rounds))
+    assert longest >= 4  # rejection chains, not one round of acceptances
+
+
+def test_da_reads_list_rankings_as_tuples():
+    """Rankings given as lists allocate as the same rankings as tuples."""
+    cs = _responsive_structure(("i", "j"), {"x": ("j", "i")})
+    listed = AllocationProblem([["x", None], ["x", None]], [1])
+    assert da_allocate(cs, listed) == (None, "x")
+    assert da_allocate(cs, listed, trace=True) == ((None, "x"), [{"x": ["i", "j"]}, {}])
+    space = MechanismSpace(("i", "j"), ("x",), (listed.preferences,), ((1,), (2,)))
+    assert _allocation_rows(space, allocations(DAMechanism(cs), space)) == [
+        [(None, "x"), ("x", "x")]
+    ]
+    for name, check in MECHANISM_CHECKS.items():
+        assert check(DAMechanism(cs), space).ok, name
+
+
+# --- the whole-space deferred acceptance against the placed-scan loop ------------
 
 
 def _allocation_rows(space, alloc):
@@ -483,13 +524,14 @@ def _allocation_rows(space, alloc):
 
 def _per_problem_rows(cs, space):
     return [
-        [da_allocate(cs, AllocationProblem(prefs, caps)) for caps in space.capacities]
+        [_placed_scan_da(cs, AllocationProblem(prefs, caps))[0] for caps in space.capacities]
         for prefs in space.profiles
     ]
 
 
 def test_array_da_matches_da_allocate():
-    """Every problem of exhaustive and single-object spaces, on structures
+    """Every problem of exhaustive and single-object spaces against the
+    placed-scan loop (da_allocate is the same array code), on structures
     that mix all rule kinds: Boston variants and tables failing gross
     substitutes are where proposal order could matter."""
     rng = random.Random(12)
@@ -515,20 +557,28 @@ def test_array_da_matches_da_allocate():
 
 
 def _first_error(cs, space):
-    """The ValueError that da_allocate raises on the space's first bad problem."""
-    for prob in space.problems():
-        try:
-            da_allocate(cs, prob)
-        except ValueError as e:
-            return str(e)
+    """The ValueError of require_problem on the space's first bad problem,
+    else that of the first object's table that fails validation."""
+    try:
+        for prob in space.problems():
+            require_problem(prob, cs.agents.n, cs.objects)
+        for x in cs.objects:
+            cs.table(x)
+    except ValueError as e:
+        return str(e)
     raise AssertionError("no problem of the space is malformed")
 
 
 @pytest.mark.parametrize(
-    "edit", ["cap_above_n", "bad_ranking", "short_profile", "cap_and_ranking", "invalid_table"]
+    "edit",
+    [
+        "cap_above_n", "bad_ranking", "short_profile", "cap_and_ranking", "invalid_table",
+        "bad_ranking_no_capacities", "short_profile_no_capacities",
+    ],
 )
 def test_array_da_refuses_malformed_spaces(edit):
-    """The same ValueError as the per-problem loop's first failure."""
+    """The ValueError of the space's first malformed problem; with no
+    capacity vectors, one that names the malformed profile."""
     cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
     space = exhaustive_space(("i", "j"), ("x", "y"))
     bad_ranking = (("x", "y", None), ("x", "x", None))
@@ -542,12 +592,23 @@ def test_array_da_refuses_malformed_spaces(edit):
     elif edit == "cap_and_ranking":  # the capacity comes first, at the first profile
         capacities = capacities[:4] + ((1, -1),) + capacities[4:]
         profiles = profiles[:5] + (bad_ranking,) + profiles[5:]
-    else:
+    elif edit == "invalid_table":
         cs = _invalid_table_structure()
+    else:
+        capacities = ()
+        bad = bad_ranking if edit.startswith("bad_ranking") else (("x", "y", None),)
+        profiles = profiles[:5] + (bad,) + profiles[5:]
     space = dataclasses.replace(space, profiles=profiles, capacities=capacities)
-    with pytest.raises(ValueError) as got:
-        allocations(DAMechanism(cs), space)
-    assert str(got.value) == _first_error(cs, space)
+    if capacities:
+        want = _first_error(cs, space)
+    else:
+        with pytest.raises(ValueError) as alone:
+            require_problem(AllocationProblem(profiles[5], (0, 0)), 2, cs.objects)
+        want = f"profile 5 of the space is malformed: {alone.value}"
+    for check in (allocations, *MECHANISM_CHECKS.values()):
+        with pytest.raises(ValueError) as got:
+            check(DAMechanism(cs), space)
+        assert str(got.value) == want, check
 
 
 # --- the rewritten checkers against their per-pair loops -------------------------
@@ -763,10 +824,15 @@ def _structure(rng, kind, agents, objects):
     return ChoiceStructure(u, objects, rules)
 
 
+def _loop_da(cs):
+    """Deferred acceptance one problem at a time, by the placed-scan loop."""
+    return lambda prob: _placed_scan_da(cs, prob)[0]
+
+
 def _mechanisms(rng, kind, agents, objects):
     cs = _structure(rng, kind, agents, objects)
-    da = DAMechanism(cs)
-    other = DAMechanism(_structure(rng, "responsive", agents, objects))
+    da = _loop_da(cs)
+    other = _loop_da(_structure(rng, "responsive", agents, objects))
     n = len(agents)
 
     def capacity_dependent(prob):
@@ -782,7 +848,7 @@ def _mechanisms(rng, kind, agents, objects):
         return (da if acceptable % 2 else other)(prob)
 
     return {
-        "da": da,
+        "da": DAMechanism(cs),
         "immediate_acceptance": _ImmediateAcceptance(cs),
         "reject_all": lambda prob: (None,) * n,
         "capacity_dependent": capacity_dependent,
@@ -792,7 +858,11 @@ def _mechanisms(rng, kind, agents, objects):
 
 
 def _memoized(m):
-    """The loops ask for one problem many times; a memo keeps them fast."""
+    """The loops ask for one problem many times; a memo keeps them fast.  A
+    DAMechanism is replaced by the placed-scan loop, so that the loops share
+    no code with the whole-space deferred acceptance."""
+    if isinstance(m, DAMechanism):
+        m = _loop_da(m.structure)
     memo = {}
 
     def call(prob):
@@ -819,8 +889,8 @@ def test_rewritten_checkers_match_their_loops():
     """Verdict and first witness agree on every mechanism and space, sampled
     spaces included: their misreports fall outside the space, and they may
     list a profile twice.  A DAMechanism is checked unwrapped, so that it
-    takes the whole-space deferred acceptance, and behind a memo, so that it
-    is called once per problem like any other mechanism."""
+    takes the whole-space deferred acceptance, and behind a memo, which
+    calls the placed-scan loop once per problem like any other mechanism."""
     rng = random.Random(11)
     verdicts = {name: set() for name in REWRITTEN_CHECKS}
     for kind, space_kind, n, objects in ORACLE_SPACES:
