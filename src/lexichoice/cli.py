@@ -239,13 +239,14 @@ def cmd_da(args) -> int:
         else:
             alloc = da_allocate(cs, prob)
             rounds = None
+        digest = spec_digest(obj)
     except (SpecError, ValueError) as e:
         return _fail_input(str(e))
     assignment = {
         agent: ("null" if x is None else x)
         for agent, x in zip(cs.agents.labels, alloc)
     }
-    payload = {"input_digest": spec_digest(obj), "allocation": assignment}
+    payload = {"input_digest": digest, "allocation": assignment}
     if rounds is not None:
         payload["rounds"] = rounds
     lines = [f"{agent}: {x}" for agent, x in assignment.items()]

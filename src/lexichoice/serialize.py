@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -77,12 +79,75 @@ class RuleSpec:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
+    separators=(",", ": ")) + "\\n"``.  With an indent that call runs the
+    pure-Python encoder, so dicts with str keys and lists are walked here: a
+    list of str or of int leaves is one join, and a rectangular matrix of
+    ints (a ``table`` spec's entries) is one %-format.  Any other value goes
+    to ``json.dumps`` and is re-indented, which is exact because the encoder
+    escapes every newline inside a string.
+    """
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append ``obj`` in canonical form to ``out``, each line after the first
+    led by ``nl``; one frame per nesting level, as in the stdlib encoder."""
+    kind = type(obj)
+    if kind in _LEAVES:
+        out.append(_LEAVES[kind](obj))
+        return
+    inner = nl + "  "
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+        return
+    if (kind is list or kind is tuple) and obj:
+        types = set(map(type, obj))
+        if len(types) == 1 and (leaf := _LEAVES.get(*types)):
+            out.append("[" + inner + ("," + inner).join(map(leaf, obj)) + nl + "]")
+            return
+        if (
+            types <= {list, tuple}
+            and len(widths := set(map(len, obj))) == 1
+            and set(map(type, chain.from_iterable(obj))) == {int}
+        ):
+            cell = "," + inner + "  "
+            row = "[" + inner + "  " + cell.join(["%d"] * widths.pop()) + inner + "]"
+            matrix = "[" + inner + ("," + inner).join([row] * len(obj)) + nl + "]"
+            out.append(matrix % tuple(chain.from_iterable(obj)))
+            return
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+        return
+    text = json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
+    out.append(text.replace("\n", nl))
 
 
 def spec_digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    """SHA-256 (hex) of the canonical form of a spec's JSON value."""
+    try:
+        text = canonical_json(obj)
+    except RecursionError:
+        # json.load, called higher in the stack, reads a few levels deeper
+        raise SpecError("spec: nested too deeply to digest") from None
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _require(obj: dict, key: str, where: str):
@@ -108,13 +173,50 @@ def _profile(u: Universe, rows, where: str) -> PriorityProfile:
     )
 
 
-def _is_int64(x) -> bool:
-    """A JSON integer (not a bool or a float) that fits an int64 entry."""
-    return isinstance(x, int) and not isinstance(x, bool) and -(1 << 63) <= x < 1 << 63
+_NOT_INT64 = "rule: entries must be rows of 64-bit integers"
+
+
+def _table(u: Universe, rows) -> ChoiceTable:
+    """The validated table of a ``table`` rule's ``entries``.
+
+    Types are tested on the few distinct types of the rows and of their
+    entries (int subclasses pass, bool does not); ``np.array`` decides the
+    int64 range.
+    """
+    if (
+        not isinstance(rows, list)
+        or not all(issubclass(t, list) for t in set(map(type, rows)))
+        or not all(
+            issubclass(t, int) and not issubclass(t, bool)
+            for t in set(map(type, chain.from_iterable(rows)))
+        )
+    ):
+        raise SpecError(_NOT_INT64)
+    try:
+        entries = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise SpecError(_NOT_INT64) from None
+    except (TypeError, ValueError) as e:
+        # a ragged matrix: an out-of-range entry is named first
+        if any(not -(1 << 63) <= x < 1 << 63 for x in chain.from_iterable(rows)):
+            raise SpecError(_NOT_INT64) from None
+        raise SpecError(f"rule: bad entries matrix: {e}") from None
+    try:
+        table = ChoiceTable(u, entries)
+        table.validate()
+    except ValueError as e:
+        raise SpecError(f"rule: {e}") from None
+    return table
 
 
 def parse_spec(obj: dict) -> RuleSpec:
     """Parse and validate a rule-spec dict; raises :class:`SpecError`."""
+    return RuleSpec(*_parse_rule_spec(obj), spec_digest(obj))
+
+
+def _parse_rule_spec(obj: dict):
+    """``parse_spec`` without the digest: (universe, rule, flex profile,
+    feasibility family)."""
     if not isinstance(obj, dict):
         raise SpecError("spec must be a JSON object")
     labels = _require(obj, "universe", "spec")
@@ -132,14 +234,13 @@ def parse_spec(obj: dict) -> RuleSpec:
     if not isinstance(rule_obj, dict):
         raise SpecError("spec: rule must be an object")
     kind = _require(rule_obj, "kind", "rule")
-    digest = spec_digest(obj)
 
     if kind == "lexicographic":
         profile = _profile(u, _require(rule_obj, "profile", "rule"), "profile")
-        return RuleSpec(u, Lexicographic(profile), None, None, digest)
+        return u, Lexicographic(profile), None, None
     if kind == "responsive":
         ordering = _ordering(u, _require(rule_obj, "ordering", "rule"), "ordering")
-        return RuleSpec(u, Responsive(ordering), None, None, digest)
+        return u, Responsive(ordering), None, None
     if kind == "capacity_wise":
         rows = _require(rule_obj, "lists", "rule")
         if not isinstance(rows, list) or len(rows) != u.n:
@@ -156,7 +257,7 @@ def parse_spec(obj: dict) -> RuleSpec:
             )
         except (TypeError, ValueError) as e:
             raise SpecError(f"rule: {e}") from None
-        return RuleSpec(u, CapacityWise(lists), None, None, digest)
+        return u, CapacityWise(lists), None, None
     if kind == "boston":
         variant = _require(rule_obj, "variant", "rule")
         if not isinstance(variant, str) or variant not in BOSTON_BUILDERS:
@@ -167,23 +268,9 @@ def parse_spec(obj: dict) -> RuleSpec:
         w = _ordering(u, _require(rule_obj, "walk", "rule"), "walk")
         o = _ordering(u, _require(rule_obj, "open", "rule"), "open")
         lists = BOSTON_BUILDERS[variant](w, o, u.n)
-        return RuleSpec(u, CapacityWise(lists), None, None, digest)
+        return u, CapacityWise(lists), None, None
     if kind == "table":
-        rows = _require(rule_obj, "entries", "rule")
-        if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(_is_int64(x) for x in row) for row in rows
-        ):
-            raise SpecError("rule: entries must be rows of 64-bit integers")
-        try:
-            entries = np.array(rows, dtype=np.int64)
-        except (TypeError, ValueError) as e:
-            raise SpecError(f"rule: bad entries matrix: {e}") from None
-        try:
-            table = ChoiceTable(u, entries)
-            table.validate()
-        except ValueError as e:
-            raise SpecError(f"rule: {e}") from None
-        return RuleSpec(u, TableRule(table), None, None, digest)
+        return u, TableRule(_table(u, _require(rule_obj, "entries", "rule"))), None, None
     if kind == "flex":
         profile = _profile(u, _require(rule_obj, "profile", "rule"), "profile")
         sets = _require(rule_obj, "maximal_feasible_sets", "rule")
@@ -196,7 +283,7 @@ def parse_spec(obj: dict) -> RuleSpec:
             family = make_family(u, sets)
         except (KeyError, ValueError) as e:
             raise SpecError(f"rule: {e}") from None
-        return RuleSpec(u, None, profile, family, digest)
+        return u, None, profile, family
     raise SpecError(f"rule: unknown kind {kind!r}")
 
 
@@ -207,7 +294,8 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise SpecError(f"cannot read {path}: {e}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:
+        # decode errors, ints past the interpreter's digit limit, deep nesting
         raise SpecError(f"{path}: invalid JSON: {e}") from None
 
 
@@ -242,10 +330,12 @@ def parse_da_spec(obj) -> tuple[ChoiceStructure, AllocationProblem]:
     for x in objects:
         if x not in obj["rules"]:
             raise SpecError(f"allocation spec: no rule for object {x!r}")
-        sub = parse_spec({"universe": obj["agents"], "rule": obj["rules"][x]})
-        if sub.is_flex:
+        _, rule, flex_profile, _ = _parse_rule_spec(
+            {"universe": obj["agents"], "rule": obj["rules"][x]}
+        )
+        if flex_profile is not None:
             raise SpecError("allocation spec: flex rules are not supported here")
-        rules[x] = sub.rule
+        rules[x] = rule
     prefs_raw = obj["preferences"]
     if (
         not isinstance(prefs_raw, list)
@@ -295,8 +385,3 @@ def report_dict(report) -> dict:
         "verdict": report.verdict,
         "witness": report.witness,
     }
-
-
-def table_entries(table: ChoiceTable) -> list[list[int]]:
-    """Raw entries matrix, the ``table`` spec-kind wire format."""
-    return table.entries.tolist()

@@ -73,6 +73,11 @@ def naive_flex_choice(profile, feasible_sets, members, capacity) -> set[int]:
     return chosen
 
 
+def table_entries(table) -> list[list[int]]:
+    """Raw entries matrix, the ``table`` spec-kind wire format."""
+    return table.entries.tolist()
+
+
 def mask_of(members) -> int:
     out = 0
     for a in members:

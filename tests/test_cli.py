@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -205,10 +206,47 @@ def test_da_input_errors(tmp_path, capsys):
 
 
 def test_table_entries_must_be_integers(tmp_path, capsys):
-    for entry in [2**64, 1.7]:
-        spec = {"universe": ["a"], "rule": {"kind": "table", "entries": [[0, 0], [0, entry]]}}
+    not_int64 = "rule: entries must be rows of 64-bit integers"
+    ragged = [[0, 0], [0]]
+    try:
+        np.array(ragged, dtype=np.int64)
+    except ValueError as e:
+        bad_matrix = f"rule: bad entries matrix: {e}"
+    cases = [
+        ([[0, 0], [0, entry]], not_int64)
+        for entry in [1.7, True, 2**63, -(2**63) - 1, 2**64, "1", None, [1]]
+    ]
+    cases += [
+        ([[0, 0], 5], not_int64),  # a row that is not a list
+        ({"0": [0, 0]}, not_int64),  # entries that is not a list
+        (ragged, bad_matrix),
+        ([[0, 0], [0, 0, 2**63]], not_int64),  # ragged, with an int64 overflow
+        ([[0, 0], [0, 2**63 - 1]], "rule: entry at (S=0x1, q=1) is not a subset of S"),
+    ]
+    for entries, message in cases:
+        spec = {"universe": ["a"], "rule": {"kind": "table", "entries": entries}}
         code, out, err = _run(capsys, ["check", _write(tmp_path, "t.json", spec)])
-        assert code == 2 and out == "" and "integers" in err
+        assert (code, out) == (2, ""), entries
+        assert err.splitlines()[0] == f"error: {message}", entries
+        assert "Traceback" not in err
+
+
+def test_unreadable_json_values_exit_2(tmp_path, capsys):
+    # an int past the interpreter's 4300-digit limit, and nesting past the
+    # decoder's recursion limit: json.load raises ValueError / RecursionError
+    rule = '{"kind": "table", "entries": [[0, 0], [0, %s]]}' % ("9" * 5000)
+    deep = "[" * 100_000 + "]" * 100_000
+    for name, text, word in [
+        ("digits.json", '{"universe": ["a"], "rule": %s}' % rule, "integer string"),
+        ("deep.json", '{"universe": ["a"], "x": %s}' % deep, "recursion"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        for argv in (["check", str(path)], ["extract", str(path)], ["da", str(path)]):
+            code, out, err = _run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {path}: invalid JSON: ") and word in err
+            assert "Traceback" not in err
 
 
 def test_malformed_flex_sets_and_boston_variant(tmp_path, capsys):

@@ -1,21 +1,29 @@
+import contextlib
+import enum
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import table_entries
 from lexichoice import (
     Responsive,
+    casebook,
+    cli,
     materialize,
     make_universe,
     ordering_from_labels,
+    serialize,
 )
 from lexichoice.serialize import (
     SpecError,
     canonical_json,
     load_spec,
+    parse_da_spec,
     parse_spec,
     profile_labels,
     spec_digest,
-    table_entries,
 )
 
 
@@ -26,6 +34,178 @@ LEX_SPEC = {
         "profile": [["a", "b", "c"], ["c", "b", "a"], ["b", "a", "c"]],
     },
 }
+
+
+# the table of LEX_SPEC, as a ``table`` spec
+TABLE_SPEC = {
+    "universe": ["a", "b", "c"],
+    "rule": {
+        "kind": "table",
+        "entries": [
+            [0, 0, 0, 0], [0, 1, 1, 1], [0, 2, 2, 2], [0, 1, 3, 3],
+            [0, 4, 4, 4], [0, 1, 5, 5], [0, 2, 6, 6], [0, 1, 5, 7],
+        ],
+    },
+}
+
+DA_SPEC = {
+    "agents": ["i", "j", "k"],
+    "objects": ["x", "y"],
+    "rules": {
+        "x": {"kind": "responsive", "ordering": ["i", "j", "k"]},
+        "y": {"kind": "table", "entries": TABLE_SPEC["rule"]["entries"]},
+    },
+    "preferences": [["x", "y", "null"], ["x", "null", "y"], ["y", "x", "null"]],
+    "capacities": [1, 1],
+}
+
+
+def oracle_json(obj) -> str:
+    """The stdlib form that ``canonical_json`` reproduces byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**40
+
+
+_INTS = (
+    st.integers(-3, 300)
+    | st.integers(min_value=2**63)
+    | st.integers(max_value=-(2**63))
+    | st.integers()
+)
+_TEXT = st.text(st.characters() | st.sampled_from('\n\r\t\x00\x1f\x7f"\\/\u00e9\u2028\U0001f600'))
+
+
+def _matrices(cells):
+    """Rectangular matrices (the one-format path) of any width, zero included."""
+    return st.integers(0, 4).flatmap(
+        lambda width: st.lists(
+            st.lists(cells, min_size=width, max_size=width), min_size=1, max_size=5
+        )
+    )
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | _INTS
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+    | _TEXT
+    | st.sampled_from(list(Level))
+)
+JSON_VALUES = st.recursive(
+    _SCALARS
+    | _matrices(_INTS)
+    | _matrices(_INTS | st.booleans())
+    | st.lists(st.lists(_INTS, max_size=3), max_size=5)  # ragged, empty rows too
+    | st.lists(_INTS | st.booleans() | st.floats())
+    | st.lists(_TEXT),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),  # keys json.dumps writes
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(value=JSON_VALUES)
+def test_canonical_json_matches_stdlib_oracle(value):
+    assert canonical_json(value) == oracle_json(value)
+
+
+def test_canonical_json_matches_oracle_on_tuples_and_matrices():
+    for value in [
+        ((1, 2), (3, 4)),
+        [(1, 2), [3, 4]],
+        {"m": ((0,), (1,)), "s": ("a", "b"), "e": (), "d": {}},
+        [[1, 2], [3]],
+        [[1, True], [2, 3]],
+        [[1, 2.0], [3, 4]],
+        [[], []],
+        [[2**64, -(2**63) - 1], [0, 1]],
+        [[Level.LOW, 2], [3, 4]],
+        {"a\nb": ["x\ny", "\u00e9"], "": [None, float("nan")]},
+        {"nested": {1: "int key", 2: [1, 2]}, "floats": [[0.5, 1.5]]},
+    ]:
+        assert canonical_json(value) == oracle_json(value)
+
+
+def test_canonical_json_matches_oracle_on_command_payloads(tmp_path, monkeypatch):
+    # every payload that the CLI writes, as the command built it (tuples and
+    # all), through a recording canonical_json
+    payloads = []
+
+    def recording(obj):
+        payloads.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", recording)
+    perturbed = json.loads(json.dumps(TABLE_SPEC))
+    perturbed["rule"]["entries"][7][1] = 2  # C({a, b, c}, 1) = {b}
+    calls = []
+    for name, spec in [("lex", LEX_SPEC), ("table", TABLE_SPEC), ("perturbed", perturbed)]:
+        path = str(tmp_path / f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        calls += [["check", path, "--replay-witness"], ["extract", path]]
+        calls += [["extract", path, "--kind", "capacity_wise"]]
+    da_path = str(tmp_path / "da.json")
+    with open(da_path, "w") as fh:
+        json.dump(DA_SPEC, fh)
+    calls += [["da", da_path], ["da", da_path, "--trace"], ["repro"]]
+    for argv in calls:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) in (0, 1)
+    assert len(payloads) == len(calls)
+    assert any(not p.get("all_pass", True) for p in payloads)
+    for payload in payloads + [casebook.run_all()]:
+        assert canonical_json(payload) == oracle_json(payload)
+
+
+def test_canonical_json_nesting():
+    # one frame per level: as deep as the stdlib encoder writes; deeper
+    # values are a SpecError for the digest, not a RecursionError
+    value = 0
+    for depth in range(300):
+        value = [value, "x"] if depth % 2 else {"k": value}
+    assert canonical_json(value) == oracle_json(value)
+    for _ in range(5000):
+        value = [value]
+    with pytest.raises(SpecError, match="nested too deeply"):
+        spec_digest({"universe": ["a"], "x": value})
+
+
+def test_spec_digests_are_pinned():
+    # SHA-256 of the canonical form; a changed writer changes these
+    assert spec_digest(LEX_SPEC) == (
+        "d48d3db8c6c1df2d72daeda2d0bf5b91583e1c1c6ecd0228b5ace87ef73772dc"
+    )
+    assert spec_digest(TABLE_SPEC) == (
+        "589179be3d0e36e4e279dded5e0da2a75d73e4b13eaa38ffbd8f0f15ec3706da"
+    )
+    assert parse_spec(TABLE_SPEC).table() == parse_spec(LEX_SPEC).table()
+
+
+def test_table_entries_accept_int_subclasses():
+    entries = [list(row) for row in TABLE_SPEC["rule"]["entries"]]
+    entries[1][1] = Level.LOW
+    spec = parse_spec(dict(TABLE_SPEC, rule={"kind": "table", "entries": entries}))
+    assert spec.table() == parse_spec(TABLE_SPEC).table()
+    assert spec.digest == spec_digest(TABLE_SPEC)
+
+
+def test_da_sub_specs_are_not_digested(monkeypatch):
+    def refuse(obj):
+        raise AssertionError("a da sub-spec was digested")
+
+    monkeypatch.setattr(serialize, "spec_digest", refuse)
+    cs, prob = parse_da_spec(DA_SPEC)
+    assert cs.objects == ("x", "y") and prob.capacities == (1, 1)
 
 
 def test_canonical_json_is_stable():
@@ -140,4 +320,6 @@ def test_load_spec_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(LEX_SPEC))
     spec = load_spec(str(good))
-    assert spec.digest == spec_digest(LEX_SPEC)
+    assert spec.digest == (
+        "d48d3db8c6c1df2d72daeda2d0bf5b91583e1c1c6ecd0228b5ace87ef73772dc"
+    )
