@@ -23,14 +23,23 @@ checks that the outputs here match them bit for bit, witness tie-breaks
 included.
 
 All tables are int64 arrays of shape ``(2**n, n+1)`` holding chosen
-bitmasks, with column 0 fixed empty.  Key tensors encode priority orderings
-positionally: ``keys[..., alt]`` is the rank of ``alt`` (0 = highest
-priority).
+bitmasks, with column 0 fixed empty; the kernels take and return them.  The
+engine caps n at 16 (``core.MAX_ALTERNATIVES``), so every mask fits in 16
+bits, and ``cwlex_fill`` and the single-removal scan compute on uint16
+masks, a quarter of the bytes per pass.  The fill stages its capacities in
+a contiguous uint16 array and casts it once into the table; the scan reads
+a uint16 copy of the table.  Nothing is truncated: the fill refuses n above
+16, and ``gs_first_violation`` and ``path_independence_first`` raise
+``ValueError`` on an entry outside 0..2**16-1, which no validated table
+holds.  Key tensors encode priority orderings positionally:
+``keys[..., alt]`` is the rank of ``alt`` (0 = highest priority).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+MASK_BITS = 16  # the kernels hold masks as uint16: n <= MASK_BITS
 
 
 def _top_bits(key: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -50,15 +59,23 @@ def _top_bits(key: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return top
 
 
+def _masks(n: int) -> np.ndarray:
+    """Every mask over n alternatives, 0..2**n-1, as uint16."""
+    if not 0 <= n <= MASK_BITS:
+        raise ValueError(f"{n} alternatives do not fit {MASK_BITS}-bit masks")
+    return np.arange(1 << n, dtype=np.uint16)
+
+
 def _augmentations(n: int, feas: np.ndarray) -> np.ndarray:
     """``augment[m]``: the bitmask of the alternatives b with ``feas[m | b]``,
-    over all 2**n masks m (b in m counts exactly when m is feasible)."""
+    over all 2**n masks m (b in m counts exactly when m is feasible), as
+    uint16."""
     feas = np.asarray(feas, dtype=np.bool_)
-    masks = np.arange(1 << n, dtype=np.int64)
-    augment = np.zeros(1 << n, dtype=np.int64)
+    masks = _masks(n)
+    augment = np.zeros_like(masks)
     for b in range(n):
-        bit = np.int64(1) << np.int64(b)
-        augment |= np.where(feas[masks | bit], bit, np.int64(0))
+        bit = np.uint16(1 << b)
+        augment |= np.where(feas[masks | bit], bit, np.uint16(0))
     return augment
 
 
@@ -79,31 +96,30 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
     capacity q-1's, its first q-1 picks are capacity q-1's choice, so it
     starts there and makes one pick: a lexicographic or responsive fill takes
     n picks, not n(n+1)/2.  Only the last top table is kept, which is all a
-    repeated ordering needs.
+    repeated ordering needs.  The capacities are filled as the rows of a
+    contiguous uint16 array, which is cast once into the int64 table.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
+    masks = _masks(n)
     if feas is not None:
         augment = _augmentations(n, feas)
-    table = np.zeros((size, n + 1), dtype=np.int64)
+    cols = np.zeros((n + 1, 1 << n), dtype=np.uint16)
     top_key = top = None
     for q in range(1, n + 1):
         if q > 1 and np.array_equal(keys[q - 1, : q - 1], keys[q - 2, : q - 1]):
             start = q - 1  # chosen still holds C(S, q-1)
         else:
-            start, chosen = 0, np.zeros(size, dtype=np.int64)
+            start, chosen = 0, np.zeros_like(masks)
         for t in range(start, q):
             if top_key is None or not np.array_equal(keys[q - 1, t], top_key):
                 top_key = keys[q - 1, t]
                 top = _top_bits(top_key, masks)
             remaining = masks ^ chosen
             if feas is not None:
-                remaining &= augment[chosen]
-            chosen = chosen | top[remaining]
-        table[:, q] = chosen
-    table[0, :] = 0
-    return table
+                remaining &= augment.take(chosen)
+            chosen = chosen | top.take(remaining)
+        cols[q] = chosen
+    return cols.T.astype(np.int64, order="C")
 
 
 def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
@@ -130,34 +146,55 @@ def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.nd
     return ((rows[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(bool)
 
 
-def _removal_violations(n: int, table: np.ndarray, outcast: bool = False) -> np.ndarray:
+def _narrow(table: np.ndarray) -> np.ndarray:
+    """``table[:, 1:]`` as uint16, padded with empty columns to 16, so each
+    row is 32 bytes; ``ValueError`` when an entry lies outside 0..2**16-1.
+
+    Every entry of a validated table is a subset of its set, so it fits.
+    """
+    cols = table[:, 1:]
+    if np.bitwise_or.reduce(cols, axis=None) >> MASK_BITS:  # negative included
+        raise ValueError(f"a table entry does not fit {MASK_BITS}-bit masks")
+    out = np.zeros((len(table), MASK_BITS), dtype=np.uint16)
+    out[:, : cols.shape[1]] = cols
+    return out
+
+
+def _removal_violations(n: int, cols: np.ndarray, outcast: bool = False) -> np.ndarray:
     """Per set S, whether removing one b in S breaks heritage at some q:
     C(S, q) minus b not contained in C(S minus b, q), with S minus b
     nonempty.  With ``outcast`` also flag a rejected b whose removal changes
     the choice: b not in C(S, q) and C(S minus b, q) != C(S, q).
 
-    The sets holding b and their partners without b are the two halves of a
-    reshape, so each alternative costs one pass over the table and no gather.
+    ``cols`` is the table narrowed by :func:`_narrow`.  The sets holding b
+    and their partners without b are the two halves of a reshape, so each
+    alternative costs one pass over the table and no gather.  Both
+    conditions leave the offending bits of each cell, and a set's 16 cells
+    are read as four 64-bit words to find whether any bit is left.
     """
     viol = np.zeros(1 << n, dtype=bool)
-    cols = table[:, 1:]
     for b in range(n):
-        bit = np.int64(1) << np.int64(b)
-        pairs = cols.reshape(-1, 2, 1 << b, n)
+        bit = np.uint16(1 << b)
+        pairs = cols.reshape(-1, 2, 1 << b, MASK_BITS)
         without, with_b = pairs[:, 0], pairs[:, 1]
-        bad = (with_b & ~without & ~bit) != 0
-        bad[0, 0] = False  # S = {b}: S minus b is empty
-        if outcast:
-            bad |= ((with_b & bit) == 0) & (with_b != without)
-        viol.reshape(-1, 2, 1 << b)[:, 1] |= bad.any(axis=-1)
+        bad = with_b & ~without & ~bit
+        bad[0, 0] = 0  # S = {b}: S minus b is empty
+        if outcast:  # all ones where b is not in C(S, q), else zero
+            bad |= (with_b ^ without) & (((with_b >> b) & 1) - np.uint16(1))
+        words = bad.view(np.uint64)
+        left = (words[..., 0] | words[..., 1] | words[..., 2] | words[..., 3]) != 0
+        viol.reshape(-1, 2, 1 << b)[:, 1] |= left
     return viol
 
 
 def gs_first_violation(n: int, table: np.ndarray) -> np.ndarray:
     """First (S, q, a, b) in canonical order with a chosen from (S, q) but
-    not from (S without b, q); all -1 when no violation exists."""
+    not from (S without b, q); all -1 when no violation exists.
+
+    ``ValueError`` when an entry lies outside 0..2**16-1.
+    """
     out = np.full(4, -1, dtype=np.int64)
-    viol = _removal_violations(n, table)
+    viol = _removal_violations(n, _narrow(table))
     if not viol.any():
         return out
     s = int(np.argmax(viol))
@@ -189,15 +226,18 @@ def path_independence_first(n: int, table: np.ndarray) -> np.ndarray:
     the first S with a violation.  The condition is symmetric in S and T,
     so a violation (S, T) with T < S would have stopped the search at T:
     only T >= S need comparing.
+
+    ``ValueError`` when an entry lies outside 0..2**16-1.
     """
     out = np.full(3, -1, dtype=np.int64)
+    narrow = _narrow(table)
+    if not (narrow & ~_masks(n)[:, None]).any() and not _removal_violations(
+        n, narrow, outcast=True
+    ).any():
+        return out
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
     cols = table[:, 1:]
-    if not (cols & ~masks[:, None]).any() and not _removal_violations(
-        n, table, outcast=True
-    ).any():
-        return out
     q_idx = np.arange(1, n + 1)
     for s in range(1, size):
         union = table[s | masks[s:], 1:]

@@ -101,19 +101,25 @@ def check_iaa(c: ChoiceTable) -> AxiomReport:
 
     Equal rejection sets at q must yield equal newly-accepted sets at q+1.
     Per capacity, each set is compared with the first set sharing its
-    rejection set, so the scan is linear in the problem space (plus a sort)
-    rather than quadratic in set pairs.
+    rejection set, so the scan is linear in the problem space rather than
+    quadratic in set pairs.  A rejection set is a mask below 2**n, so sets
+    are grouped by direct address: each set's newly accepted set is written
+    into the slot of its rejection set, from the last set down, so the
+    first set of each rejection set is written last and stays.  NumPy
+    writes the repeated indices of a one-dimensional assignment in order;
+    ``test_iaa_witness_matches_loop_oracle`` pins the witness this gives.
     """
     masks = np.arange(1, 1 << c.n, dtype=np.int64)
+    slot = np.empty(1 << c.n, dtype=np.int64)
     for q in range(1, c.n):
         rej = masks & ~c.entries[1:, q]
         new = c.entries[1:, q + 1] & rej
-        _, first, group = np.unique(rej, return_index=True, return_inverse=True)
-        first = first[group]
-        bad = new != new[first]
+        slot[rej[::-1]] = new[::-1]
+        bad = new != slot[rej]
         if bad.any():
             i = int(np.argmax(bad))
-            s0, s = int(masks[first[i]]), int(masks[i])
+            f = int(np.argmax(rej == rej[i]))  # the first set with rej[i]
+            s0, s = int(masks[f]), int(masks[i])
             return AxiomReport(
                 "iaa",
                 {
@@ -121,7 +127,7 @@ def check_iaa(c: ChoiceTable) -> AxiomReport:
                     "S_prime": _labels(c, s),
                     "q": q,
                     "rejected": _labels(c, int(rej[i])),
-                    "new_accepted_S": _labels(c, int(new[first[i]])),
+                    "new_accepted_S": _labels(c, int(new[f])),
                     "new_accepted_S_prime": _labels(c, int(new[i])),
                 },
             )

@@ -109,6 +109,29 @@ def naive_iaa_holds(choose, n: int) -> bool:
     return True
 
 
+def naive_iaa_witness(choose, n: int) -> dict | None:
+    """The first IAA violation in canonical order, None when IAA holds.
+
+    Capacities ascend; at each, sets S' ascend by bitmask, and S' violates
+    IAA when its newly accepted set at q+1 differs from that of S, the first
+    set with the same rejection set at q.  The entries are member sets.
+    ``choose(members, q)`` returns a set.
+    """
+    for q in range(1, n):
+        first = {}
+        for mask in range(1, 1 << n):
+            s = members_of(mask)
+            rej = frozenset(s - choose(s, q))
+            new = choose(s, q + 1) & rej
+            if rej not in first:
+                first[rej] = (s, new)
+            elif first[rej][1] != new:
+                s0, new0 = first[rej]
+                return {"q": q, "S": s0, "S_prime": s, "rejected": set(rej),
+                        "new_accepted_S": new0, "new_accepted_S_prime": new}
+    return None
+
+
 def naive_gs_holds(choose, n: int) -> bool:
     for s in all_subsets(n):
         for q in range(1, n + 1):

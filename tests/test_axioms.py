@@ -52,6 +52,7 @@ from conftest import (
     naive_capacity_filling_holds,
     naive_gs_holds,
     naive_iaa_holds,
+    naive_iaa_witness,
     naive_monotone_holds,
     random_ordering,
     random_profile,
@@ -375,32 +376,16 @@ def test_asymmetry_witnesses_match_loop_oracle(rng, n):
                         assert replay_witness(t, axiom, want), axiom
 
 
-def _iaa_loops(t):
-    # naive IAA witness (None on pass): per capacity, the first set with
-    # each rejection set, then the first later set whose new acceptances
-    # at q+1 differ from it
-    sets = lambda s: sorted(t.universe.labels_of(s))
-    for q in range(1, t.n):
-        seen = {}
-        for s in range(1, 1 << t.n):
-            rej = s & ~t.choose(Problem(s, q))
-            new = t.choose(Problem(s, q + 1)) & rej
-            if rej not in seen:
-                seen[rej] = (s, new)
-            elif seen[rej][1] != new:
-                s0, new0 = seen[rej]
-                return {"S": sets(s0), "S_prime": sets(s), "q": q,
-                        "rejected": sets(rej), "new_accepted_S": sets(new0),
-                        "new_accepted_S_prime": sets(new)}
-    return None
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_iaa_witness_matches_loop_oracle(rng, n):
     for mutations in (0, 1, 3, 10):
         for _ in range(10):
             t = _perturbed_lex_table(rng, n, mutations)
-            assert check_iaa(t).witness == _iaa_loops(t)
+            want = naive_iaa_witness(_choose_fn(t), n)
+            if want is not None:
+                want = {k: v if k == "q" else sorted(t.universe.labels[a] for a in v)
+                        for k, v in want.items()}
+            assert check_iaa(t).witness == want
 
 
 def test_insertion_property():

@@ -20,8 +20,8 @@ from lexichoice import (
     Responsive,
     materialize,
 )
-from lexichoice import _kernels
-from lexichoice.axioms import first_witnesses
+from lexichoice import ChoiceTable, MAX_ALTERNATIVES, _kernels
+from lexichoice.axioms import check_gross_substitutes, check_path_independence, first_witnesses
 
 from conftest import random_ordering, random_profile, universe
 
@@ -31,53 +31,59 @@ _NO_PICK = 1 << 40  # sentinel rank larger than any real one
 # --- loop oracles --------------------------------------------------------------
 
 
-def _cwlex_fill_loops(n, keys, table):
+def _cwlex_choice(n, keys, s, q):
     # keys: (n, n, n); keys[q-1, t, alt] is the rank used at step t+1 of
     # capacity q.  Unused steps (t >= q) are never read.
-    size = 1 << n
-    for s in range(1, size):
+    remaining = s
+    chosen = 0
+    for t in range(q):
+        best = -1
+        best_key = _NO_PICK
+        for a in range(n):
+            if (remaining >> a) & 1:
+                k = keys[q - 1, t, a]
+                if k < best_key:
+                    best_key = k
+                    best = a
+        if best < 0:
+            break
+        chosen |= 1 << best
+        remaining &= ~(1 << best)
+    return chosen
+
+
+def _cwlex_fill_loops(n, keys, table):
+    for s in range(1, 1 << n):
         for q in range(1, n + 1):
-            remaining = s
-            chosen = 0
-            for t in range(q):
-                best = -1
-                best_key = _NO_PICK
-                for a in range(n):
-                    if (remaining >> a) & 1:
-                        k = keys[q - 1, t, a]
-                        if k < best_key:
-                            best_key = k
-                            best = a
-                if best < 0:
-                    break
-                chosen |= 1 << best
-                remaining &= ~(1 << best)
-            table[s, q] = chosen
+            table[s, q] = _cwlex_choice(n, keys, s, q)
 
 
-def _flex_fill_loops(n, keys, feas, table):
+def _flex_choice(n, keys, feas, s, q):
     # keys: (n, n); keys[t, alt] is the rank used at step t+1.  feas is a
     # boolean array over all 2**n masks.  Greedy pass stops as soon as no
     # feasible augmentation exists.
-    size = 1 << n
-    for s in range(1, size):
+    remaining = s
+    chosen = 0
+    for t in range(q):
+        best = -1
+        best_key = _NO_PICK
+        for a in range(n):
+            if (remaining >> a) & 1 and feas[chosen | (1 << a)]:
+                k = keys[t, a]
+                if k < best_key:
+                    best_key = k
+                    best = a
+        if best < 0:
+            break
+        chosen |= 1 << best
+        remaining &= ~(1 << best)
+    return chosen
+
+
+def _flex_fill_loops(n, keys, feas, table):
+    for s in range(1, 1 << n):
         for q in range(1, n + 1):
-            remaining = s
-            chosen = 0
-            for t in range(q):
-                best = -1
-                best_key = _NO_PICK
-                for a in range(n):
-                    if (remaining >> a) & 1 and feas[chosen | (1 << a)]:
-                        k = keys[t, a]
-                        if k < best_key:
-                            best_key = k
-                            best = a
-                if best < 0:
-                    break
-                chosen |= 1 << best
-                remaining &= ~(1 << best)
-            table[s, q] = chosen
+            table[s, q] = _flex_choice(n, keys, feas, s, q)
 
 
 def _chosen_over_wit_loops(n, table, q, wit):
@@ -164,6 +170,27 @@ def _gs_first_violation_loops(n, table, out):
                                 return
 
 
+def _removal_violation_at(n, table, s, outcast):
+    # Whether some b in S and q break heritage at S (C(S, q) minus b not
+    # within C(S minus b, q), S minus b nonempty) or, with outcast, b is
+    # rejected and C(S minus b, q) != C(S, q).
+    for b in range(n):
+        if not (s >> b) & 1:
+            continue
+        sub = s & ~(1 << b)
+        for q in range(1, n + 1):
+            c, d = table[s, q], table[sub, q]
+            if sub and c & ~d & ~(1 << b):
+                return True
+            if outcast and not (c >> b) & 1 and c != d:
+                return True
+    return False
+
+
+def _removal_violations_loops(n, table, outcast):
+    return [s > 0 and _removal_violation_at(n, table, s, outcast) for s in range(1 << n)]
+
+
 def _path_independence_first_loops(n, table, out):
     # First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q).
     size = 1 << n
@@ -248,16 +275,20 @@ def _random_table(rng, n, mutations=3):
     t = materialize(Lexicographic(profile), universe(n))
     entries = np.array(t.entries)
     if rng.random() < 0.5:
-        # perturb a few entries to random subsets to exercise fail paths
-        for _ in range(mutations):
-            s = rng.randrange(1, 1 << n)
-            q = rng.randrange(1, n + 1)
-            sub = s
-            for a in range(n):
-                if (s >> a) & 1 and rng.random() < 0.5:
-                    sub &= ~(1 << a)
-            entries[s, q] = sub
+        _perturb(rng, n, entries, mutations)
     return entries
+
+
+def _perturb(rng, n, entries, mutations):
+    """Set a few entries to random subsets to exercise fail paths."""
+    for _ in range(mutations):
+        s = rng.randrange(1, 1 << n)
+        q = rng.randrange(1, n + 1)
+        sub = s
+        for a in range(n):
+            if (s >> a) & 1 and rng.random() < 0.5:
+                sub &= ~(1 << a)
+        entries[s, q] = sub
 
 
 def _assert_first_violations_agree(n, table):
@@ -464,3 +495,139 @@ def test_first_violation_kernels_agree_on_every_single_column_rule():
         table = np.zeros((8, 4), dtype=np.int64)
         table[1:, 1:] = np.array(col)[:, None]
         _assert_first_violations_agree(3, table)
+
+
+# --- past the small tables: uint16 masks -----------------------------------------
+
+# The kernels compute on uint16 masks.  At n = 7..10 the removal scan pads
+# each row of capacities to 16 cells and reads it as four 64-bit words, for
+# n that is and is not a multiple of 4; fewer tables than above, since the
+# loop oracles cost 2**n (4**n for path independence) per table.
+WIDE = [7, 8, 9, 10]
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_cwlex_fill_agrees_on_wide_tables(n):
+    rng = random.Random(f"wide-fill-{n}")
+    kinds = {"random": _random_keys(rng, n), **_structured_keys(rng, n)}
+    for kind, keys in kinds.items():
+        want = np.zeros((1 << n, n + 1), dtype=np.int64)
+        _cwlex_fill_loops(n, keys, want)
+        assert np.array_equal(_kernels.cwlex_fill(n, keys), want), kind
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_flex_fill_agrees_on_wide_tables(n):
+    rng = random.Random(f"wide-flex-{n}")
+    for keys in (_random_keys(rng, n)[0], Lexicographic(random_profile(rng, n)).keys()[0]):
+        feas = _random_family(rng, n)
+        want = np.zeros((1 << n, n + 1), dtype=np.int64)
+        _flex_fill_loops(n, keys, feas, want)
+        got = _kernels.cwlex_fill(n, np.broadcast_to(keys, (n, n, n)), feas)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_first_violation_kernels_agree_on_wide_tables(n):
+    rng = random.Random(f"wide-violation-{n}")
+    valid = materialize(Lexicographic(random_profile(rng, n)), universe(n)).entries
+    if n <= 8:
+        _assert_first_violations_agree(n, valid)
+    else:  # the 4**n path-independence oracle is too slow on a passing table
+        want = np.full(4, -1, dtype=np.int64)
+        _gs_first_violation_loops(n, valid, want)
+        assert np.array_equal(_kernels.gs_first_violation(n, valid), want)
+        # ordering-built tables are path independent
+        assert (_kernels.path_independence_first(n, valid) == -1).all()
+    for mutations in (1, 3, 16):
+        for _ in range(3):
+            table = np.array(valid)
+            _perturb(rng, n, table, mutations)
+            _assert_first_violations_agree(n, table)
+
+
+def test_fills_at_sixteen_alternatives():
+    # the int64 table comes from one cast of the uint16 staging array: it is
+    # C-contiguous and owns its data, so ChoiceTable freezes it uncopied
+    n = 16
+    rng = random.Random("fill-16")
+    u = universe(n)
+    rows = rng.sample(range(1, 1 << n), 200)
+    lex = Lexicographic(random_profile(rng, n)).keys()
+    keys = _random_keys(rng, n)
+    masks = np.arange(1 << n)
+    feas = np.bitwise_count(masks & 0x0FF0) <= 2  # downward closed, all singletons
+    fills = {
+        "lexicographic": (_kernels.cwlex_fill(n, lex),
+                          lambda s, q: _cwlex_choice(n, lex, s, q)),
+        "capacity_wise": (_kernels.cwlex_fill(n, keys),
+                          lambda s, q: _cwlex_choice(n, keys, s, q)),
+        "flex": (_kernels.cwlex_fill(n, lex, feas),
+                 lambda s, q: _flex_choice(n, lex[0], feas, s, q)),
+    }
+    for kind, (table, choose) in fills.items():
+        assert table.dtype == np.int64 and table.shape == (1 << n, n + 1), kind
+        assert table.flags.c_contiguous and table.flags.owndata, kind
+        assert ChoiceTable(u, table).entries is table, kind
+        assert not table[0].any() and not table[:, 0].any(), kind
+        for s in rows:
+            assert table[s, 1:].tolist() == [choose(s, q) for q in range(1, n + 1)], (kind, s)
+
+
+def test_engine_bound_fits_the_kernel_masks():
+    # raising core.MAX_ALTERNATIVES past 16 needs wider kernel masks first
+    assert MAX_ALTERNATIVES <= _kernels.MASK_BITS == np.iinfo(np.uint16).bits
+    n = _kernels.MASK_BITS + 1
+    with pytest.raises(ValueError, match="16-bit masks"):
+        _kernels.cwlex_fill(n, np.zeros((n, n, n), dtype=np.int64))
+
+
+@pytest.mark.parametrize("entry", [1 << 16, -1])
+def test_entries_past_sixteen_bits_are_refused(entry):
+    # an unvalidated table may hold any int64; the removal scan narrows
+    # entries to 16 bits and refuses one that does not fit
+    n = 3
+    entries = np.array(materialize(Lexicographic(random_profile(random.Random(n), n)),
+                                   universe(n)).entries)
+    entries[5, 2] = entry
+    t = ChoiceTable(universe(n), entries)
+    for check in (check_gross_substitutes, check_path_independence,
+                  lambda t: _kernels.gs_first_violation(n, t.entries),
+                  lambda t: _kernels.path_independence_first(n, t.entries)):
+        with pytest.raises(ValueError, match="16-bit masks"):
+            check(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6] + WIDE)
+def test_removal_scan_agrees_on_any_sixteen_bit_entries(n):
+    # entries of an unvalidated table need not be subsets of their sets:
+    # bits at or above n but below 16 are scanned like any other
+    rng = random.Random(f"removal-{n}")
+    valid = materialize(Lexicographic(random_profile(rng, n)), universe(n)).entries
+    for mutations in (1, 3, 16):
+        for _ in range(2):
+            table = np.array(valid)
+            for _ in range(mutations):
+                s, q = rng.randrange(1 << n), rng.randrange(1, n + 1)
+                table[s, q] = rng.choice([rng.randrange(1 << 16), 1 << rng.randrange(n, 16),
+                                          s & rng.randrange(1 << n)])
+            narrow = _kernels._narrow(table)
+            for outcast in (False, True):
+                want = _removal_violations_loops(n, table, outcast)
+                assert _kernels._removal_violations(n, narrow, outcast).tolist() == want
+
+
+def test_removal_scan_at_sixteen_alternatives():
+    # capacities 13..16 sit in the last of the four 64-bit words of a row
+    n = 16
+    rng = random.Random("removal-16")
+    table = np.array(materialize(Lexicographic(random_profile(rng, n)), universe(n)).entries)
+    sets = set(rng.sample(range(1, 1 << n), 200))
+    for q in (1, 4, 5, 8, 9, 12, 13, 16):
+        s = rng.randrange(1, 1 << n)
+        table[s, q] = rng.choice([s & rng.randrange(1 << n), rng.randrange(1 << 16)])
+        sets.update([s] + [s | 1 << b for b in range(n)])
+    for outcast in (False, True):
+        viol = _kernels._removal_violations(n, _kernels._narrow(table), outcast)
+        for s in sorted(sets):
+            assert viol[s] == _removal_violation_at(n, table, s, outcast), (s, outcast)
