@@ -27,9 +27,7 @@ from .core import (
     DomainError,
     Problem,
     Universe,
-    enumerate_problems,
     make_universe,
-    rejected,
 )
 from .feasibility import (
     FLEX_CHECKS,
@@ -69,7 +67,6 @@ from .mechanism import (
     check_weak_isd,
     check_weak_non_wastefulness,
     da_allocate,
-    demand,
     exhaustive_space,
     find_impossibility_witness,
     sampled_space,

@@ -29,9 +29,9 @@ bits, and ``cwlex_fill`` and the single-removal scan compute on uint16
 masks, a quarter of the bytes per pass.  The fill stages its capacities in
 a contiguous uint16 array and casts it once into the table; the scan reads
 a uint16 copy of the table.  Nothing is truncated: the fill refuses n above
-16, and ``gs_first_violation`` and ``path_independence_first`` raise
-``ValueError`` on an entry outside 0..2**16-1, which no validated table
-holds.  Key tensors encode priority orderings positionally:
+16, and in ``gs_first_violation`` and ``path_independence_first`` an entry
+with a bit outside the n alternatives raises ``ValueError``; no validated
+table holds one.  Key tensors encode priority orderings positionally:
 ``keys[..., alt]`` is the rank of ``alt`` (0 = highest priority).
 """
 
@@ -148,13 +148,15 @@ def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.nd
 
 def _narrow(table: np.ndarray) -> np.ndarray:
     """``table[:, 1:]`` as uint16, padded with empty columns to 16, so each
-    row is 32 bytes; ``ValueError`` when an entry lies outside 0..2**16-1.
+    row is 32 bytes; ``ValueError`` when an entry has a bit outside the n
+    alternatives (negative included).
 
     Every entry of a validated table is a subset of its set, so it fits.
     """
     cols = table[:, 1:]
-    if np.bitwise_or.reduce(cols, axis=None) >> MASK_BITS:  # negative included
-        raise ValueError(f"a table entry does not fit {MASK_BITS}-bit masks")
+    n = cols.shape[1]
+    if np.bitwise_or.reduce(cols, axis=None) >> n:  # negative included
+        raise ValueError(f"a table entry has a bit outside the {n} alternatives")
     out = np.zeros((len(table), MASK_BITS), dtype=np.uint16)
     out[:, : cols.shape[1]] = cols
     return out
@@ -191,7 +193,7 @@ def gs_first_violation(n: int, table: np.ndarray) -> np.ndarray:
     """First (S, q, a, b) in canonical order with a chosen from (S, q) but
     not from (S without b, q); all -1 when no violation exists.
 
-    ``ValueError`` when an entry lies outside 0..2**16-1.
+    ``ValueError`` when an entry has a bit outside the n alternatives.
     """
     out = np.full(4, -1, dtype=np.int64)
     viol = _removal_violations(n, _narrow(table))
@@ -227,7 +229,7 @@ def path_independence_first(n: int, table: np.ndarray) -> np.ndarray:
     so a violation (S, T) with T < S would have stopped the search at T:
     only T >= S need comparing.
 
-    ``ValueError`` when an entry lies outside 0..2**16-1.
+    ``ValueError`` when an entry has a bit outside the n alternatives.
     """
     out = np.full(3, -1, dtype=np.int64)
     narrow = _narrow(table)

@@ -248,9 +248,9 @@ def _run_demand_discontinuity() -> dict:
 
     space = MechanismSpace(agents, ("x",), (profile("b"), profile("e")), ((2,), (3,)))
     demands = {}
-    for tag, row in zip(("R", "R_prime"), space_demands(cs, space, "x")):
+    for tag, row in zip(("R", "R_prime"), space_demands(cs, space, "x").tolist()):
         for qtag, d in zip(("q", "q_plus_1"), row):
-            demands[f"demand_{tag}_{qtag}"] = sorted(agents[i] for i in d)
+            demands[f"demand_{tag}_{qtag}"] = sorted(cs.agents.labels_of(d))
     demands["isd_violated"] = (
         demands["demand_R_q"] == demands["demand_R_prime_q"]
         and demands["demand_R_q_plus_1"] != demands["demand_R_prime_q_plus_1"]

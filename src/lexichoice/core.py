@@ -9,7 +9,7 @@ exhaustive tables over all (2^n - 1) * n problems stay in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,7 +21,8 @@ class DomainError(ValueError):
 
 
 class Problem(NamedTuple):
-    """A choice problem: a nonempty subset (bitmask) and a capacity."""
+    """A choice problem: a nonempty subset (bitmask) and a capacity.  A
+    "first" witness is first in canonical order: by set bitmask, then capacity."""
 
     set: int
     capacity: int
@@ -97,17 +98,6 @@ def popcount(mask: int) -> int:
     return int(mask).bit_count()
 
 
-def enumerate_problems(u: Universe) -> Iterator[Problem]:
-    """All (S, q) with nonempty S and 1 <= q <= n, in canonical order.
-
-    Sets ascend by bitmask; capacities ascend within each set.  The order is
-    the tie-break used everywhere a "first" witness is reported.
-    """
-    for mask in range(1, 1 << u.n):
-        for q in range(1, u.n + 1):
-            yield Problem(mask, q)
-
-
 class ChoiceTable:
     """Exhaustive materialization of a choice rule over every problem.
 
@@ -134,17 +124,6 @@ class ChoiceTable:
             entries = entries.copy()
         entries.setflags(write=False)
         self.entries = entries
-
-    @classmethod
-    def from_function(
-        cls, universe: Universe, choose: Callable[[int, int], int]
-    ) -> "ChoiceTable":
-        n = universe.n
-        entries = np.zeros((1 << n, n + 1), dtype=np.int64)
-        for mask in range(1, 1 << n):
-            for q in range(1, n + 1):
-                entries[mask, q] = choose(mask, q)
-        return cls(universe, entries)
 
     @property
     def n(self) -> int:
@@ -195,7 +174,3 @@ class ChoiceTable:
         s, q = (int(v) for v in flat[0])
         return Problem(s, q)
 
-
-def rejected(c: ChoiceTable, p: Problem) -> int:
-    """R(S, q) = S minus C(S, q); may be empty."""
-    return p.set & ~c.choose(p)

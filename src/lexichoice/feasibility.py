@@ -146,7 +146,7 @@ def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
         return AxiomReport("f_capacity_filling")
     s, qi = divmod(int(cells[np.argmax(viol)]), n)
     chosen = int(c.entries[s, qi + 1])
-    a = next(a for a in iter_bits(s & ~chosen) if (chosen | (1 << a)) in c.family)
+    a = next(a for a in iter_bits(s & ~chosen) if feas[chosen | (1 << a)])
     return AxiomReport(
         "f_capacity_filling",
         {

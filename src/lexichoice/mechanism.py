@@ -80,11 +80,6 @@ def validate_preference(pref: Preference, objects: tuple[str, ...]) -> None:
         raise ValueError(f"preference {pref!r} is not a ranking of objects + null")
 
 
-def prefers(pref: Preference, x, y) -> bool:
-    """Strict preference of x over y (x != y)."""
-    return pref.index(x) < pref.index(y)
-
-
 def _capacity_ok(q, n: int) -> bool:
     return not isinstance(q, bool) and isinstance(q, Integral) and 0 <= q <= n
 
@@ -135,24 +130,6 @@ def da_allocate(
     slots = _da_slots(cs, space, _profile_ids(space), rounds)[0, 0].tolist()
     result = tuple((cs.objects + (None,))[s] for s in slots)
     return (result, rounds) if trace else result
-
-
-def demand(a: Allocation, preferences: tuple[Preference, ...], x) -> frozenset[int]:
-    """Agents (indices) strictly preferring x to their assignment."""
-    return frozenset(
-        i for i, pref in enumerate(preferences) if a[i] != x and prefers(pref, x, a[i])
-    )
-
-
-def space_demands(cs: ChoiceStructure, space: MechanismSpace, x) -> list[list[frozenset[int]]]:
-    """``out[p][c]``: the :func:`demand` for x under deferred acceptance at
-    ``space.profiles[p]`` and ``space.capacities[c]``, from one
-    :func:`allocations` call."""
-    names = space.objects + (None,)
-    return [
-        [demand(tuple(names[s] for s in row), prefs, x) for row in rows]
-        for prefs, rows in zip(space.profiles, allocations(DAMechanism(cs), space).tolist())
-    ]
 
 
 class DAMechanism:
@@ -416,6 +393,25 @@ def _ranked(rank_of: np.ndarray, pidx: np.ndarray, alloc: np.ndarray) -> np.ndar
     return rank_of.reshape(-1)[rows[:, None, :] + alloc[: len(pidx)]]
 
 
+def _demand_masks(rank_of: np.ndarray, pidx: np.ndarray, ranked: np.ndarray, k: int) -> np.ndarray:
+    """``(P, C)``: the demand for slot k, the mask of the agents who rank it
+    strictly above their allotment, per problem of ``ranked`` (:func:`_ranked`)."""
+    n = pidx.shape[1]
+    mask_t = np.min_scalar_type((1 << n) - 1)
+    bits = np.left_shift(mask_t.type(1), np.arange(n, dtype=mask_t))
+    return (rank_of[pidx, k][:, None] < ranked) @ bits
+
+
+def space_demands(cs: ChoiceStructure, space: MechanismSpace, x) -> np.ndarray:
+    """``(P, C)`` agent masks: bit i of ``out[p, c]`` is set when agent i
+    strictly prefers x (an object or None) to their allotment under
+    deferred acceptance at ``space.profiles[p]`` and ``space.capacities[c]``."""
+    pidx = _profile_ids(space)
+    _, rank_of = _slot_tables(space.objects)
+    ranked = _ranked(rank_of, pidx, _da_slots(cs, space, pidx))
+    return _demand_masks(rank_of, pidx, ranked, (space.objects + (None,)).index(x))
+
+
 def _codes(digits: np.ndarray, base: int) -> np.ndarray:
     """Each row of ``digits`` read as one base-``base`` number, least
     significant first (Python ints where int64 would overflow)."""
@@ -455,8 +451,8 @@ def _slot_labels(space: MechanismSpace, slots) -> list:
     return _object_labels(names[s] for s in slots)
 
 
-def _agent_names(agents, agent_set) -> list[str]:
-    return sorted(agents[i] for i in agent_set)
+def _agent_names(agents, mask) -> list[str]:
+    return sorted(agents[i] for i in iter_bits(int(mask)))
 
 
 # --- property checkers ---------------------------------------------------------
@@ -737,15 +733,12 @@ def _isd_scan(m, space, scanned, prop_name) -> AxiomReport:
         m, MechanismSpace(space.agents, space.objects, space.profiles, tuple(capacities)), pidx
     )
     _, rank_of = _slot_tables(space.objects)
-    ranks = rank_of[pidx]
     ranked = _ranked(rank_of, pidx, alloc)
-    mask_t = np.min_scalar_type((1 << n) - 1)
-    bits = np.left_shift(mask_t.type(1), np.arange(n, dtype=mask_t))
     for k, x in enumerate(space.objects):
         if not steps[k]:
             continue
         base, up = np.array(steps[k]).T
-        wanted = (ranks[:, None, :, k] < ranked) @ bits  # (P, C') demand masks
+        wanted = _demand_masks(rank_of, pidx, ranked, k)  # (P, C')
         before, after = wanted[:, base].T, wanted[:, up].T  # (J, P)
         keys = (np.arange(len(base), dtype=np.int64)[:, None] << n) + before
         first = _first_of(keys.reshape(-1)).reshape(before.shape)
@@ -763,9 +756,9 @@ def _isd_scan(m, space, scanned, prop_name) -> AxiomReport:
                 "capacities": list(space.capacities[base[j]]),
                 "R": _profile_labels(space.profiles[p0]),
                 "R_prime": _profile_labels(space.profiles[p]),
-                "demand_before": _agent_names(agents, iter_bits(int(before[j, p]))),
-                "demand_after_R": _agent_names(agents, iter_bits(int(seen_after[j, p]))),
-                "demand_after_R_prime": _agent_names(agents, iter_bits(int(after[j, p]))),
+                "demand_before": _agent_names(agents, before[j, p]),
+                "demand_after_R": _agent_names(agents, seen_after[j, p]),
+                "demand_after_R_prime": _agent_names(agents, after[j, p]),
             },
         )
     return AxiomReport(prop_name)
@@ -865,7 +858,7 @@ def find_impossibility_witness(cs: ChoiceStructure) -> dict:
     r, rp = tuple(prefs_r), tuple(prefs_rp)
     (d_before_r, d_after_r), (d_before_rp, d_after_rp) = space_demands(
         cs, MechanismSpace(agents, cs.objects, (r, rp), (q, q_up)), a
-    )
+    ).tolist()
     if d_before_r != d_before_rp or d_after_r == d_after_rp:
         raise ValueError("constructed configuration failed to replay the violation")
 

@@ -12,9 +12,13 @@ import string
 
 import pytest
 
+import numpy as np
+
 from lexichoice import (
+    ChoiceTable,
     PriorityOrdering,
     PriorityProfile,
+    Problem,
     make_universe,
 )
 
@@ -34,6 +38,40 @@ def random_profile(rng: random.Random, n: int) -> PriorityProfile:
 
 
 # --- naive oracles -------------------------------------------------------------
+
+
+def enumerate_problems(u):
+    """All (S, q) with nonempty S and 1 <= q <= n, in canonical order: sets
+    ascend by bitmask, capacities ascend within each set."""
+    for mask in range(1, 1 << u.n):
+        for q in range(1, u.n + 1):
+            yield Problem(mask, q)
+
+
+def table_from_function(u, choose) -> ChoiceTable:
+    """The table of ``choose(mask, q)``, called once per problem."""
+    entries = np.zeros((1 << u.n, u.n + 1), dtype=np.int64)
+    for p in enumerate_problems(u):
+        entries[p.set, p.capacity] = choose(p.set, p.capacity)
+    return ChoiceTable(u, entries)
+
+
+def rejected(table, p) -> int:
+    """R(S, q) = S minus C(S, q); may be empty."""
+    return p.set & ~table.choose(p)
+
+
+def prefers(pref, x, y) -> bool:
+    """The ranking ``pref`` (best first) puts x strictly above y."""
+    return pref.index(x) < pref.index(y)
+
+
+def demand(allocation, preferences, x) -> frozenset[int]:
+    """Agents (indices) who strictly prefer x to their allotment."""
+    return frozenset(
+        i for i, pref in enumerate(preferences)
+        if allocation[i] != x and prefers(pref, x, allocation[i])
+    )
 
 
 def naive_pick(ordering: PriorityOrdering, remaining: set[int]) -> int | None:

@@ -39,7 +39,6 @@ from lexichoice import (
     check_weak_non_wastefulness,
     check_wrarp,
     da_allocate,
-    demand,
     exhaustive_space,
     extract_flex_profile,
     extract_lex_profile,
@@ -49,7 +48,6 @@ from lexichoice import (
     materialize,
     make_universe,
     ordering_from_labels,
-    rejected,
     single_object_space,
 )
 from lexichoice.casebook import (
@@ -64,7 +62,7 @@ from lexichoice.casebook import (
 from lexichoice.cli import main
 from lexichoice.rules import BOSTON_BUILDERS
 
-from conftest import random_ordering, random_profile, universe
+from conftest import demand, random_ordering, random_profile, rejected, universe
 from test_feasibility import random_family
 
 

@@ -56,6 +56,7 @@ from conftest import (
     naive_monotone_holds,
     random_ordering,
     random_profile,
+    table_from_function,
     universe,
 )
 
@@ -101,7 +102,7 @@ def test_checkers_agree_with_naive_oracles_on_adversarial_tables(rng, n):
             k = rng.randrange(0, min(len(members), q) + 1)
             return sum(1 << a for a in rng.sample(members, k))
 
-        t = ChoiceTable.from_function(u, rand_choose)
+        t = table_from_function(u, rand_choose)
         fn = _choose_fn(t)
         assert check_capacity_filling(t).ok == naive_capacity_filling_holds(fn, n)
         assert check_gross_substitutes(t).ok == naive_gs_holds(fn, n)
@@ -357,7 +358,7 @@ def test_asymmetry_witnesses_match_loop_oracle(rng, n):
             k = rng.randrange(0, min(len(members), q) + 1)
             return sum(1 << a for a in rng.sample(members, k))
 
-        t = ChoiceTable.from_function(u, rand_choose)
+        t = table_from_function(u, rand_choose)
         for axiom, want in _asymmetry_loops(t).items():
             assert ALL_CHECKS[axiom](t).witness == want, axiom
     # ordering-built tables with a few perturbed cells: sparse violations,

@@ -9,15 +9,13 @@ from lexichoice import (
     PriorityProfile,
     Problem,
     check_f_capacity_filling,
-    enumerate_problems,
     flex_materialize,
     make_family,
     make_universe,
-    rejected,
 )
 from lexichoice.core import iter_bits, popcount
 
-from conftest import universe
+from conftest import enumerate_problems, rejected, table_from_function, universe
 
 
 def test_universe_validation():
@@ -149,14 +147,14 @@ def test_first_difference_canonical():
 
 def test_from_function_matches_callable():
     u = universe(3)
-    t = ChoiceTable.from_function(u, lambda mask, q: mask & -mask)
+    t = table_from_function(u, lambda mask, q: mask & -mask)
     for p in enumerate_problems(u):
         assert t.choose(p) == p.set & -p.set
 
 
 def test_table_from_a_view_ignores_later_writes():
     u = universe(3)
-    base = ChoiceTable.from_function(u, lambda mask, q: mask & -mask).entries.copy()
+    base = table_from_function(u, lambda mask, q: mask & -mask).entries.copy()
     t = ChoiceTable(u, base[:])
     t.validate()
     before = hash(t)

@@ -582,26 +582,57 @@ def test_engine_bound_fits_the_kernel_masks():
         _kernels.cwlex_fill(n, np.zeros((n, n, n), dtype=np.int64))
 
 
+def _refuses_entry(n, entries):
+    t = ChoiceTable(universe(n), entries.copy())
+    for check in (check_gross_substitutes, check_path_independence,
+                  lambda t: _kernels.gs_first_violation(n, t.entries),
+                  lambda t: _kernels.path_independence_first(n, t.entries)):
+        with pytest.raises(ValueError, match=f"outside the {n} alternatives"):
+            check(t)
+
+
 @pytest.mark.parametrize("entry", [1 << 16, -1])
 def test_entries_past_sixteen_bits_are_refused(entry):
-    # an unvalidated table may hold any int64; the removal scan narrows
-    # entries to 16 bits and refuses one that does not fit
+    # an unvalidated table may hold any int64; before the removal scan
+    # narrows entries to 16 bits it refuses one with a bit outside the n
+    # alternatives, which covers every entry that does not fit
     n = 3
     entries = np.array(materialize(Lexicographic(random_profile(random.Random(n), n)),
                                    universe(n)).entries)
     entries[5, 2] = entry
-    t = ChoiceTable(universe(n), entries)
-    for check in (check_gross_substitutes, check_path_independence,
-                  lambda t: _kernels.gs_first_violation(n, t.entries),
-                  lambda t: _kernels.path_independence_first(n, t.entries)):
-        with pytest.raises(ValueError, match="16-bit masks"):
-            check(t)
+    _refuses_entry(n, entries)
+
+
+def test_entries_outside_the_universe_are_refused():
+    # C({a, c}, 2) = 2**15 fits 16 bits but not the 3 alternatives.  Read as
+    # it stands, the table fails gross substitutes at (S = {a, b, c}, q = 2,
+    # a, b); the removal scan would flag {a, c} through bit 15 alone, which
+    # the refinement over alternatives 0..n-1 cannot place, and the
+    # path-independence search would index the table with bit 15 set.
+    n = 3
+    entries = np.array(materialize(Lexicographic(random_profile(random.Random(n), n)),
+                                   universe(n)).entries)
+    entries[0b101, 2] = 1 << 15
+    want = np.full(4, -1, dtype=np.int64)
+    _gs_first_violation_loops(n, entries, want)
+    assert want.tolist() == [0b111, 2, 0, 1]
+    _refuses_entry(n, entries)
+    entries[0b101, 2] = 1 << n  # the lowest bit outside the universe
+    _refuses_entry(n, entries)
+
+
+def _padded_uint16(table):
+    """``table[:, 1:]`` cast to uint16 and padded to 16 columns, unchecked."""
+    out = np.zeros((len(table), _kernels.MASK_BITS), dtype=np.uint16)
+    out[:, : table.shape[1] - 1] = table[:, 1:]
+    return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6] + WIDE)
 def test_removal_scan_agrees_on_any_sixteen_bit_entries(n):
     # entries of an unvalidated table need not be subsets of their sets:
-    # bits at or above n but below 16 are scanned like any other
+    # the scan itself reads bits at or above n but below 16 like any other,
+    # though the kernels refuse such entries before scanning
     rng = random.Random(f"removal-{n}")
     valid = materialize(Lexicographic(random_profile(rng, n)), universe(n)).entries
     for mutations in (1, 3, 16):
@@ -611,7 +642,7 @@ def test_removal_scan_agrees_on_any_sixteen_bit_entries(n):
                 s, q = rng.randrange(1 << n), rng.randrange(1, n + 1)
                 table[s, q] = rng.choice([rng.randrange(1 << 16), 1 << rng.randrange(n, 16),
                                           s & rng.randrange(1 << n)])
-            narrow = _kernels._narrow(table)
+            narrow = _padded_uint16(table)
             for outcast in (False, True):
                 want = _removal_violations_loops(n, table, outcast)
                 assert _kernels._removal_violations(n, narrow, outcast).tolist() == want

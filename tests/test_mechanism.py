@@ -25,7 +25,6 @@ from lexichoice import (
     check_weak_isd,
     check_weak_non_wastefulness,
     da_allocate,
-    demand,
     exhaustive_space,
     find_impossibility_witness,
     make_universe,
@@ -35,11 +34,10 @@ from lexichoice import (
 from lexichoice.core import iter_bits
 from lexichoice.mechanism import (
     _object_labels,
-    _agent_names,
     _profile_labels,
     allocations,
-    prefers,
     require_problem,
+    space_demands,
     validate_preference,
 )
 from lexichoice.rules import (
@@ -51,7 +49,14 @@ from lexichoice.rules import (
     ordering_from_labels,
 )
 
-from conftest import random_ordering, random_profile, weakly_prefers
+from conftest import (
+    demand,
+    prefers,
+    random_ordering,
+    random_profile,
+    table_from_function,
+    weakly_prefers,
+)
 
 
 def _responsive_structure(agent_labels, object_orders):
@@ -84,8 +89,6 @@ def test_preference_validation():
     validate_preference(("x", None, "None"), ("None", "x"))
     with pytest.raises(ValueError):
         validate_preference(("x", "None", "None"), ("None", "x"))
-    assert prefers(("x", None, "y"), "x", None)
-    assert not prefers(("x", None, "y"), "y", None)
     assert len(all_preferences(("x", "y"))) == 6
 
 
@@ -119,14 +122,6 @@ def test_da_respects_unacceptability():
     prefs = ((None, "x"), ("x", None))
     alloc = da_allocate(cs, AllocationProblem(prefs, (2,)))
     assert alloc == (None, "x")
-
-
-def test_demand():
-    prefs = (("x", "y", None), ("y", None, "x"), (None, "x", "y"))
-    alloc = ("y", None, None)
-    assert demand(alloc, prefs, "x") == {0}
-    assert demand(alloc, prefs, "y") == {1}
-    assert demand(alloc, prefs, None) == set()
 
 
 def test_da_mechanism_call_is_da_allocate():
@@ -307,7 +302,7 @@ def test_isd_impossibility_witness_preconditions():
     with pytest.raises(ValueError):
         find_impossibility_witness(cs)  # fewer than three objects
     u = make_universe(("i", "j"))
-    bad = ChoiceTable.from_function(u, lambda mask, q: mask & -mask)
+    bad = table_from_function(u, lambda mask, q: mask & -mask)
     cs3 = ChoiceStructure(
         u, ("x", "y", "z"), {x: TableRule(bad) for x in ("x", "y", "z")}
     )
@@ -556,6 +551,34 @@ def test_array_da_matches_da_allocate():
     assert seen == set(DA_RULE_KINDS)
 
 
+def test_space_demands_match_demand_oracle():
+    """Each agent mask of space_demands against the per-problem demand of
+    the placed-scan allocation, for every object and the null object."""
+    rng = random.Random(15)
+    for agents, objects, make_space in (
+        ("abc", ("x", "y"), exhaustive_space),
+        ("abcd", ("x", "y"), single_object_space),
+        ("abcd", ("x", "y", "z"), lambda a, o: sampled_space(a, o, 12, seed=3)),
+    ):
+        cs = _structure(rng, "rotating", agents, objects)
+        space = make_space(agents, objects)
+        rows = _per_problem_rows(cs, space)
+        for x in objects + (None,):
+            got = space_demands(cs, space, x)
+            assert got.shape == (len(space.profiles), len(space.capacities))
+            want = [
+                [sum(1 << i for i in demand(alloc, prefs, x)) for alloc in row]
+                for prefs, row in zip(space.profiles, rows)
+            ]
+            assert got.tolist() == want, (agents, objects, x)
+    # agents rank x above, at and below their allotment
+    cs = _responsive_structure(("i", "j", "k"), {"x": ("k", "j", "i"), "y": ("i", "j", "k")})
+    prefs = (("x", "y", None), ("y", None, "x"), (None, "x", "y"))
+    space = MechanismSpace(("i", "j", "k"), ("x", "y"), (prefs,), ((0, 1),))
+    assert [space_demands(cs, space, x).tolist() for x in ("x", "y", None)] == [
+        [[0b001]], [[0b010]], [[0]]]
+
+
 def _first_error(cs, space):
     """The ValueError of require_problem on the space's first bad problem,
     else that of the first object's table that fails validation."""
@@ -774,9 +797,9 @@ def _isd_loop(m, space, caps_for_object, prop_name):
                                 "capacities": list(caps),
                                 "R": _profile_labels(prefs0),
                                 "R_prime": _profile_labels(prefs),
-                                "demand_before": _agent_names(agents, d),
-                                "demand_after_R": _agent_names(agents, d_up0),
-                                "demand_after_R_prime": _agent_names(agents, d_up),
+                                "demand_before": sorted(agents[i] for i in d),
+                                "demand_after_R": sorted(agents[i] for i in d_up0),
+                                "demand_after_R_prime": sorted(agents[i] for i in d_up),
                             },
                         )
                 else:

@@ -15,16 +15,17 @@ from lexichoice import (
     build_open_walk,
     build_rotating,
     build_walk_open,
-    enumerate_problems,
     materialize,
     ordering_from_labels,
 )
 from conftest import (
+    enumerate_problems,
     mask_of,
     members_of,
     naive_sequential_choice,
     random_ordering,
     random_profile,
+    table_from_function,
     universe,
 )
 
@@ -54,7 +55,7 @@ def _oracle_table(u, orderings_at) -> ChoiceTable:
     def choose(mask, q):
         return mask_of(naive_sequential_choice(orderings_at(q), members_of(mask), q))
 
-    return ChoiceTable.from_function(u, choose)
+    return table_from_function(u, choose)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
