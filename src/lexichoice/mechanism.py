@@ -9,10 +9,13 @@ checkers: it fails exactly when it carries a replayable witness.
 
 Preferences are tuples ranking every object and ``None`` (the null object),
 best first.  Allocation problems and allocations are index-aligned tuples.
-The checkers read all allocations of a space from one array
+Allocation reads a space as two arrays, the ranking ids of its profiles and
+its capacity vectors, and returns one array of every allocation
 (:func:`allocations`), which the one deferred acceptance implementation
 fills for every problem at once; :func:`da_allocate` is its call on one
-problem, and any other mechanism is called once per problem.
+problem, and any other mechanism is called once per problem, each ranking
+given as a tuple.  The checkers append the misreports and unit capacity
+increases that a space lacks to those arrays by one lookup.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ def da_allocate(
     """
     space = MechanismSpace(cs.agents.labels, cs.objects, (prob.preferences,), (prob.capacities,))
     rounds = [] if trace else None
-    slots = _da_slots(cs, space, _profile_ids(space), rounds)[0, 0].tolist()
+    slots = _da_slots(cs, *_profile_ids(space), rounds)[0, 0].tolist()
     result = tuple((cs.objects + (None,))[s] for s in slots)
     return (result, rounds) if trace else result
 
@@ -228,8 +231,9 @@ def _slot_tables(objects) -> tuple[np.ndarray, np.ndarray]:
     return slot_at, np.argsort(slot_at, axis=1).astype(np.int8)
 
 
-def _profile_ids(space: MechanismSpace) -> np.ndarray:
-    """``(P, n)``: the ranking id of each agent in each profile.
+def _profile_ids(space: MechanismSpace) -> tuple[np.ndarray, np.ndarray]:
+    """``(P, n)``, the ranking id of each agent in each profile, and
+    ``(C, |O|)``, the capacity vectors: the one reader of a space's problems.
 
     A malformed space raises the ``ValueError`` that :func:`require_problem`
     raises on its first malformed problem.  Rankings given as lists (or any
@@ -251,7 +255,8 @@ def _profile_ids(space: MechanismSpace) -> np.ndarray:
     ):
         _require_space(space, n)
         flat = [ids[tuple(pref)] for pref in itertools.chain.from_iterable(profiles)]
-    return np.array(flat, dtype=np.int32).reshape(len(profiles), n)
+    caps = np.array(space.capacities, dtype=np.int16).reshape(len(space.capacities), len(objects))
+    return np.array(flat, dtype=np.int32).reshape(len(profiles), n), caps
 
 
 def _require_space(space: MechanismSpace, n: int) -> None:
@@ -275,16 +280,11 @@ def _require_space(space: MechanismSpace, n: int) -> None:
             raise ValueError(f"{name} of the space is malformed: {e}") from None
 
 
-def _capacity_array(space: MechanismSpace) -> np.ndarray:
-    return np.array(space.capacities, dtype=np.int16).reshape(
-        len(space.capacities), len(space.objects)
-    )
-
-
 def _da_slots(
-    cs: ChoiceStructure, space: MechanismSpace, pidx: np.ndarray, rounds: list | None = None
+    cs: ChoiceStructure, pidx: np.ndarray, caps: np.ndarray, rounds: list | None = None
 ) -> np.ndarray:
-    """Deferred acceptance on every problem of the space at once.
+    """Deferred acceptance on every problem at once: each profile of ranking
+    ids ``pidx`` (:func:`_profile_ids`) with each capacity vector of ``caps``.
 
     Problem ``p * C + c`` keeps, per agent, the index into the flattened
     ``slot_at`` of their latest application, the agent mask that each
@@ -296,17 +296,14 @@ def _da_slots(
     stays there, so a problem with no one rejected is done: each agent's
     last application is their allotment.  Runs are capped at n * |O| + 1
     rounds; exceeding the cap means some rule is violating its contract.
-    ``rounds``, given for a one-problem space, receives the trace that
+    ``rounds``, given for one problem, receives the trace that
     :func:`da_allocate` returns.
     """
     n, objects = cs.agents.n, cs.objects
-    if tuple(space.objects) != objects:
-        raise ValueError("the space's objects are not the structure's objects")
     n_obj = len(objects)
-    n_caps = len(space.capacities)
+    n_caps = len(caps)
     if pidx.shape[1] != n and pidx.size and n_caps:  # names the agent count
-        require_problem(AllocationProblem(space.profiles[0], space.capacities[0]), n, objects)
-    caps = _capacity_array(space)
+        require_problem(AllocationProblem((objects + (None,),) * pidx.shape[1], ()), n, objects)
     slot_at = _slot_tables(objects)[0].reshape(-1)
     mask_t = np.min_scalar_type(cs.agents.full_mask)
     bits = np.left_shift(mask_t.type(1), np.arange(n, dtype=mask_t))
@@ -361,15 +358,22 @@ def _da_slots(
     return out.reshape(len(pidx), n_caps, n)
 
 
-def _allocate(m: Mechanism, space: MechanismSpace, pidx: np.ndarray) -> np.ndarray:
+def _allocate(m: Mechanism, objects, pidx: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The ``(P, C, n)`` slots of ``m`` on each profile of ranking ids
+    ``pidx`` with each capacity vector of ``caps`` (:func:`_profile_ids`)."""
     if isinstance(m, DAMechanism):
-        return _da_slots(m.structure, space, pidx)
-    slot = {x: s for s, x in enumerate(space.objects)}
-    slot[None] = len(space.objects)
-    out = np.empty((len(space.profiles), len(space.capacities), pidx.shape[1]), dtype=np.int8)
-    for p, prefs in enumerate(space.profiles):
-        for c, caps in enumerate(space.capacities):
-            out[p, c] = [slot[x] for x in m(AllocationProblem(prefs, caps))]
+        if objects != m.structure.objects:
+            raise ValueError("the space's objects are not the structure's objects")
+        return _da_slots(m.structure, pidx, caps)
+    prefs = all_preferences(objects)
+    slot = {x: s for s, x in enumerate(objects)}
+    slot[None] = len(objects)
+    vectors = [tuple(q) for q in caps.tolist()]
+    out = np.empty((len(pidx), len(caps), pidx.shape[1]), dtype=np.int8)
+    for p, ids in enumerate(pidx.tolist()):
+        profile = tuple(prefs[k] for k in ids)
+        for c, q in enumerate(vectors):
+            out[p, c] = [slot[x] for x in m(AllocationProblem(profile, q))]
     return out
 
 
@@ -383,7 +387,7 @@ def allocations(m: Mechanism, space: MechanismSpace) -> np.ndarray:
     malformed space raises the ``ValueError`` of :func:`require_problem`,
     and a ``TableRule`` table that deferred acceptance reads is validated.
     """
-    return _allocate(m, space, _profile_ids(space))
+    return _allocate(m, space.objects, *_profile_ids(space))
 
 
 def _ranked(rank_of: np.ndarray, pidx: np.ndarray, alloc: np.ndarray) -> np.ndarray:
@@ -406,9 +410,9 @@ def space_demands(cs: ChoiceStructure, space: MechanismSpace, x) -> np.ndarray:
     """``(P, C)`` agent masks: bit i of ``out[p, c]`` is set when agent i
     strictly prefers x (an object or None) to their allotment under
     deferred acceptance at ``space.profiles[p]`` and ``space.capacities[c]``."""
-    pidx = _profile_ids(space)
+    pidx, caps = _profile_ids(space)
     _, rank_of = _slot_tables(space.objects)
-    ranked = _ranked(rank_of, pidx, _da_slots(cs, space, pidx))
+    ranked = _ranked(rank_of, pidx, _allocate(DAMechanism(cs), space.objects, pidx, caps))
     return _demand_masks(rank_of, pidx, ranked, (space.objects + (None,)).index(x))
 
 
@@ -418,6 +422,28 @@ def _codes(digits: np.ndarray, base: int) -> np.ndarray:
     n = digits.shape[1]
     dtype = np.int64 if base ** n < 2 ** 63 else object
     return digits.astype(dtype) @ np.array([base ** i for i in range(n)], dtype=dtype)
+
+
+def _find_or_append(
+    rows: np.ndarray, base: int, wanted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Look up rows by their base-``base`` codes (:func:`_codes`).
+
+    Returns, for each code of ``wanted``, the index of the first row of
+    ``rows`` with that code, and the wanted rows that ``rows`` lacks, in
+    ascending code order; those are indexed as if appended after ``rows``.
+    """
+    codes = _codes(rows, base)
+    order = np.argsort(codes, kind="stable")
+    at = np.searchsorted(codes[order], wanted)
+    known = codes[order][np.minimum(at, len(codes) - 1)] == wanted if len(codes) else at < 0
+    extra = np.unique(wanted[~known])
+    if extra.size:
+        codes = np.concatenate([codes, extra])
+        order = np.argsort(codes, kind="stable")
+        at = np.searchsorted(codes[order], wanted)
+    weights = _codes(np.eye(rows.shape[1], dtype=np.int64), base)
+    return order[at], (extra[:, None] // weights % base).astype(rows.dtype)
 
 
 def _first_of(keys: np.ndarray) -> np.ndarray:
@@ -470,11 +496,10 @@ def check_unavailable_type_invariance(m: Mechanism, space: MechanismSpace) -> Ax
     first profile whose allocation differs from that of the first profile
     with its restricted rankings is the witness.
     """
-    pidx = _profile_ids(space)
-    alloc = _allocate(m, space, pidx)
+    pidx, caps = _profile_ids(space)
+    alloc = _allocate(m, space.objects, pidx, caps)
     slot_at, _ = _slot_tables(space.objects)
     n_prefs, width = slot_at.shape
-    caps = _capacity_array(space)
     available = np.concatenate([caps > 0, np.ones((len(caps), 1), dtype=bool)], axis=1)
     patterns, pattern_of = np.unique(available, axis=0, return_inverse=True)
     firsts = np.empty((len(patterns), len(pidx)), dtype=np.intp)
@@ -506,12 +531,11 @@ def check_weak_non_wastefulness(m: Mechanism, space: MechanismSpace) -> AxiomRep
 
     The witness is the first (profile, capacities, agent, object) in order.
     """
-    pidx = _profile_ids(space)
-    alloc = _allocate(m, space, pidx)
+    pidx, caps = _profile_ids(space)
+    alloc = _allocate(m, space.objects, pidx, caps)
     _, rank_of = _slot_tables(space.objects)
     n_obj = len(space.objects)
     ranks = rank_of[pidx][:, None]  # (P, 1, n, O + 1)
-    caps = _capacity_array(space)
     at_null = alloc == n_obj
     ones = np.ones(alloc.shape[2], dtype=np.int16)
     wasted = [  # per object: agents at null who rank it above null while a seat is free
@@ -544,31 +568,28 @@ def check_resource_monotonicity(m: Mechanism, space: MechanismSpace) -> AxiomRep
     witness is the first (profile, pair, agent).  Profiles are decided one
     lower vector at a time, against the best rank over its higher vectors.
     """
-    caps = space.capacities
-    higher = [
-        [j2 for j2, q2 in enumerate(caps) if q1 != q2 and all(a <= b for a, b in zip(q1, q2))]
-        for q1 in caps
-    ]
-    pidx = _profile_ids(space)
-    alloc = _allocate(m, space, pidx)
+    pidx, caps = _profile_ids(space)
+    alloc = _allocate(m, space.objects, pidx, caps)
+    # higher[j1, j2]: vector j2 is componentwise at least vector j1, and differs
+    higher = (caps[:, None] <= caps).all(2) & (caps[:, None] != caps).any(2)
     _, rank_of = _slot_tables(space.objects)
     ranked = _ranked(rank_of, pidx, alloc)  # (P, C, n)
     hurt = np.zeros(len(pidx), dtype=bool)
     for j1, ups in enumerate(higher):
-        if ups:
+        if ups.any():
             hurt |= (ranked[:, ups].max(1) > ranked[:, j1]).any(1)
     if not hurt.any():
         return AxiomReport("resource_monotonicity")
     p = int(np.argmax(hurt))
-    low, high = np.array([(j1, j2) for j1, ups in enumerate(higher) for j2 in ups]).T
+    low, high = np.nonzero(higher)
     j, i = _first(ranked[p, high] > ranked[p, low])
     j1, j2 = int(low[j]), int(high[j])
     return AxiomReport(
         "resource_monotonicity",
         {
             "R": _profile_labels(space.profiles[p]),
-            "capacities": list(caps[j1]),
-            "capacities_higher": list(caps[j2]),
+            "capacities": list(space.capacities[j1]),
+            "capacities_higher": list(space.capacities[j2]),
             "agent": space.agents[i],
             "allocation_low": _slot_labels(space, alloc[p, j1]),
             "allocation_high": _slot_labels(space, alloc[p, j2]),
@@ -588,8 +609,8 @@ def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> AxiomRep
     R' in space order within a group.  The witness is the first pair of the
     first capacity vector whose allocations differ.
     """
-    pidx = _profile_ids(space)
-    alloc = _allocate(m, space, pidx)
+    pidx, caps = _profile_ids(space)
+    alloc = _allocate(m, space.objects, pidx, caps)
     n_prof, n_caps, n = alloc.shape
     slot_at, rank_of = _slot_tables(space.objects)
     n_prefs, width = slot_at.shape
@@ -645,37 +666,22 @@ def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> AxiomReport
     Every profile that replaces one agent's ranking by another ranking is
     looked up by its base-K code over the K rankings; those outside the
     space (a sampled one) are appended to the profiles whose allocations
-    are computed.  A (profile, capacities, agent) fails when its best
-    reachable allotment beats the truthful one; the witness is the first
-    that fails, with its first misreport in ``all_preferences`` order.
+    are computed (:func:`_find_or_append`).  A (profile, capacities, agent)
+    fails when its best reachable allotment beats the truthful one; the
+    witness is the first that fails, with its first misreport in
+    ``all_preferences`` order.
     """
-    pidx = _profile_ids(space)
-    n_prof, n = pidx.shape
+    pidx, caps = _profile_ids(space)
+    n = pidx.shape[1]
     prefs = all_preferences(space.objects)
     n_prefs = len(prefs)
-    codes = _codes(pidx, n_prefs)
     weights = _codes(np.eye(n, dtype=np.int64), n_prefs)
-    misreport = codes[:, None, None] + (
+    misreport = _codes(pidx, n_prefs)[:, None, None] + (
         np.arange(n_prefs) - pidx[..., None]
     ) * weights[:, None]  # (P, n, K)
-    order = np.argsort(codes, kind="stable")
-    at = np.searchsorted(codes[order], misreport)
-    known = codes[order][np.minimum(at, n_prof - 1)] == misreport if n_prof else at < 0
-    extra = np.unique(misreport[~known])
-    extra_rows = (extra[:, None] // weights % n_prefs).astype(np.int32).reshape(-1, n)
-    profiles = space.profiles + tuple(
-        tuple(prefs[k] for k in row) for row in extra_rows.tolist()
-    )
-    if extra.size:
-        every = np.concatenate([codes, extra])
-        order = np.argsort(every, kind="stable")
-        at = np.searchsorted(every[order], misreport)
-    lookup = order[at]  # (P, n, K): the first listed profile of each misreport
-    alloc = _allocate(
-        m,
-        MechanismSpace(space.agents, space.objects, profiles, space.capacities),
-        np.concatenate([pidx, extra_rows]),
-    )
+    # (P, n, K): the first listed profile of each misreport
+    lookup, extra = _find_or_append(pidx, n_prefs, misreport)
+    alloc = _allocate(m, space.objects, np.concatenate([pidx, extra]), caps)
     _, rank_of = _slot_tables(space.objects)
     truthful = _ranked(rank_of, pidx, alloc)  # (P, C, n)
     rows = pidx * rank_of.shape[1]
@@ -705,39 +711,30 @@ def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> AxiomReport
 
 def _isd_scan(m, space, scanned, prop_name) -> AxiomReport:
     """Demand for each object k (in order) before and after a unit increase of
-    its capacity from each capacity vector ``scanned(k, caps)`` admits (in
-    order); the increased vectors that the space lacks are appended to the
-    ones allocated.  Per vector, the witness is the first profile whose
-    demand after differs from that of the first profile with its demand
-    before."""
-    pidx = _profile_ids(space)
+    its capacity from each capacity vector (in order) that the mask
+    ``scanned(k, caps)`` admits over the capacity array; the increased
+    vectors that the space lacks are appended (:func:`_find_or_append`).
+    Per vector, the witness is the first profile whose demand after differs
+    from that of the first profile with its demand before."""
+    pidx, caps = _profile_ids(space)
     n_prof, n = pidx.shape
-    capacities = list(space.capacities)
-    index: dict[tuple, int] = {}
-    for c, caps in enumerate(capacities):
-        index.setdefault(caps, c)
-    steps = []  # per object: (vector, increased vector) pairs
-    for k in range(len(space.objects)):
-        steps.append([])
-        for c, caps in enumerate(space.capacities):
-            if caps[k] >= len(space.agents) or not scanned(k, caps):
-                continue  # at its ceiling no increase exists
-            up = caps[:k] + (caps[k] + 1,) + caps[k + 1:]
-            if up not in index:
-                index[up] = len(capacities)
-                capacities.append(up)
-            steps[k].append((c, index[up]))
-    if not any(steps):
+    steps = [  # per object: the vectors scanned, below its ceiling n
+        np.flatnonzero((caps[:, k] < n) & scanned(k, caps)) for k in range(caps.shape[1])
+    ]
+    if not any(s.size for s in steps):
         return AxiomReport(prop_name)
-    alloc = _allocate(
-        m, MechanismSpace(space.agents, space.objects, space.profiles, tuple(capacities)), pidx
+    codes = _codes(caps, n + 1)
+    lookup, extra = _find_or_append(
+        caps, n + 1, np.concatenate([codes[s] + (n + 1) ** k for k, s in enumerate(steps)])
     )
+    ups = np.split(lookup, np.cumsum([s.size for s in steps])[:-1])
+    alloc = _allocate(m, space.objects, pidx, np.concatenate([caps, extra]))
     _, rank_of = _slot_tables(space.objects)
     ranked = _ranked(rank_of, pidx, alloc)
     for k, x in enumerate(space.objects):
-        if not steps[k]:
+        base, up = steps[k], ups[k]
+        if not base.size:
             continue
-        base, up = np.array(steps[k]).T
         wanted = _demand_masks(rank_of, pidx, ranked, k)  # (P, C')
         before, after = wanted[:, base].T, wanted[:, up].T  # (J, P)
         keys = (np.arange(len(base), dtype=np.int64)[:, None] << n) + before
@@ -777,7 +774,7 @@ def check_weak_isd(m: Mechanism, space: MechanismSpace) -> AxiomReport:
     return _isd_scan(
         m,
         space,
-        lambda k, caps: all(q == 0 for j, q in enumerate(caps) if j != k),
+        lambda k, caps: (np.delete(caps, k, axis=1) == 0).all(1),
         "weak_irrelevance_of_satisfied_demand",
     )
 

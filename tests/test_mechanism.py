@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -493,17 +494,20 @@ def test_traced_da_matches_placed_scan_loop_on_wide_masks(n):
 
 
 def test_da_reads_list_rankings_as_tuples():
-    """Rankings given as lists allocate as the same rankings as tuples."""
+    """Rankings given as lists allocate as the same rankings as tuples, and
+    any other mechanism, here one that hashes its problem, gets them as
+    tuples."""
     cs = _responsive_structure(("i", "j"), {"x": ("j", "i")})
     listed = AllocationProblem([["x", None], ["x", None]], [1])
     assert da_allocate(cs, listed) == (None, "x")
     assert da_allocate(cs, listed, trace=True) == ((None, "x"), [{"x": ["i", "j"]}, {}])
     space = MechanismSpace(("i", "j"), ("x",), (listed.preferences,), ((1,), (2,)))
-    assert _allocation_rows(space, allocations(DAMechanism(cs), space)) == [
-        [(None, "x"), ("x", "x")]
-    ]
-    for name, check in MECHANISM_CHECKS.items():
-        assert check(DAMechanism(cs), space).ok, name
+    for m in (DAMechanism(cs), functools.cache(functools.partial(da_allocate, cs))):
+        assert _allocation_rows(space, allocations(m, space)) == [
+            [(None, "x"), ("x", "x")]
+        ]
+        for name, check in MECHANISM_CHECKS.items():
+            assert check(m, space).ok, name
 
 
 # --- the whole-space deferred acceptance against the placed-scan loop ------------
@@ -905,13 +909,17 @@ ORACLE_SPACES = [
     ("open_walk", "sampled", 4, ("x", "y")),
     ("rotating", "sampled", 2, ("x", "y", "z")),
     ("walk_open", "duplicates", 2, ("x", "y")),
+    ("rotating", "thinned", 3, ("x", "y")),
+    ("responsive", "thinned", 3, ("x", "y")),
+    ("compromise", "thinned", 3, ("x", "y")),
 ]
 
 
 def test_rewritten_checkers_match_their_loops():
     """Verdict and first witness agree on every mechanism and space, sampled
     spaces included: their misreports fall outside the space, and they may
-    list a profile twice.  A DAMechanism is checked unwrapped, so that it
+    list a profile twice.  A thinned space lacks most unit capacity increases
+    and lists a capacity vector twice.  A DAMechanism is checked unwrapped, so that it
     takes the whole-space deferred acceptance, and behind a memo, which
     calls the placed-scan loop once per problem like any other mechanism."""
     rng = random.Random(11)
@@ -928,6 +936,10 @@ def test_rewritten_checkers_match_their_loops():
         elif space_kind == "duplicates":  # 40 draws from 36 profiles
             space = sampled_space(agents, objects, 40, seed=rng.randrange(1000))
             assert len(set(space.profiles)) < len(space.profiles)
+        elif space_kind == "thinned":  # every other vector, reversed, the first twice
+            space = sampled_space(agents, objects, 60, seed=rng.randrange(1000))
+            thinned = space.capacities[::2][::-1]
+            space = MechanismSpace(agents, objects, space.profiles, thinned + thinned[:1])
         else:
             space = sampled_space(agents, objects, 8, seed=rng.randrange(1000))
         for mech_name, m in _mechanisms(rng, kind, agents, objects).items():
