@@ -10,29 +10,29 @@ CWRARP, CSARP and order both extractions), ``gs_first_violation`` and
 table (the best alternative of every mask, built by a subset DP in n
 vectorized steps) and starts capacity q from capacity q-1's column when q's
 orderings extend q-1's, so a lexicographic fill is n gathers.
-``chosen_over_edges`` is one scatter-OR of rejected masks into chosen-mask
-slots and n OR-reductions; a checker that fails looks up the witnessing
-sets of its one reported pair afterwards.  Gross substitutes (heritage)
-and path independence share one single-removal scan: path independence
-holds exactly when heritage and outcast do (Aizerman-Malishevski 1981; see
-Chambers-Yenmez 2017, "Choice and matching"), so its verdict costs
-O(n^2 2^n), and the set-major search for its first (S, T, q), a Python
-loop over sets, runs only when the verdict is fail.
+``chosen_over_edges`` reads the chosen and rejected columns as words of
+four 16-bit lanes and makes one pass over them per alternative; a checker
+that fails looks up the witnessing sets of its one reported pair
+afterwards.  Gross substitutes (heritage) and path independence share one
+single-removal scan: path independence holds exactly when heritage and
+outcast do (Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice
+and matching"), so its verdict costs O(n^2 2^n), and the set-major search
+for its first (S, T, q), a Python loop over sets, runs only when the
+verdict is fail.
 ``tests/test_kernels.py`` holds per-set loop versions of every kernel and
 checks that the outputs here match them bit for bit, witness tie-breaks
 included.
 
-All tables are int64 arrays of shape ``(2**n, n+1)`` holding chosen
-bitmasks, with column 0 fixed empty; the kernels take and return them.  The
-engine caps n at 16 (``core.MAX_ALTERNATIVES``), so every mask fits in 16
-bits, and ``cwlex_fill`` and the single-removal scan compute on uint16
-masks, a quarter of the bytes per pass.  The fill stages its capacities in
-a contiguous uint16 array and casts it once into the table; the scan reads
-a uint16 copy of the table.  Nothing is truncated: the fill refuses n above
-16, and in ``gs_first_violation`` and ``path_independence_first`` an entry
-with a bit outside the n alternatives raises ``ValueError``; no validated
-table holds one.  Key tensors encode priority orderings positionally:
-``keys[..., alt]`` is the rank of ``alt`` (0 = highest priority).
+All tables are C-contiguous uint16 arrays of shape ``(n+1, 2**n)``, the
+layout of ``ChoiceTable.cols``: row q holds the chosen bitmask of every set
+at capacity q, so each capacity is one contiguous column, and row 0 is
+empty.  The engine caps n at 16 (``core.MAX_ALTERNATIVES``), so every mask
+fits in 16 bits; the fill refuses n above 16 and returns its staging array
+as the table.  The single-removal scan reads the table as rows instead, a
+padded row-major uint16 copy.  The kernels trust every entry to lie inside
+the n alternatives: ``ChoiceTable`` refuses any other when it is built.
+Key tensors encode priority orderings positionally: ``keys[..., alt]`` is
+the rank of ``alt`` (0 = highest priority).
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
     capacity q-1's, its first q-1 picks are capacity q-1's choice, so it
     starts there and makes one pick: a lexicographic or responsive fill takes
     n picks, not n(n+1)/2.  Only the last top table is kept, which is all a
-    repeated ordering needs.  The capacities are filled as the rows of a
-    contiguous uint16 array, which is cast once into the int64 table.
+    repeated ordering needs.  The capacities are filled as the rows of the
+    returned ``(n+1, 2**n)`` uint16 array, the layout of ``ChoiceTable.cols``.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     masks = _masks(n)
@@ -119,46 +119,48 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
                 remaining &= augment.take(chosen)
             chosen = chosen | top.take(remaining)
         cols[q] = chosen
-    return cols.T.astype(np.int64, order="C")
+    return cols
+
+
+_LANES = np.uint64(0x0001_0001_0001_0001)  # bit 0 of each 16-bit lane
 
 
 def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
     """The edges of a chosen-over relation as an (n, n) bool matrix.
 
-    ``chosen`` and ``rejected`` are bitmask columns over all 2**n sets;
-    ``edges[a, b]`` is true when some S has a in ``chosen[S]`` and b in
-    ``rejected[S]``.  ``chosen`` masks must lie in 0..2**n-1 (they index
-    slots); bits of ``rejected`` at or above n are ignored.  Every row
-    counts, row 0 included; on table columns row 0 is empty.
+    ``chosen`` and ``rejected`` are bitmask columns over all 2**n sets, read
+    as uint16; ``edges[a, b]`` is true when some S has a in ``chosen[S]`` and
+    b in ``rejected[S]``.  Bits at or above n of either column are ignored.
+    Every row counts, row 0 included; on table columns row 0 is empty.
 
-    One scatter ORs each set's rejected mask into the slot of its chosen
-    mask.  Row a is then the OR of the slots whose mask holds a: from the
-    highest a down, the upper half of the slots, which are then folded onto
-    the lower half, so the rows cost two passes over the slots in all.
+    The columns are read as uint64 words of four 16-bit lanes.  Per
+    alternative a, ``((chosen >> a) & LANES) * 0xFFFF`` is all ones in each
+    lane whose chosen mask holds a; ANDed with the rejected words and
+    OR-reduced, its four lanes fold into row a, so a row is one pass over
+    the columns.  Columns shorter than a word (n <= 1) are padded with empty
+    sets.
     """
-    slots = np.zeros(1 << n, dtype=np.int64)
-    np.bitwise_or.at(slots, chosen, rejected)
+    padded = np.zeros((2, max(1 << n, 4)), dtype=np.uint16)
+    padded[0, : 1 << n], padded[1, : 1 << n] = chosen, rejected
+    ch, rej = padded.view(np.uint64)
+    lane = np.empty_like(ch)
     rows = np.zeros(n, dtype=np.int64)
-    for a in range(n - 1, -1, -1):
-        half = 1 << a
-        rows[a] = np.bitwise_or.reduce(slots[half:])
-        slots = slots[:half] | slots[half:]
+    for a in range(n):
+        np.right_shift(ch, np.uint64(a), out=lane)
+        lane &= _LANES
+        lane *= np.uint64(0xFFFF)
+        lane &= rej
+        word = int(np.bitwise_or.reduce(lane))
+        rows[a] = (word | word >> 16 | word >> 32 | word >> 48) & 0xFFFF
     return ((rows[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(bool)
 
 
-def _narrow(table: np.ndarray) -> np.ndarray:
-    """``table[:, 1:]`` as uint16, padded with empty columns to 16, so each
-    row is 32 bytes; ``ValueError`` when an entry has a bit outside the n
-    alternatives (negative included).
-
-    Every entry of a validated table is a subset of its set, so it fits.
-    """
-    cols = table[:, 1:]
-    n = cols.shape[1]
-    if np.bitwise_or.reduce(cols, axis=None) >> n:  # negative included
-        raise ValueError(f"a table entry has a bit outside the {n} alternatives")
-    out = np.zeros((len(table), MASK_BITS), dtype=np.uint16)
-    out[:, : cols.shape[1]] = cols
+def _rows(cols: np.ndarray) -> np.ndarray:
+    """A table's ``cols[1:]`` as rows: per set S, C(S, 1..n) as uint16,
+    padded with empty capacities to 16, so each row is 32 bytes."""
+    n = len(cols) - 1
+    out = np.zeros((cols.shape[1], MASK_BITS), dtype=np.uint16)
+    out[:, :n] = cols[1:].T
     return out
 
 
@@ -168,7 +170,7 @@ def _removal_violations(n: int, cols: np.ndarray, outcast: bool = False) -> np.n
     nonempty.  With ``outcast`` also flag a rejected b whose removal changes
     the choice: b not in C(S, q) and C(S minus b, q) != C(S, q).
 
-    ``cols`` is the table narrowed by :func:`_narrow`.  The sets holding b
+    ``cols`` is the table as rows, from :func:`_rows`.  The sets holding b
     and their partners without b are the two halves of a reshape, so each
     alternative costs one pass over the table and no gather.  Both
     conditions leave the offending bits of each cell, and a set's 16 cells
@@ -189,62 +191,60 @@ def _removal_violations(n: int, cols: np.ndarray, outcast: bool = False) -> np.n
     return viol
 
 
-def gs_first_violation(n: int, table: np.ndarray) -> np.ndarray:
+def gs_first_violation(n: int, cols: np.ndarray) -> np.ndarray:
     """First (S, q, a, b) in canonical order with a chosen from (S, q) but
     not from (S without b, q); all -1 when no violation exists.
 
-    ``ValueError`` when an entry has a bit outside the n alternatives.
+    ``cols`` is a table's ``(n+1, 2**n)`` array (``ChoiceTable.cols``).
     """
     out = np.full(4, -1, dtype=np.int64)
-    viol = _removal_violations(n, _narrow(table))
+    rows = _rows(cols)
+    viol = _removal_violations(n, rows)
     if not viol.any():
         return out
     s = int(np.argmax(viol))
     # refine within the first violating set in (q, a, b) order
     for q in range(1, n + 1):
-        c = int(table[s, q])
+        c = int(rows[s, q - 1])
         for a in range(n):
             if (c >> a) & 1:
                 for b in range(n):
                     if b != a and (s >> b) & 1:
                         sub = s & ~(1 << b)
-                        if sub and not (int(table[sub, q]) >> a) & 1:
+                        if sub and not (int(rows[sub, q - 1]) >> a) & 1:
                             out[:] = (s, q, a, b)
                             return out
     return out
 
 
-def path_independence_first(n: int, table: np.ndarray) -> np.ndarray:
+def path_independence_first(n: int, cols: np.ndarray) -> np.ndarray:
     """First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q); all -1 when
-    the table is path independent.
+    the table ``cols`` (``ChoiceTable.cols``) is path independent.
 
     The verdict comes from heritage and outcast, which together are
     equivalent to path independence for a choice function
     (Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
     matching").  Both are checked one removal at a time, in O(n^2 2^n).
     Only when they fail, or when some C(S, q) is not a subset of S (the
-    equivalence needs that), are the sets S searched in ascending order.
-    Each S is compared with every T and q at once, and the search stops at
-    the first S with a violation.  The condition is symmetric in S and T,
-    so a violation (S, T) with T < S would have stopped the search at T:
-    only T >= S need comparing.
-
-    ``ValueError`` when an entry has a bit outside the n alternatives.
+    equivalence needs that), are the sets S searched in ascending order, on
+    the rows that the removal scan reads.  Each S is compared with every T
+    and q at once, and the search stops at the first S with a violation.
+    The condition is symmetric in S and T, so a violation (S, T) with T < S
+    would have stopped the search at T: only T >= S need comparing.
     """
     out = np.full(3, -1, dtype=np.int64)
-    narrow = _narrow(table)
-    if not (narrow & ~_masks(n)[:, None]).any() and not _removal_violations(
-        n, narrow, outcast=True
+    rows = _rows(cols)
+    masks = _masks(n)
+    if not (rows & ~masks[:, None]).any() and not _removal_violations(
+        n, rows, outcast=True
     ).any():
         return out
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    cols = table[:, 1:]
-    q_idx = np.arange(1, n + 1)
-    for s in range(1, size):
-        union = table[s | masks[s:], 1:]
-        merged = cols[s:] | cols[s]
-        viol = union != table[merged, q_idx]
+    body = rows[:, :n]
+    q_idx = np.arange(n)
+    for s in range(1, 1 << n):
+        union = body[s | masks[s:]]
+        merged = body[s:] | body[s]
+        viol = union != body[merged, q_idx]
         if viol.any():
             t, q = divmod(int(np.argmax(viol)), n)
             out[:] = (s, s + t, q + 1)

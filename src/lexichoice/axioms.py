@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import ChoiceTable, Problem, iter_bits, popcount
+from .core import ChoiceTable, Problem, first_cell, iter_bits, popcount
 from .rules import CapacityWiseLists
 
 
@@ -44,16 +44,14 @@ def _labels(c: ChoiceTable, mask: int) -> list[str]:
 
 def check_capacity_filling(c: ChoiceTable) -> AxiomReport:
     """|C(S, q)| must equal min(|S|, q) at every problem."""
-    masks = np.arange(1 << c.n, dtype=np.int64)
-    set_sizes = np.bitwise_count(masks)
-    for_all = np.bitwise_count(c.entries[:, 1:])
-    want = np.minimum(set_sizes[:, None], np.arange(1, c.n + 1)[None, :])
-    viol = for_all != want
-    viol[0, :] = False
+    set_sizes = np.bitwise_count(_kernels._masks(c.n))
+    want = np.minimum(set_sizes, np.arange(1, c.n + 1, dtype=np.uint8)[:, None])
+    viol = np.bitwise_count(c.cols[1:]) != want
+    viol[:, 0] = False
     if not viol.any():
         return AxiomReport("capacity_filling")
-    s, qi = np.argwhere(viol)[0]
-    s, q = int(s), int(qi) + 1
+    s, qi = first_cell(viol)
+    q = qi + 1
     return AxiomReport(
         "capacity_filling",
         {
@@ -66,7 +64,7 @@ def check_capacity_filling(c: ChoiceTable) -> AxiomReport:
 
 def check_gross_substitutes(c: ChoiceTable) -> AxiomReport:
     """Chosen alternatives stay chosen when other alternatives are removed."""
-    out = _kernels.gs_first_violation(c.n, c.entries)
+    out = _kernels.gs_first_violation(c.n, c.cols)
     if out[0] < 0:
         return AxiomReport("gross_substitutes")
     s, q, a, b = (int(v) for v in out)
@@ -83,13 +81,13 @@ def check_gross_substitutes(c: ChoiceTable) -> AxiomReport:
 
 def check_monotonicity(c: ChoiceTable) -> AxiomReport:
     """C(S, q) must be contained in C(S, q+1)."""
-    lost = c.entries[:, 1:c.n] & ~c.entries[:, 2:c.n + 1]
+    lost = c.cols[1:c.n] & ~c.cols[2:]
     viol = lost != 0
     if not viol.any():
         return AxiomReport("monotonicity")
-    s, qi = np.argwhere(viol)[0]
-    s, q = int(s), int(qi) + 1
-    alt = next(iter_bits(int(lost[s, qi])))
+    s, qi = first_cell(viol)
+    q = qi + 1
+    alt = next(iter_bits(int(lost[qi, s])))
     return AxiomReport(
         "monotonicity",
         {"S": _labels(c, s), "q": q, "alt": c.universe.labels[alt]},
@@ -109,11 +107,11 @@ def check_iaa(c: ChoiceTable) -> AxiomReport:
     writes the repeated indices of a one-dimensional assignment in order;
     ``test_iaa_witness_matches_loop_oracle`` pins the witness this gives.
     """
-    masks = np.arange(1, 1 << c.n, dtype=np.int64)
-    slot = np.empty(1 << c.n, dtype=np.int64)
+    masks = _kernels._masks(c.n)[1:]
+    slot = np.empty(1 << c.n, dtype=np.uint16)
     for q in range(1, c.n):
-        rej = masks & ~c.entries[1:, q]
-        new = c.entries[1:, q + 1] & rej
+        rej = masks & ~c.cols[q, 1:]
+        new = c.cols[q + 1, 1:] & rej
         slot[rej[::-1]] = new[::-1]
         bad = new != slot[rej]
         if bad.any():
@@ -141,16 +139,14 @@ def relation_columns(c: ChoiceTable, q: int, revealed: bool = False):
     """Per set S: C(S, q) and S minus C(S, q), the chosen-over columns at q.
 
     With ``revealed`` both columns also drop C(S, q-1), which gives the
-    revealed preference columns (C(S, 0) is the empty set).  Bits at or
-    above n are dropped, so the chosen column can index 2**n slots; the
-    relations read no other bits.
+    revealed preference columns (C(S, 0) is the empty set).  Both are uint16
+    and read contiguous rows of ``c.cols``.
     """
-    full = np.int64(c.universe.full_mask)
-    cur = c.entries[:, q] & full  # one read of a strided column
-    masks = np.arange(1 << c.n, dtype=np.int64)
+    cur = c.cols[q]
+    masks = _kernels._masks(c.n)
     if not revealed:
         return cur, masks & ~cur
-    prev = c.entries[:, q - 1] & full
+    prev = c.cols[q - 1]
     return cur & ~prev, masks & ~(cur | prev)
 
 
@@ -269,7 +265,7 @@ def check_cwrarp(c: ChoiceTable) -> AxiomReport:
 
 def check_path_independence(c: ChoiceTable) -> AxiomReport:
     """C(S union T, q) must equal C(C(S,q) union C(T,q), q) for all S, T, q."""
-    out = _kernels.path_independence_first(c.n, c.entries)
+    out = _kernels.path_independence_first(c.n, c.cols)
     if out[0] < 0:
         return AxiomReport("path_independence")
     s, t, q = (int(v) for v in out)
@@ -379,7 +375,7 @@ def replay_witness(c: ChoiceTable, axiom: str, w: dict) -> bool:
         s, t, q = m(w["S"]), m(w["T"]), w["q"]
         merged = c.choose(Problem(s, q)) | c.choose(Problem(t, q))
         # row 0 holds C(empty set, q) = empty set, which choose() refuses
-        return c.choose(Problem(s | t, q)) != int(c.entries[merged, q])
+        return c.choose(Problem(s | t, q)) != int(c.cols[q, merged])
     raise ValueError(f"unknown axiom {axiom!r}")
 
 

@@ -67,7 +67,8 @@ def is_lexicographic(table: ChoiceTable) -> bool:
 
 
 def _responsive(u, labels) -> np.ndarray:
-    return materialize(Responsive(ordering_from_labels(u, labels)), u).entries
+    """The set-major entries ``[S, q]`` of a responsive table (read-only)."""
+    return materialize(Responsive(ordering_from_labels(u, labels)), u).cols.T
 
 
 def _holds(u, label) -> np.ndarray:

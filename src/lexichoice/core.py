@@ -98,32 +98,83 @@ def popcount(mask: int) -> int:
     return int(mask).bit_count()
 
 
+def first_cell(viol: np.ndarray) -> tuple[int, int]:
+    """The first true (S, row) of a ``(rows, 2**n)`` bool array indexed like
+    ``ChoiceTable.cols``, in canonical order: by set, then by row.  (0, 0)
+    when none is true."""
+    s = int(np.argmax(viol.any(axis=0)))
+    return s, int(np.argmax(viol[:, s]))
+
+
+def _first_invalid(n: int, cols: np.ndarray) -> str | None:
+    """The error :meth:`ChoiceTable.validate` raises on ``cols`` (entries
+    ``cols[q, S]`` of any integer type), or None: per capacity, ascending,
+    the first set whose entry is not a subset of it, then the first whose
+    entry exceeds the capacity; then a nonempty row 0 or column 0."""
+    masks = np.arange(1 << n, dtype=cols.dtype)
+    for q in range(1, n + 1):
+        outside = cols[q] & ~masks
+        if outside.any():
+            bad = int(np.argmax(outside != 0))
+            return f"entry at (S={bad:#x}, q={q}) is not a subset of S"
+        sizes = np.bitwise_count(cols[q])
+        if np.any(sizes > q):
+            bad = int(np.argmax(sizes > q))
+            return f"entry at (S={bad:#x}, q={q}) exceeds capacity"
+    if cols[0].any() or cols[:, 0].any():
+        return "row 0 / column 0 must be empty"
+    return None
+
+
+def _narrow(n: int, entries) -> np.ndarray:
+    """A set-major matrix ``entries[S, q]`` as a new ``(n+1, 2**n)`` uint16
+    array; an entry that is negative or has a bit at or above n is refused
+    with the error :meth:`ChoiceTable.validate` would raise on the matrix."""
+    entries = np.asarray(entries)
+    size = 1 << n
+    if entries.shape != (size, n + 1):
+        raise ValueError(
+            f"entries must have shape {(size, n + 1)}, got {entries.shape}"
+        )
+    if entries.dtype.kind not in "iu":
+        entries = entries.astype(np.int64)
+    if np.bitwise_or.reduce(entries, axis=None) >> n:  # a negative entry too
+        raise ValueError(_first_invalid(n, entries.astype(np.int64).T))
+    return entries.astype(np.uint16).T.copy()
+
+
 class ChoiceTable:
     """Exhaustive materialization of a choice rule over every problem.
 
-    ``entries[S, q]`` is the chosen bitmask for problem (S, q); column 0 is
-    fixed at the empty set (the C(S, 0) = empty-set convention) and row 0 is
-    unused.
+    ``cols[q, S]`` is the chosen bitmask for problem (S, q): one C-contiguous
+    uint16 array of shape ``(n+1, 2**n)`` whose row q holds C(., q), so each
+    capacity is one contiguous column.  Row 0 holds C(S, 0), the empty set
+    (the C(S, 0) = empty-set convention), and column 0 (S = 0) is unused.
 
-    The table never changes once built.  A C-contiguous int64 array that
-    owns its data is frozen in place (made read-only, so the caller's array
-    is too); any other input, a view included, is copied first, so writing
-    to the array it views cannot change the table.
+    A table is built from ``entries``, a set-major int matrix
+    ``entries[S, q]`` of shape ``(2**n, n+1)``, narrowed into a new array:
+    an entry that is negative or has a bit at or above n is refused with
+    the ``ValueError`` that :meth:`validate` would raise on the matrix.  Or
+    it is built from ``cols``, a fill's own array in this layout, whose
+    entries are subsets of their sets: a C-contiguous uint16 array that owns
+    its data is frozen in place (made read-only), and any other is copied.
+    The table never changes once built.
     """
 
-    def __init__(self, universe: Universe, entries: np.ndarray):
-        size = 1 << universe.n
-        if entries.shape != (size, universe.n + 1):
+    def __init__(self, universe: Universe, entries=None, *, cols: np.ndarray | None = None):
+        n = universe.n
+        if cols is None:
+            cols = _narrow(n, entries)
+        elif cols.dtype != np.uint16 or cols.shape != (n + 1, 1 << n):
             raise ValueError(
-                f"entries must have shape {(size, universe.n + 1)}, "
-                f"got {entries.shape}"
+                f"cols must be uint16 of shape {(n + 1, 1 << n)}, "
+                f"got {cols.dtype} {cols.shape}"
             )
+        elif cols.base is not None or not cols.flags.c_contiguous:
+            cols = cols.copy()
+        cols.setflags(write=False)
         self.universe = universe
-        entries = np.ascontiguousarray(entries, dtype=np.int64)
-        if entries.base is not None:
-            entries = entries.copy()
-        entries.setflags(write=False)
-        self.entries = entries
+        self.cols = cols
 
     @property
     def n(self) -> int:
@@ -137,40 +188,28 @@ class ChoiceTable:
 
     def choose(self, p: Problem) -> int:
         self._check_domain(p)
-        return int(self.entries[p.set, p.capacity])
+        return int(self.cols[p.capacity, p.set])
 
     def validate(self) -> None:
         """Assert C(S, q) subset-of S and |C(S, q)| <= q on every entry."""
-        masks = np.arange(1 << self.n, dtype=np.int64)
-        for q in range(1, self.n + 1):
-            col = self.entries[:, q]
-            if np.any(col & ~masks):
-                bad = int(np.argmax((col & ~masks) != 0))
-                raise ValueError(f"entry at (S={bad:#x}, q={q}) is not a subset of S")
-            sizes = np.bitwise_count(col)
-            if np.any(sizes > q):
-                bad = int(np.argmax(sizes > q))
-                raise ValueError(f"entry at (S={bad:#x}, q={q}) exceeds capacity")
-        if np.any(self.entries[:, 0]) or np.any(self.entries[0]):
-            raise ValueError("row 0 / column 0 must be empty")
+        error = _first_invalid(self.n, self.cols)
+        if error is not None:
+            raise ValueError(error)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChoiceTable):
             return NotImplemented
         return self.universe == other.universe and np.array_equal(
-            self.entries, other.entries
+            self.cols, other.cols
         )
 
-    def __hash__(self):  # entries are read-only, so the value hash is stable
-        return hash((self.universe, self.entries.tobytes()))
+    def __hash__(self):  # cols are read-only, so the value hash is stable
+        return hash((self.universe, self.cols.tobytes()))
 
     def first_difference(self, other: "ChoiceTable") -> Problem | None:
-        """First problem (canonical order) where the two tables differ."""
-        diff = self.entries != other.entries
+        """First problem (canonical order: set, then capacity) where the two
+        tables differ."""
+        diff = self.cols != other.cols
         if not diff.any():
             return None
-        flat = np.argwhere(diff)
-        # canonical order is set-major, capacity-minor; argwhere is row-major
-        s, q = (int(v) for v in flat[0])
-        return Problem(s, q)
-
+        return Problem(*first_cell(diff))

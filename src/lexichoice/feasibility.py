@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .axioms import AxiomReport, first_witnesses, relation_columns
-from .core import ChoiceTable, Universe, iter_bits, popcount
+from .core import ChoiceTable, Universe, first_cell, iter_bits, popcount
 from .identify import ExtractionError, linear_extension, require_rebuild
 from .rules import Lexicographic, PriorityOrdering, PriorityProfile
 
@@ -97,17 +97,18 @@ def agent_partition_family(u: Universe, groups) -> FeasibilityFamily:
 class FChoiceTable(ChoiceTable):
     """A choice table whose entries must additionally be feasible and nonempty."""
 
-    def __init__(self, universe: Universe, family: FeasibilityFamily, entries):
-        super().__init__(universe, entries)
+    def __init__(self, universe: Universe, family: FeasibilityFamily, entries=None,
+                 *, cols: np.ndarray | None = None):
+        super().__init__(universe, entries, cols=cols)
         self.family = family
 
     def validate(self) -> None:
         super().validate()  # every entry is now a subset of its S
-        body = self.entries[1:, 1:]
+        body = self.cols[1:, 1:]
         bad = (body == 0) | ~self.family.membership_array()[body]
         if bad.any():
-            s, qi = (int(v) for v in np.argwhere(bad)[0])
-            what = "empty" if body[s, qi] == 0 else "infeasible"
+            s, qi = first_cell(bad)
+            what = "empty" if body[qi, s] == 0 else "infeasible"
             raise ValueError(f"{what} choice at (S={s + 1:#x}, q={qi + 1})")
 
 
@@ -115,8 +116,7 @@ def flex_materialize(
     profile: PriorityProfile, f: FeasibilityFamily, u: Universe
 ) -> FChoiceTable:
     keys = Lexicographic(profile).keys()
-    entries = _kernels.cwlex_fill(u.n, keys, f.membership_array())
-    return FChoiceTable(u, f, entries)
+    return FChoiceTable(u, f, cols=_kernels.cwlex_fill(u.n, keys, f.membership_array()))
 
 
 def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
@@ -124,28 +124,25 @@ def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
 
     A problem (S, q) violates it when |C(S, q)| != q and some a in S outside
     C(S, q) keeps C(S, q) + a in the family; the witness is the first such
-    problem and its lowest such a.  A table with an entry outside the
-    universe (negative, or a bit at or above n) is refused with ValueError.
+    problem and its lowest such a.
     """
     n = c.n
-    full = np.int64(c.universe.full_mask)
-    outside = c.entries[(c.entries & ~full) != 0]
-    if outside.size:
-        c.universe.require_mask(int(outside[0]))
     feas = c.family.membership_array()
-    got = c.entries[:, 1:]
-    absent = np.arange(1 << n, dtype=np.int64)[:, None] & ~got
-    # cells in canonical order that are not full and leave something out
-    cells = np.flatnonzero((np.bitwise_count(got) != np.arange(1, n + 1)) & (absent != 0))
+    got = c.cols[1:]
+    absent = _kernels._masks(n) & ~got
+    # cells, capacity-major, that are not full and leave something out
+    full = np.bitwise_count(got) == np.arange(1, n + 1, dtype=np.uint8)[:, None]
+    cells = np.flatnonzero(~full & (absent != 0))
     got, absent = got.ravel()[cells], absent.ravel()[cells]
     viol = np.zeros(cells.size, dtype=bool)
     for a in range(n):
-        member = feas[got | (np.int64(1) << np.int64(a))]
-        viol |= ((absent >> a) & 1).astype(bool) & member
+        bit = np.uint16(1 << a)
+        viol |= ((absent & bit) != 0) & feas[got | bit]
     if not viol.any():
         return AxiomReport("f_capacity_filling")
-    s, qi = divmod(int(cells[np.argmax(viol)]), n)
-    chosen = int(c.entries[s, qi + 1])
+    qi, s = np.divmod(cells[viol], 1 << n)
+    s, qi = divmod(int(np.min(s * n + qi)), n)  # the first in canonical order
+    chosen = int(c.cols[qi + 1, s])
     a = next(a for a in iter_bits(s & ~chosen) if feas[chosen | (1 << a)])
     return AxiomReport(
         "f_capacity_filling",
@@ -168,7 +165,7 @@ def _f_relation(c: FChoiceTable, q: int, augment: np.ndarray):
     if not 1 <= q <= c.n:
         raise ValueError(f"capacity {q} outside 1..{c.n}")
     new, rej = relation_columns(c, q, revealed=True)
-    return new, rej & augment[c.entries[:, q - 1]]
+    return new, rej & augment[c.cols[q - 1]]
 
 
 def _augment_table(c: FChoiceTable) -> np.ndarray:
@@ -195,7 +192,7 @@ def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
     u = c.universe
     if axiom == "f_capacity_filling":
         s, q = u.mask_of(w["S"]), w["q"]
-        got = int(c.entries[s, q])
+        got = int(c.cols[q, s])
         a = u.index(w["alt"])
         return (
             popcount(got) < q

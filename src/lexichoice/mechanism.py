@@ -161,6 +161,11 @@ class MechanismSpace:
     profiles: tuple[tuple[Preference, ...], ...]
     capacities: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        # allocation appends the null object to ``objects``, a tuple
+        object.__setattr__(self, "agents", tuple(self.agents))
+        object.__setattr__(self, "objects", tuple(self.objects))
+
     def problems(self):
         for prefs in self.profiles:
             for caps in self.capacities:
@@ -334,9 +339,9 @@ def _da_slots(
             pool = held[rows, x] | new[rows]
             q = caps[cap_row[rows], x]
             if tables[x] is None and q.any():  # a table is read only at q > 0
-                tables[x] = cs.table(objects[x]).entries  # column 0 is empty
+                tables[x] = cs.table(objects[x]).cols  # row 0 is empty
             accepted = (
-                tables[x][pool, q].astype(mask_t) if tables[x] is not None
+                tables[x][q, pool].astype(mask_t, copy=False) if tables[x] is not None
                 else np.zeros_like(pool)
             )
             held[rows, x] = accepted

@@ -225,8 +225,7 @@ def materialize(rule: ChoiceRule, u: Universe) -> ChoiceTable:
         raise TypeError(f"not a choice rule: {rule!r}")
     if n_rule != u.n:
         raise ValueError("rule is defined over a different universe size")
-    entries = _kernels.cwlex_fill(u.n, rule.keys())
-    return ChoiceTable(u, entries)
+    return ChoiceTable(u, cols=_kernels.cwlex_fill(u.n, rule.keys()))
 
 
 def ordering_from_labels(u: Universe, labels) -> PriorityOrdering:

@@ -111,9 +111,15 @@ def naive_flex_choice(profile, feasible_sets, members, capacity) -> set[int]:
     return chosen
 
 
+def set_major(table) -> np.ndarray:
+    """A writable int64 copy of the table's entries as ``[S, q]``, the
+    set-major matrix that ``ChoiceTable(u, entries)`` takes."""
+    return np.array(table.cols.T, dtype=np.int64)
+
+
 def table_entries(table) -> list[list[int]]:
     """Raw entries matrix, the ``table`` spec-kind wire format."""
-    return table.entries.tolist()
+    return table.cols.T.tolist()
 
 
 def mask_of(members) -> int:

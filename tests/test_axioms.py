@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import random
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from lexichoice import (
     check_capacity_filling,
     check_cwarp,
     check_cwrarp,
+    check_f_capacity_filling,
     check_gross_substitutes,
     check_iaa,
     check_insertion,
@@ -35,7 +38,7 @@ from lexichoice import (
     replay_witness,
     revealed_pref,
 )
-from lexichoice.core import iter_bits
+from lexichoice.core import iter_bits, popcount
 from lexichoice.casebook import (
     favored_singleton_table,
     capacity_switch_table,
@@ -56,6 +59,7 @@ from conftest import (
     naive_monotone_holds,
     random_ordering,
     random_profile,
+    set_major,
     table_from_function,
     universe,
 )
@@ -200,7 +204,7 @@ def _perturbed_table(rng, rule, n: int, mutations: int) -> ChoiceTable:
     """The table of ``rule`` with ``mutations`` cells replaced by random
     subsets of their set, each within capacity."""
     u = universe(n)
-    entries = materialize(rule, u).entries.copy()
+    entries = set_major(materialize(rule, u))
     for _ in range(mutations):
         s = rng.randrange(1, 1 << n)
         members = [a for a in range(n) if (s >> a) & 1]
@@ -219,11 +223,11 @@ def _cwarp_pairwise_holds(c: ChoiceTable) -> bool:
     size = 1 << c.n
     for q in range(2, c.n + 1):
         for s in range(1, size):
-            cs_prev = int(c.entries[s, q - 1])
-            cs = int(c.entries[s, q])
+            cs_prev = int(c.cols[q - 1, s])
+            cs = int(c.cols[q, s])
             for t in range(1, size):
-                ct_prev = int(c.entries[t, q - 1])
-                ct = int(c.entries[t, q])
+                ct_prev = int(c.cols[q - 1, t])
+                ct = int(c.cols[q, t])
                 excluded = s & t & ~(cs_prev | ct_prev)
                 for a in iter_bits(excluded):
                     if not (cs >> a) & 1:
@@ -389,6 +393,81 @@ def test_iaa_witness_matches_loop_oracle(rng, n):
             assert check_iaa(t).witness == want
 
 
+def _low(mask: int) -> int:
+    return mask & -mask
+
+
+def _high(mask: int) -> int:
+    return 1 << (mask.bit_length() - 1)
+
+
+def _plant(base, kind: str, cells):
+    """A copy of the set-major matrix ``base`` (or zeros, for the kinds
+    that plant on the empty rule) with one violation at each (S, q)."""
+    e = np.zeros_like(base) if kind in ("lone", "iaa") else base.copy()
+    for s, q in cells:
+        if kind == "drop":  # C(S, q) loses its lowest member
+            e[s, q] &= e[s, q] - 1
+        elif kind == "lone":  # {a} chosen at (S, q) only: a is lost at q + 1 and
+            e[s, q] = _low(s)  # when any other b leaves S
+        elif kind == "iaa":  # S minus c rejects what S rejects at q; S then adds a
+            e[s, q] = _high(s)
+            e[s, q + 1] = _high(s) | _low(s ^ _high(s))
+        elif kind == "empty":
+            e[s, q] = 0
+        elif kind == "outside":  # not a subset of S
+            e[s, q] = len(base) - 1
+    return e
+
+
+def _raised(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    s, q = re.search(r"\(S=(0x[0-9a-f]+), q=(\d+)\)", str(info.value)).groups()
+    return int(s, 16), int(q)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_witnesses_keep_their_order_on_the_capacity_major_table(n):
+    # One violation at (S1, q1) and one at (S2, q2), S1 < S2 and q1 > q2.
+    # The set-major searches report S1's; a search that took the first cell
+    # of the (q, S) array capacity first would report S2's.  IAA scans
+    # capacities in order, like its loop oracle, and ChoiceTable.validate
+    # checks capacity by capacity: both report S2's.
+    rng = random.Random(f"witness-order-{n}")
+    u = universe(n)
+    lex = set_major(materialize(Lexicographic(random_profile(rng, n)), u))
+    everything = make_family(u, [u.full_mask])
+    q2 = rng.randrange(1, n - 1)
+    q1 = rng.randrange(q2 + 1, n)
+    sets = [s for s in range(1, u.full_mask) if popcount(s) >= 2]
+    while True:  # S2 minus its top member must not be S1 (an IAA group)
+        s1, s2 = sorted(rng.sample(sets, 2))
+        if s2 ^ _high(s2) != s1:
+            break
+
+    def at(witness, s="S"):
+        return u.mask_of(witness[s]), witness["q"]
+
+    outcomes = {
+        "capacity_filling": ("drop", lambda e: at(check_capacity_filling(ChoiceTable(u, e)).witness)),
+        "gross_substitutes": ("lone", lambda e: at(check_gross_substitutes(ChoiceTable(u, e)).witness)),
+        "monotonicity": ("lone", lambda e: at(check_monotonicity(ChoiceTable(u, e)).witness)),
+        "iaa": ("iaa", lambda e: at(check_iaa(ChoiceTable(u, e)).witness, "S_prime")),
+        "f_capacity_filling": ("drop", lambda e: at(
+            check_f_capacity_filling(FChoiceTable(u, everything, e)).witness)),
+        "FChoiceTable.validate": ("empty", lambda e: _raised(FChoiceTable(u, everything, e).validate)),
+        "first_difference": ("empty", lambda e: tuple(
+            ChoiceTable(u, e).first_difference(ChoiceTable(u, lex)))),
+        "ChoiceTable.validate": ("outside", lambda e: _raised(ChoiceTable(u, e).validate)),
+    }
+    for name, (kind, outcome) in outcomes.items():
+        assert outcome(_plant(lex, kind, [(s1, q1)])) == (s1, q1), name
+        assert outcome(_plant(lex, kind, [(s2, q2)])) == (s2, q2), name
+        first = (s2, q2) if name in ("iaa", "ChoiceTable.validate") else (s1, q1)
+        assert outcome(_plant(lex, kind, [(s1, q1), (s2, q2)])) == first, name
+
+
 def test_insertion_property():
     u = universe(3)
     w = PriorityOrdering((0, 1, 2))
@@ -416,7 +495,7 @@ def test_every_checker_returns_an_axiom_report():
         # with every set feasible, the flex checkers read the plain table
         f = make_family(t.universe, [t.universe.full_mask])
         for name, chk in FLEX_CHECKS.items():
-            report(chk(FChoiceTable(t.universe, f, t.entries)), name)
+            report(chk(FChoiceTable(t.universe, f, set_major(t))), name)
     w, o = PriorityOrdering((0, 1, 2)), PriorityOrdering((2, 1, 0))
     for lists in (((w,), (w, o), (w, w, o)), ((w,), (w, o), (o, w, w))):
         report(check_insertion(CapacityWiseLists(lists)), "insertion")

@@ -15,7 +15,7 @@ from lexichoice import (
 )
 from lexichoice.core import iter_bits, popcount
 
-from conftest import enumerate_problems, rejected, table_from_function, universe
+from conftest import enumerate_problems, rejected, set_major, table_from_function, universe
 
 
 def test_universe_validation():
@@ -46,14 +46,16 @@ def test_negative_masks_are_refused():
     u = make_universe("ab")
     with pytest.raises(ValueError, match="negative bitmask"):
         u.labels_of(-2)
-    # an unvalidated flex table whose C({a}, 2) is -2 reaches the witness build
+    # a table whose C({a}, 2) is -2 is refused when it is built, with the
+    # error that validate() would raise on the matrix
     f = make_family(u, [u.full_mask])
     order = PriorityOrdering((0, 1))
     t = flex_materialize(PriorityProfile((order, order)), f, u)
-    entries = np.array(t.entries)
+    entries = set_major(t)
     entries[u.mask_of("a"), 2] = -2
-    with pytest.raises(ValueError, match="negative bitmask"):
-        check_f_capacity_filling(FChoiceTable(u, f, entries))
+    for build in (lambda e: ChoiceTable(u, e), lambda e: FChoiceTable(u, f, e)):
+        with pytest.raises(ValueError, match=r"^entry at \(S=0x1, q=2\) is not a subset of S$"):
+            build(entries)
 
 
 def test_out_of_universe_masks_are_refused():
@@ -61,14 +63,16 @@ def test_out_of_universe_masks_are_refused():
     with pytest.raises(ValueError, match="outside the 2 alternatives"):
         u.labels_of(0b100)
     assert u.labels_of(0b11) == ("a", "b")
-    # an unvalidated flex table whose C({a, b}, 2) is {c}, outside the universe
+    # a table whose C({a, b}, 2) is {c}, outside the universe, is refused
+    # when it is built
     f = make_family(u, [u.full_mask])
     order = PriorityOrdering((0, 1))
     t = flex_materialize(PriorityProfile((order, order)), f, u)
-    entries = np.array(t.entries)
+    entries = set_major(t)
     entries[u.full_mask, 2] = 0b100
-    with pytest.raises(ValueError, match="outside the 2 alternatives"):
-        check_f_capacity_filling(FChoiceTable(u, f, entries))
+    for build in (lambda e: ChoiceTable(u, e), lambda e: FChoiceTable(u, f, e)):
+        with pytest.raises(ValueError, match=r"^entry at \(S=0x3, q=2\) is not a subset of S$"):
+            build(entries)
     assert check_f_capacity_filling(t).ok
 
 
@@ -122,27 +126,30 @@ def test_table_validate_rejects_bad_entries():
         ChoiceTable(u, entries).validate()
     with pytest.raises(ValueError):
         ChoiceTable(u, np.zeros((4, 2), dtype=np.int64))
+    for cols in (np.zeros((3, 4), dtype=np.int64), np.zeros((4, 3), dtype=np.uint16)):
+        with pytest.raises(ValueError, match="cols must be uint16 of shape"):
+            ChoiceTable(u, cols=cols)
 
 
 def test_table_entries_are_readonly():
     t = _tiny_table()
     with pytest.raises(ValueError):
-        t.entries[1, 1] = 3
+        t.cols[1, 1] = 3
 
 
 def test_first_difference_canonical():
     t = _tiny_table()
     u = t.universe
-    entries = np.array(t.entries)
+    entries = set_major(t)
     entries[1, 2] = 0
     entries[3, 1] = 2
     other = ChoiceTable(u, entries)
     assert t != other
     assert t.first_difference(other) == Problem(1, 2)
     assert t.first_difference(t) is None
-    assert t == ChoiceTable(u, np.array(t.entries))
+    assert t == ChoiceTable(u, set_major(t))
     # equal tables hash equal, so a set holds them once
-    assert len({t, ChoiceTable(u, np.array(t.entries)), other}) == 2
+    assert len({t, ChoiceTable(u, set_major(t)), other}) == 2
 
 
 def test_from_function_matches_callable():
@@ -154,7 +161,7 @@ def test_from_function_matches_callable():
 
 def test_table_from_a_view_ignores_later_writes():
     u = universe(3)
-    base = table_from_function(u, lambda mask, q: mask & -mask).entries.copy()
+    base = set_major(table_from_function(u, lambda mask, q: mask & -mask))
     t = ChoiceTable(u, base[:])
     t.validate()
     before = hash(t)
@@ -162,7 +169,14 @@ def test_table_from_a_view_ignores_later_writes():
     t.validate()
     assert t.choose(Problem(1, 1)) == 0b001
     assert hash(t) == before
-    # an owned array is frozen in place, not copied
-    owned = base.copy()
-    assert ChoiceTable(u, owned).entries is owned
+    # set-major entries are narrowed into a new array, so the caller's stays
+    # writable; a fill's owned uint16 array is frozen in place, not copied,
+    # and a view of one is copied
+    assert base.flags.writeable
+    owned = np.array(t.cols)
+    assert ChoiceTable(u, cols=owned).cols is owned
     assert not owned.flags.writeable
+    view = np.array(t.cols)[:]
+    frozen = ChoiceTable(u, cols=view)
+    view[1, 1] = 0b110
+    assert frozen == t and view.flags.writeable

@@ -28,6 +28,7 @@ from conftest import (
     members_of,
     naive_flex_choice,
     random_profile,
+    set_major,
     universe,
 )
 
@@ -130,7 +131,7 @@ def test_flex_extraction_round_trip(rng, n):
 
 
 def _patched_table(t: FChoiceTable, edits) -> FChoiceTable:
-    entries = np.array(t.entries)
+    entries = set_major(t)
     for (s, q), v in edits.items():
         entries[s, q] = v
     return FChoiceTable(t.universe, t.family, entries)
@@ -184,7 +185,7 @@ def test_csarp_cycle_witness_on_perturbed_flex_table():
     profile = PriorityProfile(
         tuple(ordering_from_labels(u, r) for r in ("abcd", "bcda", "dcba", "cadb"))
     )
-    entries = flex_materialize(profile, f, u).entries.copy()
+    entries = set_major(flex_materialize(profile, f, u))
     entries[u.mask_of("bcd"), 1] = u.mask_of("d")  # d over b and c at q = 1
     t = FChoiceTable(u, f, entries)
     t.validate()
@@ -219,8 +220,8 @@ def _f_revealed_pref_loops(c, q):
     # q-1 and q, and C(S, q-1) plus b feasible; witness = first such S.
     witnesses = {}
     for s in range(1, 1 << c.n):
-        prev = int(c.entries[s, q - 1])
-        cur = int(c.entries[s, q])
+        prev = int(c.cols[q - 1, s])
+        cur = int(c.cols[q, s])
         new = cur & ~prev
         rej = (s & ~cur) & ~prev
         for a in members_of(new):
@@ -235,7 +236,7 @@ def test_f_revealed_pref_matches_loop_oracle(rng, n):
     u = universe(n)
     for trial in range(20):
         f = random_family(rng, n)
-        entries = flex_materialize(random_profile(rng, n), f, u).entries.copy()
+        entries = set_major(flex_materialize(random_profile(rng, n), f, u))
         if trial % 2:
             # perturb a few entries to random subsets so that cycles appear
             for _ in range(3):
@@ -256,7 +257,7 @@ def _f_capacity_filling_loop(c):
     n = c.n
     for s in range(1, 1 << n):
         for q in range(1, n + 1):
-            got = int(c.entries[s, q])
+            got = int(c.cols[q, s])
             if popcount(got) == q:
                 continue
             for a in iter_bits(s & ~got):
@@ -276,7 +277,7 @@ def _validate_loop(c):
     ChoiceTable.validate(c)
     for mask in range(1, 1 << c.n):
         for q in range(1, c.n + 1):
-            got = int(c.entries[mask, q])
+            got = int(c.cols[q, mask])
             if got == 0:
                 raise ValueError(f"empty choice at (S={mask:#x}, q={q})")
             if got not in c.family:
@@ -294,7 +295,7 @@ def _error(fn, *args):
 def _perturbed_flex_table(rng, n, mode):
     u = universe(n)
     f = random_family(rng, n)
-    entries = flex_materialize(random_profile(rng, n), f, u).entries.copy()
+    entries = set_major(flex_materialize(random_profile(rng, n), f, u))
     for _ in range(rng.randrange(4)):
         s, q = rng.randrange(1, 1 << n), rng.randrange(1, n + 1)
         members = sorted(members_of(s))
@@ -337,4 +338,4 @@ def test_unconstrained_family_reduces_to_plain_lexicographic(rng):
 
     flex = flex_materialize(profile, f, u)
     plain = materialize(Lexicographic(profile), u)
-    assert (flex.entries == plain.entries).all()
+    assert (flex.cols == plain.cols).all()

@@ -20,10 +20,10 @@ from lexichoice import (
     Responsive,
     materialize,
 )
-from lexichoice import ChoiceTable, MAX_ALTERNATIVES, _kernels
-from lexichoice.axioms import check_gross_substitutes, check_path_independence, first_witnesses
+from lexichoice import ChoiceTable, FChoiceTable, MAX_ALTERNATIVES, _kernels, make_family
+from lexichoice.axioms import first_witnesses
 
-from conftest import random_ordering, random_profile, universe
+from conftest import random_ordering, random_profile, set_major, universe
 
 _NO_PICK = 1 << 40  # sentinel rank larger than any real one
 
@@ -273,7 +273,7 @@ def _random_table(rng, n, mutations=3):
     """A materialized rule table (valid) or a mutated (adversarial) one."""
     profile = random_profile(rng, n)
     t = materialize(Lexicographic(profile), universe(n))
-    entries = np.array(t.entries)
+    entries = set_major(t)
     if rng.random() < 0.5:
         _perturb(rng, n, entries, mutations)
     return entries
@@ -291,13 +291,19 @@ def _perturb(rng, n, entries, mutations):
         entries[s, q] = sub
 
 
+def _cols(table):
+    """A set-major matrix ``table[S, q]`` in the kernels' ``(n+1, 2**n)``
+    uint16 layout, unchecked."""
+    return np.ascontiguousarray(np.asarray(table).T, dtype=np.uint16)
+
+
 def _assert_first_violations_agree(n, table):
     want = np.full(4, -1, dtype=np.int64)
     _gs_first_violation_loops(n, table, want)
-    assert np.array_equal(_kernels.gs_first_violation(n, table), want)
+    assert np.array_equal(_kernels.gs_first_violation(n, _cols(table)), want)
     want = np.full(3, -1, dtype=np.int64)
     _path_independence_first_loops(n, table, want)
-    assert np.array_equal(_kernels.path_independence_first(n, table), want)
+    assert np.array_equal(_kernels.path_independence_first(n, _cols(table)), want)
 
 
 # --- kernel vs oracle ----------------------------------------------------------
@@ -309,7 +315,7 @@ def test_cwlex_fill_paths_agree(rng, n):
         keys = _random_keys(rng, n)
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
         _cwlex_fill_loops(n, keys, want)
-        assert np.array_equal(_kernels.cwlex_fill(n, keys), want)
+        assert np.array_equal(_kernels.cwlex_fill(n, keys).T, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -320,7 +326,7 @@ def test_flex_fill_paths_agree(rng, n):
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
         _flex_fill_loops(n, keys, feas, want)
         got = _kernels.cwlex_fill(n, np.broadcast_to(keys, (n, n, n)), feas)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got.T, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -334,7 +340,7 @@ def test_cwlex_fill_agrees_on_structured_keys(n):
             extends.update((kind, _prefix_extends(keys, q)) for q in range(2, n + 1))
             want = np.zeros((1 << n, n + 1), dtype=np.int64)
             _cwlex_fill_loops(n, keys, want)
-            assert np.array_equal(_kernels.cwlex_fill(n, keys), want), kind
+            assert np.array_equal(_kernels.cwlex_fill(n, keys).T, want), kind
     if n >= 4:  # compromise first breaks its prefix at q = 4
         for kind in ("lexicographic", "responsive", "rotating"):
             assert (kind, False) not in extends
@@ -350,7 +356,7 @@ def test_flex_fill_agrees_on_lexicographic_keys(n):
         feas = _random_family(rng, n)
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
         _flex_fill_loops(n, keys[0], feas, want)
-        assert np.array_equal(_kernels.cwlex_fill(n, keys, feas), want)
+        assert np.array_equal(_kernels.cwlex_fill(n, keys, feas).T, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -462,6 +468,51 @@ def test_chosen_over_edges_agree_on_arbitrary_columns(n):
     assert not first_witnesses(n, chosen, rejected).any()
 
 
+@pytest.mark.parametrize("n", range(1, MAX_ALTERNATIVES + 1))
+def test_word_wide_chosen_over_edges_agree_on_sixteen_bit_columns(n):
+    # the kernel reads the columns as uint64 words of four 16-bit lanes.
+    # Random uint16 columns set bits at and above n in both, which it
+    # ignores; sparse ones (a few nonempty sets) keep the relation partial
+    # and the per-set oracle fast at every n
+    rng = np.random.default_rng(n)
+    size = 1 << n
+    low = np.uint16(size - 1)
+
+    def agree(chosen, rejected):
+        want = _chosen_over_edges_loops(n, chosen.tolist(), rejected.tolist())
+        got = _kernels.chosen_over_edges(n, chosen, rejected)
+        assert got.dtype == np.bool_ and got.shape == (n, n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_kernels.chosen_over_edges(n, chosen & low, rejected & low), want)
+
+    def bits(count):  # 16-bit masks of about four bits each
+        return (rng.integers(0, 1 << 16, count, dtype=np.uint16)
+                & rng.integers(0, 1 << 16, count, dtype=np.uint16))
+
+    for _ in range(2):
+        if n <= 10:
+            agree(rng.integers(0, 1 << 16, size, dtype=np.uint16),
+                  rng.integers(0, 1 << 16, size, dtype=np.uint16))
+        chosen, rejected = np.zeros((2, size), dtype=np.uint16)
+        at = rng.integers(0, size, 8)
+        chosen[at], rejected[at] = bits(8), bits(8)
+        agree(chosen, rejected)
+    if n >= 2:  # a and b in neighbouring lanes of one word pair nothing
+        chosen, rejected = np.zeros((2, size), dtype=np.uint16)
+        chosen[size - 2], rejected[size - 1] = 1, 2
+        assert not _kernels.chosen_over_edges(n, chosen, rejected).any()
+
+
+def test_chosen_over_edges_below_one_word():
+    # at n <= 1 the columns hold fewer than the four sets of a word
+    assert _kernels.chosen_over_edges(0, np.zeros(1, np.uint16), np.ones(1, np.uint16)).shape == (0, 0)
+    values = [0, 1, 2, 3, 0xFFFF]
+    for c0, c1, r0, r1 in itertools.product(values, repeat=4):
+        chosen, rejected = np.array([c0, c1], np.uint16), np.array([r0, r1], np.uint16)
+        want = _chosen_over_edges_loops(1, [c0, c1], [r0, r1])
+        assert np.array_equal(_kernels.chosen_over_edges(1, chosen, rejected), want)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_first_violation_kernels_agree(rng, n):
     for mutations in (1, 3, 16):
@@ -513,7 +564,7 @@ def test_cwlex_fill_agrees_on_wide_tables(n):
     for kind, keys in kinds.items():
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
         _cwlex_fill_loops(n, keys, want)
-        assert np.array_equal(_kernels.cwlex_fill(n, keys), want), kind
+        assert np.array_equal(_kernels.cwlex_fill(n, keys).T, want), kind
 
 
 @pytest.mark.parametrize("n", WIDE)
@@ -524,21 +575,21 @@ def test_flex_fill_agrees_on_wide_tables(n):
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
         _flex_fill_loops(n, keys, feas, want)
         got = _kernels.cwlex_fill(n, np.broadcast_to(keys, (n, n, n)), feas)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got.T, want)
 
 
 @pytest.mark.parametrize("n", WIDE)
 def test_first_violation_kernels_agree_on_wide_tables(n):
     rng = random.Random(f"wide-violation-{n}")
-    valid = materialize(Lexicographic(random_profile(rng, n)), universe(n)).entries
+    valid = set_major(materialize(Lexicographic(random_profile(rng, n)), universe(n)))
     if n <= 8:
         _assert_first_violations_agree(n, valid)
     else:  # the 4**n path-independence oracle is too slow on a passing table
         want = np.full(4, -1, dtype=np.int64)
         _gs_first_violation_loops(n, valid, want)
-        assert np.array_equal(_kernels.gs_first_violation(n, valid), want)
+        assert np.array_equal(_kernels.gs_first_violation(n, _cols(valid)), want)
         # ordering-built tables are path independent
-        assert (_kernels.path_independence_first(n, valid) == -1).all()
+        assert (_kernels.path_independence_first(n, _cols(valid)) == -1).all()
     for mutations in (1, 3, 16):
         for _ in range(3):
             table = np.array(valid)
@@ -547,8 +598,8 @@ def test_first_violation_kernels_agree_on_wide_tables(n):
 
 
 def test_fills_at_sixteen_alternatives():
-    # the int64 table comes from one cast of the uint16 staging array: it is
-    # C-contiguous and owns its data, so ChoiceTable freezes it uncopied
+    # the table is the fill's uint16 staging array, row q holding C(., q):
+    # it is C-contiguous and owns its data, so ChoiceTable freezes it uncopied
     n = 16
     rng = random.Random("fill-16")
     u = universe(n)
@@ -566,12 +617,12 @@ def test_fills_at_sixteen_alternatives():
                  lambda s, q: _flex_choice(n, lex[0], feas, s, q)),
     }
     for kind, (table, choose) in fills.items():
-        assert table.dtype == np.int64 and table.shape == (1 << n, n + 1), kind
+        assert table.dtype == np.uint16 and table.shape == (n + 1, 1 << n), kind
         assert table.flags.c_contiguous and table.flags.owndata, kind
-        assert ChoiceTable(u, table).entries is table, kind
+        assert ChoiceTable(u, cols=table).cols is table, kind
         assert not table[0].any() and not table[:, 0].any(), kind
         for s in rows:
-            assert table[s, 1:].tolist() == [choose(s, q) for q in range(1, n + 1)], (kind, s)
+            assert table[1:, s].tolist() == [choose(s, q) for q in range(1, n + 1)], (kind, s)
 
 
 def test_engine_bound_fits_the_kernel_masks():
@@ -583,22 +634,25 @@ def test_engine_bound_fits_the_kernel_masks():
 
 
 def _refuses_entry(n, entries):
-    t = ChoiceTable(universe(n), entries.copy())
-    for check in (check_gross_substitutes, check_path_independence,
-                  lambda t: _kernels.gs_first_violation(n, t.entries),
-                  lambda t: _kernels.path_independence_first(n, t.entries)):
-        with pytest.raises(ValueError, match=f"outside the {n} alternatives"):
-            check(t)
+    # both table classes refuse the matrix when they are built, with the
+    # error that validate() would raise on it, and leave it unchanged
+    u = universe(n)
+    before = entries.copy()
+    family = make_family(u, [u.full_mask])
+    for build in (lambda e: ChoiceTable(u, e), lambda e: FChoiceTable(u, family, e)):
+        with pytest.raises(ValueError, match=r"^entry at \(S=0x5, q=2\) is not a subset of S$"):
+            build(entries)
+    assert np.array_equal(entries, before)
 
 
 @pytest.mark.parametrize("entry", [1 << 16, -1])
 def test_entries_past_sixteen_bits_are_refused(entry):
-    # an unvalidated table may hold any int64; before the removal scan
-    # narrows entries to 16 bits it refuses one with a bit outside the n
+    # a set-major matrix may hold any int64; before a table narrows its
+    # entries to 16 bits it refuses one with a bit outside the n
     # alternatives, which covers every entry that does not fit
     n = 3
-    entries = np.array(materialize(Lexicographic(random_profile(random.Random(n), n)),
-                                   universe(n)).entries)
+    entries = set_major(materialize(Lexicographic(random_profile(random.Random(n), n)),
+                                    universe(n)))
     entries[5, 2] = entry
     _refuses_entry(n, entries)
 
@@ -610,8 +664,8 @@ def test_entries_outside_the_universe_are_refused():
     # the refinement over alternatives 0..n-1 cannot place, and the
     # path-independence search would index the table with bit 15 set.
     n = 3
-    entries = np.array(materialize(Lexicographic(random_profile(random.Random(n), n)),
-                                   universe(n)).entries)
+    entries = set_major(materialize(Lexicographic(random_profile(random.Random(n), n)),
+                                    universe(n)))
     entries[0b101, 2] = 1 << 15
     want = np.full(4, -1, dtype=np.int64)
     _gs_first_violation_loops(n, entries, want)
@@ -632,9 +686,9 @@ def _padded_uint16(table):
 def test_removal_scan_agrees_on_any_sixteen_bit_entries(n):
     # entries of an unvalidated table need not be subsets of their sets:
     # the scan itself reads bits at or above n but below 16 like any other,
-    # though the kernels refuse such entries before scanning
+    # though ChoiceTable refuses such entries when it is built
     rng = random.Random(f"removal-{n}")
-    valid = materialize(Lexicographic(random_profile(rng, n)), universe(n)).entries
+    valid = set_major(materialize(Lexicographic(random_profile(rng, n)), universe(n)))
     for mutations in (1, 3, 16):
         for _ in range(2):
             table = np.array(valid)
@@ -652,13 +706,13 @@ def test_removal_scan_at_sixteen_alternatives():
     # capacities 13..16 sit in the last of the four 64-bit words of a row
     n = 16
     rng = random.Random("removal-16")
-    table = np.array(materialize(Lexicographic(random_profile(rng, n)), universe(n)).entries)
+    table = set_major(materialize(Lexicographic(random_profile(rng, n)), universe(n)))
     sets = set(rng.sample(range(1, 1 << n), 200))
     for q in (1, 4, 5, 8, 9, 12, 13, 16):
         s = rng.randrange(1, 1 << n)
         table[s, q] = rng.choice([s & rng.randrange(1 << n), rng.randrange(1 << 16)])
         sets.update([s] + [s | 1 << b for b in range(n)])
     for outcast in (False, True):
-        viol = _kernels._removal_violations(n, _kernels._narrow(table), outcast)
+        viol = _kernels._removal_violations(n, _kernels._rows(_cols(table)), outcast)
         for s in sorted(sets):
             assert viol[s] == _removal_violation_at(n, table, s, outcast), (s, outcast)

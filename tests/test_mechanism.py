@@ -55,6 +55,7 @@ from conftest import (
     prefers,
     random_ordering,
     random_profile,
+    set_major,
     table_from_function,
     weakly_prefers,
 )
@@ -347,7 +348,7 @@ def test_da_refuses_malformed_problems(prefs, caps):
 def _invalid_table_structure():
     """C({i}, 1) = {i, j} at x would let x hold j while y holds j too."""
     u = make_universe(("i", "j"))
-    entries = materialize(Responsive(ordering_from_labels(u, ("i", "j"))), u).entries.copy()
+    entries = set_major(materialize(Responsive(ordering_from_labels(u, ("i", "j"))), u))
     entries[0b01, 1] = 0b11
     return ChoiceStructure(
         u,
@@ -413,7 +414,7 @@ def _placed_scan_da(cs, prob):
 def _non_gs_table(rng, u):
     """A valid table, a responsive one with entries redrawn until it fails
     gross substitutes."""
-    entries = materialize(Responsive(random_ordering(rng, u.n)), u).entries.copy()
+    entries = set_major(materialize(Responsive(random_ordering(rng, u.n)), u))
     while check_gross_substitutes(ChoiceTable(u, entries.copy())).ok:
         s = rng.randrange(3, 1 << u.n)
         q = rng.randrange(1, u.n + 1)
@@ -508,6 +509,18 @@ def test_da_reads_list_rankings_as_tuples():
         ]
         for name, check in MECHANISM_CHECKS.items():
             assert check(m, space).ok, name
+
+
+def test_space_holds_listed_agents_and_objects_as_tuples():
+    """A space given its agents and objects as lists holds them as tuples,
+    as ``exhaustive_space`` does, so allocation can append the null object."""
+    cs = _responsive_structure(("i", "j"), {"x": ("i", "j")})
+    space = MechanismSpace(["i", "j"], ["x"], ((("x", None), ("x", None)),), ((1,),))
+    assert space.agents == ("i", "j") and space.objects == ("x",)
+    m = DAMechanism(cs)
+    assert _allocation_rows(space, allocations(m, space)) == [[("x", None)]]
+    for name, check in MECHANISM_CHECKS.items():
+        assert check(m, space).ok, name
 
 
 # --- the whole-space deferred acceptance against the placed-scan loop ------------
