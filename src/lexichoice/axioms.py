@@ -3,7 +3,11 @@
 Every checker scans the full problem space and returns an
 :class:`AxiomReport`.  The report fails exactly when it carries a witness:
 the first counterexample found in a deterministic canonical order (sets
-ascending by bitmask, capacities ascending, alternatives ascending).
+ascending by bitmask, capacities ascending, alternatives ascending).  Two
+scans take capacities first, then sets: :func:`check_iaa` reports the first
+violating set of the lowest capacity that has one, and
+:meth:`~lexichoice.core.ChoiceTable.validate` refuses the first bad entry of
+the lowest capacity that has one.
 Witnesses are structured label-based dicts that :func:`replay_witness` can
 re-check against the raw table.
 """

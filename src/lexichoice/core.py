@@ -22,7 +22,9 @@ class DomainError(ValueError):
 
 class Problem(NamedTuple):
     """A choice problem: a nonempty subset (bitmask) and a capacity.  A
-    "first" witness is first in canonical order: by set bitmask, then capacity."""
+    "first" witness is first in canonical order: by set bitmask, then
+    capacity, except in ``check_iaa`` and ``ChoiceTable.validate``, which
+    take capacities first, then sets."""
 
     set: int
     capacity: int

@@ -9,19 +9,21 @@ checkers: it fails exactly when it carries a replayable witness.
 
 Preferences are tuples ranking every object and ``None`` (the null object),
 best first.  Allocation problems and allocations are index-aligned tuples.
-Allocation reads a space as two arrays, the ranking ids of its profiles and
-its capacity vectors, and returns one array of every allocation
-(:func:`allocations`), which the one deferred acceptance implementation
-fills for every problem at once; :func:`da_allocate` is its call on one
-problem, and any other mechanism is called once per problem, each ranking
-given as a tuple.  The checkers append the misreports and unit capacity
-increases that a space lacks to those arrays by one lookup.
+A space is read once, when it is built, into two arrays: the ranking ids
+of its profiles (ids from one cached catalogue per tuple of objects) and
+its capacity vectors.  :func:`allocations` returns one array of every
+allocation, which the one deferred acceptance implementation fills for
+every problem at once; :func:`da_allocate` is its call on one problem, and
+any other mechanism is called once per problem, each ranking given as a
+tuple.  The checkers append the misreports and unit capacity increases that
+a space lacks to those arrays by one lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Callable
 
@@ -57,6 +59,7 @@ class ChoiceStructure:
     rules: dict[str, ChoiceRule]
 
     def __post_init__(self):
+        self.objects = _distinct(self.objects)
         if set(self.rules) != set(self.objects):
             raise ValueError("rules must cover exactly the object set")
         self._tables = {}
@@ -83,34 +86,58 @@ def validate_preference(pref: Preference, objects: tuple[str, ...]) -> None:
         raise ValueError(f"preference {pref!r} is not a ranking of objects + null")
 
 
+def _distinct(objects) -> tuple[str, ...]:
+    """``objects`` as a tuple of distinct names, none of them None (null)."""
+    objects = tuple(objects)
+    if len(set(objects + (None,))) != len(objects) + 1:
+        raise ValueError(f"objects {objects!r} must be distinct names other than None")
+    return objects
+
+
 def _capacity_ok(q, n: int) -> bool:
     return not isinstance(q, bool) and isinstance(q, Integral) and 0 <= q <= n
+
+
+def _require_profile(prefs, n: int, objects: tuple[str, ...]) -> None:
+    if len(prefs) != n:
+        raise ValueError(f"problem lists {len(prefs)} preferences for {n} agents")
+    for pref in prefs:
+        validate_preference(pref, objects)
+
+
+def _require_capacities(caps, n: int, objects: tuple[str, ...]) -> None:
+    if len(caps) != len(objects):
+        raise ValueError(f"problem lists {len(caps)} capacities for {len(objects)} objects")
+    for x, q in zip(objects, caps):
+        if not _capacity_ok(q, n):
+            raise ValueError(f"capacity {q!r} of object {x!r} is not in 0..{n}")
 
 
 def require_problem(prob: AllocationProblem, n: int, objects: tuple[str, ...]) -> None:
     """Refuse a problem without one ranking per agent and one capacity in
     0..n per object."""
-    if len(prob.preferences) != n:
-        raise ValueError(
-            f"problem lists {len(prob.preferences)} preferences for {n} agents"
-        )
-    ranking = {*objects, None}
-    for pref in prob.preferences:
-        if len(pref) != len(ranking) or set(pref) != ranking:
-            validate_preference(pref, objects)  # names the offending ranking
-    if len(prob.capacities) != len(objects):
-        raise ValueError(
-            f"problem lists {len(prob.capacities)} capacities for "
-            f"{len(objects)} objects"
-        )
-    for x, q in zip(objects, prob.capacities):
-        if not _capacity_ok(q, n):
-            raise ValueError(f"capacity {q!r} of object {x!r} is not in 0..{n}")
+    _require_profile(prob.preferences, n, objects)
+    _require_capacities(prob.capacities, n, objects)
 
 
 def all_preferences(objects: tuple[str, ...]):
     """All strict rankings of objects + null, in a deterministic order."""
     return [tuple(p) for p in itertools.permutations(objects + (None,))]
+
+
+@functools.cache
+def _rankings(objects: tuple[str, ...]) -> tuple[tuple, dict, np.ndarray, np.ndarray]:
+    """The rankings ``all_preferences(objects)``, the id k of each (its
+    position), and read-only ``slot_at[k, r]``, the slot that ranking k puts
+    r-th, and ``rank_of[k, s]``, the position of slot s in ranking k; object
+    ``objects[s]`` is slot s and null is slot |O|.  Built once per tuple."""
+    prefs = tuple(all_preferences(objects))
+    slot = {x: s for s, x in enumerate(objects + (None,))}
+    slot_at = np.array([[slot[x] for x in pref] for pref in prefs], dtype=np.int8)
+    rank_of = np.argsort(slot_at, axis=1).astype(np.int8)
+    slot_at.setflags(write=False)
+    rank_of.setflags(write=False)
+    return prefs, {pref: k for k, pref in enumerate(prefs)}, slot_at, rank_of
 
 
 def da_allocate(
@@ -128,9 +155,10 @@ def da_allocate(
     object) and, through ``ChoiceStructure.table``, on an invalid
     ``TableRule`` table.
     """
+    require_problem(prob, cs.agents.n, cs.objects)
     space = MechanismSpace(cs.agents.labels, cs.objects, (prob.preferences,), (prob.capacities,))
     rounds = [] if trace else None
-    slots = _da_slots(cs, *_profile_ids(space), rounds)[0, 0].tolist()
+    slots = _da_slots(cs, space.ids, space.caps, rounds)[0, 0].tolist()
     result = tuple((cs.objects + (None,))[s] for s in slots)
     return (result, rounds) if trace else result
 
@@ -154,17 +182,49 @@ Mechanism = Callable[[AllocationProblem], Allocation]
 
 @dataclass(frozen=True)
 class MechanismSpace:
-    """An explicit problem space for exhaustive or sampled property checks."""
+    """An explicit problem space for exhaustive or sampled property checks.
+
+    Read once, when built, into read-only ``ids[p, i]``, the position of
+    agent i's ranking at ``profiles[p]`` in ``all_preferences(objects)``,
+    and ``caps[c]``, the vector ``capacities[c]``.  The first malformed
+    profile, else capacity vector, is refused there by name.  Rankings
+    given as lists (or other sequences) are read as tuples.
+    """
 
     agents: tuple[str, ...]
     objects: tuple[str, ...]
     profiles: tuple[tuple[Preference, ...], ...]
     capacities: tuple[tuple[int, ...], ...]
+    ids: np.ndarray = field(init=False, repr=False, compare=False)
+    caps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # allocation appends the null object to ``objects``, a tuple
-        object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "objects", tuple(self.objects))
+        agents, objects = tuple(self.agents), _distinct(self.objects)
+        n, profiles, vectors = len(agents), self.profiles, self.capacities
+        _, ids, _, _ = _rankings(objects)
+        try:
+            flat = list(map(ids.get, itertools.chain.from_iterable(profiles)))
+        except TypeError:  # an unhashable ranking, such as a list
+            flat = [None]
+        slow = None in flat or set(map(len, profiles)) - {n}
+        for name, require, parts in (
+            ("profile", _require_profile, profiles if slow else ()),
+            ("capacity vector", _require_capacities, vectors),
+        ):
+            for k, part in enumerate(parts):
+                try:
+                    require(part, n, objects)
+                except ValueError as e:
+                    raise ValueError(f"{name} {k} of the space is malformed: {e}") from None
+        if slow:
+            flat = [ids[tuple(pref)] for pref in itertools.chain.from_iterable(profiles)]
+        pidx = np.array(flat, dtype=np.int32).reshape(len(profiles), n)
+        caps = np.array(vectors, dtype=np.int16).reshape(len(vectors), len(objects))
+        pidx.setflags(write=False)
+        caps.setflags(write=False)
+        for name, value in (("agents", agents), ("objects", objects), ("ids", pidx), ("caps", caps)):
+            object.__setattr__(self, name, value)
 
     def problems(self):
         for prefs in self.profiles:
@@ -220,76 +280,16 @@ def sampled_space(agents, objects, n_profiles: int, seed: int) -> MechanismSpace
 
 # --- allocation arrays -----------------------------------------------------------
 #
-# Object ``objects[s]`` is slot s and the null object is slot |O|.  A space's
-# allocations are one int8 array indexed by (profile, capacity vector, agent),
-# and each agent's ranking is its position k in ``all_preferences(objects)``.
-
-
-def _slot_tables(objects) -> tuple[np.ndarray, np.ndarray]:
-    """``slot_at[k, r]``, the slot that ranking k puts r-th (best first), and
-    ``rank_of[k, s]``, the position of slot s in ranking k."""
-    slot = {x: s for s, x in enumerate(objects)}
-    slot[None] = len(objects)
-    slot_at = np.array(
-        [[slot[x] for x in pref] for pref in all_preferences(objects)], dtype=np.int8
-    )
-    return slot_at, np.argsort(slot_at, axis=1).astype(np.int8)
-
-
-def _profile_ids(space: MechanismSpace) -> tuple[np.ndarray, np.ndarray]:
-    """``(P, n)``, the ranking id of each agent in each profile, and
-    ``(C, |O|)``, the capacity vectors: the one reader of a space's problems.
-
-    A malformed space raises the ``ValueError`` that :func:`require_problem`
-    raises on its first malformed problem.  Rankings given as lists (or any
-    other sequence) are read as tuples.
-    """
-    n, objects, profiles = len(space.agents), space.objects, space.profiles
-    ids = {pref: k for k, pref in enumerate(all_preferences(objects))}
-    try:
-        flat = list(map(ids.get, itertools.chain.from_iterable(profiles)))
-    except TypeError:  # an unhashable ranking, such as a list
-        flat = [None]
-    if (
-        None in flat
-        or set(map(len, profiles)) - {n}
-        or not all(
-            len(caps) == len(objects) and all(_capacity_ok(q, n) for q in caps)
-            for caps in space.capacities
-        )
-    ):
-        _require_space(space, n)
-        flat = [ids[tuple(pref)] for pref in itertools.chain.from_iterable(profiles)]
-    caps = np.array(space.capacities, dtype=np.int16).reshape(len(space.capacities), len(objects))
-    return np.array(flat, dtype=np.int32).reshape(len(profiles), n), caps
-
-
-def _require_space(space: MechanismSpace, n: int) -> None:
-    """:func:`require_problem` on every problem of the space, in order.  A
-    profile or capacity vector that no problem holds (the space lists no
-    capacity vectors, or no profiles) is checked on its own and named."""
-    objects = space.objects
-    for prob in space.problems():
-        require_problem(prob, n, objects)
-    alone = [
-        (f"profile {p}", AllocationProblem(prefs, (0,) * len(objects)))
-        for p, prefs in enumerate(space.profiles)
-    ] + [
-        (f"capacity vector {c}", AllocationProblem((objects + (None,),) * n, caps))
-        for c, caps in enumerate(space.capacities)
-    ]
-    for name, prob in alone:
-        try:
-            require_problem(prob, n, objects)
-        except ValueError as e:
-            raise ValueError(f"{name} of the space is malformed: {e}") from None
+# A space's allocations are one int8 array indexed by (profile, capacity
+# vector, agent) whose values are slots (:func:`_rankings`).
 
 
 def _da_slots(
     cs: ChoiceStructure, pidx: np.ndarray, caps: np.ndarray, rounds: list | None = None
 ) -> np.ndarray:
     """Deferred acceptance on every problem at once: each profile of ranking
-    ids ``pidx`` (:func:`_profile_ids`) with each capacity vector of ``caps``.
+    ids ``pidx`` (:attr:`MechanismSpace.ids`) with each capacity vector of
+    ``caps``; the result holds each agent's slot.
 
     Problem ``p * C + c`` keeps, per agent, the index into the flattened
     ``slot_at`` of their latest application, the agent mask that each
@@ -307,9 +307,7 @@ def _da_slots(
     n, objects = cs.agents.n, cs.objects
     n_obj = len(objects)
     n_caps = len(caps)
-    if pidx.shape[1] != n and pidx.size and n_caps:  # names the agent count
-        require_problem(AllocationProblem((objects + (None,),) * pidx.shape[1], ()), n, objects)
-    slot_at = _slot_tables(objects)[0].reshape(-1)
+    slot_at = _rankings(objects)[2].reshape(-1)
     mask_t = np.min_scalar_type(cs.agents.full_mask)
     bits = np.left_shift(mask_t.type(1), np.arange(n, dtype=mask_t))
     total = len(pidx) * n_caps
@@ -363,22 +361,24 @@ def _da_slots(
     return out.reshape(len(pidx), n_caps, n)
 
 
-def _allocate(m: Mechanism, objects, pidx: np.ndarray, caps: np.ndarray) -> np.ndarray:
+def _allocate(m: Mechanism, space: MechanismSpace, pidx: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """The ``(P, C, n)`` slots of ``m`` on each profile of ranking ids
-    ``pidx`` with each capacity vector of ``caps`` (:func:`_profile_ids`)."""
+    ``pidx`` with each capacity vector of ``caps``: the space's own arrays,
+    or those with the problems that a checker appends."""
     if isinstance(m, DAMechanism):
-        if objects != m.structure.objects:
+        cs = m.structure
+        if space.objects != cs.objects:
             raise ValueError("the space's objects are not the structure's objects")
-        return _da_slots(m.structure, pidx, caps)
-    prefs = all_preferences(objects)
-    slot = {x: s for s, x in enumerate(objects)}
-    slot[None] = len(objects)
+        if space.agents != tuple(cs.agents.labels):
+            raise ValueError("the space's agents are not the structure's agents")
+        return _da_slots(cs, pidx, caps)
+    prefs, names = _rankings(space.objects)[0], space.objects + (None,)
     vectors = [tuple(q) for q in caps.tolist()]
     out = np.empty((len(pidx), len(caps), pidx.shape[1]), dtype=np.int8)
     for p, ids in enumerate(pidx.tolist()):
         profile = tuple(prefs[k] for k in ids)
         for c, q in enumerate(vectors):
-            out[p, c] = [slot[x] for x in m(AllocationProblem(profile, q))]
+            out[p, c] = [names.index(x) for x in m(AllocationProblem(profile, q))]
     return out
 
 
@@ -388,11 +388,12 @@ def allocations(m: Mechanism, space: MechanismSpace) -> np.ndarray:
     ``out[p, c, i]`` is the slot of agent i's object at ``space.profiles[p]``
     and ``space.capacities[c]``: s for ``space.objects[s]``, |O| for null.
     A :class:`DAMechanism` fills it by one deferred acceptance over all
-    problems at once; any other mechanism is called once per problem.  A
-    malformed space raises the ``ValueError`` of :func:`require_problem`,
-    and a ``TableRule`` table that deferred acceptance reads is validated.
+    problems at once, and refuses a space whose agents or objects (or their
+    order) are not its structure's; any other mechanism is called once per
+    problem.  A ``TableRule`` table that deferred acceptance reads is
+    validated.
     """
-    return _allocate(m, space.objects, *_profile_ids(space))
+    return _allocate(m, space, space.ids, space.caps)
 
 
 def _ranked(rank_of: np.ndarray, pidx: np.ndarray, alloc: np.ndarray) -> np.ndarray:
@@ -415,10 +416,9 @@ def space_demands(cs: ChoiceStructure, space: MechanismSpace, x) -> np.ndarray:
     """``(P, C)`` agent masks: bit i of ``out[p, c]`` is set when agent i
     strictly prefers x (an object or None) to their allotment under
     deferred acceptance at ``space.profiles[p]`` and ``space.capacities[c]``."""
-    pidx, caps = _profile_ids(space)
-    _, rank_of = _slot_tables(space.objects)
-    ranked = _ranked(rank_of, pidx, _allocate(DAMechanism(cs), space.objects, pidx, caps))
-    return _demand_masks(rank_of, pidx, ranked, (space.objects + (None,)).index(x))
+    _, _, _, rank_of = _rankings(space.objects)
+    ranked = _ranked(rank_of, space.ids, allocations(DAMechanism(cs), space))
+    return _demand_masks(rank_of, space.ids, ranked, (space.objects + (None,)).index(x))
 
 
 def _codes(digits: np.ndarray, base: int) -> np.ndarray:
@@ -501,9 +501,9 @@ def check_unavailable_type_invariance(m: Mechanism, space: MechanismSpace) -> Ax
     first profile whose allocation differs from that of the first profile
     with its restricted rankings is the witness.
     """
-    pidx, caps = _profile_ids(space)
-    alloc = _allocate(m, space.objects, pidx, caps)
-    slot_at, _ = _slot_tables(space.objects)
+    pidx, caps = space.ids, space.caps
+    alloc = allocations(m, space)
+    _, _, slot_at, _ = _rankings(space.objects)
     n_prefs, width = slot_at.shape
     available = np.concatenate([caps > 0, np.ones((len(caps), 1), dtype=bool)], axis=1)
     patterns, pattern_of = np.unique(available, axis=0, return_inverse=True)
@@ -536,9 +536,9 @@ def check_weak_non_wastefulness(m: Mechanism, space: MechanismSpace) -> AxiomRep
 
     The witness is the first (profile, capacities, agent, object) in order.
     """
-    pidx, caps = _profile_ids(space)
-    alloc = _allocate(m, space.objects, pidx, caps)
-    _, rank_of = _slot_tables(space.objects)
+    pidx, caps = space.ids, space.caps
+    alloc = allocations(m, space)
+    _, _, _, rank_of = _rankings(space.objects)
     n_obj = len(space.objects)
     ranks = rank_of[pidx][:, None]  # (P, 1, n, O + 1)
     at_null = alloc == n_obj
@@ -573,11 +573,11 @@ def check_resource_monotonicity(m: Mechanism, space: MechanismSpace) -> AxiomRep
     witness is the first (profile, pair, agent).  Profiles are decided one
     lower vector at a time, against the best rank over its higher vectors.
     """
-    pidx, caps = _profile_ids(space)
-    alloc = _allocate(m, space.objects, pidx, caps)
+    pidx, caps = space.ids, space.caps
+    alloc = allocations(m, space)
     # higher[j1, j2]: vector j2 is componentwise at least vector j1, and differs
     higher = (caps[:, None] <= caps).all(2) & (caps[:, None] != caps).any(2)
-    _, rank_of = _slot_tables(space.objects)
+    _, _, _, rank_of = _rankings(space.objects)
     ranked = _ranked(rank_of, pidx, alloc)  # (P, C, n)
     hurt = np.zeros(len(pidx), dtype=bool)
     for j1, ups in enumerate(higher):
@@ -614,10 +614,10 @@ def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> AxiomRep
     R' in space order within a group.  The witness is the first pair of the
     first capacity vector whose allocations differ.
     """
-    pidx, caps = _profile_ids(space)
-    alloc = _allocate(m, space.objects, pidx, caps)
+    pidx = space.ids
+    alloc = allocations(m, space)
     n_prof, n_caps, n = alloc.shape
-    slot_at, rank_of = _slot_tables(space.objects)
+    _, _, slot_at, rank_of = _rankings(space.objects)
     n_prefs, width = slot_at.shape
     n_obj = width - 1
     orders = slot_at[slot_at != n_obj].reshape(n_prefs, n_obj)
@@ -676,9 +676,9 @@ def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> AxiomReport
     witness is the first that fails, with its first misreport in
     ``all_preferences`` order.
     """
-    pidx, caps = _profile_ids(space)
+    pidx = space.ids
     n = pidx.shape[1]
-    prefs = all_preferences(space.objects)
+    prefs, _, _, rank_of = _rankings(space.objects)
     n_prefs = len(prefs)
     weights = _codes(np.eye(n, dtype=np.int64), n_prefs)
     misreport = _codes(pidx, n_prefs)[:, None, None] + (
@@ -686,8 +686,7 @@ def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> AxiomReport
     ) * weights[:, None]  # (P, n, K)
     # (P, n, K): the first listed profile of each misreport
     lookup, extra = _find_or_append(pidx, n_prefs, misreport)
-    alloc = _allocate(m, space.objects, np.concatenate([pidx, extra]), caps)
-    _, rank_of = _slot_tables(space.objects)
+    alloc = _allocate(m, space, np.concatenate([pidx, extra]), space.caps)
     truthful = _ranked(rank_of, pidx, alloc)  # (P, C, n)
     rows = pidx * rank_of.shape[1]
     gains = np.empty(truthful.shape, dtype=bool)
@@ -721,7 +720,7 @@ def _isd_scan(m, space, scanned, prop_name) -> AxiomReport:
     vectors that the space lacks are appended (:func:`_find_or_append`).
     Per vector, the witness is the first profile whose demand after differs
     from that of the first profile with its demand before."""
-    pidx, caps = _profile_ids(space)
+    pidx, caps = space.ids, space.caps
     n_prof, n = pidx.shape
     steps = [  # per object: the vectors scanned, below its ceiling n
         np.flatnonzero((caps[:, k] < n) & scanned(k, caps)) for k in range(caps.shape[1])
@@ -733,8 +732,8 @@ def _isd_scan(m, space, scanned, prop_name) -> AxiomReport:
         caps, n + 1, np.concatenate([codes[s] + (n + 1) ** k for k, s in enumerate(steps)])
     )
     ups = np.split(lookup, np.cumsum([s.size for s in steps])[:-1])
-    alloc = _allocate(m, space.objects, pidx, np.concatenate([caps, extra]))
-    _, rank_of = _slot_tables(space.objects)
+    alloc = _allocate(m, space, pidx, np.concatenate([caps, extra]))
+    _, _, _, rank_of = _rankings(space.objects)
     ranked = _ranked(rank_of, pidx, alloc)
     for k, x in enumerate(space.objects):
         base, up = steps[k], ups[k]

@@ -36,8 +36,8 @@ from lexichoice.core import iter_bits
 from lexichoice.mechanism import (
     _object_labels,
     _profile_labels,
+    _rankings,
     allocations,
-    require_problem,
     space_demands,
     validate_preference,
 )
@@ -596,59 +596,127 @@ def test_space_demands_match_demand_oracle():
         [[0b001]], [[0b010]], [[0]]]
 
 
-def _first_error(cs, space):
-    """The ValueError of require_problem on the space's first bad problem,
-    else that of the first object's table that fails validation."""
-    try:
-        for prob in space.problems():
-            require_problem(prob, cs.agents.n, cs.objects)
-        for x in cs.objects:
-            cs.table(x)
-    except ValueError as e:
-        return str(e)
-    raise AssertionError("no problem of the space is malformed")
+_BAD_RANKING = (("x", "y", None), ("x", "x", None))
+_RANKING_ERROR = "preference ('x', 'x', None) is not a ranking of objects + null"
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        "cap_above_n", "bad_ranking", "short_profile", "cap_and_ranking", "invalid_table",
-        "bad_ranking_no_capacities", "short_profile_no_capacities",
-    ],
-)
+_SPACE_ERRORS = {  # per edit of a space, the error that refuses it; None for a space that is built
+    "cap_above_n": "capacity vector 4 of the space is malformed: "
+    "capacity 3 of object 'x' is not in 0..2",
+    "bad_ranking": f"profile 5 of the space is malformed: {_RANKING_ERROR}",
+    "short_profile": "profile 5 of the space is malformed: problem lists 1 preferences for 2 agents",
+    # profiles are read first, though the capacity comes first in problem order
+    "cap_and_ranking": f"profile 5 of the space is malformed: {_RANKING_ERROR}",
+    "invalid_table": None,
+    "bad_ranking_no_capacities": f"profile 5 of the space is malformed: {_RANKING_ERROR}",
+    "short_profile_no_capacities": "profile 5 of the space is malformed: "
+    "problem lists 1 preferences for 2 agents",
+    "bool_capacity": "capacity vector 4 of the space is malformed: "
+    "capacity True of object 'y' is not in 0..2",
+    "long_capacities": "capacity vector 4 of the space is malformed: "
+    "problem lists 3 capacities for 2 objects",
+}
+
+
+@pytest.mark.parametrize("edit", list(_SPACE_ERRORS))
 def test_array_da_refuses_malformed_spaces(edit):
-    """The ValueError of the space's first malformed problem; with no
-    capacity vectors, one that names the malformed profile."""
+    """A space is refused when it is built, directly or through
+    ``dataclasses.replace``, with an error that names its first malformed
+    profile, else its first malformed capacity vector.  An invalid table is
+    refused by every reader of allocations instead."""
     cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
     space = exhaustive_space(("i", "j"), ("x", "y"))
-    bad_ranking = (("x", "y", None), ("x", "x", None))
     profiles, capacities = space.profiles, space.capacities
     if edit == "cap_above_n":
         capacities = capacities[:4] + ((3, 1),) + capacities[4:]
     elif edit == "bad_ranking":
-        profiles = profiles[:5] + (bad_ranking,) + profiles[5:]
+        profiles = profiles[:5] + (_BAD_RANKING,) + profiles[5:]
     elif edit == "short_profile":
         profiles = profiles[:5] + ((("x", "y", None),),) + profiles[5:]
-    elif edit == "cap_and_ranking":  # the capacity comes first, at the first profile
+    elif edit == "cap_and_ranking":
         capacities = capacities[:4] + ((1, -1),) + capacities[4:]
-        profiles = profiles[:5] + (bad_ranking,) + profiles[5:]
+        profiles = profiles[:5] + (_BAD_RANKING,) + profiles[5:]
+    elif edit == "bool_capacity":
+        capacities = capacities[:4] + ((1, True),) + capacities[4:]
+    elif edit == "long_capacities":
+        capacities = capacities[:4] + ((1, 1, 1),) + capacities[4:]
     elif edit == "invalid_table":
         cs = _invalid_table_structure()
+        with pytest.raises(ValueError) as table_error:
+            cs.table("x")
+        for check in (allocations, *MECHANISM_CHECKS.values()):
+            with pytest.raises(ValueError) as got:
+                check(DAMechanism(cs), space)
+            assert str(got.value) == str(table_error.value), check
+        return
     else:
         capacities = ()
-        bad = bad_ranking if edit.startswith("bad_ranking") else (("x", "y", None),)
+        bad = _BAD_RANKING if edit.startswith("bad_ranking") else (("x", "y", None),)
         profiles = profiles[:5] + (bad,) + profiles[5:]
-    space = dataclasses.replace(space, profiles=profiles, capacities=capacities)
-    if capacities:
-        want = _first_error(cs, space)
-    else:
-        with pytest.raises(ValueError) as alone:
-            require_problem(AllocationProblem(profiles[5], (0, 0)), 2, cs.objects)
-        want = f"profile 5 of the space is malformed: {alone.value}"
-    for check in (allocations, *MECHANISM_CHECKS.values()):
+    want = _SPACE_ERRORS[edit]
+    for build in (
+        lambda: dataclasses.replace(space, profiles=profiles, capacities=capacities),
+        lambda: MechanismSpace(space.agents, space.objects, profiles, capacities),
+    ):
         with pytest.raises(ValueError) as got:
-            check(DAMechanism(cs), space)
-        assert str(got.value) == want, check
+            build()
+        assert str(got.value) == want
+
+
+def test_space_is_read_once_into_read_only_arrays():
+    """The ranking ids and capacity vectors of a space, and the arrays of the
+    cached ranking catalogue, are read-only; they take no part in equality
+    or hashing; and a second ``da_allocate`` on the same objects reuses the
+    catalogue."""
+    space = exhaustive_space(("i", "j"), ("x", "y"))
+    prefs = all_preferences(("x", "y"))
+    assert space.ids.tolist() == [[prefs.index(r) for r in rs] for rs in space.profiles]
+    assert space.caps.tolist() == [list(q) for q in space.capacities]
+    listed, ids, slot_at, rank_of = _rankings(("x", "y"))
+    assert listed == tuple(prefs) and ids == {r: k for k, r in enumerate(prefs)}
+    for array in (space.ids, space.caps, slot_at, rank_of):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    again = dataclasses.replace(space)
+    assert again == space and hash(again) == hash(space)
+    assert again.ids is not space.ids and (again.ids == space.ids).all()
+    with pytest.raises(ValueError):
+        dataclasses.replace(space, ids=space.ids)
+    cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
+    prob = AllocationProblem((("x", "y", None), ("x", None, "y")), (1, 1))
+    assert da_allocate(cs, prob) == ("x", None)
+    misses = _rankings.cache_info().misses
+    assert da_allocate(cs, prob) == ("x", None)
+    assert _rankings.cache_info().misses == misses
+
+
+def test_repeated_or_null_object_names_are_refused():
+    """An object named twice, or None (the null object), is refused when a
+    structure or a space is built; a repeated name would let deferred
+    acceptance seat two agents at one single-seat object."""
+    u = make_universe("ij")
+    rule = Responsive(ordering_from_labels(u, ("i", "j")))
+    for objects in (("x", "x"), ("x", None)):
+        with pytest.raises(ValueError, match="must be distinct names other than None"):
+            ChoiceStructure(u, objects, {x: rule for x in objects})
+        with pytest.raises(ValueError, match="must be distinct names other than None"):
+            exhaustive_space(("i", "j"), objects)
+    assert ChoiceStructure(u, ["x", "y"], {"x": rule, "y": rule}).objects == ("x", "y")
+
+
+def test_array_da_refuses_a_space_over_other_agents():
+    """A space whose agents are not the structure's, in the same order, is
+    refused by every reader of DA allocations; its witnesses would name the
+    wrong agents."""
+    cs = _responsive_structure(("i", "j"), {"x": ("i", "j")})
+    m = DAMechanism(cs)
+    for agents in (("j", "i"), ("i",), ("i", "j", "k"), ("i", "k")):
+        space = exhaustive_space(agents, ("x",))
+        for check in (allocations, *MECHANISM_CHECKS.values()):
+            with pytest.raises(ValueError, match="the space's agents are not the structure's agents"):
+                check(m, space)
+        with pytest.raises(ValueError, match="the space's agents are not the structure's agents"):
+            space_demands(cs, space, "x")
 
 
 # --- the rewritten checkers against their per-pair loops -------------------------
