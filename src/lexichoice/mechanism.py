@@ -11,12 +11,14 @@ Preferences are tuples ranking every object and ``None`` (the null object),
 best first.  Allocation problems and allocations are index-aligned tuples.
 A space is read once, when it is built, into two arrays: the ranking ids
 of its profiles (ids from one cached catalogue per tuple of objects) and
-its capacity vectors.  :func:`allocations` returns one array of every
-allocation, which the one deferred acceptance implementation fills for
-every problem at once; :func:`da_allocate` is its call on one problem, and
-any other mechanism is called once per problem, each ranking given as a
-tuple.  The checkers append the misreports and unit capacity increases that
-a space lacks to those arrays by one lookup.
+its capacity vectors.  :func:`allocations` returns one read-only array of
+every allocation, which the one deferred acceptance implementation fills
+for every problem at once; :func:`da_allocate` is its call on one problem,
+and any other mechanism is called once per problem, each ranking given as a
+tuple.  A structure keeps the deferred acceptance allocation of the last
+space it allocated, so a sweep of checkers over one space allocates it
+once.  The checkers append the misreports and unit capacity increases that
+a space lacks by one lookup, and allocate only those.
 """
 
 from __future__ import annotations
@@ -52,7 +54,14 @@ class AllocationProblem:
 
 @dataclass
 class ChoiceStructure:
-    """One choice rule per object, all over the agent universe."""
+    """One choice rule per object, all over the agent universe.
+
+    It keeps each object's table once materialized, and the deferred
+    acceptance allocation of the last space that it allocated whole
+    (:func:`allocations`), found again by the identity of the space and
+    read-only.  A space's arrays and the structure's tables do not change
+    once read, so that allocation cannot go stale.
+    """
 
     agents: Universe
     objects: tuple[str, ...]
@@ -63,6 +72,7 @@ class ChoiceStructure:
         if set(self.rules) != set(self.objects):
             raise ValueError("rules must cover exactly the object set")
         self._tables = {}
+        self._allocated = (None, None)  # (space, its read-only slots)
 
     def table(self, obj: str):
         """The object's choice table, materialized on first use.
@@ -87,10 +97,11 @@ def validate_preference(pref: Preference, objects: tuple[str, ...]) -> None:
 
 
 def _distinct(objects) -> tuple[str, ...]:
-    """``objects`` as a tuple of distinct names, none of them None (null)."""
+    """``objects`` as a tuple of distinct names, none of them None (the null
+    object) or "null" (its name in witnesses)."""
     objects = tuple(objects)
-    if len(set(objects + (None,))) != len(objects) + 1:
-        raise ValueError(f"objects {objects!r} must be distinct names other than None")
+    if len(set(objects + (None,))) != len(objects) + 1 or "null" in objects:
+        raise ValueError(f'objects {objects!r} must be distinct names other than None and "null"')
     return objects
 
 
@@ -361,18 +372,10 @@ def _da_slots(
     return out.reshape(len(pidx), n_caps, n)
 
 
-def _allocate(m: Mechanism, space: MechanismSpace, pidx: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """The ``(P, C, n)`` slots of ``m`` on each profile of ranking ids
-    ``pidx`` with each capacity vector of ``caps``: the space's own arrays,
-    or those with the problems that a checker appends."""
-    if isinstance(m, DAMechanism):
-        cs = m.structure
-        if space.objects != cs.objects:
-            raise ValueError("the space's objects are not the structure's objects")
-        if space.agents != tuple(cs.agents.labels):
-            raise ValueError("the space's agents are not the structure's agents")
-        return _da_slots(cs, pidx, caps)
-    prefs, names = _rankings(space.objects)[0], space.objects + (None,)
+def _per_problem(m: Mechanism, objects: tuple[str, ...], pidx: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The ``(P, C, n)`` slots of ``m``, called once per problem: each
+    profile of ranking ids ``pidx`` with each capacity vector of ``caps``."""
+    prefs, names = _rankings(objects)[0], objects + (None,)
     vectors = [tuple(q) for q in caps.tolist()]
     out = np.empty((len(pidx), len(caps), pidx.shape[1]), dtype=np.int8)
     for p, ids in enumerate(pidx.tolist()):
@@ -382,6 +385,42 @@ def _allocate(m: Mechanism, space: MechanismSpace, pidx: np.ndarray, caps: np.nd
     return out
 
 
+def _allocate(
+    m: Mechanism, space: MechanismSpace,
+    extra_ids: np.ndarray | None = None, extra_caps: np.ndarray | None = None,
+) -> np.ndarray:
+    """The ``(P, C, n)`` slots of ``m`` on the space, with the profiles of
+    ranking ids ``extra_ids`` appended after its profiles, or the capacity
+    vectors ``extra_caps`` after its vectors: the problems that a checker
+    appends.  Only those are allocated on top of the space's own problems,
+    which a :class:`DAMechanism` takes from its structure when the
+    structure last allocated this space, and which are read-only."""
+    if isinstance(m, DAMechanism):
+        cs = m.structure
+        if space.objects != cs.objects:
+            raise ValueError("the space's objects are not the structure's objects")
+        if space.agents != tuple(cs.agents.labels):
+            raise ValueError("the space's agents are not the structure's agents")
+        run = functools.partial(_da_slots, cs)
+        kept, base = cs._allocated  # one read: another thread may replace it
+        if kept is not space:
+            base = _read_only(run(space.ids, space.caps))
+            cs._allocated = (space, base)
+    else:
+        run = functools.partial(_per_problem, m, space.objects)
+        base = _read_only(run(space.ids, space.caps))
+    if extra_ids is not None and len(extra_ids):
+        return np.concatenate([base, run(extra_ids, space.caps)])
+    if extra_caps is not None and len(extra_caps):
+        return np.concatenate([base, run(space.ids, extra_caps)], axis=1)
+    return base
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def allocations(m: Mechanism, space: MechanismSpace) -> np.ndarray:
     """Every allocation of the space, as one ``(P, C, n)`` int8 array.
 
@@ -389,11 +428,13 @@ def allocations(m: Mechanism, space: MechanismSpace) -> np.ndarray:
     and ``space.capacities[c]``: s for ``space.objects[s]``, |O| for null.
     A :class:`DAMechanism` fills it by one deferred acceptance over all
     problems at once, and refuses a space whose agents or objects (or their
-    order) are not its structure's; any other mechanism is called once per
+    order) are not its structure's; its structure keeps the array of the
+    last space it allocated, so that every checker of a sweep over one
+    space reads the same array.  Any other mechanism is called once per
     problem.  A ``TableRule`` table that deferred acceptance reads is
-    validated.
+    validated.  The array is read-only.
     """
-    return _allocate(m, space, space.ids, space.caps)
+    return _allocate(m, space)
 
 
 def _ranked(rank_of: np.ndarray, pidx: np.ndarray, alloc: np.ndarray) -> np.ndarray:
@@ -686,7 +727,7 @@ def check_strategy_proofness(m: Mechanism, space: MechanismSpace) -> AxiomReport
     ) * weights[:, None]  # (P, n, K)
     # (P, n, K): the first listed profile of each misreport
     lookup, extra = _find_or_append(pidx, n_prefs, misreport)
-    alloc = _allocate(m, space, np.concatenate([pidx, extra]), space.caps)
+    alloc = _allocate(m, space, extra_ids=extra)
     truthful = _ranked(rank_of, pidx, alloc)  # (P, C, n)
     rows = pidx * rank_of.shape[1]
     gains = np.empty(truthful.shape, dtype=bool)
@@ -732,7 +773,7 @@ def _isd_scan(m, space, scanned, prop_name) -> AxiomReport:
         caps, n + 1, np.concatenate([codes[s] + (n + 1) ** k for k, s in enumerate(steps)])
     )
     ups = np.split(lookup, np.cumsum([s.size for s in steps])[:-1])
-    alloc = _allocate(m, space, pidx, np.concatenate([caps, extra]))
+    alloc = _allocate(m, space, extra_caps=extra)
     _, _, _, rank_of = _rankings(space.objects)
     ranked = _ranked(rank_of, pidx, alloc)
     for k, x in enumerate(space.objects):

@@ -2,8 +2,10 @@ import dataclasses
 import functools
 import random
 
+import numpy as np
 import pytest
 
+from lexichoice import mechanism
 from lexichoice import (
     MECHANISM_CHECKS,
     AllocationProblem,
@@ -691,15 +693,16 @@ def test_space_is_read_once_into_read_only_arrays():
 
 
 def test_repeated_or_null_object_names_are_refused():
-    """An object named twice, or None (the null object), is refused when a
-    structure or a space is built; a repeated name would let deferred
-    acceptance seat two agents at one single-seat object."""
+    """An object named twice, None (the null object) or "null" is refused
+    when a structure or a space is built: a repeated name would let deferred
+    acceptance seat two agents at one single-seat object, and witnesses
+    print the null object as "null"."""
     u = make_universe("ij")
     rule = Responsive(ordering_from_labels(u, ("i", "j")))
-    for objects in (("x", "x"), ("x", None)):
-        with pytest.raises(ValueError, match="must be distinct names other than None"):
+    for objects in (("x", "x"), ("x", None), ("null", "x")):
+        with pytest.raises(ValueError, match='must be distinct names other than None and "null"'):
             ChoiceStructure(u, objects, {x: rule for x in objects})
-        with pytest.raises(ValueError, match="must be distinct names other than None"):
+        with pytest.raises(ValueError, match='must be distinct names other than None and "null"'):
             exhaustive_space(("i", "j"), objects)
     assert ChoiceStructure(u, ["x", "y"], {"x": rule, "y": rule}).objects == ("x", "y")
 
@@ -996,6 +999,26 @@ ORACLE_SPACES = [
 ]
 
 
+def _oracle_space(rng, space_kind, agents, objects):
+    """The space of an ``ORACLE_SPACES`` entry; sampled kinds draw their seed from ``rng``."""
+    if space_kind == "exhaustive":
+        return exhaustive_space(agents, objects)
+    if space_kind == "single":
+        return single_object_space(agents, objects)
+    if space_kind == "reversed":  # capacities and profiles in reverse order
+        space = exhaustive_space(agents, objects)
+        return MechanismSpace(agents, objects, space.profiles[::-1], space.capacities[::-1])
+    if space_kind == "duplicates":  # 40 draws from 36 profiles
+        space = sampled_space(agents, objects, 40, seed=rng.randrange(1000))
+        assert len(set(space.profiles)) < len(space.profiles)
+        return space
+    if space_kind == "thinned":  # every other vector, reversed, the first twice
+        space = sampled_space(agents, objects, 60, seed=rng.randrange(1000))
+        thinned = space.capacities[::2][::-1]
+        return MechanismSpace(agents, objects, space.profiles, thinned + thinned[:1])
+    return sampled_space(agents, objects, 8, seed=rng.randrange(1000))
+
+
 def test_rewritten_checkers_match_their_loops():
     """Verdict and first witness agree on every mechanism and space, sampled
     spaces included: their misreports fall outside the space, and they may
@@ -1007,22 +1030,7 @@ def test_rewritten_checkers_match_their_loops():
     verdicts = {name: set() for name in REWRITTEN_CHECKS}
     for kind, space_kind, n, objects in ORACLE_SPACES:
         agents = tuple("ijkl"[:n])
-        if space_kind == "exhaustive":
-            space = exhaustive_space(agents, objects)
-        elif space_kind == "single":
-            space = single_object_space(agents, objects)
-        elif space_kind == "reversed":  # capacities and profiles in reverse order
-            space = exhaustive_space(agents, objects)
-            space = MechanismSpace(agents, objects, space.profiles[::-1], space.capacities[::-1])
-        elif space_kind == "duplicates":  # 40 draws from 36 profiles
-            space = sampled_space(agents, objects, 40, seed=rng.randrange(1000))
-            assert len(set(space.profiles)) < len(space.profiles)
-        elif space_kind == "thinned":  # every other vector, reversed, the first twice
-            space = sampled_space(agents, objects, 60, seed=rng.randrange(1000))
-            thinned = space.capacities[::2][::-1]
-            space = MechanismSpace(agents, objects, space.profiles, thinned + thinned[:1])
-        else:
-            space = sampled_space(agents, objects, 8, seed=rng.randrange(1000))
+        space = _oracle_space(rng, space_kind, agents, objects)
         for mech_name, m in _mechanisms(rng, kind, agents, objects).items():
             memoized = _memoized(m)
             for name, (check, loop) in REWRITTEN_CHECKS.items():
@@ -1034,6 +1042,106 @@ def test_rewritten_checkers_match_their_loops():
                     )
                 verdicts[name].add(want.verdict)
     assert all(v == {"pass", "fail"} for v in verdicts.values()), verdicts
+
+
+# --- one allocation per sweep -----------------------------------------------------
+
+
+@pytest.fixture
+def da_calls(monkeypatch):
+    """The ``(profiles, capacity vectors)`` arrays of every whole-space
+    deferred acceptance run, in call order."""
+    calls = []
+    real = mechanism._da_slots
+
+    def counted(cs, pidx, caps, rounds=None):
+        calls.append((pidx, caps))
+        return real(cs, pidx, caps, rounds)
+
+    monkeypatch.setattr(mechanism, "_da_slots", counted)
+    return calls
+
+
+def _rows(array) -> set:
+    return set(map(tuple, array.tolist()))
+
+
+def test_a_sweep_allocates_once(da_calls):
+    """Every checker of a sweep over one space reads the allocation that the
+    first one computed; a checker that appends problems allocates only those."""
+    agents = ("i", "j", "k")
+    m = DAMechanism(_rotating_structure(agents, ("x", "y")))
+    space = exhaustive_space(agents, ("x", "y"))
+    for check in MECHANISM_CHECKS.values():
+        check(m, space)
+    assert len(da_calls) == 1 and da_calls[0][0] is space.ids and da_calls[0][1] is space.caps
+
+    da_calls.clear()  # ISD on one available object appends the vectors with two
+    agents = ("i", "j", "k", "l")
+    space = single_object_space(agents, ("x", "y"))
+    check_isd(DAMechanism(_rotating_structure(agents, ("x", "y"))), space)
+    (base_ids, base_caps), (ids, extra) = da_calls
+    assert base_ids is space.ids and base_caps is space.caps and ids is space.ids
+    assert len(extra) == 7 and _rows(extra) == {(q, 1) for q in range(1, 5)} | {(1, q) for q in range(1, 5)}
+
+    da_calls.clear()  # strategy-proofness on a sample appends the misreports it lacks
+    agents = ("i", "j", "k")
+    space = sampled_space(agents, ("x", "y"), 10, seed=3)
+    check_strategy_proofness(DAMechanism(_rotating_structure(agents, ("x", "y"))), space)
+    (base_ids, base_caps), (extra, caps) = da_calls
+    assert base_ids is space.ids and base_caps is space.caps and caps is space.caps
+    assert 0 < len(extra) == len(_rows(extra)) and not _rows(extra) & _rows(space.ids)
+
+
+def test_kept_allocation_gives_the_same_reports():
+    """A structure that keeps its last space's allocation reports, on every
+    oracle space and in either order of the checkers, what a fresh structure
+    per checker reports."""
+    rng = random.Random(13)
+    for kind, space_kind, n, objects in ORACLE_SPACES:
+        agents = tuple("ijkl"[:n])
+        space = _oracle_space(rng, space_kind, agents, objects)
+        cs = _structure(rng, kind, agents, objects)
+        m = DAMechanism(cs)
+        for name, check in [*MECHANISM_CHECKS.items(), *reversed(MECHANISM_CHECKS.items())]:
+            got, want = check(m, space), check(DAMechanism(dataclasses.replace(cs)), space)
+            assert (got.verdict, got.witness) == (want.verdict, want.witness), (kind, space_kind, name)
+
+
+def test_kept_allocation_is_read_only_and_per_space(da_calls):
+    """``allocations`` returns a read-only array, for any mechanism; a
+    structure allocates spaces A, B, A in turn each by its own problems, an
+    equal space that is another object included."""
+    agents, objects = ("i", "j", "k"), ("x", "y")
+    cs = _rotating_structure(agents, objects)
+    a, b = exhaustive_space(agents, objects), single_object_space(agents, objects)
+    for m in (DAMechanism(cs), _loop_da(cs)):
+        alloc = allocations(m, a)
+        assert not alloc.flags.writeable
+        with pytest.raises(ValueError):
+            alloc[0, 0, 0] = 0
+    copy = dataclasses.replace(a)
+    assert copy == a and copy is not a
+    # cs keeps a; then it allocates b, a again and the copy, and keeps the copy
+    for space, allocates in ((b, 1), (a, 1), (copy, 1), (copy, 0)):
+        want = allocations(DAMechanism(dataclasses.replace(cs)), space)
+        calls = len(da_calls)
+        assert np.array_equal(allocations(DAMechanism(cs), space), want)
+        assert len(da_calls) - calls == allocates
+
+
+def test_invalid_table_is_refused_on_every_call():
+    """A structure whose TableRule table is invalid raises the same error
+    from every checker, every time: nothing is kept from a failed allocation."""
+    cs = _invalid_table_structure()
+    m = DAMechanism(cs)
+    space = exhaustive_space(("i", "j"), ("x", "y"))
+    with pytest.raises(ValueError) as first:
+        allocations(m, space)
+    for check in [allocations, *MECHANISM_CHECKS.values()] * 2:
+        with pytest.raises(ValueError) as got:
+            check(m, space)
+        assert str(got.value) == str(first.value)
 
 
 # --- the paper's characterization, exhaustively at 5 agents x 2 objects ---------
