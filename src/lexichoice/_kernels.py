@@ -7,9 +7,12 @@ chosen-over relation given two bitmask columns, which decide WRARP, CWARP,
 CWRARP, CSARP and order both extractions), ``gs_first_violation`` and
 ``path_independence_first``.  They work on whole table columns at once.
 ``cwlex_fill`` makes each greedy pick one gather from a per-ordering "top"
-table (the best alternative of every mask, built by a subset DP in n
-vectorized steps) and starts capacity q from capacity q-1's column when q's
-orderings extend q-1's, so a lexicographic fill is n gathers.
+table (the best alternative of every mask) and starts capacity q from
+capacity q-1's column when q's orderings extend q-1's, so a lexicographic
+fill is n gathers.  Its top tables come from half tables: one subset DP of n
+vectorized steps builds, for all the rule's distinct orderings at once, the
+best of every mask over the low n//2 and over the high n - n//2
+alternatives, and an ordering's top table is one outer minimum of its two.
 ``chosen_over_edges`` reads the chosen and rejected columns as words of
 four 16-bit lanes and makes one pass over them per alternative; a checker
 that fails looks up the witnessing sets of its one reported pair
@@ -29,10 +32,13 @@ at capacity q, so each capacity is one contiguous column, and row 0 is
 empty.  The engine caps n at 16 (``core.MAX_ALTERNATIVES``), so every mask
 fits in 16 bits; the fill refuses n above 16 and returns its staging array
 as the table.  The single-removal scan reads the table as rows instead, a
-padded row-major uint16 copy.  The kernels trust every entry to lie inside
-the n alternatives: ``ChoiceTable`` refuses any other when it is built.
-Key tensors encode priority orderings positionally: ``keys[..., alt]`` is
-the rank of ``alt`` (0 = highest priority).
+padded row-major uint16 copy that a table builds once (``ChoiceTable.rows``).
+The kernels trust every entry to lie inside the n alternatives:
+``ChoiceTable`` refuses any other when it is built.  Key tensors encode
+priority orderings positionally: ``keys[..., alt]`` is the rank of ``alt``
+(0 = highest priority), and the ranks are 0..n-1.  The fill relies on that:
+it packs an alternative as ``rank << 16 | bit`` in uint32, so that the
+better of two alternatives is the minimum of their packed entries.
 """
 
 from __future__ import annotations
@@ -40,23 +46,6 @@ from __future__ import annotations
 import numpy as np
 
 MASK_BITS = 16  # the kernels hold masks as uint16: n <= MASK_BITS
-
-
-def _top_bits(key: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """``top[mask]``: the bit of the best alternative in ``mask`` (lowest
-    ``key``, then lowest index), 0 for the empty mask.
-
-    A subset DP on the highest bit: a mask with highest bit b is ``2**b |
-    lower`` with ``lower < 2**b``, and its best is b unless ``lower`` holds
-    an alternative that beats b, so each b is one vectorized step.
-    """
-    key = key.tolist()
-    top = np.zeros_like(masks)
-    for b in range(len(key)):
-        lo = 1 << b
-        beats_b = sum(1 << a for a in range(b) if key[a] <= key[b])
-        top[lo : 2 * lo] = np.where(masks[:lo] & beats_b, top[:lo], lo)
-    return top
 
 
 def _masks(n: int) -> np.ndarray:
@@ -79,6 +68,49 @@ def _augmentations(n: int, feas: np.ndarray) -> np.ndarray:
     return augment
 
 
+_NO_ALT = np.uint32(0xFFFF << 16)  # the best of an empty mask: loses to any alternative
+
+
+def _half_tables(orderings: np.ndarray, low: int, width: int) -> np.ndarray:
+    """Per ordering, the best of every mask over alternatives low..low+width-1:
+    ``half[k, m]`` is the packed entry ``rank << 16 | bit`` of the best
+    alternative of ``m << low``, as uint32, and ``_NO_ALT`` for m = 0.
+
+    ``orderings`` is a (k, n) rank array.  A packed entry orders by rank,
+    then by index, so the better of two is their minimum, and the best of a
+    mask with highest bit b is the minimum of b's entry and the best of the
+    mask without b: each b is one ``np.minimum`` over all orderings at once.
+    """
+    half = np.empty((len(orderings), 1 << width), dtype=np.uint32)
+    half[:, 0] = _NO_ALT
+    packed = orderings[:, low : low + width].astype(np.uint32) << 16
+    packed |= np.uint32(1) << np.arange(low, low + width, dtype=np.uint32)
+    for b in range(width):
+        lo = 1 << b
+        np.minimum(half[:, :lo], packed[:, b : b + 1], out=half[:, lo : 2 * lo])
+    return half
+
+
+def _top_tables(n: int, orderings: np.ndarray):
+    """``top(k)`` for each row k of the (k, n) rank array ``orderings``: the
+    uint16 table, over all 2**n masks, of the bit of the best alternative in
+    the mask (lowest rank, then lowest index), 0 for the empty mask.
+
+    One batched DP builds every ordering's half tables, over the low n//2
+    and the high n - n//2 alternatives; a mask is a high half and a low half,
+    so ``top(k)`` is one outer minimum of ordering k's two half tables, whose
+    packed entries keep the winner's bit in their low 16 bits.
+    """
+    width = n // 2
+    lo = _half_tables(orderings, 0, width)
+    hi = _half_tables(orderings, width, n - width)
+
+    def top(k: int) -> np.ndarray:
+        return np.minimum(hi[k, :, None], lo[k]).ravel().astype(np.uint16)
+
+    return top
+
+
 def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.ndarray:
     """Materialize a capacity-wise lexicographic rule into a full table.
 
@@ -89,35 +121,42 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
     none at any later step, since neither its chosen nor its remaining
     alternatives change.
 
-    Each greedy step is one gather, ``chosen | top[remaining]``, from the
-    step's top table (:func:`_top_bits`); with ``feas``, ``remaining`` is
-    first narrowed to the alternatives a with ``feas[chosen | a]``, read from
-    a per-mask table of them.  When capacity q's first q-1 orderings are
-    capacity q-1's, its first q-1 picks are capacity q-1's choice, so it
-    starts there and makes one pick: a lexicographic or responsive fill takes
-    n picks, not n(n+1)/2.  Only the last top table is kept, which is all a
-    repeated ordering needs.  The capacities are filled as the rows of the
-    returned ``(n+1, 2**n)`` uint16 array, the layout of ``ChoiceTable.cols``.
+    Each greedy step is one gather, ``chosen | top[remaining]``, from the top
+    table of the step's ordering (:func:`_top_tables`); with ``feas``,
+    ``remaining`` is first narrowed to the alternatives a with
+    ``feas[chosen | a]``, read from a per-mask table of them.  When capacity
+    q's first q-1 orderings are capacity q-1's, its first q-1 picks are
+    capacity q-1's choice, so it starts there and makes one pick: a
+    lexicographic or responsive fill takes n picks, not n(n+1)/2.  The steps
+    are planned first, so that the half tables of all their distinct
+    orderings come from one DP; a top table is then built when the ordering
+    changes from the previous step's, and only the last one is kept.  The
+    capacities are filled as the rows of the returned ``(n+1, 2**n)`` uint16
+    array, the layout of ``ChoiceTable.cols``.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    keys = np.asarray(keys).tolist()
     masks = _masks(n)
+    steps, distinct = [], {}  # per capacity: whether it extends q-1, its ordering ids
+    for q in range(1, n + 1):
+        extends = q > 1 and keys[q - 1][: q - 1] == keys[q - 2][: q - 1]
+        start = q - 1 if extends else 0  # chosen will still hold C(S, q-1)
+        ids = [distinct.setdefault(tuple(key), len(distinct)) for key in keys[q - 1][start:q]]
+        steps.append((extends, ids))
+    top = _top_tables(n, np.array(list(distinct), dtype=np.int64).reshape(len(distinct), n))
     if feas is not None:
         augment = _augmentations(n, feas)
     cols = np.zeros((n + 1, 1 << n), dtype=np.uint16)
-    top_key = top = None
-    for q in range(1, n + 1):
-        if q > 1 and np.array_equal(keys[q - 1, : q - 1], keys[q - 2, : q - 1]):
-            start = q - 1  # chosen still holds C(S, q-1)
-        else:
-            start, chosen = 0, np.zeros_like(masks)
-        for t in range(start, q):
-            if top_key is None or not np.array_equal(keys[q - 1, t], top_key):
-                top_key = keys[q - 1, t]
-                top = _top_bits(top_key, masks)
+    last = table = None
+    for q, (extends, ids) in enumerate(steps, start=1):
+        if not extends:
+            chosen = np.zeros_like(masks)
+        for k in ids:
+            if k != last:
+                last, table = k, top(k)
             remaining = masks ^ chosen
             if feas is not None:
                 remaining &= augment.take(chosen)
-            chosen = chosen | top.take(remaining)
+            chosen = chosen | table.take(remaining)
         cols[q] = chosen
     return cols
 
@@ -157,7 +196,8 @@ def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.nd
 
 def _rows(cols: np.ndarray) -> np.ndarray:
     """A table's ``cols[1:]`` as rows: per set S, C(S, 1..n) as uint16,
-    padded with empty capacities to 16, so each row is 32 bytes."""
+    padded with empty capacities to 16, so each row is 32 bytes.  A table
+    builds this copy once, as ``ChoiceTable.rows``."""
     n = len(cols) - 1
     out = np.zeros((cols.shape[1], MASK_BITS), dtype=np.uint16)
     out[:, :n] = cols[1:].T
@@ -170,7 +210,7 @@ def _removal_violations(n: int, cols: np.ndarray, outcast: bool = False) -> np.n
     nonempty.  With ``outcast`` also flag a rejected b whose removal changes
     the choice: b not in C(S, q) and C(S minus b, q) != C(S, q).
 
-    ``cols`` is the table as rows, from :func:`_rows`.  The sets holding b
+    ``cols`` is the table as rows (``ChoiceTable.rows``).  The sets holding b
     and their partners without b are the two halves of a reshape, so each
     alternative costs one pass over the table and no gather.  Both
     conditions leave the offending bits of each cell, and a set's 16 cells
@@ -191,14 +231,13 @@ def _removal_violations(n: int, cols: np.ndarray, outcast: bool = False) -> np.n
     return viol
 
 
-def gs_first_violation(n: int, cols: np.ndarray) -> np.ndarray:
+def gs_first_violation(n: int, rows: np.ndarray) -> np.ndarray:
     """First (S, q, a, b) in canonical order with a chosen from (S, q) but
     not from (S without b, q); all -1 when no violation exists.
 
-    ``cols`` is a table's ``(n+1, 2**n)`` array (``ChoiceTable.cols``).
+    ``rows`` is a table as rows (``ChoiceTable.rows``, from :func:`_rows`).
     """
     out = np.full(4, -1, dtype=np.int64)
-    rows = _rows(cols)
     viol = _removal_violations(n, rows)
     if not viol.any():
         return out
@@ -217,9 +256,10 @@ def gs_first_violation(n: int, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def path_independence_first(n: int, cols: np.ndarray) -> np.ndarray:
+def path_independence_first(n: int, rows: np.ndarray) -> np.ndarray:
     """First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q); all -1 when
-    the table ``cols`` (``ChoiceTable.cols``) is path independent.
+    the table, given as ``rows`` (``ChoiceTable.rows``), is path
+    independent.
 
     The verdict comes from heritage and outcast, which together are
     equivalent to path independence for a choice function
@@ -233,7 +273,6 @@ def path_independence_first(n: int, cols: np.ndarray) -> np.ndarray:
     would have stopped the search at T: only T >= S need comparing.
     """
     out = np.full(3, -1, dtype=np.int64)
-    rows = _rows(cols)
     masks = _masks(n)
     if not (rows & ~masks[:, None]).any() and not _removal_violations(
         n, rows, outcast=True

@@ -68,7 +68,7 @@ def check_capacity_filling(c: ChoiceTable) -> AxiomReport:
 
 def check_gross_substitutes(c: ChoiceTable) -> AxiomReport:
     """Chosen alternatives stay chosen when other alternatives are removed."""
-    out = _kernels.gs_first_violation(c.n, c.cols)
+    out = _kernels.gs_first_violation(c.n, c.rows)
     if out[0] < 0:
         return AxiomReport("gross_substitutes")
     s, q, a, b = (int(v) for v in out)
@@ -269,7 +269,7 @@ def check_cwrarp(c: ChoiceTable) -> AxiomReport:
 
 def check_path_independence(c: ChoiceTable) -> AxiomReport:
     """C(S union T, q) must equal C(C(S,q) union C(T,q), q) for all S, T, q."""
-    out = _kernels.path_independence_first(c.n, c.cols)
+    out = _kernels.path_independence_first(c.n, c.rows)
     if out[0] < 0:
         return AxiomReport("path_independence")
     s, t, q = (int(v) for v in out)

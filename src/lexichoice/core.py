@@ -9,9 +9,12 @@ exhaustive tables over all (2^n - 1) * n problems stay in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
+
+from . import _kernels
 
 MAX_ALTERNATIVES = 16
 
@@ -160,7 +163,9 @@ class ChoiceTable:
     it is built from ``cols``, a fill's own array in this layout, whose
     entries are subsets of their sets: a C-contiguous uint16 array that owns
     its data is frozen in place (made read-only), and any other is copied.
-    The table never changes once built.
+    The table never changes once built.  ``rows`` is the same table set-major,
+    the layout the single-removal scan of gross substitutes and path
+    independence reads; it is built on first use and kept.
     """
 
     def __init__(self, universe: Universe, entries=None, *, cols: np.ndarray | None = None):
@@ -181,6 +186,14 @@ class ChoiceTable:
     @property
     def n(self) -> int:
         return self.universe.n
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Per set S, C(S, 1..n) padded with empty capacities to 16 entries:
+        a read-only uint16 array of shape ``(2**n, 16)``."""
+        rows = _kernels._rows(self.cols)
+        rows.setflags(write=False)
+        return rows
 
     def _check_domain(self, p: Problem) -> None:
         if not (0 < p.set < (1 << self.n)):

@@ -180,3 +180,17 @@ def test_table_from_a_view_ignores_later_writes():
     frozen = ChoiceTable(u, cols=view)
     view[1, 1] = 0b110
     assert frozen == t and view.flags.writeable
+
+
+def test_table_rows_are_built_once_and_readonly():
+    # the set-major copy that gross substitutes and path independence both
+    # read: C(S, 1..n) per set, padded with empty capacities to 16 entries
+    t = _tiny_table()
+    rows = t.rows
+    assert rows is t.rows
+    assert rows.dtype == np.uint16 and rows.shape == (1 << t.n, 16)
+    assert rows[:, : t.n].tolist() == set_major(t)[:, 1:].tolist()
+    assert not rows[:, t.n :].any()
+    with pytest.raises(ValueError):
+        rows[1, 0] = 3
+    assert t == ChoiceTable(t.universe, set_major(t))  # rows take no part in equality

@@ -17,6 +17,7 @@ from lexichoice import (
     CapacityWise,
     CapacityWiseLists,
     Lexicographic,
+    PriorityOrdering,
     Responsive,
     materialize,
 )
@@ -297,13 +298,19 @@ def _cols(table):
     return np.ascontiguousarray(np.asarray(table).T, dtype=np.uint16)
 
 
+def _rows(table):
+    """A set-major matrix ``table[S, q]`` as the padded uint16 rows that the
+    removal scan reads (``ChoiceTable.rows``), unchecked."""
+    return _kernels._rows(_cols(table))
+
+
 def _assert_first_violations_agree(n, table):
     want = np.full(4, -1, dtype=np.int64)
     _gs_first_violation_loops(n, table, want)
-    assert np.array_equal(_kernels.gs_first_violation(n, _cols(table)), want)
+    assert np.array_equal(_kernels.gs_first_violation(n, _rows(table)), want)
     want = np.full(3, -1, dtype=np.int64)
     _path_independence_first_loops(n, table, want)
-    assert np.array_equal(_kernels.path_independence_first(n, _cols(table)), want)
+    assert np.array_equal(_kernels.path_independence_first(n, _rows(table)), want)
 
 
 # --- kernel vs oracle ----------------------------------------------------------
@@ -346,6 +353,54 @@ def test_cwlex_fill_agrees_on_structured_keys(n):
             assert (kind, False) not in extends
         for kind in ("walk_open", "compromise", "responsive_per_capacity", "partial_prefix"):
             assert (kind, False) in extends and (kind, True) in extends
+
+
+def _assert_top_tables_agree(n, orderings, masks):
+    # each ordering's top table against the loop oracle's first pick: the
+    # bit of the best alternative of the mask, 0 for the empty mask
+    top = _kernels._top_tables(n, np.array(orderings, dtype=np.int64).reshape(-1, n))
+    for k, key in enumerate(orderings):
+        table = top(k)
+        assert table.dtype == np.uint16 and table.shape == (1 << n,)
+        keys = np.broadcast_to(np.array(key, dtype=np.int64), (1, 1, n))
+        for m in masks:
+            assert table[m] == _cwlex_choice(n, keys, m, 1), (key, m)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_top_tables_agree_on_every_mask(n):
+    # the low half holds n // 2 alternatives: none at n = 1, and one fewer
+    # than the high half at odd n
+    rng = random.Random(f"top-{n}")
+    orderings = [tuple(range(n)), tuple(range(n))[::-1]]
+    orderings += [random_ordering(rng, n).key().tolist() for _ in range(3)]
+    _assert_top_tables_agree(n, orderings, range(1 << n))
+
+
+def test_top_tables_at_sixteen_alternatives():
+    n = 16
+    rng = random.Random("top-16")
+    masks = [0, 1, 1 << 15, 0xFF, 0xFF00, 0xFFFF] + rng.sample(range(1, 1 << n), 300)
+    orderings = [tuple(range(n)), tuple(range(n))[::-1]]
+    orderings += [random_ordering(rng, n).key().tolist() for _ in range(4)]
+    _assert_top_tables_agree(n, orderings, masks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 10])
+def test_cwlex_fill_switches_orderings_at_every_step(n):
+    # rotating lists (w, o, w, ...) extend each other, so each capacity makes
+    # one pick, with w and o in turn: every step needs the other top table
+    rng = random.Random(f"rotating-{n}")
+    w = random_ordering(rng, n)
+    o = PriorityOrdering(w.rank[::-1])
+    keys = CapacityWise(BOSTON_BUILDERS["rotating"](w, o, n)).keys()
+    assert all(_prefix_extends(keys, q) for q in range(2, n + 1))
+    steps = [keys[q - 1, q - 1].tolist() for q in range(1, n + 1)]
+    assert all(a != b for a, b in zip(steps, steps[1:]))
+    _assert_top_tables_agree(n, [w.key().tolist(), o.key().tolist()], range(1 << n))
+    want = np.zeros((1 << n, n + 1), dtype=np.int64)
+    _cwlex_fill_loops(n, keys, want)
+    assert np.array_equal(_kernels.cwlex_fill(n, keys).T, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -587,9 +642,9 @@ def test_first_violation_kernels_agree_on_wide_tables(n):
     else:  # the 4**n path-independence oracle is too slow on a passing table
         want = np.full(4, -1, dtype=np.int64)
         _gs_first_violation_loops(n, valid, want)
-        assert np.array_equal(_kernels.gs_first_violation(n, _cols(valid)), want)
+        assert np.array_equal(_kernels.gs_first_violation(n, _rows(valid)), want)
         # ordering-built tables are path independent
-        assert (_kernels.path_independence_first(n, _cols(valid)) == -1).all()
+        assert (_kernels.path_independence_first(n, _rows(valid)) == -1).all()
     for mutations in (1, 3, 16):
         for _ in range(3):
             table = np.array(valid)
@@ -675,13 +730,6 @@ def test_entries_outside_the_universe_are_refused():
     _refuses_entry(n, entries)
 
 
-def _padded_uint16(table):
-    """``table[:, 1:]`` cast to uint16 and padded to 16 columns, unchecked."""
-    out = np.zeros((len(table), _kernels.MASK_BITS), dtype=np.uint16)
-    out[:, : table.shape[1] - 1] = table[:, 1:]
-    return out
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6] + WIDE)
 def test_removal_scan_agrees_on_any_sixteen_bit_entries(n):
     # entries of an unvalidated table need not be subsets of their sets:
@@ -696,7 +744,7 @@ def test_removal_scan_agrees_on_any_sixteen_bit_entries(n):
                 s, q = rng.randrange(1 << n), rng.randrange(1, n + 1)
                 table[s, q] = rng.choice([rng.randrange(1 << 16), 1 << rng.randrange(n, 16),
                                           s & rng.randrange(1 << n)])
-            narrow = _padded_uint16(table)
+            narrow = _rows(table)
             for outcast in (False, True):
                 want = _removal_violations_loops(n, table, outcast)
                 assert _kernels._removal_violations(n, narrow, outcast).tolist() == want
@@ -713,6 +761,6 @@ def test_removal_scan_at_sixteen_alternatives():
         table[s, q] = rng.choice([s & rng.randrange(1 << n), rng.randrange(1 << 16)])
         sets.update([s] + [s | 1 << b for b in range(n)])
     for outcast in (False, True):
-        viol = _kernels._removal_violations(n, _kernels._rows(_cols(table)), outcast)
+        viol = _kernels._removal_violations(n, _rows(table), outcast)
         for s in sorted(sets):
             assert viol[s] == _removal_violation_at(n, table, s, outcast), (s, outcast)
