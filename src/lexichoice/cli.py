@@ -42,13 +42,13 @@ from .rules import (
 from .serialize import (
     SpecError,
     canonical_json,
+    da_spec_digest,
     load_json,
     load_spec,
     ordering_labels,
     parse_da_spec,
     profile_labels,
     report_dict,
-    spec_digest,
 )
 
 
@@ -239,7 +239,7 @@ def cmd_da(args) -> int:
         else:
             alloc = da_allocate(cs, prob)
             rounds = None
-        digest = spec_digest(obj)
+        digest = da_spec_digest(obj, cs)
     except (SpecError, ValueError) as e:
         return _fail_input(str(e))
     assignment = {

@@ -83,10 +83,9 @@ def canonical_json(obj) -> str:
 
     The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
     separators=(",", ": ")) + "\\n"``.  With an indent that call runs the
-    pure-Python encoder, so dicts with str keys and lists are walked here: a
-    list of str or of int leaves is one join, and a rectangular matrix of
-    ints (a ``table`` spec's entries) is one %-format.  Any other value goes
-    to ``json.dumps`` and is re-indented, which is exact because the encoder
+    pure-Python encoder, so dicts with str keys and lists are walked here,
+    and a list of str or of int leaves is one join.  Any other value goes to
+    ``json.dumps`` and is re-indented, which is exact because the encoder
     escapes every newline inside a string.
     """
     out = []
@@ -98,12 +97,16 @@ def canonical_json(obj) -> str:
 _LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
 
 
-def _write(obj, nl: str, out: list[str]) -> None:
+def _write(obj, nl: str, out: list) -> None:
     """Append ``obj`` in canonical form to ``out``, each line after the first
-    led by ``nl``; one frame per nesting level, as in the stdlib encoder."""
+    led by ``nl``; one frame per nesting level, as in the stdlib encoder.  A
+    numpy matrix is appended as ``(matrix, nl)``, for :func:`spec_digest`."""
     kind = type(obj)
     if kind in _LEAVES:
         out.append(_LEAVES[kind](obj))
+        return
+    if kind is np.ndarray:
+        out.append((obj, nl))
         return
     inner = nl + "  "
     if kind is dict and obj and all(type(k) is str for k in obj):
@@ -119,16 +122,6 @@ def _write(obj, nl: str, out: list[str]) -> None:
         if len(types) == 1 and (leaf := _LEAVES.get(*types)):
             out.append("[" + inner + ("," + inner).join(map(leaf, obj)) + nl + "]")
             return
-        if (
-            types <= {list, tuple}
-            and len(widths := set(map(len, obj))) == 1
-            and set(map(type, chain.from_iterable(obj))) == {int}
-        ):
-            cell = "," + inner + "  "
-            row = "[" + inner + "  " + cell.join(["%d"] * widths.pop()) + inner + "]"
-            matrix = "[" + inner + ("," + inner).join([row] * len(obj)) + nl + "]"
-            out.append(matrix % tuple(chain.from_iterable(obj)))
-            return
         sep = "[" + inner
         for x in obj:
             out.append(sep)
@@ -140,14 +133,95 @@ def _write(obj, nl: str, out: list[str]) -> None:
     out.append(text.replace("\n", nl))
 
 
+_BLOCK_BYTES = 1 << 18  # a row block of the matrix writer stays in L2
+
+
+def _matrix_blocks(matrix: np.ndarray, nl: str):
+    """Yield the canonical form of ``matrix.tolist()``, a uint16 matrix with
+    rows and columns, at line lead ``nl``: ASCII bytes in blocks of rows.
+
+    Each value up to the largest gets its cell once per call: the comma,
+    newline and indent that lead it, then its digits right-aligned in five
+    slots, the unused ones NUL.  A block gathers its rows' cells between a
+    fixed row head and tail, the comma of each row's first cell is made NUL,
+    and ``bytes.translate`` deletes the NULs.  The last row's trailing comma
+    is cut.
+    """
+    cols = matrix.T  # for a table's ``cols.T``, its contiguous array
+    width, height = cols.shape
+    inner = nl + "  "
+    lead = ("," + inner + "  ").encode()
+    values = np.arange(int(cols.max()) + 1, dtype=np.uint32)
+    cells = np.empty((values.size, len(lead) + 5), np.uint8)
+    cells[:, : len(lead)] = np.frombuffer(lead, np.uint8)
+    for slot, power in enumerate((10000, 1000, 100, 10), start=len(lead)):
+        high = values // power
+        cells[:, slot] = np.where(high > 0, 48 + high % 10, 0)
+    cells[:, -1] = 48 + values % 10
+    cell = np.dtype((np.void, cells.shape[1]))
+    cells = cells.view(cell).ravel()
+
+    head = (inner + "[").encode()
+    tail = (inner + "],").encode()
+    row_bytes = len(head) + width * cell.itemsize + len(tail)
+    rows = min(height, max(1, _BLOCK_BYTES // row_bytes))
+    block = np.empty((rows, row_bytes), np.uint8)
+    block[:, : len(head)] = np.frombuffer(head, np.uint8)
+    block[:, -len(tail) :] = np.frombuffer(tail, np.uint8)
+    body = block[:, len(head) : -len(tail)].view(cell)
+    yield b"["
+    for start in range(0, height, rows):
+        stop = min(start + rows, height)
+        np.take(cells, cols[:, start:stop].T, out=body[: stop - start])
+        block[:, len(head)] = 0
+        data = block[: stop - start].tobytes().translate(None, b"\0")
+        yield data[:-1] if stop == height else data
+    yield (nl + "]").encode()
+
+
 def spec_digest(obj) -> str:
-    """SHA-256 (hex) of the canonical form of a spec's JSON value."""
+    """SHA-256 (hex) of the canonical form of a spec's JSON value.
+
+    A ``table`` rule's entries may be given as the validated set-major
+    matrix (``ChoiceTable.cols.T``): its rows are digested as the list they
+    were read from, in blocks, and no text of them is built.
+    """
+    out = []
     try:
-        text = canonical_json(obj)
+        _write(obj, "\n", out)
     except RecursionError:
         # json.load, called higher in the stack, reads a few levels deeper
         raise SpecError("spec: nested too deeply to digest") from None
-    return hashlib.sha256(text.encode()).hexdigest()
+    out.append("\n")
+    sha = hashlib.sha256()
+    text = []
+    for piece in out:
+        if type(piece) is str:
+            text.append(piece)
+        else:
+            sha.update("".join(text).encode())
+            text = []
+            for data in _matrix_blocks(*piece):
+                sha.update(data)
+    sha.update("".join(text).encode())
+    return sha.hexdigest()
+
+
+def _with_table(rule_obj: dict, rule) -> dict:
+    """``rule_obj`` with a ``table`` rule's entries replaced by the matrix of
+    its validated table, for :func:`spec_digest`."""
+    if isinstance(rule, TableRule):
+        return {**rule_obj, "entries": rule.table.cols.T}
+    return rule_obj
+
+
+def da_spec_digest(obj: dict, structure: ChoiceStructure) -> str:
+    """:func:`spec_digest` of an allocation spec that :func:`parse_da_spec`
+    read as ``structure``, each ``table`` rule digested from its table."""
+    rules = dict(obj["rules"])
+    for x in structure.objects:
+        rules[x] = _with_table(rules[x], structure.rules[x])
+    return spec_digest({**obj, "rules": rules})
 
 
 def _require(obj: dict, key: str, where: str):
@@ -211,7 +285,9 @@ def _table(u: Universe, rows) -> ChoiceTable:
 
 def parse_spec(obj: dict) -> RuleSpec:
     """Parse and validate a rule-spec dict; raises :class:`SpecError`."""
-    return RuleSpec(*_parse_rule_spec(obj), spec_digest(obj))
+    u, rule, flex_profile, family = _parse_rule_spec(obj)
+    digest = spec_digest({**obj, "rule": _with_table(obj["rule"], rule)})
+    return RuleSpec(u, rule, flex_profile, family, digest)
 
 
 def _parse_rule_spec(obj: dict):
@@ -290,7 +366,7 @@ def _parse_rule_spec(obj: dict):
 def load_json(path: str):
     """The JSON value in the file at ``path``; raises :class:`SpecError`."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # json.load detects UTF-8, -16 or -32
             return json.load(fh)
     except OSError as e:
         raise SpecError(f"cannot read {path}: {e}") from None

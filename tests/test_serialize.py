@@ -1,13 +1,20 @@
 import contextlib
 import enum
+import hashlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import table_entries
+from conftest import random_profile, table_entries, universe
 from lexichoice import (
+    Lexicographic,
     Responsive,
     casebook,
     cli,
@@ -19,6 +26,7 @@ from lexichoice import (
 from lexichoice.serialize import (
     SpecError,
     canonical_json,
+    da_spec_digest,
     load_spec,
     parse_da_spec,
     parse_spec,
@@ -199,6 +207,88 @@ def test_table_entries_accept_int_subclasses():
     assert spec.digest == spec_digest(TABLE_SPEC)
 
 
+def oracle_digest(obj) -> str:
+    return hashlib.sha256(oracle_json(obj).encode()).hexdigest()
+
+
+def perturbed_table_spec(rng, n):
+    """A random lexicographic table as a ``table`` spec; from n = 2 on,
+    C(S0, 1) of a random set S0 of two or more members is moved to its
+    second-best member, as in the benchmark's perturbed spec."""
+    u = universe(n)
+    profile = random_profile(rng, n)
+    entries = table_entries(materialize(Lexicographic(profile), u))
+    if n >= 2:
+        s0 = rng.choice([s for s in range(1 << n) if s.bit_count() >= 2])
+        members = [a for a in profile.orderings[0].rank if s0 >> a & 1]
+        entries[s0][1] = 1 << members[1]
+    return {"universe": list(u.labels), "rule": {"kind": "table", "entries": entries}}
+
+
+def _counting_matrix_writer(monkeypatch):
+    """Record the line lead of every matrix the digest writes from a table."""
+    calls, writer = [], serialize._matrix_blocks
+
+    def counting(matrix, nl):
+        calls.append(nl)
+        return writer(matrix, nl)
+
+    monkeypatch.setattr(serialize, "_matrix_blocks", counting)
+    return calls
+
+
+def test_table_digests_are_written_from_the_validated_table(monkeypatch):
+    calls = _counting_matrix_writer(monkeypatch)
+    rng = random.Random(21)
+    for n in range(1, 13):
+        spec = perturbed_table_spec(rng, n)
+        assert parse_spec(spec).digest == oracle_digest(spec), n
+    assert calls == ["\n    "] * 12
+
+
+def test_table_digest_with_five_digit_entries():
+    u = universe(16)
+    spec = {
+        "universe": list(u.labels),
+        "rule": {
+            "kind": "table",
+            "entries": table_entries(
+                materialize(Lexicographic(random_profile(random.Random(16), 16)), u)
+            ),
+        },
+    }
+    assert spec["rule"]["entries"][-1][16] == 65535
+    assert parse_spec(spec).digest == oracle_digest(spec)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 300, 1 << 18])
+def test_matrix_writer_matches_oracle_in_any_row_blocks(monkeypatch, block_bytes):
+    # one row per block, blocks that do not divide the rows, one block
+    monkeypatch.setattr(serialize, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(block_bytes)
+    for shape in [(1, 1), (1, 5), (7, 1), (9, 4), (33, 17)]:
+        for top in (0, 9, 10, 99, 100, 65535):
+            matrix = rng.integers(0, top + 1, size=shape, dtype=np.uint16)
+            matrix.flat[-1] = top
+            for nl in ("\n", "\n    ", "\n" + " " * 12):
+                text = b"".join(serialize._matrix_blocks(matrix, nl))
+                assert text == oracle_json(matrix.tolist())[:-1].replace("\n", nl).encode()
+
+
+def test_da_table_rules_are_digested_from_their_tables(tmp_path, monkeypatch, capsys):
+    calls = _counting_matrix_writer(monkeypatch)
+    spec = json.loads(json.dumps(DA_SPEC))
+    rng = random.Random(4)
+    spec["rules"]["x"] = perturbed_table_spec(rng, 3)["rule"]
+    cs, _ = parse_da_spec(spec)
+    assert da_spec_digest(spec, cs) == oracle_digest(spec)
+    assert calls == ["\n      "] * 2  # the entries of rules.x and rules.y
+    path = tmp_path / "da.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["da", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["input_digest"] == oracle_digest(spec)
+
+
 def test_da_sub_specs_are_not_digested(monkeypatch):
     def refuse(obj):
         raise AssertionError("a da sub-spec was digested")
@@ -308,6 +398,32 @@ def test_parse_flex():
 def test_parse_spec_rejects_malformed(bad):
     with pytest.raises(SpecError):
         parse_spec(bad)
+
+
+def test_spec_files_are_read_as_unicode_whatever_the_locale(tmp_path):
+    # an ASCII locale with neither UTF-8 mode nor locale coercion: a UTF-8
+    # spec is still decoded as UTF-8, as JSON requires
+    spec = {
+        "universe": ["\u00e9", "b"],
+        "rule": {"kind": "responsive", "ordering": ["b", "\u00e9"]},
+    }
+    path = tmp_path / "spec.json"
+    path.write_bytes(json.dumps(spec, ensure_ascii=False).encode())
+    src = os.path.dirname(os.path.dirname(serialize.__file__))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    main = "import sys; from lexichoice.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = subprocess.run(
+        [sys.executable, "-c", main, "check", str(path)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["input_digest"] == oracle_digest(spec)
+
+
+def test_spec_files_may_start_with_a_utf8_bom(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(LEX_SPEC).encode())
+    assert load_spec(str(path)).digest == spec_digest(LEX_SPEC)
 
 
 def test_load_spec_errors(tmp_path):
