@@ -19,7 +19,6 @@ from .axioms import (
     check_path_independence,
     check_wrarp,
     replay_witness,
-    revealed_pref,
 )
 from .core import (
     MAX_ALTERNATIVES,
@@ -33,23 +32,18 @@ from .feasibility import (
     FLEX_CHECKS,
     FChoiceTable,
     FeasibilityFamily,
-    agent_partition_family,
     check_csarp,
     check_f_capacity_filling,
     extract_flex_profile,
-    f_revealed_pref,
     flex_materialize,
     make_family,
     replay_f_witness,
 )
 from .identify import (
     ExtractionError,
-    ResidualSets,
     extract_capacity_wise_responsive,
     extract_lex_profile,
     extract_responsive,
-    profiles_equivalent,
-    residual_sets,
 )
 from .mechanism import (
     MECHANISM_CHECKS,
@@ -69,7 +63,6 @@ from .mechanism import (
     da_allocate,
     exhaustive_space,
     find_impossibility_witness,
-    sampled_space,
     single_object_space,
 )
 from .rules import (

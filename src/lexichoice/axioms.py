@@ -164,30 +164,6 @@ def _first_set(chosen: np.ndarray, rejected: np.ndarray, a: int, b: int) -> int:
     return int(np.argmax(((chosen >> a) & (rejected >> b) & 1) != 0))
 
 
-def first_witnesses(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
-    """``wit[a, b]``: the first S with a in ``chosen[S]`` and b in
-    ``rejected[S]``, one :func:`_first_set` per edge of
-    ``chosen_over_edges``; 0 means no such S, or none but S = 0."""
-    wit = np.zeros((n, n), dtype=np.int64)
-    for a, b in np.argwhere(_kernels.chosen_over_edges(n, chosen, rejected)):
-        wit[a, b] = _first_set(chosen, rejected, a, b)
-    return wit
-
-
-def revealed_pref(c: ChoiceTable, q: int) -> np.ndarray:
-    """The revealed preference relation at capacity q as an (n, n) matrix.
-
-    a is revealed preferred to b when some S has a and b unchosen at q-1, a
-    chosen and b rejected at q; ``wit[a, b]`` is the first (lowest bitmask)
-    such S, and 0 means no edge.
-    """
-    if q < 2:
-        raise ValueError("revealed preference requires capacity q >= 2")
-    if q > c.n:
-        raise ValueError(f"capacity {q} outside 2..{c.n}")
-    return first_witnesses(c.n, *relation_columns(c, q, revealed=True))
-
-
 def _first_two_way(edges: np.ndarray) -> tuple[int, int] | None:
     """First pair (a < b), a-major, with both edges[a, b] and edges[b, a]."""
     both = np.triu(edges & edges.T, 1)
@@ -338,7 +314,8 @@ def replay_witness(c: ChoiceTable, axiom: str, w: dict) -> bool:
         a, b = u.index(w["a"]), u.index(w["b"])
         sub = s & ~(1 << b)
         return (
-            bool((c.choose(Problem(s, q)) >> a) & 1)
+            a != b
+            and bool((c.choose(Problem(s, q)) >> a) & 1)
             and sub != 0
             and not (c.choose(Problem(sub, q)) >> a) & 1
         )

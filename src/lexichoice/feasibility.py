@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .axioms import AxiomReport, first_witnesses, relation_columns
+from .axioms import AxiomReport, relation_columns
 from .core import ChoiceTable, Universe, first_cell, iter_bits, popcount
 from .identify import ExtractionError, linear_extension, require_rebuild
 from .rules import Lexicographic, PriorityOrdering, PriorityProfile
@@ -65,33 +65,6 @@ def make_family(u: Universe, maximal_sets) -> FeasibilityFamily:
         if not any(m != other and m & ~other == 0 for other in masks)
     ]
     return FeasibilityFamily(u.n, tuple(pruned))
-
-
-def agent_partition_family(u: Universe, groups) -> FeasibilityFamily:
-    """Contracts-style family: at most one alternative per group.
-
-    ``groups`` partitions the universe labels; feasible sets are the
-    transversal subsets.
-    """
-    group_masks = [u.mask_of(g) for g in groups]
-    combined = 0
-    for g in group_masks:
-        if combined & g:
-            raise ValueError("groups must be disjoint")
-        combined |= g
-    if combined != u.full_mask:
-        raise ValueError("groups must cover the universe")
-    maximal = []
-
-    def build(idx: int, mask: int) -> None:
-        if idx == len(group_masks):
-            maximal.append(mask)
-            return
-        for alt in iter_bits(group_masks[idx]):
-            build(idx + 1, mask | (1 << alt))
-
-    build(0, 0)
-    return make_family(u, maximal)
 
 
 class FChoiceTable(ChoiceTable):
@@ -155,36 +128,21 @@ def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
     )
 
 
-def _f_relation(c: FChoiceTable, q: int, augment: np.ndarray):
-    """The CSARP columns at q: the revealed preference columns with a
-    rejected b kept only when C(S, q-1) plus b is feasible.
-
-    ``augment`` is ``_kernels._augmentations`` of the family, built once per
-    table; the revealed columns never hold a bit of C(S, q-1).
-    """
-    if not 1 <= q <= c.n:
-        raise ValueError(f"capacity {q} outside 1..{c.n}")
-    new, rej = relation_columns(c, q, revealed=True)
-    return new, rej & augment[c.cols[q - 1]]
-
-
 def _augment_table(c: FChoiceTable) -> np.ndarray:
     return _kernels._augmentations(c.n, c.family.membership_array())
 
 
 def _f_edges(c: FChoiceTable, q: int, augment: np.ndarray) -> np.ndarray:
-    return _kernels.chosen_over_edges(c.n, *_f_relation(c, q, augment))
+    """The CSARP relation at q: the revealed preference edges, a rejected b
+    kept only when C(S, q-1) plus b is feasible (C(S, 0) is the empty set).
 
-
-def f_revealed_pref(c: FChoiceTable, q: int) -> np.ndarray:
-    """The feasibility-aware revealed preference at q as an (n, n) matrix.
-
-    a is revealed preferred to b when some S has a and b unchosen at q-1, a
-    chosen and b present but rejected at q, and C(S, q-1) plus b feasible
-    (C(S, 0) is the empty set); ``wit[a, b]`` is the first such S, and 0
-    means no edge.
+    ``augment`` is :func:`_augment_table` of ``c``, built once per table;
+    the revealed columns never hold a bit of C(S, q-1).
     """
-    return first_witnesses(c.n, *_f_relation(c, q, _augment_table(c)))
+    if not 1 <= q <= c.n:
+        raise ValueError(f"capacity {q} outside 1..{c.n}")
+    new, rej = relation_columns(c, q, revealed=True)
+    return _kernels.chosen_over_edges(c.n, new, rej & augment[c.cols[q - 1]])
 
 
 def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
@@ -201,12 +159,11 @@ def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
             and got == u.mask_of(w["chosen"])
         )
     if axiom == "csarp":
-        q = w["q"]
         cycle = [u.index(lab) for lab in w["cycle"]]
-        edges = _f_edges(c, q, _augment_table(c))
-        return all(
-            edges[cycle[i], cycle[i + 1]] for i in range(len(cycle) - 1)
-        ) and cycle[0] == cycle[-1]
+        if len(cycle) < 2 or cycle[0] != cycle[-1]:
+            return False
+        edges = _f_edges(c, w["q"], _augment_table(c))
+        return all(edges[a, b] for a, b in zip(cycle, cycle[1:]))
     raise ValueError(f"unknown axiom {axiom!r}")
 
 

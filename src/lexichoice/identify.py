@@ -12,7 +12,6 @@ wrong profile.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,31 +50,6 @@ def require_rebuild(c: ChoiceTable, rebuilt: ChoiceTable, message: str) -> None:
     diff = rebuilt.first_difference(c)
     if diff is not None:
         raise ExtractionError(message.format(diff), problem=diff)
-
-
-@dataclass(frozen=True)
-class ResidualSets:
-    """The chain A_1 = A, A_t = A minus C(A, t-1); |A_t| = n - t + 1."""
-
-    sets: tuple[int, ...]
-
-    def at(self, t: int) -> int:
-        return self.sets[t - 1]
-
-
-def residual_sets(c: ChoiceTable) -> ResidualSets:
-    full = c.universe.full_mask
-    sets = [full]
-    for t in range(2, c.n + 1):
-        a_t = full & ~c.choose(Problem(full, t - 1))
-        if popcount(a_t) != c.n - t + 1:
-            raise ExtractionError(
-                f"residual set at t={t} has {popcount(a_t)} elements; "
-                "the table is not capacity-filling",
-                step=f"residual t={t}",
-            )
-        sets.append(a_t)
-    return ResidualSets(tuple(sets))
 
 
 def _peel_singleton(c: ChoiceTable, mask: int, q: int, drop: int, step: str) -> int:
@@ -135,28 +109,6 @@ def extract_lex_profile(c: ChoiceTable) -> PriorityProfile:
     return profile
 
 
-def profiles_equivalent(
-    c: ChoiceTable, p1: PriorityProfile, p2: PriorityProfile
-) -> bool:
-    """Whether two profiles generate the same lexicographic rule as ``c``.
-
-    ``c`` must be the materialization of ``p1``.  Equivalence holds exactly
-    when each ordering's restriction to the residual set A_t coincides
-    across the profiles (the restriction to A_1 = A pins the first ordering
-    entirely).
-    """
-    if materialize(Lexicographic(p1), c.universe) != c:
-        raise ValueError("c is not the materialization of p1")
-    res = residual_sets(c)
-    for t in range(1, c.n + 1):
-        a_t = res.at(t)
-        r1 = [alt for alt in p1.orderings[t - 1].rank if (a_t >> alt) & 1]
-        r2 = [alt for alt in p2.orderings[t - 1].rank if (a_t >> alt) & 1]
-        if r1 != r2:
-            return False
-    return True
-
-
 def extract_responsive(c: ChoiceTable) -> PriorityOrdering:
     """Recover a single ordering whose responsive table equals ``c``.
 
@@ -179,20 +131,19 @@ def extract_responsive(c: ChoiceTable) -> PriorityOrdering:
     return ordering
 
 
-def linear_extension(wit: np.ndarray) -> list[int]:
-    """Kahn order of the relation ``wit`` (nonzero ``wit[a, b]``: a before b).
+def linear_extension(edges: np.ndarray) -> list[int]:
+    """Kahn order of the relation ``edges`` (``edges[a, b]``: a before b).
 
-    ``wit`` is an (n, n) edge matrix such as
-    :func:`~lexichoice.axioms.relation_edges` returns, or a first-witness
-    matrix such as :func:`~lexichoice.axioms.revealed_pref` returns.  The
-    lowest-index ready alternative goes first.  On a cyclic relation the
-    order stops short: the alternatives left out are exactly those still
-    holding a predecessor.
+    ``edges`` is an (n, n) bool edge matrix such as
+    :func:`~lexichoice.axioms.relation_edges` returns.  The lowest-index
+    ready alternative goes first.  On a cyclic relation the order stops
+    short: the alternatives left out are exactly those still holding a
+    predecessor.
     """
-    n = len(wit)
+    n = len(edges)
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    for a, b in np.argwhere(wit).tolist():
+    for a, b in np.argwhere(edges).tolist():
         succ[a].append(b)
         indeg[b] += 1
     ready = [a for a in range(n) if indeg[a] == 0]

@@ -237,11 +237,6 @@ class MechanismSpace:
         for name, value in (("agents", agents), ("objects", objects), ("ids", pidx), ("caps", caps)):
             object.__setattr__(self, name, value)
 
-    def problems(self):
-        for prefs in self.profiles:
-            for caps in self.capacities:
-                yield AllocationProblem(prefs, caps)
-
 
 def exhaustive_space(agents, objects) -> MechanismSpace:
     """All preference profiles and all capacity profiles (0..n per object)."""
@@ -270,23 +265,6 @@ def single_object_space(agents, objects) -> MechanismSpace:
             caps[k] = q
             capacities.append(tuple(caps))
     return MechanismSpace(agents, objects, profiles, tuple(capacities))
-
-
-def sampled_space(agents, objects, n_profiles: int, seed: int) -> MechanismSpace:
-    """Deterministic seeded sample of preference profiles, all capacities."""
-    import random
-
-    agents = tuple(agents)
-    objects = tuple(objects)
-    n = len(agents)
-    rng = random.Random(seed)
-    prefs = all_preferences(objects)
-    profiles = tuple(
-        tuple(prefs[rng.randrange(len(prefs))] for _ in range(n))
-        for _ in range(n_profiles)
-    )
-    capacities = tuple(itertools.product(range(n + 1), repeat=len(objects)))
-    return MechanismSpace(agents, objects, profiles, capacities)
 
 
 # --- allocation arrays -----------------------------------------------------------

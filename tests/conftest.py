@@ -7,6 +7,7 @@ against an independent implementation.
 
 from __future__ import annotations
 
+import itertools
 import random
 import string
 
@@ -15,10 +16,13 @@ import pytest
 import numpy as np
 
 from lexichoice import (
+    AllocationProblem,
     ChoiceTable,
+    MechanismSpace,
     PriorityOrdering,
     PriorityProfile,
     Problem,
+    all_preferences,
     make_universe,
 )
 
@@ -35,6 +39,28 @@ def random_ordering(rng: random.Random, n: int) -> PriorityOrdering:
 
 def random_profile(rng: random.Random, n: int) -> PriorityProfile:
     return PriorityProfile(tuple(random_ordering(rng, n) for _ in range(n)))
+
+
+def sampled_space(agents, objects, n_profiles: int, seed: int) -> MechanismSpace:
+    """A seeded sample of preference profiles, with every capacity vector.
+
+    A sample may list a profile twice and lacks most unilateral misreports,
+    so the checkers append the problems it misses.
+    """
+    agents, objects = tuple(agents), tuple(objects)
+    rng = random.Random(seed)
+    prefs = all_preferences(objects)
+    profiles = tuple(
+        tuple(prefs[rng.randrange(len(prefs))] for _ in agents)
+        for _ in range(n_profiles)
+    )
+    capacities = tuple(itertools.product(range(len(agents) + 1), repeat=len(objects)))
+    return MechanismSpace(agents, objects, profiles, capacities)
+
+
+def space_problems(space) -> list[AllocationProblem]:
+    """Every problem of ``space``: profiles in order, capacity vectors within."""
+    return [AllocationProblem(p, c) for p in space.profiles for c in space.capacities]
 
 
 # --- naive oracles -------------------------------------------------------------

@@ -36,7 +36,6 @@ from lexichoice import (
     make_family,
     materialize,
     replay_witness,
-    revealed_pref,
 )
 from lexichoice.core import iter_bits, popcount
 from lexichoice.casebook import (
@@ -151,6 +150,12 @@ def test_replay_rejects_fabricated_witness():
     t = switching_rule_table()
     fake = {"S": ["a", "b"], "q": 1, "alt": "a"}
     assert not replay_witness(t, "monotonicity", fake)
+    # removing a itself drops a from any table, gross substitutes or not
+    u = universe(3)
+    abc = materialize(Responsive(PriorityOrdering((0, 1, 2))), u)
+    assert check_gross_substitutes(abc).ok
+    fake = {"S": ["a", "b"], "q": 1, "a": "a", "b": "a"}
+    assert not replay_witness(abc, "gross_substitutes", fake)
     with pytest.raises(ValueError):
         replay_witness(t, "no_such_axiom", {})
 
@@ -251,33 +256,6 @@ def test_cwarp_alternative_formulation_agrees(rng):
         assert ok == _cwarp_pairwise_holds(t)
         verdicts.add(ok)
     assert verdicts == {True, False}
-
-
-def test_revealed_pref_responsive_follows_ordering(rng):
-    n = 3
-    u = universe(n)
-    ordering = PriorityOrdering((0, 1, 2))
-    t = materialize(Responsive(ordering), u)
-    wit = revealed_pref(t, 2)
-    assert wit.shape == (n, n) and wit.any()
-    for a, b in np.argwhere(wit):
-        assert ordering.rank.index(a) < ordering.rank.index(b)
-    # acyclic by asymmetry of the ordering
-    assert not (wit & wit.T).any()
-    with pytest.raises(ValueError):
-        revealed_pref(t, 1)
-    with pytest.raises(ValueError):
-        revealed_pref(t, 4)
-
-
-def test_switching_rule_revealed_cycle():
-    t = switching_rule_table()
-    u = t.universe
-    wit = revealed_pref(t, 2)
-    b, c = u.index("b"), u.index("c")
-    # the first witnessing sets, as check_cwarp reports them
-    assert wit[b, c] == u.mask_of("abcd")
-    assert wit[c, b] == u.mask_of("abc")
 
 
 def test_path_independence_follows_cf_gs(rng):

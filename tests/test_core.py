@@ -1,6 +1,14 @@
+import builtins
+import importlib
+import pkgutil
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lexichoice
 from lexichoice import (
     ChoiceTable,
     DomainError,
@@ -194,3 +202,33 @@ def test_table_rows_are_built_once_and_readonly():
     with pytest.raises(ValueError):
         rows[1, 0] = 3
     assert t == ChoiceTable(t.universe, set_major(t))  # rows take no part in equality
+
+
+def _resolves(name: str) -> bool:
+    """Whether the dotted ``name`` is an attribute path from the package,
+    one of its modules or public classes, the builtins or a standard-library
+    module; a ``lexichoice.`` prefix is allowed."""
+    parts = name.removeprefix("lexichoice.").split(".")
+    if parts[0] in sys.stdlib_module_names:
+        roots = [importlib.import_module(parts.pop(0))]
+    else:
+        modules = [
+            importlib.import_module(f"lexichoice.{m.name}")
+            for m in pkgutil.iter_modules(lexichoice.__path__)
+        ]
+        classes = [v for v in vars(lexichoice).values() if isinstance(v, type)]
+        roots = [lexichoice, builtins, *modules, *classes]
+    for obj in roots:
+        for part in parts:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_names_only_existing_functions():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`((?:\w+\.)*\w+)\(", readme))
+    assert len(names) > 20
+    # one-letter names are notation, such as C(S, q)
+    assert sorted(n for n in names if len(n) > 1 and not _resolves(n)) == []

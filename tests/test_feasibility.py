@@ -8,20 +8,17 @@ from lexichoice import (
     FeasibilityFamily,
     PriorityProfile,
     Problem,
-    agent_partition_family,
     check_csarp,
     check_f_capacity_filling,
     check_monotonicity,
     extract_flex_profile,
-    f_revealed_pref,
     flex_materialize,
     make_family,
-    make_universe,
     ordering_from_labels,
     replay_f_witness,
 )
 from lexichoice.core import ChoiceTable, iter_bits, popcount
-from lexichoice.feasibility import FChoiceTable
+from lexichoice.feasibility import FChoiceTable, _augment_table, _f_edges
 
 from conftest import (
     mask_of,
@@ -77,19 +74,6 @@ def test_membership_array_matches_contains(rng):
             arr = f.membership_array()
             for mask in range(1 << n):
                 assert bool(arr[mask]) == (mask in f)
-
-
-def test_agent_partition_family():
-    u = make_universe(["a1", "a2", "b1", "c1", "c2"])
-    f = agent_partition_family(u, [["a1", "a2"], ["b1"], ["c1", "c2"]])
-    assert u.mask_of(["a1", "b1", "c2"]) in f
-    assert u.mask_of(["a1", "a2"]) not in f
-    with pytest.raises(ValueError):
-        agent_partition_family(u, [["a1"], ["b1"], ["c1", "c2"]])  # no cover
-    with pytest.raises(ValueError):
-        agent_partition_family(
-            u, [["a1", "a2"], ["a2", "b1"], ["c1", "c2"]]
-        )  # overlap
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -194,31 +178,22 @@ def test_csarp_cycle_witness_on_perturbed_flex_table():
     assert rep.witness == {"q": 1, "cycle": ["b", "c", "d", "b"]}
     assert replay_f_witness(t, "csarp", rep.witness)
     assert not replay_f_witness(t, "csarp", {"q": 1, "cycle": ["b", "d", "c", "b"]})
+    # on a table that passes, a lone alternative closes no cycle and an
+    # empty list names none
+    clean = flex_materialize(profile, f, u)
+    assert check_csarp(clean).ok
+    for cycle in (["a"], []):
+        assert not replay_f_witness(clean, "csarp", {"q": 1, "cycle": cycle})
     with pytest.raises(ExtractionError) as err:
         extract_flex_profile(t)
     assert str(err.value) == "revealed preference at capacity 1 is cyclic"
     assert err.value.step == "capacity 1"
 
 
-def test_f_revealed_pref_uses_feasibility_gate(rng):
-    n = 3
-    u = universe(n)
-    f = make_family(u, ["ab", "c"])
-    t = flex_materialize(random_profile(rng, n), f, u)
-    for q in range(1, n + 1):
-        wit = f_revealed_pref(t, q)
-        for a, b in np.argwhere(wit):
-            s = int(wit[a, b])
-            prev = t.choose(Problem(s, q - 1)) if q > 1 else 0
-            assert (prev | (1 << b)) in f
-    with pytest.raises(ValueError):
-        f_revealed_pref(t, 0)
-
-
-def _f_revealed_pref_loops(c, q):
-    # Per-set loop: edge (a, b) with a new at q, b present but unchosen at
-    # q-1 and q, and C(S, q-1) plus b feasible; witness = first such S.
-    witnesses = {}
+def _f_edges_loops(c, q):
+    # Per-set loop: edge (a, b) when some S has a new at q, b present but
+    # unchosen at q-1 and q, and C(S, q-1) plus b feasible.
+    edges = set()
     for s in range(1, 1 << c.n):
         prev = int(c.cols[q - 1, s])
         cur = int(c.cols[q, s])
@@ -226,13 +201,13 @@ def _f_revealed_pref_loops(c, q):
         rej = (s & ~cur) & ~prev
         for a in members_of(new):
             for b in members_of(rej):
-                if (a, b) not in witnesses and (prev | (1 << b)) in c.family:
-                    witnesses[(a, b)] = s
-    return witnesses
+                if (prev | (1 << b)) in c.family:
+                    edges.add((a, b))
+    return edges
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_f_revealed_pref_matches_loop_oracle(rng, n):
+def test_f_edges_match_loop_oracle(rng, n):
     u = universe(n)
     for trial in range(20):
         f = random_family(rng, n)
@@ -244,11 +219,14 @@ def test_f_revealed_pref_matches_loop_oracle(rng, n):
                 q = rng.randrange(1, n + 1)
                 entries[s, q] = s & rng.randrange(1 << n)
         t = FChoiceTable(u, f, entries)
+        augment = _augment_table(t)
         for q in range(1, n + 1):
-            wit = f_revealed_pref(t, q)
-            want = _f_revealed_pref_loops(t, q)
-            assert wit.shape == (n, n)
-            assert {(int(a), int(b)): int(wit[a, b]) for a, b in np.argwhere(wit)} == want
+            edges = _f_edges(t, q, augment)
+            assert edges.shape == (n, n)
+            assert {(int(a), int(b)) for a, b in np.argwhere(edges)} == _f_edges_loops(t, q)
+    for q in (0, n + 1):
+        with pytest.raises(ValueError):
+            _f_edges(t, q, augment)
 
 
 def _f_capacity_filling_loop(c):

@@ -19,8 +19,6 @@ from lexichoice import (
     extract_responsive,
     materialize,
     ordering_from_labels,
-    profiles_equivalent,
-    residual_sets,
 )
 from lexichoice.identify import linear_extension
 from lexichoice.casebook import (
@@ -42,7 +40,6 @@ def test_lex_round_trip(rng, n):
         t = materialize(Lexicographic(profile), u)
         recovered = extract_lex_profile(t)
         assert materialize(Lexicographic(recovered), u) == t
-        assert profiles_equivalent(t, profile, recovered)
 
 
 def test_first_ordering_is_forced(rng):
@@ -54,50 +51,6 @@ def test_first_ordering_is_forced(rng):
         recovered = extract_lex_profile(t)
         # the first ordering is identified exactly by capacity-1 peeling
         assert recovered.orderings[0] == profile.orderings[0]
-
-
-def test_residual_sets():
-    u = universe(3)
-    t = materialize(Responsive(ordering_from_labels(u, "abc")), u)
-    res = residual_sets(t)
-    assert res.at(1) == u.mask_of("abc")
-    assert res.at(2) == u.mask_of("bc")
-    assert res.at(3) == u.mask_of("c")
-    with pytest.raises(ExtractionError):
-        residual_sets(constant_singleton_table())
-
-
-def test_profiles_equivalent_last_ordering_redundant(rng):
-    n = 4
-    u = universe(n)
-    profile = random_profile(rng, n)
-    t = materialize(Lexicographic(profile), u)
-    replaced = PriorityProfile(
-        profile.orderings[:-1] + (random_ordering(rng, n),)
-    )
-    assert profiles_equivalent(t, profile, replaced)
-    assert materialize(Lexicographic(replaced), u) == t
-
-
-def test_profiles_equivalent_matches_behavioral_oracle(rng):
-    n = 4
-    u = universe(n)
-    for _ in range(40):
-        p1 = random_profile(rng, n)
-        p2 = random_profile(rng, n)
-        t = materialize(Lexicographic(p1), u)
-        behavioral = materialize(Lexicographic(p2), u) == t
-        assert profiles_equivalent(t, p1, p2) == behavioral
-    with pytest.raises(ValueError):
-        p1 = random_profile(rng, n)
-        t = materialize(Lexicographic(p1), u)
-        wrong = PriorityProfile(
-            (PriorityOrdering(tuple(reversed(p1.orderings[0].rank))),)
-            + p1.orderings[1:]
-        )
-        if materialize(Lexicographic(wrong), u) == t:
-            raise ValueError("degenerate draw")  # pragma: no cover
-        profiles_equivalent(t, wrong, p1)
 
 
 def test_extract_fails_on_non_lexicographic_tables():
@@ -211,7 +164,7 @@ def test_rotating_equivalent_to_alternating_profile():
     recovered = extract_lex_profile(t)
     alternating = PriorityProfile((w, o, w, o, w))
     assert materialize(Lexicographic(alternating), u) == t
-    assert profiles_equivalent(t, alternating, recovered)
+    assert materialize(Lexicographic(recovered), u) == t
 
 
 def _closure_extension(n, edges):
@@ -246,10 +199,10 @@ def test_linear_extension_matches_closure_oracle(rng, n):
         density = rng.random() * 0.5
         edges = {p for p in pairs if rng.random() < density}
         want = _closure_extension(n, edges)
-        wit = np.zeros((n, n), dtype=np.int64)
+        matrix = np.zeros((n, n), dtype=bool)
         for a, b in edges:
-            wit[a, b] = rng.randrange(1, 1 << n)  # any witness marks an edge
-        got = linear_extension(wit)
+            matrix[a, b] = True
+        got = linear_extension(matrix)
         if want is None:
             seen["cyclic"] += 1
             assert len(got) < n

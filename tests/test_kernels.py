@@ -22,7 +22,6 @@ from lexichoice import (
     materialize,
 )
 from lexichoice import ChoiceTable, FChoiceTable, MAX_ALTERNATIVES, _kernels, make_family
-from lexichoice.axioms import first_witnesses
 
 from conftest import random_ordering, random_profile, set_major, universe
 
@@ -87,22 +86,6 @@ def _flex_fill_loops(n, keys, feas, table):
             table[s, q] = _flex_choice(n, keys, feas, s, q)
 
 
-def _chosen_over_wit_loops(n, table, q, wit):
-    # wit[a, b] = first set S (ascending) with a chosen and b rejected at
-    # capacity q; 0 means no such S.
-    size = 1 << n
-    for s in range(1, size):
-        c = table[s, q]
-        r = s & ~c
-        if r == 0:
-            continue
-        for a in range(n):
-            if (c >> a) & 1:
-                for b in range(n):
-                    if (r >> b) & 1 and wit[a, b] == 0:
-                        wit[a, b] = s
-
-
 def _chosen_over_wit_columns_loops(n, chosen, rejected):
     # first S (ascending, row 0 included) with a in chosen[S] and b in
     # rejected[S]; a first S of 0 reads as no witness, as in the kernel
@@ -129,24 +112,6 @@ def _chosen_over_edges_loops(n, chosen, rejected):
                     if (rejected[s] >> b) & 1:
                         edges[a, b] = True
     return edges
-
-
-def _revealed_wit_loops(n, table, q, wit):
-    # wit[a, b] = first S with a,b not chosen at q-1, a chosen at q and b
-    # rejected at q; 0 means no such S.  Requires q >= 2.
-    size = 1 << n
-    for s in range(1, size):
-        prev = table[s, q - 1]
-        c = table[s, q]
-        new = c & ~prev
-        r = (s & ~c) & ~prev
-        if new == 0 or r == 0:
-            continue
-        for a in range(n):
-            if (new >> a) & 1:
-                for b in range(n):
-                    if (r >> b) & 1 and wit[a, b] == 0:
-                        wit[a, b] = s
 
 
 def _gs_first_violation_loops(n, table, out):
@@ -414,59 +379,6 @@ def test_flex_fill_agrees_on_lexicographic_keys(n):
         assert np.array_equal(_kernels.cwlex_fill(n, keys, feas).T, want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_witness_kernels_agree(rng, n):
-    for _ in range(20):
-        table = _random_table(rng, n)
-        masks = np.arange(1 << n, dtype=np.int64)
-        for q in range(1, n + 1):
-            prev, cur = table[:, q - 1], table[:, q]
-            want = np.zeros((n, n), dtype=np.int64)
-            _chosen_over_wit_loops(n, table, q, want)
-            got = first_witnesses(n, cur, masks & ~cur)
-            assert np.array_equal(got, want)
-            if q >= 2:
-                want = np.zeros((n, n), dtype=np.int64)
-                _revealed_wit_loops(n, table, q, want)
-                got = first_witnesses(n, cur & ~prev, masks & ~cur & ~prev)
-                assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_chosen_over_wit_agrees_on_arbitrary_columns(n):
-    # columns that no table produces: row 0 set, chosen and rejected
-    # overlapping, bits that come back after their first set
-    rng = np.random.default_rng(n)
-    size = 1 << n
-    last = size - 1
-
-    def agree(chosen, rejected):
-        want = _chosen_over_wit_columns_loops(n, chosen, rejected)
-        assert np.array_equal(first_witnesses(n, chosen, rejected), want)
-        return want
-
-    for _ in range(10):
-        chosen = rng.integers(0, size, size, dtype=np.int64)
-        rejected = rng.integers(0, size, size, dtype=np.int64)
-        agree(chosen, rejected)
-        agree(chosen, chosen | rejected)  # every chosen alternative also rejected
-        # an all-zero chosen column has no witness at all
-        assert not agree(np.zeros(size, dtype=np.int64), rejected).any()
-        # a pair whose only witness is the last set
-        a, b = (int(x) for x in rng.integers(0, n, 2))
-        lone = np.where((chosen >> a) & 1 == 1, rejected & ~(1 << b), rejected)
-        lone[last] |= 1 << b
-        with_a = chosen.copy()
-        with_a[last] |= 1 << a
-        assert agree(with_a, lone)[a, b] == last
-    # the same pair in every set: each bit reappears after its first set
-    chosen = np.full(size, size - 1, dtype=np.int64)
-    wit = agree(chosen, chosen)
-    assert not wit.any()  # first witnessed at S = 0, which reads as none
-    chosen[0] = 0
-    assert (agree(chosen, chosen) == 1).all()
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_augmentations_agree(n):
     rng = random.Random(f"augmentations-{n}")
@@ -514,13 +426,11 @@ def test_chosen_over_edges_agree_on_arbitrary_columns(n):
         agree(chosen, chosen | rejected)
         agree(chosen, rejected | (rejected << n))
         assert not agree(np.zeros(size, dtype=np.int64), rejected).any()
-    # a pair witnessed only at S = 0 is an edge, though it has no first
-    # witness in first_witnesses' reading
+    # a pair witnessed only at S = 0 is an edge
     chosen = np.zeros(size, dtype=np.int64)
     chosen[0] = 1
     rejected = np.full(size, size - 1, dtype=np.int64)
     assert agree(chosen, rejected)[0].all()
-    assert not first_witnesses(n, chosen, rejected).any()
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ALTERNATIVES + 1))

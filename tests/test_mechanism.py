@@ -31,7 +31,6 @@ from lexichoice import (
     exhaustive_space,
     find_impossibility_witness,
     make_universe,
-    sampled_space,
     single_object_space,
 )
 from lexichoice.core import iter_bits
@@ -57,7 +56,9 @@ from conftest import (
     prefers,
     random_ordering,
     random_profile,
+    sampled_space,
     set_major,
+    space_problems,
     table_from_function,
     weakly_prefers,
 )
@@ -132,7 +133,7 @@ def test_da_mechanism_call_is_da_allocate():
     """Called on one problem, a DAMechanism runs da_allocate; it keeps no memo."""
     cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
     mech = DAMechanism(cs)
-    for prob in exhaustive_space(("i", "j"), ("x", "y")).problems():
+    for prob in space_problems(exhaustive_space(("i", "j"), ("x", "y"))):
         assert mech(prob) == da_allocate(cs, prob)
     assert vars(mech) == {"structure": cs}
 
@@ -141,7 +142,7 @@ def test_spaces():
     ex = exhaustive_space(("i", "j"), ("x",))
     assert len(ex.profiles) == 4
     assert len(ex.capacities) == 3
-    assert len(list(ex.problems())) == 12
+    assert len(space_problems(ex)) == 12
     so = single_object_space(("i", "j", "k"), ("x", "y"))
     assert all(sum(1 for q in caps if q > 0) == 1 for caps in so.capacities)
     s1 = sampled_space(("i", "j"), ("x", "y"), 20, seed=7)
@@ -790,7 +791,7 @@ def _truncation_invariance_loop(m, space):
 
 def _strategy_proofness_loop(m, space):
     deviations = all_preferences(space.objects)
-    for prob in space.problems():
+    for prob in space_problems(space):
         alloc = m(prob)
         for i, pref in enumerate(prob.preferences):
             for dev in deviations:
@@ -814,7 +815,7 @@ def _strategy_proofness_loop(m, space):
 
 
 def _weak_non_wastefulness_loop(m, space):
-    for prob in space.problems():
+    for prob in space_problems(space):
         alloc = m(prob)
         filled = {x: sum(1 for a in alloc if a == x) for x in space.objects}
         for i, a_i in enumerate(alloc):
