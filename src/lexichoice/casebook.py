@@ -140,8 +140,7 @@ def exception_patch_table() -> ChoiceTable:
 WALK_5 = "abcde"
 OPEN_5 = "ebdca"
 WALK_6 = "abcdxy"
-OPEN_6 = "bcyxda"  # this ranking fixture lists only five; the remaining
-#                    alternative is placed last
+OPEN_6 = "bcyxda"
 
 
 def walk_open_rule_5():

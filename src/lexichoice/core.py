@@ -132,9 +132,10 @@ def _first_invalid(n: int, cols: np.ndarray) -> str | None:
 
 
 def _narrow(n: int, entries) -> np.ndarray:
-    """A set-major matrix ``entries[S, q]`` as a new ``(n+1, 2**n)`` uint16
-    array; an entry that is negative or has a bit at or above n is refused
-    with the error :meth:`ChoiceTable.validate` would raise on the matrix."""
+    """A set-major integer matrix ``entries[S, q]`` as a new ``(n+1, 2**n)``
+    uint16 array; a matrix of any other dtype (float, bool, str) is refused,
+    and an entry that is negative or has a bit at or above n is refused with
+    the error :meth:`ChoiceTable.validate` would raise on the matrix."""
     entries = np.asarray(entries)
     size = 1 << n
     if entries.shape != (size, n + 1):
@@ -142,7 +143,7 @@ def _narrow(n: int, entries) -> np.ndarray:
             f"entries must have shape {(size, n + 1)}, got {entries.shape}"
         )
     if entries.dtype.kind not in "iu":
-        entries = entries.astype(np.int64)
+        raise ValueError(f"entries must be integers, got dtype {entries.dtype}")
     if np.bitwise_or.reduce(entries, axis=None) >> n:  # a negative entry too
         raise ValueError(_first_invalid(n, entries.astype(np.int64).T))
     return entries.astype(np.uint16).T.copy()
@@ -156,10 +157,11 @@ class ChoiceTable:
     capacity is one contiguous column.  Row 0 holds C(S, 0), the empty set
     (the C(S, 0) = empty-set convention), and column 0 (S = 0) is unused.
 
-    A table is built from ``entries``, a set-major int matrix
-    ``entries[S, q]`` of shape ``(2**n, n+1)``, narrowed into a new array:
-    an entry that is negative or has a bit at or above n is refused with
-    the ``ValueError`` that :meth:`validate` would raise on the matrix.  Or
+    A table is built from ``entries``, a set-major matrix ``entries[S, q]``
+    of shape ``(2**n, n+1)`` and an integer dtype, narrowed into a new array:
+    a matrix of any other dtype is refused, and an entry that is negative or
+    has a bit at or above n is refused with the ``ValueError`` that
+    :meth:`validate` would raise on the matrix.  Or
     it is built from ``cols``, a fill's own array in this layout, whose
     entries are subsets of their sets: a C-contiguous uint16 array that owns
     its data is frozen in place (made read-only), and any other is copied.

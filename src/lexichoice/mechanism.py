@@ -38,7 +38,7 @@ from .axioms import (
     check_monotonicity,
 )
 from .core import Problem, Universe, iter_bits
-from .rules import ChoiceRule, TableRule, materialize
+from .rules import ChoiceRule, materialize
 
 Preference = tuple  # ranking of objects + None, best first
 Allocation = tuple  # per-agent assigned object name or None
@@ -56,11 +56,12 @@ class AllocationProblem:
 class ChoiceStructure:
     """One choice rule per object, all over the agent universe.
 
-    It keeps each object's table once materialized, and the deferred
-    acceptance allocation of the last space that it allocated whole
-    (:func:`allocations`), found again by the identity of the space and
-    read-only.  A space's arrays and the structure's tables do not change
-    once read, so that allocation cannot go stale.
+    Every object's table is materialized when the structure is built, so a
+    rule over other agents is refused there.  The structure also keeps the
+    deferred acceptance allocation of the last space that it allocated
+    whole (:func:`allocations`), found again by the identity of the space
+    and read-only.  A space's arrays and the structure's tables do not
+    change once read, so that allocation cannot go stale.
     """
 
     agents: Universe
@@ -71,24 +72,12 @@ class ChoiceStructure:
         self.objects = _distinct(self.objects)
         if set(self.rules) != set(self.objects):
             raise ValueError("rules must cover exactly the object set")
-        self._tables = {}
+        self._tables = {x: materialize(self.rules[x], self.agents) for x in self.objects}
         self._allocated = (None, None)  # (space, its read-only slots)
 
     def table(self, obj: str):
-        """The object's choice table, materialized on first use.
-
-        A ``TableRule`` table is validated then: deferred acceptance relies on
-        every choice being a subset of its pool, so that an agent is held by
-        at most one object.  Ordering rules yield valid tables by construction.
-        """
-        table = self._tables.get(obj)
-        if table is None:
-            rule = self.rules[obj]
-            table = materialize(rule, self.agents)
-            if isinstance(rule, TableRule):
-                table.validate()
-            self._tables[obj] = table
-        return table
+        """The object's choice table."""
+        return self._tables[obj]
 
 
 def validate_preference(pref: Preference, objects: tuple[str, ...]) -> None:
@@ -163,8 +152,7 @@ def da_allocate(
     object that got applicants maps to their sorted labels, keyed in the
     order of their lowest applicant.  Raises ``ValueError`` on a malformed
     problem (not one ranking per agent, or not one capacity in 0..n per
-    object) and, through ``ChoiceStructure.table``, on an invalid
-    ``TableRule`` table.
+    object).
     """
     require_problem(prob, cs.agents.n, cs.objects)
     space = MechanismSpace(cs.agents.labels, cs.objects, (prob.preferences,), (prob.capacities,))
@@ -305,7 +293,7 @@ def _da_slots(
     at = np.repeat(pidx * (n_obj + 1) - 1, n_caps, axis=0)
     held = np.zeros((total, n_obj), dtype=mask_t)
     free = np.full(total, cs.agents.full_mask, dtype=mask_t)
-    tables = [None] * n_obj
+    tables = [cs.table(x).cols for x in objects]  # row 0, read at q = 0, is empty
     limit = n * n_obj + 1
     for _ in range(limit):
         if not problem.size:
@@ -324,13 +312,7 @@ def _da_slots(
             if rounds is not None:
                 applied[objects[x]] = int(new[0])
             pool = held[rows, x] | new[rows]
-            q = caps[cap_row[rows], x]
-            if tables[x] is None and q.any():  # a table is read only at q > 0
-                tables[x] = cs.table(objects[x]).cols  # row 0 is empty
-            accepted = (
-                tables[x][q, pool].astype(mask_t, copy=False) if tables[x] is not None
-                else np.zeros_like(pool)
-            )
+            accepted = tables[x][caps[cap_row[rows], x], pool].astype(mask_t, copy=False)
             held[rows, x] = accepted
             rejected[rows] |= pool & ~accepted
         if rounds is not None:
@@ -409,8 +391,7 @@ def allocations(m: Mechanism, space: MechanismSpace) -> np.ndarray:
     order) are not its structure's; its structure keeps the array of the
     last space it allocated, so that every checker of a sweep over one
     space reads the same array.  Any other mechanism is called once per
-    problem.  A ``TableRule`` table that deferred acceptance reads is
-    validated.  The array is read-only.
+    problem.  The array is read-only.
     """
     return _allocate(m, space)
 

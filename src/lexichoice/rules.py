@@ -119,7 +119,15 @@ class CapacityWise:
 
 @dataclass(frozen=True)
 class TableRule:
+    """A rule given by its table, which is validated when the rule is built:
+    deferred acceptance relies on every choice being a subset of its pool,
+    so that an agent is held by at most one object.  The ordering kinds
+    yield valid tables by construction."""
+
     table: ChoiceTable
+
+    def __post_init__(self):
+        self.table.validate()
 
 
 ChoiceRule = Lexicographic | Responsive | CapacityWise | TableRule

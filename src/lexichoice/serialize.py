@@ -37,7 +37,7 @@ from .feasibility import (
     flex_materialize,
     make_family,
 )
-from .mechanism import AllocationProblem, ChoiceStructure
+from .mechanism import AllocationProblem, ChoiceStructure, require_problem
 from .rules import (
     BOSTON_BUILDERS,
     CapacityWise,
@@ -230,6 +230,10 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _is_labels(x) -> bool:
+    return isinstance(x, list) and all(isinstance(lab, str) for lab in x)
+
+
 def _ordering(u: Universe, labels, where: str) -> PriorityOrdering:
     if not isinstance(labels, list):
         raise SpecError(f"{where}: ordering must be a list of labels")
@@ -250,8 +254,8 @@ def _profile(u: Universe, rows, where: str) -> PriorityProfile:
 _NOT_INT64 = "rule: entries must be rows of 64-bit integers"
 
 
-def _table(u: Universe, rows) -> ChoiceTable:
-    """The validated table of a ``table`` rule's ``entries``.
+def _table(u: Universe, rows) -> TableRule:
+    """The rule of a ``table`` rule's ``entries``, whose table it validates.
 
     Types are tested on the few distinct types of the rows and of their
     entries (int subclasses pass, bool does not); ``np.array`` decides the
@@ -276,47 +280,47 @@ def _table(u: Universe, rows) -> ChoiceTable:
             raise SpecError(_NOT_INT64) from None
         raise SpecError(f"rule: bad entries matrix: {e}") from None
     try:
-        table = ChoiceTable(u, entries)
-        table.validate()
+        return TableRule(ChoiceTable(u, entries))
     except ValueError as e:
         raise SpecError(f"rule: {e}") from None
-    return table
 
 
 def parse_spec(obj: dict) -> RuleSpec:
     """Parse and validate a rule-spec dict; raises :class:`SpecError`."""
-    u, rule, flex_profile, family = _parse_rule_spec(obj)
+    if not isinstance(obj, dict):
+        raise SpecError("spec must be a JSON object")
+    u = _universe(_require(obj, "universe", "spec"), "spec")
+    rule, flex_profile, family = _rule(u, _require(obj, "rule", "spec"))
     digest = spec_digest({**obj, "rule": _with_table(obj["rule"], rule)})
     return RuleSpec(u, rule, flex_profile, family, digest)
 
 
-def _parse_rule_spec(obj: dict):
-    """``parse_spec`` without the digest: (universe, rule, flex profile,
-    feasibility family)."""
-    if not isinstance(obj, dict):
-        raise SpecError("spec must be a JSON object")
-    labels = _require(obj, "universe", "spec")
+def _universe(labels, where: str) -> Universe:
+    """The universe of ``labels``, a nonempty list of distinct strings."""
     if (
         not isinstance(labels, list)
         or not labels
         or not all(isinstance(x, str) for x in labels)
     ):
-        raise SpecError("spec: universe must be a nonempty list of strings")
+        raise SpecError(f"{where}: universe must be a nonempty list of strings")
     try:
-        u = make_universe(labels)
+        return make_universe(labels)
     except ValueError as e:
-        raise SpecError(f"spec: {e}") from None
-    rule_obj = _require(obj, "rule", "spec")
+        raise SpecError(f"{where}: {e}") from None
+
+
+def _rule(u: Universe, rule_obj):
+    """(rule, flex profile, feasibility family) of a rule object over ``u``."""
     if not isinstance(rule_obj, dict):
         raise SpecError("spec: rule must be an object")
     kind = _require(rule_obj, "kind", "rule")
 
     if kind == "lexicographic":
         profile = _profile(u, _require(rule_obj, "profile", "rule"), "profile")
-        return u, Lexicographic(profile), None, None
+        return Lexicographic(profile), None, None
     if kind == "responsive":
         ordering = _ordering(u, _require(rule_obj, "ordering", "rule"), "ordering")
-        return u, Responsive(ordering), None, None
+        return Responsive(ordering), None, None
     if kind == "capacity_wise":
         rows = _require(rule_obj, "lists", "rule")
         if not isinstance(rows, list) or len(rows) != u.n:
@@ -333,7 +337,7 @@ def _parse_rule_spec(obj: dict):
             )
         except (TypeError, ValueError) as e:
             raise SpecError(f"rule: {e}") from None
-        return u, CapacityWise(lists), None, None
+        return CapacityWise(lists), None, None
     if kind == "boston":
         variant = _require(rule_obj, "variant", "rule")
         if not isinstance(variant, str) or variant not in BOSTON_BUILDERS:
@@ -344,22 +348,19 @@ def _parse_rule_spec(obj: dict):
         w = _ordering(u, _require(rule_obj, "walk", "rule"), "walk")
         o = _ordering(u, _require(rule_obj, "open", "rule"), "open")
         lists = BOSTON_BUILDERS[variant](w, o, u.n)
-        return u, CapacityWise(lists), None, None
+        return CapacityWise(lists), None, None
     if kind == "table":
-        return u, TableRule(_table(u, _require(rule_obj, "entries", "rule"))), None, None
+        return _table(u, _require(rule_obj, "entries", "rule")), None, None
     if kind == "flex":
         profile = _profile(u, _require(rule_obj, "profile", "rule"), "profile")
         sets = _require(rule_obj, "maximal_feasible_sets", "rule")
-        if not isinstance(sets, list) or not all(
-            isinstance(x, list) and all(isinstance(lab, str) for lab in x)
-            for x in sets
-        ):
+        if not isinstance(sets, list) or not all(map(_is_labels, sets)):
             raise SpecError("rule: maximal_feasible_sets must be a list of label lists")
         try:
             family = make_family(u, sets)
         except (KeyError, ValueError) as e:
             raise SpecError(f"rule: {e}") from None
-        return u, None, profile, family
+        return None, profile, family
     raise SpecError(f"rule: unknown kind {kind!r}")
 
 
@@ -380,70 +381,46 @@ def load_spec(path: str) -> RuleSpec:
 
 
 def parse_da_spec(obj) -> tuple[ChoiceStructure, AllocationProblem]:
-    """Parse and validate an allocation-spec dict; raises :class:`SpecError`."""
+    """Parse and validate an allocation-spec dict; raises :class:`SpecError`.
+
+    Only JSON types are checked here.  The structure refuses repeated
+    objects or one named "null", and :func:`~lexichoice.mechanism.require_problem`
+    a problem without one ranking per agent and one capacity in 0..n per
+    object; their errors are raised as :class:`SpecError`.
+    """
     if not isinstance(obj, dict):
         raise SpecError("allocation spec must be a JSON object")
     for key in ("agents", "objects", "rules", "preferences", "capacities"):
         if key not in obj:
             raise SpecError(f"allocation spec: missing field {key!r}")
-    for key in ("agents", "objects"):
-        labels = obj[key]
-        if (
-            not isinstance(labels, list)
-            or not all(isinstance(x, str) for x in labels)
-            or len(set(labels)) != len(labels)
-        ):
-            raise SpecError(
-                f"allocation spec: {key} must be a list of distinct strings"
-            )
-    if "null" in obj["objects"]:
-        raise SpecError('allocation spec: "null" names the null object')
-    agents = make_universe(obj["agents"])
-    objects = tuple(obj["objects"])
-    if not isinstance(obj["rules"], dict):
+    agents = _universe(obj["agents"], "allocation spec: agents")
+    objects, rule_objs = obj["objects"], obj["rules"]
+    if not _is_labels(objects):
+        raise SpecError("allocation spec: objects must be a list of strings")
+    if not isinstance(rule_objs, dict):
         raise SpecError("allocation spec: rules must be an object")
     rules = {}
     for x in objects:
-        if x not in obj["rules"]:
+        if x not in rule_objs:
             raise SpecError(f"allocation spec: no rule for object {x!r}")
-        _, rule, flex_profile, _ = _parse_rule_spec(
-            {"universe": obj["agents"], "rule": obj["rules"][x]}
-        )
+        rules[x], flex_profile, _ = _rule(agents, rule_objs[x])
         if flex_profile is not None:
             raise SpecError("allocation spec: flex rules are not supported here")
-        rules[x] = rule
-    prefs_raw = obj["preferences"]
-    if (
-        not isinstance(prefs_raw, list)
-        or len(prefs_raw) != agents.n
-        or not all(
-            isinstance(row, list) and all(isinstance(lab, str) for lab in row)
-            for row in prefs_raw
-        )
-    ):
-        raise SpecError(
-            f"allocation spec: preferences must list exactly {agents.n} "
-            "rankings of labels"
-        )
-    prefs = tuple(
-        tuple(None if lab == "null" else lab for lab in row) for row in prefs_raw
+    prefs, caps = obj["preferences"], obj["capacities"]
+    if not isinstance(prefs, list) or not all(map(_is_labels, prefs)):
+        raise SpecError("allocation spec: preferences must be a list of label lists")
+    if not isinstance(caps, list):
+        raise SpecError("allocation spec: capacities must be a list")
+    prob = AllocationProblem(
+        tuple(tuple(None if lab == "null" else lab for lab in row) for row in prefs),
+        tuple(caps),
     )
-    caps = obj["capacities"]
-    if (
-        not isinstance(caps, list)
-        or len(caps) != len(objects)
-        or not all(
-            isinstance(q, int) and not isinstance(q, bool) and 0 <= q <= agents.n
-            for q in caps
-        )
-    ):
-        raise SpecError(
-            "allocation spec: capacities must list one integer in "
-            f"0..{agents.n} per object"
-        )
-    return ChoiceStructure(agents, objects, rules), AllocationProblem(
-        prefs, tuple(caps)
-    )
+    try:
+        cs = ChoiceStructure(agents, objects, rules)
+        require_problem(prob, agents.n, cs.objects)
+    except ValueError as e:
+        raise SpecError(str(e)) from None
+    return cs, prob
 
 
 def ordering_labels(u: Universe, ordering: PriorityOrdering) -> list[str]:

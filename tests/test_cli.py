@@ -187,21 +187,39 @@ def test_da_command(tmp_path, capsys):
 
 
 def test_da_input_errors(tmp_path, capsys):
-    bad = dict(DA_SPEC)
-    del bad["capacities"]
-    path = _write(tmp_path, "bad.json", bad)
-    code, _, err = _run(capsys, ["da", path])
-    assert code == 2 and "capacities" in err
+    # the reader checks JSON types; the structure and the problem refuse the
+    # rest with their own messages
+    missing = dict(DA_SPEC)
+    del missing["capacities"]
     null_rules = {"x": DA_SPEC["rules"]["x"], "null": DA_SPEC["rules"]["y"]}
-    for patch, word in [
-        ({"capacities": [True, 1]}, "capacities"),
-        ({"objects": "xy"}, "objects"),
-        ({"objects": ["x", "x"]}, "objects"),
-        ({"objects": ["x", "null"], "rules": null_rules}, "null"),
+    cases = [
+        (["x", "y"], "allocation spec must be a JSON object"),
+        (missing, "allocation spec: missing field 'capacities'"),
+    ]
+    for patch, message in [
+        ({"agents": ["i", "i", "k"]}, "allocation spec: agents: universe labels must be distinct"),
+        ({"agents": []}, "allocation spec: agents: universe must be a nonempty list of strings"),
+        ({"objects": "xy"}, "allocation spec: objects must be a list of strings"),
+        ({"objects": ["x", "x"]}, "objects ('x', 'x') must be distinct names other than None and \"null\""),
+        (
+            {"objects": ["x", "null"], "rules": null_rules},
+            "objects ('x', 'null') must be distinct names other than None and \"null\"",
+        ),
+        ({"rules": [1]}, "allocation spec: rules must be an object"),
+        ({"rules": {"x": DA_SPEC["rules"]["x"]}}, "allocation spec: no rule for object 'y'"),
+        ({"preferences": [["x", "y", 1]]}, "allocation spec: preferences must be a list of label lists"),
+        ({"preferences": DA_SPEC["preferences"][:2]}, "problem lists 2 preferences for 3 agents"),
+        ({"capacities": {"x": 1}}, "allocation spec: capacities must be a list"),
+        ({"capacities": [1]}, "problem lists 1 capacities for 2 objects"),
+        ({"capacities": [True, 1]}, "capacity True of object 'x' is not in 0..3"),
+        ({"capacities": [1, 4]}, "capacity 4 of object 'y' is not in 0..3"),
+        ({"capacities": [1.0, 1]}, "capacity 1.0 of object 'x' is not in 0..3"),
     ]:
-        path = _write(tmp_path, "bad.json", dict(DA_SPEC, **patch))
-        code, out, err = _run(capsys, ["da", path])
-        assert code == 2 and word in err and out == ""
+        cases.append((dict(DA_SPEC, **patch), message))
+    for spec, message in cases:
+        code, out, err = _run(capsys, ["da", _write(tmp_path, "bad.json", spec)])
+        assert (code, out) == (2, ""), spec
+        assert err.splitlines()[0] == f"error: {message}", spec
         assert "Traceback" not in err
 
 
@@ -213,18 +231,25 @@ def test_table_entries_must_be_integers(tmp_path, capsys):
     except ValueError as e:
         bad_matrix = f"rule: bad entries matrix: {e}"
     cases = [
-        ([[0, 0], [0, entry]], not_int64)
+        (["a"], [[0, 0], [0, entry]], not_int64)
         for entry in [1.7, True, 2**63, -(2**63) - 1, 2**64, "1", None, [1]]
     ]
     cases += [
-        ([[0, 0], 5], not_int64),  # a row that is not a list
-        ({"0": [0, 0]}, not_int64),  # entries that is not a list
-        (ragged, bad_matrix),
-        ([[0, 0], [0, 0, 2**63]], not_int64),  # ragged, with an int64 overflow
-        ([[0, 0], [0, 2**63 - 1]], "rule: entry at (S=0x1, q=1) is not a subset of S"),
+        (["a"], [[0, 0], 5], not_int64),  # a row that is not a list
+        (["a"], {"0": [0, 0]}, not_int64),  # entries that is not a list
+        (["a"], ragged, bad_matrix),
+        (["a"], [[0, 0], [0, 0, 2**63]], not_int64),  # ragged, with an int64 overflow
+        (["a"], [[0, 0], [0, 2**63 - 1]], "rule: entry at (S=0x1, q=1) is not a subset of S"),
+        # C({a}, 0) = {a}: every entry is a subset of its set, within its capacity
+        # at q >= 1, but row 0 holds the choices at capacity 0
+        (
+            ["a", "b"],
+            [[0, 0, 0], [1, 1, 1], [0, 2, 2], [0, 1, 3]],
+            "rule: row 0 / column 0 must be empty",
+        ),
     ]
-    for entries, message in cases:
-        spec = {"universe": ["a"], "rule": {"kind": "table", "entries": entries}}
+    for labels, entries, message in cases:
+        spec = {"universe": labels, "rule": {"kind": "table", "entries": entries}}
         code, out, err = _run(capsys, ["check", _write(tmp_path, "t.json", spec)])
         assert (code, out) == (2, ""), entries
         assert err.splitlines()[0] == f"error: {message}", entries
@@ -260,6 +285,33 @@ def test_malformed_flex_sets_and_boston_variant(tmp_path, capsys):
         code, out, err = _run(capsys, ["check", _write(tmp_path, "bad.json", spec)])
         assert code == 2 and out == "" and "Traceback" not in err
         assert "maximal_feasible_sets" in err or "variant" in err
+
+
+def test_rule_spec_input_errors(tmp_path, capsys):
+    profile = LEX_SPEC["rule"]["profile"]
+    for spec, message in [
+        ([LEX_SPEC], "spec must be a JSON object"),
+        (dict(LEX_SPEC, universe=["a", "b", "a"]), "spec: universe labels must be distinct"),
+        (
+            dict(LEX_SPEC, universe=[f"x{i}" for i in range(17)]),
+            "spec: universe of 17 alternatives exceeds the engine bound of 16",
+        ),
+        (
+            dict(LEX_SPEC, rule={"kind": "lexicographic", "profile": profile[:2]}),
+            "profile: profile must list exactly 3 orderings",
+        ),
+        (
+            dict(LEX_SPEC, rule={"kind": "capacity_wise", "lists": [[profile[0]]]}),
+            "rule: lists must have exactly 3 entries",
+        ),
+        (
+            dict(LEX_SPEC, rule={"kind": "flex", "profile": profile, "maximal_feasible_sets": [["a", "z"]]}),
+            "rule: \"unknown alternative 'z'\"",
+        ),
+    ]:
+        code, out, err = _run(capsys, ["check", _write(tmp_path, "bad.json", spec)])
+        assert (code, out) == (2, ""), spec
+        assert err.splitlines()[0] == f"error: {message}", spec
 
 
 def test_boston_report(capsys):

@@ -139,6 +139,18 @@ def test_table_validate_rejects_bad_entries():
             ChoiceTable(u, cols=cols)
 
 
+def test_entries_must_have_an_integer_dtype():
+    # a float entry is not truncated, a numeric string is not parsed and a
+    # bool is not read as a bit: only an integer matrix is narrowed
+    u = universe(2)
+    entries = np.array([[0, 0, 0], [0, 1, 1], [0, 2, 2], [0, 1, 3]])
+    assert ChoiceTable(u, entries.astype(np.uint8)) == ChoiceTable(u, entries)
+    for bad in (entries + 0.7 * (entries == 1), entries.astype(str), entries != 0):
+        with pytest.raises(ValueError) as got:
+            ChoiceTable(u, bad)
+        assert str(got.value) == f"entries must be integers, got dtype {bad.dtype}"
+
+
 def test_table_entries_are_readonly():
     t = _tiny_table()
     with pytest.raises(ValueError):

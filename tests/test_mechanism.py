@@ -327,6 +327,43 @@ def test_full_isd_fails_for_three_objects():
     assert w["demand_after_R"] != w["demand_after_R_prime"]
 
 
+def test_checkers_agree_where_codes_overflow_int64(monkeypatch):
+    """At 16 agents and 3 objects the 24 rankings give profile codes up to
+    24**16 > 2**63, so ``_codes`` reads them as Python ints, and truncation
+    invariance packs 16 * (3 + 1) = 64 bits per allocation row, past int64,
+    so it does the same.  Every checker reports alike through the whole-space
+    DA and through ``da_allocate`` called once per problem, and ISD fails."""
+    rng = random.Random(16)
+    u = make_universe([f"a{k:02d}" for k in range(16)])
+    objects = ("x", "y", "z")
+    cs = ChoiceStructure(u, objects, {x: Lexicographic(random_profile(rng, 16)) for x in objects})
+    w = find_impossibility_witness(cs)
+    i = u.labels.index(w["agent_i"])
+    a, b = w["object_a"], w["object_b"]
+    r, rp = ([tuple(None if x == "null" else x for x in pref) for pref in w[key]] for key in ("R", "R_prime"))
+    truncated = list(r)
+    truncated[i] = (a, None, b) + tuple(x for x in objects if x not in (a, b))
+    space = MechanismSpace(
+        u.labels, objects, (tuple(r), tuple(rp), tuple(truncated)),
+        (tuple(w["capacities"]), tuple(w["capacities_increased"]), (1, 1, 1)),
+    )
+    wide = []
+    codes = mechanism._codes
+
+    def counted(digits, base):
+        out = codes(digits, base)
+        wide.append(out.dtype == object)
+        return out
+
+    monkeypatch.setattr(mechanism, "_codes", counted)
+    for name, check in MECHANISM_CHECKS.items():
+        want = check(DAMechanism(cs), space)
+        assert check(lambda p: da_allocate(cs, p), space) == want, name
+        if name == "irrelevance_of_satisfied_demand":
+            assert want.verdict == "fail"
+    assert any(wide) and not all(wide)
+
+
 # --- malformed problems and tables ---------------------------------------------
 
 
@@ -348,26 +385,31 @@ def test_da_refuses_malformed_problems(prefs, caps):
         da_allocate(cs, AllocationProblem(prefs, caps))
 
 
-def _invalid_table_structure():
-    """C({i}, 1) = {i, j} at x would let x hold j while y holds j too."""
+_INVALID_TABLE_ERROR = "entry at (S=0x1, q=1) is not a subset of S"
+
+
+def _invalid_table():
+    """C({i}, 1) = {i, j}: as the table of x, x could hold j while y holds j too."""
     u = make_universe(("i", "j"))
     entries = set_major(materialize(Responsive(ordering_from_labels(u, ("i", "j"))), u))
     entries[0b01, 1] = 0b11
-    return ChoiceStructure(
-        u,
-        ("x", "y"),
-        {
-            "x": TableRule(ChoiceTable(u, entries)),
-            "y": Responsive(ordering_from_labels(u, ("j", "i"))),
-        },
-    )
+    return ChoiceTable(u, entries)
 
 
 def test_structure_refuses_invalid_table_rule():
-    cs = _invalid_table_structure()
-    prefs = (("x", "y", None), ("y", "x", None))
-    with pytest.raises(ValueError):
-        da_allocate(cs, AllocationProblem(prefs, (1, 1)))
+    """A table rule is refused when it is built, with the error of
+    ``ChoiceTable.validate``, so no structure can hold an invalid table."""
+    table = _invalid_table()
+    with pytest.raises(ValueError) as want:
+        table.validate()
+    assert str(want.value) == _INVALID_TABLE_ERROR
+    with pytest.raises(ValueError) as got:
+        ChoiceStructure(
+            table.universe,
+            ("x", "y"),
+            {"x": TableRule(table), "y": Responsive(ordering_from_labels(table.universe, ("j", "i")))},
+        )
+    assert str(got.value) == str(want.value)
 
 
 # --- deferred acceptance against the loop that rescans placed agents ------------
@@ -610,7 +652,7 @@ _SPACE_ERRORS = {  # per edit of a space, the error that refuses it; None for a 
     "short_profile": "profile 5 of the space is malformed: problem lists 1 preferences for 2 agents",
     # profiles are read first, though the capacity comes first in problem order
     "cap_and_ranking": f"profile 5 of the space is malformed: {_RANKING_ERROR}",
-    "invalid_table": None,
+    "invalid_table": _INVALID_TABLE_ERROR,  # refused by its table rule
     "bad_ranking_no_capacities": f"profile 5 of the space is malformed: {_RANKING_ERROR}",
     "short_profile_no_capacities": "profile 5 of the space is malformed: "
     "problem lists 1 preferences for 2 agents",
@@ -626,7 +668,7 @@ def test_array_da_refuses_malformed_spaces(edit):
     """A space is refused when it is built, directly or through
     ``dataclasses.replace``, with an error that names its first malformed
     profile, else its first malformed capacity vector.  An invalid table is
-    refused by every reader of allocations instead."""
+    refused in the same ways by its table rule, before any allocation."""
     cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
     space = exhaustive_space(("i", "j"), ("x", "y"))
     profiles, capacities = space.profiles, space.capacities
@@ -643,24 +685,21 @@ def test_array_da_refuses_malformed_spaces(edit):
         capacities = capacities[:4] + ((1, True),) + capacities[4:]
     elif edit == "long_capacities":
         capacities = capacities[:4] + ((1, 1, 1),) + capacities[4:]
-    elif edit == "invalid_table":
-        cs = _invalid_table_structure()
-        with pytest.raises(ValueError) as table_error:
-            cs.table("x")
-        for check in (allocations, *MECHANISM_CHECKS.values()):
-            with pytest.raises(ValueError) as got:
-                check(DAMechanism(cs), space)
-            assert str(got.value) == str(table_error.value), check
-        return
-    else:
+    elif edit.endswith("_no_capacities"):
         capacities = ()
         bad = _BAD_RANKING if edit.startswith("bad_ranking") else (("x", "y", None),)
         profiles = profiles[:5] + (bad,) + profiles[5:]
-    want = _SPACE_ERRORS[edit]
-    for build in (
+    builds = (
         lambda: dataclasses.replace(space, profiles=profiles, capacities=capacities),
         lambda: MechanismSpace(space.agents, space.objects, profiles, capacities),
-    ):
+    )
+    if edit == "invalid_table":
+        builds = (
+            lambda: dataclasses.replace(TableRule(cs.table("x")), table=_invalid_table()),
+            lambda: TableRule(_invalid_table()),
+        )
+    want = _SPACE_ERRORS[edit]
+    for build in builds:
         with pytest.raises(ValueError) as got:
             build()
         assert str(got.value) == want
@@ -1132,17 +1171,16 @@ def test_kept_allocation_is_read_only_and_per_space(da_calls):
 
 
 def test_invalid_table_is_refused_on_every_call():
-    """A structure whose TableRule table is invalid raises the same error
-    from every checker, every time: nothing is kept from a failed allocation."""
-    cs = _invalid_table_structure()
-    m = DAMechanism(cs)
-    space = exhaustive_space(("i", "j"), ("x", "y"))
-    with pytest.raises(ValueError) as first:
-        allocations(m, space)
-    for check in [allocations, *MECHANISM_CHECKS.values()] * 2:
+    """A table rule over an invalid table is refused each time it is built,
+    with the error of ``ChoiceTable.validate``; the refusal changes nothing,
+    so an allocation can never fail on a table."""
+    table = _invalid_table()
+    cols = table.cols.copy()
+    for _ in range(3):
         with pytest.raises(ValueError) as got:
-            check(m, space)
-        assert str(got.value) == str(first.value)
+            TableRule(table)
+        assert str(got.value) == _INVALID_TABLE_ERROR
+    assert np.array_equal(table.cols, cols) and not table.cols.flags.writeable
 
 
 # --- the paper's characterization, exhaustively at 5 agents x 2 objects ---------
