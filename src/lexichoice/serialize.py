@@ -239,7 +239,9 @@ def _ordering(u: Universe, labels, where: str) -> PriorityOrdering:
         raise SpecError(f"{where}: ordering must be a list of labels")
     try:
         return ordering_from_labels(u, labels)
-    except (KeyError, ValueError) as e:
+    except KeyError as e:  # str() of a KeyError is the repr of its message
+        raise SpecError(f"{where}: {e.args[0]}") from None
+    except ValueError as e:
         raise SpecError(f"{where}: {e}") from None
 
 
@@ -358,7 +360,9 @@ def _rule(u: Universe, rule_obj):
             raise SpecError("rule: maximal_feasible_sets must be a list of label lists")
         try:
             family = make_family(u, sets)
-        except (KeyError, ValueError) as e:
+        except KeyError as e:
+            raise SpecError(f"rule: {e.args[0]}") from None
+        except ValueError as e:
             raise SpecError(f"rule: {e}") from None
         return None, profile, family
     raise SpecError(f"rule: unknown kind {kind!r}")
@@ -403,7 +407,12 @@ def parse_da_spec(obj) -> tuple[ChoiceStructure, AllocationProblem]:
     for x in objects:
         if x not in rule_objs:
             raise SpecError(f"allocation spec: no rule for object {x!r}")
-        rules[x], flex_profile, _ = _rule(agents, rule_objs[x])
+        if not isinstance(rule_objs[x], dict):
+            raise SpecError(f"allocation spec: rules[{x!r}] must be an object")
+        try:
+            rules[x], flex_profile, _ = _rule(agents, rule_objs[x])
+        except SpecError as e:
+            raise SpecError(f"allocation spec: rules[{x!r}]: {e}") from None
         if flex_profile is not None:
             raise SpecError("allocation spec: flex rules are not supported here")
     prefs, caps = obj["preferences"], obj["capacities"]

@@ -207,6 +207,12 @@ def test_da_input_errors(tmp_path, capsys):
         ),
         ({"rules": [1]}, "allocation spec: rules must be an object"),
         ({"rules": {"x": DA_SPEC["rules"]["x"]}}, "allocation spec: no rule for object 'y'"),
+        # an error in one object's rule names that object
+        ({"rules": dict(DA_SPEC["rules"], y=5)}, "allocation spec: rules['y'] must be an object"),
+        (
+            {"rules": dict(DA_SPEC["rules"], y={"kind": "responsive", "ordering": ["k", "q", "i"]})},
+            "allocation spec: rules['y']: ordering: unknown alternative 'q'",
+        ),
         ({"preferences": [["x", "y", 1]]}, "allocation spec: preferences must be a list of label lists"),
         ({"preferences": DA_SPEC["preferences"][:2]}, "problem lists 2 preferences for 3 agents"),
         ({"capacities": {"x": 1}}, "allocation spec: capacities must be a list"),
@@ -306,7 +312,7 @@ def test_rule_spec_input_errors(tmp_path, capsys):
         ),
         (
             dict(LEX_SPEC, rule={"kind": "flex", "profile": profile, "maximal_feasible_sets": [["a", "z"]]}),
-            "rule: \"unknown alternative 'z'\"",
+            "rule: unknown alternative 'z'",
         ),
     ]:
         code, out, err = _run(capsys, ["check", _write(tmp_path, "bad.json", spec)])
@@ -338,6 +344,12 @@ def test_boston_report(capsys):
         ["boston-report", "--universe", "a,b", "--walk", "a,b", "--open", "a,a"],
     )
     assert code == 2
+    code, out, err = _run(
+        capsys,
+        ["boston-report", "--universe", "a,b", "--walk", "a,z", "--open", "a,b"],
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: unknown alternative 'z'"
 
 
 def test_repro_command(capsys):

@@ -31,16 +31,18 @@ _NO_PICK = 1 << 40  # sentinel rank larger than any real one
 # --- loop oracles --------------------------------------------------------------
 
 
-def _cwlex_choice(n, keys, s, q):
+def _cwlex_choice(n, keys, s, q, feas=None):
     # keys: (n, n, n); keys[q-1, t, alt] is the rank used at step t+1 of
-    # capacity q.  Unused steps (t >= q) are never read.
+    # capacity q.  Unused steps (t >= q) are never read.  With feas (a
+    # boolean array over all 2**n masks) a pick must keep the chosen set
+    # feasible, and the pass stops when no feasible augmentation exists.
     remaining = s
     chosen = 0
     for t in range(q):
         best = -1
         best_key = _NO_PICK
         for a in range(n):
-            if (remaining >> a) & 1:
+            if (remaining >> a) & 1 and (feas is None or feas[chosen | (1 << a)]):
                 k = keys[q - 1, t, a]
                 if k < best_key:
                     best_key = k
@@ -52,38 +54,10 @@ def _cwlex_choice(n, keys, s, q):
     return chosen
 
 
-def _cwlex_fill_loops(n, keys, table):
+def _cwlex_fill_loops(n, keys, table, feas=None):
     for s in range(1, 1 << n):
         for q in range(1, n + 1):
-            table[s, q] = _cwlex_choice(n, keys, s, q)
-
-
-def _flex_choice(n, keys, feas, s, q):
-    # keys: (n, n); keys[t, alt] is the rank used at step t+1.  feas is a
-    # boolean array over all 2**n masks.  Greedy pass stops as soon as no
-    # feasible augmentation exists.
-    remaining = s
-    chosen = 0
-    for t in range(q):
-        best = -1
-        best_key = _NO_PICK
-        for a in range(n):
-            if (remaining >> a) & 1 and feas[chosen | (1 << a)]:
-                k = keys[t, a]
-                if k < best_key:
-                    best_key = k
-                    best = a
-        if best < 0:
-            break
-        chosen |= 1 << best
-        remaining &= ~(1 << best)
-    return chosen
-
-
-def _flex_fill_loops(n, keys, feas, table):
-    for s in range(1, 1 << n):
-        for q in range(1, n + 1):
-            table[s, q] = _flex_choice(n, keys, feas, s, q)
+            table[s, q] = _cwlex_choice(n, keys, s, q, feas)
 
 
 def _chosen_over_wit_columns_loops(n, chosen, rejected):
@@ -293,12 +267,11 @@ def test_cwlex_fill_paths_agree(rng, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_flex_fill_paths_agree(rng, n):
     for _ in range(20):
-        keys = _random_keys(rng, n)[0]
+        keys = np.broadcast_to(_random_keys(rng, n)[0], (n, n, n))
         feas = _random_family(rng, n)
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
-        _flex_fill_loops(n, keys, feas, want)
-        got = _kernels.cwlex_fill(n, np.broadcast_to(keys, (n, n, n)), feas)
-        assert np.array_equal(got.T, want)
+        _cwlex_fill_loops(n, keys, want, feas)
+        assert np.array_equal(_kernels.cwlex_fill(n, keys, feas).T, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -375,8 +348,23 @@ def test_flex_fill_agrees_on_lexicographic_keys(n):
         keys = Lexicographic(random_profile(rng, n)).keys()
         feas = _random_family(rng, n)
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
-        _flex_fill_loops(n, keys[0], feas, want)
+        _cwlex_fill_loops(n, keys, want, feas)
         assert np.array_equal(_kernels.cwlex_fill(n, keys, feas).T, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_flex_fill_agrees_on_capacity_wise_keys(n):
+    # with a feasibility mask every capacity picks for every set, starting
+    # anew where its list does not extend q-1's: the sets of at most q
+    # alternatives are not chosen whole when some of them are infeasible
+    rng = random.Random(f"flex-capacity-wise-{n}")
+    for _ in range(4):
+        kinds = {"random": _random_keys(rng, n), **_structured_keys(rng, n)}
+        for kind, keys in kinds.items():
+            feas = _random_family(rng, n)
+            want = np.zeros((1 << n, n + 1), dtype=np.int64)
+            _cwlex_fill_loops(n, keys, want, feas)
+            assert np.array_equal(_kernels.cwlex_fill(n, keys, feas).T, want), kind
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -536,11 +524,11 @@ def test_cwlex_fill_agrees_on_wide_tables(n):
 def test_flex_fill_agrees_on_wide_tables(n):
     rng = random.Random(f"wide-flex-{n}")
     for keys in (_random_keys(rng, n)[0], Lexicographic(random_profile(rng, n)).keys()[0]):
+        keys = np.broadcast_to(keys, (n, n, n))
         feas = _random_family(rng, n)
         want = np.zeros((1 << n, n + 1), dtype=np.int64)
-        _flex_fill_loops(n, keys, feas, want)
-        got = _kernels.cwlex_fill(n, np.broadcast_to(keys, (n, n, n)), feas)
-        assert np.array_equal(got.T, want)
+        _cwlex_fill_loops(n, keys, want, feas)
+        assert np.array_equal(_kernels.cwlex_fill(n, keys, feas).T, want)
 
 
 @pytest.mark.parametrize("n", WIDE)
@@ -569,6 +557,11 @@ def test_fills_at_sixteen_alternatives():
     rng = random.Random("fill-16")
     u = universe(n)
     rows = rng.sample(range(1, 1 << n), 200)
+    # a fresh capacity q from q = 6 on picks only for the sets of more than q
+    # alternatives: sets of exactly q and q + 1 sit on either side of that edge
+    for size in range(1, n + 1):
+        for _ in range(3):
+            rows.append(sum(1 << a for a in rng.sample(range(n), size)))
     lex = Lexicographic(random_profile(rng, n)).keys()
     keys = _random_keys(rng, n)
     masks = np.arange(1 << n)
@@ -579,7 +572,7 @@ def test_fills_at_sixteen_alternatives():
         "capacity_wise": (_kernels.cwlex_fill(n, keys),
                           lambda s, q: _cwlex_choice(n, keys, s, q)),
         "flex": (_kernels.cwlex_fill(n, lex, feas),
-                 lambda s, q: _flex_choice(n, lex[0], feas, s, q)),
+                 lambda s, q: _cwlex_choice(n, lex, s, q, feas)),
     }
     for kind, (table, choose) in fills.items():
         assert table.dtype == np.uint16 and table.shape == (n + 1, 1 << n), kind
