@@ -1,7 +1,7 @@
 """Hot inner loops over exhaustive problem tables, vectorized with numpy.
 
 Four kernels, each with exactly one implementation: ``cwlex_fill`` (the
-greedy fill of every capacity-wise and, with a feasibility mask,
+greedy fill of every capacity-wise and, with a family's augmentation table,
 feasibility-constrained rule), ``chosen_over_edges`` (the edges of a
 chosen-over relation given two bitmask columns, which decide WRARP, CWARP,
 CWRARP, CSARP and order both extractions), ``gs_first_violation`` and
@@ -9,7 +9,7 @@ CWRARP, CSARP and order both extractions), ``gs_first_violation`` and
 ``cwlex_fill`` makes each greedy pick one gather from a per-ordering "top"
 table (the best alternative of every mask) and starts capacity q from
 capacity q-1's column when q's orderings extend q-1's, so a lexicographic
-fill is n gathers.  Any other capacity q without a feasibility mask (a
+fill is n gathers.  Any other capacity q without an augmentation table (a
 fresh one) chooses every set of at most q alternatives whole; once that
 skips at least as many gathers as it scatters entries, it picks only for
 the larger sets, a suffix of the masks sorted by size, so at n = 16 a fill
@@ -65,7 +65,7 @@ def _masks(n: int) -> np.ndarray:
 def _augmentations(n: int, feas: np.ndarray) -> np.ndarray:
     """``augment[m]``: the bitmask of the alternatives b with ``feas[m | b]``,
     over all 2**n masks m (b in m counts exactly when m is feasible), as
-    uint16."""
+    uint16.  A ``FeasibilityFamily`` builds it once, as its ``augment``."""
     feas = np.asarray(feas, dtype=np.bool_)
     masks = _masks(n)
     augment = np.zeros_like(masks)
@@ -132,39 +132,40 @@ def _by_size(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return by_size, at, np.cumsum(np.bincount(sizes, minlength=n + 1)).tolist()
 
 
-def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.ndarray:
+def cwlex_fill(n: int, keys: np.ndarray, augment: np.ndarray | None = None) -> np.ndarray:
     """Materialize a capacity-wise lexicographic rule into a full table.
 
     ``keys`` has shape (n, n, n); ``keys[q-1, t, alt]`` is the rank used at
     step t+1 of capacity q.  Unused steps (t >= q) are never read.  With
-    ``feas`` (a boolean array over all 2**n masks) each pick must keep the
+    ``augment``, a family's augmentation table (:func:`_augmentations` of
+    its membership, ``FeasibilityFamily.augment``), each pick must keep the
     chosen set feasible; a set with no feasible augmentation at one step has
     none at any later step, since neither its chosen nor its remaining
     alternatives change.
 
     Each greedy step is one gather, ``chosen | top[remaining]``, from the top
-    table of the step's ordering (:func:`_top_tables`); with ``feas``,
-    ``remaining`` is first narrowed to the alternatives a with
-    ``feas[chosen | a]``, read from a per-mask table of them.  When capacity
-    q's first q-1 orderings are capacity q-1's, its first q-1 picks are
-    capacity q-1's choice, so it starts there and makes one pick over every
-    set: a lexicographic or responsive fill takes n picks, not n(n+1)/2.  A
-    capacity q that does not extend q-1's list and has no ``feas`` (a fresh
-    capacity) chooses every set of at most q alternatives whole, so its q
-    picks may run only on the sets of more than q, a suffix of the masks
-    sorted by size (:func:`_by_size`), and their result is scattered into the
-    row; at q = n no set is larger, and no pick runs.  It does so when the
-    gathers this skips, q per set of at most q alternatives, are at least the
-    entries it scatters: from q = 6 at n = 16 (q = 5 at n = 12).  Below
-    that, as at capacity 1 of every rule, scattering costs more than it
-    saves, and the capacity picks over every set.  At n = 16 a fill whose
-    capacities are all fresh gathers 2.01 M entries and scatters 0.14 M,
-    against 8.9 M gathered when every capacity picks over all 2**n sets.
-    The steps are planned first, so that the half tables of all their
-    distinct orderings come from one DP; a top table is then built when the
-    ordering changes from the previous step's, and only the last one is
-    kept.  The capacities are filled as the rows of the returned
-    ``(n+1, 2**n)`` uint16 array, the layout of ``ChoiceTable.cols``.
+    table of the step's ordering (:func:`_top_tables`); with ``augment``,
+    ``remaining`` is first narrowed to ``augment[chosen]``, the alternatives
+    a that keep ``chosen | a`` feasible.  When capacity q's first q-1
+    orderings are capacity q-1's, its first q-1 picks are capacity q-1's
+    choice, so it starts there and makes one pick over every set: a
+    lexicographic or responsive fill takes n picks, not n(n+1)/2.  A
+    capacity q that does not extend q-1's list and has no ``augment`` (a
+    fresh capacity) chooses every set of at most q alternatives whole, so
+    its q picks may run only on the sets of more than q, a suffix of the
+    masks sorted by size (:func:`_by_size`), and their result is scattered
+    into the row; at q = n no set is larger, and no pick runs.  It does so when
+    the gathers this skips, q per set of at most q alternatives, are at least
+    the entries it scatters: from q = 6 at n = 16 (q = 5 at n = 12).  Below
+    that, as at capacity 1 of every rule, scattering costs more than it saves,
+    and the capacity picks over every set.  At n = 16 a fill whose capacities
+    are all fresh gathers 2.01 M entries and scatters 0.14 M, against 8.9 M
+    gathered when every capacity picks over all 2**n sets.  The steps are
+    planned first, so that the half tables of all their distinct orderings come
+    from one DP; a top table is then built when the ordering changes from the
+    previous step's, and only the last one is kept.  The capacities are filled
+    as the rows of the returned ``(n+1, 2**n)`` uint16 array, the layout of
+    ``ChoiceTable.cols``.
     """
     keys = np.asarray(keys).tolist()
     masks = _masks(n)
@@ -173,7 +174,7 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
     for q in range(1, n + 1):
         if q > 1 and keys[q - 1][: q - 1] == keys[q - 2][: q - 1]:
             extends, first, picks = True, None, keys[q - 1][q - 1 : q]
-        elif feas is None and q * larger[q] >= len(masks) - larger[q]:
+        elif augment is None and q * larger[q] >= len(masks) - larger[q]:
             # fresh, and its skipped gathers pay for the scatter: only the
             # sets of more than q alternatives pick
             extends, first, picks = False, larger[q], keys[q - 1][:q] if q < n else []
@@ -182,8 +183,6 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
         ids = [distinct.setdefault(tuple(key), len(distinct)) for key in picks]
         steps.append((extends, first, ids))
     top = _top_tables(n, np.array(list(distinct), dtype=np.int64).reshape(len(distinct), n))
-    if feas is not None:
-        augment = _augmentations(n, feas)
     cols = np.zeros((n + 1, 1 << n), dtype=np.uint16)
     last = table = None
     for q, (extends, first, ids) in enumerate(steps, start=1):
@@ -193,7 +192,7 @@ def cwlex_fill(n: int, keys: np.ndarray, feas: np.ndarray | None = None) -> np.n
             if k != last:
                 last, table = k, top(k)
             remaining = sets ^ chosen
-            if feas is not None:
+            if augment is not None:
                 remaining &= augment.take(chosen)
             chosen = chosen | table.take(remaining)
         if first is None:

@@ -266,8 +266,6 @@ def cmd_boston_report(args) -> int:
         u = make_universe(labels)
         w = ordering_from_labels(u, walk)
         o = ordering_from_labels(u, open_)
-    except KeyError as e:  # str() of a KeyError is the repr of its message
-        return _fail_input(e.args[0])
     except ValueError as e:
         return _fail_input(str(e))
     variants = {}

@@ -62,7 +62,7 @@ class Universe:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise KeyError(f"unknown alternative {label!r}") from None
+            raise ValueError(f"unknown alternative {label!r}") from None
 
     def mask_of(self, labels) -> int:
         mask = 0

@@ -8,15 +8,15 @@ feasible, stopping early when no feasible augmentation exists.
 
 Like a plain rule, a profile and family are evaluated only through their
 table: ``flex_materialize(profile, family, u).choose(p)``, filled by
-``_kernels.cwlex_fill`` with the family's ``membership_array()`` as its
-mask.  The checkers scan whole tables against that array, find the first
-violating problem in canonical order, and build its witness from that one
-cell.
+``_kernels.cwlex_fill`` with the family's ``augment``.  The fill, the
+checkers, extraction and replay read the two arrays a family builds once,
+``membership`` and ``augment``; the checkers scan whole tables against them
+and build the witness of the first violating problem in canonical order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,22 +29,29 @@ from .rules import Lexicographic, PriorityOrdering, PriorityProfile
 
 @dataclass(frozen=True)
 class FeasibilityFamily:
-    """A downward-closed family containing every singleton."""
+    """A downward-closed family containing every singleton, read once, when
+    built, into read-only ``membership[m]`` (mask m is feasible) and
+    ``augment[m]`` (the alternatives b with ``membership[m | b]``).  An n
+    outside 0..16 or a maximal mask outside the n alternatives is refused.
+    """
 
     n: int
     maximal: tuple[int, ...]
+    membership: np.ndarray = field(init=False, repr=False, compare=False)
+    augment: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __contains__(self, mask: int) -> bool:
-        return popcount(mask) <= 1 or any(mask & ~m == 0 for m in self.maximal)
-
-    def membership_array(self) -> np.ndarray:
-        """Boolean membership over all 2**n masks (kernel input)."""
-        size = 1 << self.n
-        masks = np.arange(size, dtype=np.int64)
-        feas = np.bitwise_count(masks) <= 1
+    def __post_init__(self):
+        masks = _kernels._masks(self.n)
+        if any(m >> self.n for m in self.maximal):  # a negative mask too
+            raise ValueError("maximal set outside the universe")
+        membership = np.bitwise_count(masks) <= 1
         for m in self.maximal:
-            feas |= (masks & ~np.int64(m)) == 0
-        return feas
+            membership |= (masks & ~np.uint16(m)) == 0
+        augment = _kernels._augmentations(self.n, membership)
+        membership.setflags(write=False)
+        augment.setflags(write=False)
+        object.__setattr__(self, "membership", membership)
+        object.__setattr__(self, "augment", augment)
 
 
 def make_family(u: Universe, maximal_sets) -> FeasibilityFamily:
@@ -56,9 +63,6 @@ def make_family(u: Universe, maximal_sets) -> FeasibilityFamily:
     masks = []
     for s in maximal_sets:
         masks.append(s if isinstance(s, int) else u.mask_of(s))
-    for m in masks:
-        if m & ~u.full_mask:
-            raise ValueError("maximal set outside the universe")
     masks = sorted(set(masks))
     pruned = [
         m for m in masks
@@ -67,18 +71,25 @@ def make_family(u: Universe, maximal_sets) -> FeasibilityFamily:
     return FeasibilityFamily(u.n, tuple(pruned))
 
 
+def _require_family(f: FeasibilityFamily, u: Universe) -> None:
+    if f.n != u.n:
+        raise ValueError(f"feasibility family over {f.n} alternatives, universe of {u.n}")
+
+
 class FChoiceTable(ChoiceTable):
-    """A choice table whose entries must additionally be feasible and nonempty."""
+    """A choice table whose entries must additionally be feasible and
+    nonempty, under a family over the universe's n alternatives."""
 
     def __init__(self, universe: Universe, family: FeasibilityFamily, entries=None,
                  *, cols: np.ndarray | None = None):
+        _require_family(family, universe)
         super().__init__(universe, entries, cols=cols)
         self.family = family
 
     def validate(self) -> None:
         super().validate()  # every entry is now a subset of its S
         body = self.cols[1:, 1:]
-        bad = (body == 0) | ~self.family.membership_array()[body]
+        bad = (body == 0) | ~self.family.membership[body]
         if bad.any():
             s, qi = first_cell(bad)
             what = "empty" if body[qi, s] == 0 else "infeasible"
@@ -88,8 +99,9 @@ class FChoiceTable(ChoiceTable):
 def flex_materialize(
     profile: PriorityProfile, f: FeasibilityFamily, u: Universe
 ) -> FChoiceTable:
+    _require_family(f, u)
     keys = Lexicographic(profile).keys()
-    return FChoiceTable(u, f, cols=_kernels.cwlex_fill(u.n, keys, f.membership_array()))
+    return FChoiceTable(u, f, cols=_kernels.cwlex_fill(u.n, keys, f.augment))
 
 
 def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
@@ -100,23 +112,15 @@ def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
     problem and its lowest such a.
     """
     n = c.n
-    feas = c.family.membership_array()
     got = c.cols[1:]
-    absent = _kernels._masks(n) & ~got
-    # cells, capacity-major, that are not full and leave something out
+    addable = _kernels._masks(n) & ~got & c.family.augment[got]
     full = np.bitwise_count(got) == np.arange(1, n + 1, dtype=np.uint8)[:, None]
-    cells = np.flatnonzero(~full & (absent != 0))
-    got, absent = got.ravel()[cells], absent.ravel()[cells]
-    viol = np.zeros(cells.size, dtype=bool)
-    for a in range(n):
-        bit = np.uint16(1 << a)
-        viol |= ((absent & bit) != 0) & feas[got | bit]
+    viol = ~full & (addable != 0)
     if not viol.any():
         return AxiomReport("f_capacity_filling")
-    qi, s = np.divmod(cells[viol], 1 << n)
-    s, qi = divmod(int(np.min(s * n + qi)), n)  # the first in canonical order
+    s, qi = first_cell(viol)
     chosen = int(c.cols[qi + 1, s])
-    a = next(a for a in iter_bits(s & ~chosen) if feas[chosen | (1 << a)])
+    a = next(iter_bits(int(addable[qi, s])))
     return AxiomReport(
         "f_capacity_filling",
         {
@@ -128,21 +132,16 @@ def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
     )
 
 
-def _augment_table(c: FChoiceTable) -> np.ndarray:
-    return _kernels._augmentations(c.n, c.family.membership_array())
-
-
-def _f_edges(c: FChoiceTable, q: int, augment: np.ndarray) -> np.ndarray:
+def _f_edges(c: FChoiceTable, q: int) -> np.ndarray:
     """The CSARP relation at q: the revealed preference edges, a rejected b
-    kept only when C(S, q-1) plus b is feasible (C(S, 0) is the empty set).
-
-    ``augment`` is :func:`_augment_table` of ``c``, built once per table;
-    the revealed columns never hold a bit of C(S, q-1).
+    kept only when C(S, q-1) plus b is feasible (C(S, 0) is the empty set),
+    by one gather from the family's ``augment``; the revealed columns never
+    hold a bit of C(S, q-1).
     """
     if not 1 <= q <= c.n:
         raise ValueError(f"capacity {q} outside 1..{c.n}")
     new, rej = relation_columns(c, q, revealed=True)
-    return _kernels.chosen_over_edges(c.n, new, rej & augment[c.cols[q - 1]])
+    return _kernels.chosen_over_edges(c.n, new, rej & c.family.augment[c.cols[q - 1]])
 
 
 def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
@@ -155,14 +154,14 @@ def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:
         return (
             popcount(got) < q
             and bool(((s & ~got) >> a) & 1)
-            and (got | (1 << a)) in c.family
+            and bool(c.family.membership[got | (1 << a)])
             and got == u.mask_of(w["chosen"])
         )
     if axiom == "csarp":
         cycle = [u.index(lab) for lab in w["cycle"]]
         if len(cycle) < 2 or cycle[0] != cycle[-1]:
             return False
-        edges = _f_edges(c, w["q"], _augment_table(c))
+        edges = _f_edges(c, w["q"])
         return all(edges[a, b] for a, b in zip(cycle, cycle[1:]))
     raise ValueError(f"unknown axiom {axiom!r}")
 
@@ -201,9 +200,8 @@ def _find_cycle(wit: np.ndarray) -> list[int] | None:
 
 def check_csarp(c: FChoiceTable) -> AxiomReport:
     """The feasibility-aware revealed preference must be acyclic at each q."""
-    augment = _augment_table(c)
     for q in range(1, c.n + 1):
-        cyc = _find_cycle(_f_edges(c, q, augment))
+        cyc = _find_cycle(_f_edges(c, q))
         if cyc is not None:
             return AxiomReport(
                 "csarp", {"q": q, "cycle": [c.universe.labels[v] for v in cyc]}
@@ -224,10 +222,9 @@ def extract_flex_profile(c: FChoiceTable) -> PriorityProfile:
     first) of the revealed preference at that capacity; the result is
     validated by full re-materialization.
     """
-    augment = _augment_table(c)
     orderings = []
     for q in range(1, c.n + 1):
-        rank = linear_extension(_f_edges(c, q, augment))
+        rank = linear_extension(_f_edges(c, q))
         if len(rank) != c.n:
             raise ExtractionError(
                 f"revealed preference at capacity {q} is cyclic",

@@ -239,8 +239,6 @@ def _ordering(u: Universe, labels, where: str) -> PriorityOrdering:
         raise SpecError(f"{where}: ordering must be a list of labels")
     try:
         return ordering_from_labels(u, labels)
-    except KeyError as e:  # str() of a KeyError is the repr of its message
-        raise SpecError(f"{where}: {e.args[0]}") from None
     except ValueError as e:
         raise SpecError(f"{where}: {e}") from None
 
@@ -360,8 +358,6 @@ def _rule(u: Universe, rule_obj):
             raise SpecError("rule: maximal_feasible_sets must be a list of label lists")
         try:
             family = make_family(u, sets)
-        except KeyError as e:
-            raise SpecError(f"rule: {e.args[0]}") from None
         except ValueError as e:
             raise SpecError(f"rule: {e}") from None
         return None, profile, family

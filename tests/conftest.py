@@ -22,6 +22,7 @@ from lexichoice import (
     PriorityOrdering,
     PriorityProfile,
     Problem,
+    _kernels,
     all_preferences,
     make_universe,
 )
@@ -135,6 +136,26 @@ def naive_flex_choice(profile, feasible_sets, members, capacity) -> set[int]:
         chosen.add(pick)
         remaining.discard(pick)
     return chosen
+
+
+def feasible(family, mask: int) -> bool:
+    """Per-mask membership oracle: ``mask`` has at most one alternative or
+    lies inside one of the family's maximal sets."""
+    return mask.bit_count() <= 1 or any(mask & ~m == 0 for m in family.maximal)
+
+
+@pytest.fixture
+def augmentation_calls(monkeypatch):
+    """The n of each ``_kernels._augmentations`` call made during the test."""
+    calls = []
+    build = _kernels._augmentations
+
+    def counted(n, feas):
+        calls.append(n)
+        return build(n, feas)
+
+    monkeypatch.setattr(_kernels, "_augmentations", counted)
+    return calls
 
 
 def set_major(table) -> np.ndarray:

@@ -133,6 +133,18 @@ def test_check_flex_spec_uses_flex_axioms(tmp_path, capsys):
     assert set(json.loads(out)["axioms"]) == {"f_capacity_filling", "csarp"}
 
 
+def test_flex_commands_build_the_augmentations_once(tmp_path, capsys, augmentation_calls):
+    # the family that the spec parses to builds its augmentation table; the
+    # fill, both checkers and extraction read it and build no other
+    spec = dict(LEX_SPEC, rule=dict(LEX_SPEC["rule"], kind="flex",
+                                    maximal_feasible_sets=[["a", "b"], ["b", "c"]]))
+    path = _write(tmp_path, "flex.json", spec)
+    for argv in (["check", path, "--replay-witness"], ["extract", path, "--kind", "flex"]):
+        augmentation_calls.clear()
+        code, _, _ = _run(capsys, argv)
+        assert code == 0 and augmentation_calls == [3], argv
+
+
 def test_check_input_error(tmp_path, capsys):
     code, _, err = _run(capsys, ["check", str(tmp_path / "nope.json")])
     assert code == 2 and "error:" in err

@@ -36,7 +36,7 @@ def test_universe_validation():
     u = make_universe("abc")
     assert u.n == 3 and u.full_mask == 0b111
     assert u.index("c") == 2
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown alternative 'z'$"):
         u.index("z")
     assert u.mask_of("ac") == 0b101
     assert u.labels_of(0b101) == ("a", "c")

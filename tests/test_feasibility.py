@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lexichoice import (
     ExtractionError,
+    _kernels,
     FeasibilityFamily,
     PriorityProfile,
     Problem,
@@ -18,9 +20,10 @@ from lexichoice import (
     replay_f_witness,
 )
 from lexichoice.core import ChoiceTable, iter_bits, popcount
-from lexichoice.feasibility import FChoiceTable, _augment_table, _f_edges
+from lexichoice.feasibility import FChoiceTable, _f_edges
 
 from conftest import (
+    feasible,
     mask_of,
     members_of,
     naive_flex_choice,
@@ -47,7 +50,7 @@ def explicit_sets(f: FeasibilityFamily) -> set[frozenset[int]]:
     return {
         frozenset(members_of(mask))
         for mask in range(1 << f.n)
-        if mask in f
+        if feasible(f, mask)
     }
 
 
@@ -55,25 +58,98 @@ def test_make_family_prunes_and_closes():
     u = universe(4)
     f = make_family(u, ["abc", "ab", "d"])
     assert f.maximal == (u.mask_of("abc"), u.mask_of("d"))
-    assert u.mask_of("ab") in f
-    assert u.mask_of("abc") in f
-    assert u.mask_of("abd") not in f
+    assert f.membership[u.mask_of("ab")]
+    assert f.membership[u.mask_of("abc")]
+    assert not f.membership[u.mask_of("abd")]
     # singletons always feasible, even outside every maximal set
     f2 = make_family(u, ["ab"])
-    assert u.mask_of("c") in f2
-    assert u.mask_of("cd") not in f2
-    assert 0 in f2
-    with pytest.raises(ValueError):
+    assert f2.membership[u.mask_of("c")]
+    assert not f2.membership[u.mask_of("cd")]
+    assert f2.membership[0]
+    with pytest.raises(ValueError, match="^maximal set outside the universe$"):
         make_family(universe(2), [0b100])
+    with pytest.raises(ValueError, match="^unknown alternative 'z'$"):
+        make_family(universe(2), ["az"])
 
 
-def test_membership_array_matches_contains(rng):
-    for n in (2, 3, 4):
-        for _ in range(10):
+def test_family_refuses_masks_outside_its_alternatives():
+    # a negative mask would make every set feasible, and a bit at or above
+    # n names no alternative
+    for maximal in [(-1,), (0b11000,), (0b011, 0b1000)]:
+        with pytest.raises(ValueError, match="^maximal set outside the universe$"):
+            FeasibilityFamily(3, maximal)
+    for n in (-1, _kernels.MASK_BITS + 1):
+        with pytest.raises(ValueError, match="16-bit masks"):
+            FeasibilityFamily(n, ())
+    assert FeasibilityFamily(0, ()).membership.tolist() == [True]
+    assert FeasibilityFamily(3, (0b111,)).membership.all()
+
+
+def test_family_arrays_match_oracle(rng):
+    # membership and augment are built once, read-only, and agree with the
+    # per-mask oracle; dataclasses.replace builds them anew
+    for n in range(1, 9):
+        for _ in range(6):
             f = random_family(rng, n)
-            arr = f.membership_array()
-            for mask in range(1 << n):
-                assert bool(arr[mask]) == (mask in f)
+            assert f.membership.dtype == np.bool_ and f.augment.dtype == np.uint16
+            assert f.membership.shape == f.augment.shape == (1 << n,)
+            for arr in (f.membership, f.augment):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+            assert f.membership.tolist() == [feasible(f, m) for m in range(1 << n)]
+            assert f.augment.tolist() == [
+                sum(1 << b for b in range(n) if feasible(f, m | 1 << b))
+                for m in range(1 << n)
+            ]
+    # only the singletons: each adds only itself, and the empty set any
+    g = dataclasses.replace(f, maximal=(1,))
+    assert g.membership.tolist() == [m.bit_count() <= 1 for m in range(1 << n)]
+    assert g.augment.tolist() == [(1 << n) - 1] + [
+        m if m.bit_count() == 1 else 0 for m in range(1, 1 << n)
+    ]
+
+
+def test_family_over_other_alternatives_is_refused(rng):
+    # unrefused, a family over 4 alternatives fills a 3-alternative table
+    # that passes both checkers, and one over 2 indexes past its arrays
+    u = universe(3)
+    profile = random_profile(rng, 3)
+    entries = set_major(flex_materialize(profile, make_family(u, [u.full_mask]), u))
+    for n in (2, 4):
+        f = make_family(universe(n), [(1 << n) - 1])
+        message = f"^feasibility family over {n} alternatives, universe of 3$"
+        with pytest.raises(ValueError, match=message):
+            flex_materialize(profile, f, u)
+        with pytest.raises(ValueError, match=message):
+            FChoiceTable(u, f, entries)
+
+
+def test_augmentations_run_once_per_family(augmentation_calls):
+    # the fill, both checkers, their replays and extraction read the family's
+    # one augmentation table; replace builds a new family, and so a new table
+    u = universe(4)
+    f = make_family(u, ["abc", "cd"])
+    assert augmentation_calls == [4]
+    profile = PriorityProfile(
+        tuple(ordering_from_labels(u, r) for r in ("abcd", "bcda", "dcba", "cadb"))
+    )
+    t = flex_materialize(profile, f, u)
+    assert flex_materialize(extract_flex_profile(t), f, u) == t
+    entries = set_major(t)
+    entries[u.mask_of("bcd"), 1] = u.mask_of("d")  # a CSARP cycle
+    entries[u.mask_of("abcd"), 3] = u.mask_of("ab")  # under-filled: c fits
+    bad = FChoiceTable(u, f, entries)
+    for check, axiom in ((check_f_capacity_filling, "f_capacity_filling"),
+                         (check_csarp, "csarp")):
+        rep = check(bad)
+        assert not rep.ok and replay_f_witness(bad, axiom, rep.witness)
+        assert check(t).ok
+    with pytest.raises(ExtractionError):
+        extract_flex_profile(bad)
+    assert augmentation_calls == [4]
+    dataclasses.replace(f, maximal=(u.full_mask,))
+    assert augmentation_calls == [4, 4]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -201,7 +277,7 @@ def _f_edges_loops(c, q):
         rej = (s & ~cur) & ~prev
         for a in members_of(new):
             for b in members_of(rej):
-                if (prev | (1 << b)) in c.family:
+                if feasible(c.family, prev | (1 << b)):
                     edges.add((a, b))
     return edges
 
@@ -219,14 +295,13 @@ def test_f_edges_match_loop_oracle(rng, n):
                 q = rng.randrange(1, n + 1)
                 entries[s, q] = s & rng.randrange(1 << n)
         t = FChoiceTable(u, f, entries)
-        augment = _augment_table(t)
         for q in range(1, n + 1):
-            edges = _f_edges(t, q, augment)
+            edges = _f_edges(t, q)
             assert edges.shape == (n, n)
             assert {(int(a), int(b)) for a, b in np.argwhere(edges)} == _f_edges_loops(t, q)
     for q in (0, n + 1):
         with pytest.raises(ValueError):
-            _f_edges(t, q, augment)
+            _f_edges(t, q)
 
 
 def _f_capacity_filling_loop(c):
@@ -239,7 +314,7 @@ def _f_capacity_filling_loop(c):
             if popcount(got) == q:
                 continue
             for a in iter_bits(s & ~got):
-                if (got | (1 << a)) in c.family:
+                if feasible(c.family, got | (1 << a)):
                     return {
                         "S": sorted(c.universe.labels_of(s)),
                         "q": q,
@@ -258,7 +333,7 @@ def _validate_loop(c):
             got = int(c.cols[q, mask])
             if got == 0:
                 raise ValueError(f"empty choice at (S={mask:#x}, q={q})")
-            if got not in c.family:
+            if not feasible(c.family, got):
                 raise ValueError(f"infeasible choice at (S={mask:#x}, q={q})")
 
 
