@@ -19,14 +19,21 @@ vectorized steps builds, for all the rule's distinct orderings at once, the
 best of every mask over the low n//2 and over the high n - n//2
 alternatives, and an ordering's top table is one outer minimum of its two.
 ``chosen_over_edges`` reads the chosen and rejected columns as words of
-four 16-bit lanes and makes one pass over them per alternative; a checker
-that fails looks up the witnessing sets of its one reported pair
-afterwards.  Gross substitutes (heritage) and path independence share one
-single-removal scan: path independence holds exactly when heritage and
-outcast do (Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice
-and matching"), so its verdict costs O(n^2 2^n), and the set-major search
-for its first (S, T, q), a Python loop over sets, runs only when the
-verdict is fail.
+four 16-bit lanes and makes one pass over them per alternative, for as many
+capacities at once as fit a fixed L2 budget (:func:`capacity_block`: all
+of them at n <= 12, one at n = 16); a checker that fails looks up the
+witnessing sets of its one reported pair afterwards.  A table computes the
+chosen-over edges of all its capacities once (``ChoiceTable.chosen_over``),
+for WRARP, CWRARP and the capacity-wise responsive extraction; CWARP's
+revealed edges go one block at a time, so it stops at its first failing
+block.  Gross substitutes (heritage) and path independence share one
+single-removal scan, which a table runs once (``ChoiceTable.heritage``):
+path independence holds exactly when heritage and outcast do
+(Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
+matching"), and on a capacity-filling table heritage implies outcast, so
+the outcast scan runs only on a table that is not capacity-filling.  The
+verdict costs O(n^2 2^n), and the set-major search for its first
+(S, T, q), a Python loop over sets, runs only when the verdict is fail.
 ``tests/test_kernels.py`` holds per-set loop versions of every kernel and
 checks that the outputs here match them bit for bit, witness tie-breaks
 included.
@@ -37,7 +44,8 @@ at capacity q, so each capacity is one contiguous column, and row 0 is
 empty.  The engine caps n at 16 (``core.MAX_ALTERNATIVES``), so every mask
 fits in 16 bits; the fill refuses n above 16 and returns its staging array
 as the table.  The single-removal scan reads the table as rows instead, a
-padded row-major uint16 copy that a table builds once (``ChoiceTable.rows``).
+padded row-major uint16 copy that a table builds once (``ChoiceTable.rows``),
+and the two first-violation kernels take its flags as ``heritage``.
 The kernels trust every entry to lie inside the n alternatives:
 ``ChoiceTable`` refuses any other when it is built.  Key tensors encode
 priority orderings positionally: ``keys[..., alt]`` is the rank of ``alt``
@@ -204,36 +212,61 @@ def cwlex_fill(n: int, keys: np.ndarray, augment: np.ndarray | None = None) -> n
 
 
 _LANES = np.uint64(0x0001_0001_0001_0001)  # bit 0 of each 16-bit lane
+_BLOCK_BYTES = 1 << 18  # a block of the edge kernel's columns stays in L2, like serialize's row blocks
+
+
+def capacity_block(n: int) -> int:
+    """How many capacities' chosen and rejected columns over 2**n sets, as
+    uint16, fit in ``_BLOCK_BYTES``: 2**(16-n), so every capacity at n <= 12,
+    4 at n = 14 and 1 at n = 16."""
+    return max(1, _BLOCK_BYTES // (4 * max(1 << n, 4)))
 
 
 def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
-    """The edges of a chosen-over relation as an (n, n) bool matrix.
+    """The edges of chosen-over relations as (n, n) bool matrices.
 
     ``chosen`` and ``rejected`` are bitmask columns over all 2**n sets, read
     as uint16; ``edges[a, b]`` is true when some S has a in ``chosen[S]`` and
-    b in ``rejected[S]``.  Bits at or above n of either column are ignored.
-    Every row counts, row 0 included; on table columns row 0 is empty.
+    b in ``rejected[S]``.  One column of each gives one ``(n, n)`` matrix;
+    ``(Q, 2**n)`` columns, one row per capacity, give ``(Q, n, n)``.  Bits
+    at or above n of either column are ignored.  Every row counts, row 0
+    included; on table columns row 0 is empty.
 
     The columns are read as uint64 words of four 16-bit lanes.  Per
     alternative a, ``((chosen >> a) & LANES) * 0xFFFF`` is all ones in each
     lane whose chosen mask holds a; ANDed with the rejected words and
-    OR-reduced, its four lanes fold into row a, so a row is one pass over
-    the columns.  Columns shorter than a word (n <= 1) are padded with empty
-    sets.
+    OR-reduced along the sets, it leaves per capacity a word whose four
+    lanes fold into row a, so a row is one pass over the columns.  The
+    capacities go in blocks of :func:`capacity_block` (all of them at
+    n <= 12, one at a time at n = 16), so a block's columns stay in L2, and
+    the lanes of a block fold once.  Columns shorter than a word (n <= 1)
+    are padded with empty sets.
     """
-    padded = np.zeros((2, max(1 << n, 4)), dtype=np.uint16)
-    padded[0, : 1 << n], padded[1, : 1 << n] = chosen, rejected
-    ch, rej = padded.view(np.uint64)
-    lane = np.empty_like(ch)
-    rows = np.zeros(n, dtype=np.int64)
-    for a in range(n):
-        np.right_shift(ch, np.uint64(a), out=lane)
-        lane &= _LANES
-        lane *= np.uint64(0xFFFF)
-        lane &= rej
-        word = int(np.bitwise_or.reduce(lane))
-        rows[a] = (word | word >> 16 | word >> 32 | word >> 48) & 0xFFFF
-    return ((rows[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(bool)
+    chosen, rejected = np.asarray(chosen), np.asarray(rejected)
+    size, width = 1 << n, max(1 << n, 4)
+    cap_chosen = chosen.reshape(-1, size)
+    cap_rejected = rejected.reshape(-1, size)
+    count = len(cap_chosen)
+    block = capacity_block(n)
+    shifts = np.arange(n, dtype=np.uint64)
+    edges = np.empty((count, n, n), dtype=bool)
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        padded = np.zeros((2, hi - lo, width), dtype=np.uint16)
+        padded[0, :, :size], padded[1, :, :size] = cap_chosen[lo:hi], cap_rejected[lo:hi]
+        ch, rej = padded.view(np.uint64)
+        lane = np.empty_like(ch)
+        words = np.empty((n, hi - lo), dtype=np.uint64)
+        for a in range(n):
+            np.right_shift(ch, np.uint64(a), out=lane)
+            lane &= _LANES
+            lane *= np.uint64(0xFFFF)
+            lane &= rej
+            np.bitwise_or.reduce(lane, axis=1, out=words[a])
+        words |= words >> np.uint64(32)
+        words |= words >> np.uint64(16)
+        edges[lo:hi] = ((words.T[..., None] >> shifts) & np.uint64(1)).astype(bool)
+    return edges.reshape(chosen.shape[:-1] + (n, n))
 
 
 def _rows(cols: np.ndarray) -> np.ndarray:
@@ -273,17 +306,19 @@ def _removal_violations(n: int, cols: np.ndarray, outcast: bool = False) -> np.n
     return viol
 
 
-def gs_first_violation(n: int, rows: np.ndarray) -> np.ndarray:
+def gs_first_violation(n: int, rows: np.ndarray, heritage: np.ndarray) -> np.ndarray:
     """First (S, q, a, b) in canonical order with a chosen from (S, q) but
     not from (S without b, q); all -1 when no violation exists.
 
-    ``rows`` is a table as rows (``ChoiceTable.rows``, from :func:`_rows`).
+    ``rows`` is a table as rows (``ChoiceTable.rows``, from :func:`_rows`),
+    and ``heritage`` its :func:`_removal_violations` without outcast
+    (``ChoiceTable.heritage``): the first flagged set is refined in
+    (q, a, b) order.
     """
     out = np.full(4, -1, dtype=np.int64)
-    viol = _removal_violations(n, rows)
-    if not viol.any():
+    if not heritage.any():
         return out
-    s = int(np.argmax(viol))
+    s = int(np.argmax(heritage))
     # refine within the first violating set in (q, a, b) order
     for q in range(1, n + 1):
         c = int(rows[s, q - 1])
@@ -298,29 +333,39 @@ def gs_first_violation(n: int, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def path_independence_first(n: int, rows: np.ndarray) -> np.ndarray:
+def path_independence_first(n: int, rows: np.ndarray, heritage: np.ndarray) -> np.ndarray:
     """First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q); all -1 when
-    the table, given as ``rows`` (``ChoiceTable.rows``), is path
-    independent.
+    the table, given as ``rows`` (``ChoiceTable.rows``) with its heritage
+    flags ``heritage`` (:func:`_removal_violations`, ``ChoiceTable.heritage``),
+    is path independent.
 
     The verdict comes from heritage and outcast, which together are
     equivalent to path independence for a choice function
     (Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
-    matching").  Both are checked one removal at a time, in O(n^2 2^n).
-    Only when they fail, or when some C(S, q) is not a subset of S (the
-    equivalence needs that), are the sets S searched in ascending order, on
-    the rows that the removal scan reads.  Each S is compared with every T
-    and q at once, and the search stops at the first S with a violation.
-    The condition is symmetric in S and T, so a violation (S, T) with T < S
+    matching").  On a capacity-filling table heritage implies outcast
+    (substitutes and the law of aggregate demand give path independence;
+    Aygun-Sonmez 2013): if b in S is rejected at (S, q), then
+    |C(S, q)| = q <= |S minus b| = |C(S minus b, q)|, and heritage,
+    C(S, q) within C(S minus b, q), forces the two to be equal.  So the
+    heritage flags decide the verdict, and the outcast scan runs only on a
+    table that is not capacity-filling; both cost O(n^2 2^n).  Only when
+    they fail, or when some C(S, q) is not a subset of S (the equivalence
+    needs that), are the sets S searched in ascending order, on the rows
+    that the removal scan reads.  Each S is compared with every T and q at
+    once, and the search stops at the first S with a violation.  The
+    condition is symmetric in S and T, so a violation (S, T) with T < S
     would have stopped the search at T: only T >= S need comparing.
     """
     out = np.full(3, -1, dtype=np.int64)
     masks = _masks(n)
-    if not (rows & ~masks[:, None]).any() and not _removal_violations(
-        n, rows, outcast=True
-    ).any():
-        return out
     body = rows[:, :n]
+    if not (rows & ~masks[:, None]).any() and not heritage.any():
+        sizes = np.bitwise_count(masks)[:, None]
+        filling = np.array_equal(
+            np.bitwise_count(body), np.minimum(sizes, np.arange(1, n + 1, dtype=np.uint8))
+        )
+        if filling or not _removal_violations(n, rows, outcast=True).any():
+            return out
     q_idx = np.arange(n)
     for s in range(1, 1 << n):
         union = body[s | masks[s:]]

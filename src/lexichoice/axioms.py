@@ -68,7 +68,7 @@ def check_capacity_filling(c: ChoiceTable) -> AxiomReport:
 
 def check_gross_substitutes(c: ChoiceTable) -> AxiomReport:
     """Chosen alternatives stay chosen when other alternatives are removed."""
-    out = _kernels.gs_first_violation(c.n, c.rows)
+    out = _kernels.gs_first_violation(c.n, c.rows, c.heritage)
     if out[0] < 0:
         return AxiomReport("gross_substitutes")
     s, q, a, b = (int(v) for v in out)
@@ -139,12 +139,13 @@ def check_iaa(c: ChoiceTable) -> AxiomReport:
 # --- revealed preference axioms ----------------------------------------------
 
 
-def relation_columns(c: ChoiceTable, q: int, revealed: bool = False):
+def relation_columns(c: ChoiceTable, q, revealed: bool = False):
     """Per set S: C(S, q) and S minus C(S, q), the chosen-over columns at q.
 
     With ``revealed`` both columns also drop C(S, q-1), which gives the
     revealed preference columns (C(S, 0) is the empty set).  Both are uint16
-    and read contiguous rows of ``c.cols``.
+    and read rows of ``c.cols``; an integer array of capacities ``q`` gives
+    one row of each per capacity.
     """
     cur = c.cols[q]
     masks = _kernels._masks(c.n)
@@ -154,48 +155,57 @@ def relation_columns(c: ChoiceTable, q: int, revealed: bool = False):
     return cur & ~prev, masks & ~(cur | prev)
 
 
-def relation_edges(c: ChoiceTable, q: int, revealed: bool = False) -> np.ndarray:
-    """``edges[a, b]``: whether some S pairs a and b in :func:`relation_columns`."""
-    return _kernels.chosen_over_edges(c.n, *relation_columns(c, q, revealed))
-
-
 def _first_set(chosen: np.ndarray, rejected: np.ndarray, a: int, b: int) -> int:
     """The first S with a in ``chosen[S]`` and b in ``rejected[S]`` (0 if none)."""
     return int(np.argmax(((chosen >> a) & (rejected >> b) & 1) != 0))
 
 
-def _first_two_way(edges: np.ndarray) -> tuple[int, int] | None:
-    """First pair (a < b), a-major, with both edges[a, b] and edges[b, a]."""
-    both = np.triu(edges & edges.T, 1)
+def _first_two_way(edges: np.ndarray) -> tuple[int, ...] | None:
+    """First index (..., a, b) with a < b and both edges[..., a, b] and
+    edges[..., b, a], in C order: by the leading axes of a stack of
+    relations, then a-major."""
+    both = np.triu(edges & edges.swapaxes(-1, -2), 1)
     if not both.any():
         return None
-    a, b = np.argwhere(both)[0]
-    return int(a), int(b)
+    return tuple(int(v) for v in np.argwhere(both)[0])
 
 
-def _asymmetry(axiom: str, c: ChoiceTable, capacities, revealed: bool) -> AxiomReport:
-    """Fail at the first capacity whose relation has a two-way pair."""
-    for q in capacities:
-        cols = relation_columns(c, q, revealed)
-        pair = _first_two_way(_kernels.chosen_over_edges(c.n, *cols))
-        if pair is not None:
-            a, b = pair
-            return AxiomReport(
-                axiom,
-                {
-                    "q": q,
-                    "a": c.universe.labels[a],
-                    "b": c.universe.labels[b],
-                    "S_ab": _labels(c, _first_set(*cols, a, b)),
-                    "S_ba": _labels(c, _first_set(*cols, b, a)),
-                },
-            )
-    return AxiomReport(axiom)
+def _asymmetry(axiom: str, c: ChoiceTable, capacities, edges, revealed: bool) -> AxiomReport:
+    """Fail at the first of ``capacities`` whose relation, its matrix in the
+    stack ``edges``, has a two-way pair."""
+    found = _first_two_way(edges)
+    if found is None:
+        return AxiomReport(axiom)
+    i, a, b = found
+    q = capacities[i]
+    cols = relation_columns(c, q, revealed)
+    return AxiomReport(
+        axiom,
+        {
+            "q": q,
+            "a": c.universe.labels[a],
+            "b": c.universe.labels[b],
+            "S_ab": _labels(c, _first_set(*cols, a, b)),
+            "S_ba": _labels(c, _first_set(*cols, b, a)),
+        },
+    )
 
 
 def check_cwarp(c: ChoiceTable) -> AxiomReport:
-    """The revealed preference relation must be asymmetric at every capacity."""
-    return _asymmetry("cwarp", c, range(2, c.n + 1), revealed=True)
+    """The revealed preference relation must be asymmetric at every capacity.
+
+    Its edges are computed one block of capacities at a time
+    (``_kernels.capacity_block``), and the scan stops at the first block
+    with a two-way pair.
+    """
+    block = _kernels.capacity_block(c.n)
+    for lo in range(2, c.n + 1, block):
+        capacities = np.arange(lo, min(lo + block, c.n + 1))
+        edges = _kernels.chosen_over_edges(c.n, *relation_columns(c, capacities, revealed=True))
+        report = _asymmetry("cwarp", c, capacities.tolist(), edges, revealed=True)
+        if not report.ok:
+            return report
+    return AxiomReport("cwarp")
 
 
 def check_wrarp(c: ChoiceTable) -> AxiomReport:
@@ -205,7 +215,7 @@ def check_wrarp(c: ChoiceTable) -> AxiomReport:
     b chosen over a at another problem of the same capacity) is exactly a
     symmetric chosen-over pair at that capacity.
     """
-    return _asymmetry("wrarp", c, range(1, c.n + 1), revealed=False)
+    return _asymmetry("wrarp", c, range(1, c.n + 1), c.chosen_over, revealed=False)
 
 
 def check_cwrarp(c: ChoiceTable) -> AxiomReport:
@@ -216,7 +226,7 @@ def check_cwrarp(c: ChoiceTable) -> AxiomReport:
     capacities that hold that edge.
     """
     n = c.n
-    edges = np.array([relation_edges(c, q) for q in range(1, n + 1)])
+    edges = c.chosen_over
     pair = _first_two_way(edges.any(axis=0))
     if pair is None:
         return AxiomReport("cwrarp")
@@ -245,7 +255,7 @@ def check_cwrarp(c: ChoiceTable) -> AxiomReport:
 
 def check_path_independence(c: ChoiceTable) -> AxiomReport:
     """C(S union T, q) must equal C(C(S,q) union C(T,q), q) for all S, T, q."""
-    out = _kernels.path_independence_first(c.n, c.rows)
+    out = _kernels.path_independence_first(c.n, c.rows, c.heritage)
     if out[0] < 0:
         return AxiomReport("path_independence")
     s, t, q = (int(v) for v in out)

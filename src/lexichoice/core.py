@@ -165,9 +165,16 @@ class ChoiceTable:
     it is built from ``cols``, a fill's own array in this layout, whose
     entries are subsets of their sets: a C-contiguous uint16 array that owns
     its data is frozen in place (made read-only), and any other is copied.
-    The table never changes once built.  ``rows`` is the same table set-major,
-    the layout the single-removal scan of gross substitutes and path
-    independence reads; it is built on first use and kept.
+    The table never changes once built, so what its checkers derive from it
+    is built on first use and kept, each array by one producer:
+
+    - ``rows``: the same table set-major, the layout the single-removal
+      scan reads;
+    - ``heritage``: per set, the flag of that one scan (heritage broken by
+      removing one alternative), which decides gross substitutes and, with
+      capacity filling, path independence;
+    - ``chosen_over``: the chosen-over edges of every capacity, which decide
+      WRARP and CWRARP and order the capacity-wise responsive extraction.
     """
 
     def __init__(self, universe: Universe, entries=None, *, cols: np.ndarray | None = None):
@@ -196,6 +203,27 @@ class ChoiceTable:
         rows = _kernels._rows(self.cols)
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def heritage(self) -> np.ndarray:
+        """Per set S, whether removing one b in S breaks heritage at some q
+        (``_kernels._removal_violations`` of ``rows``): a read-only bool
+        array of shape ``(2**n,)``."""
+        flags = _kernels._removal_violations(self.n, self.rows)
+        flags.setflags(write=False)
+        return flags
+
+    @cached_property
+    def chosen_over(self) -> np.ndarray:
+        """``chosen_over[q-1, a, b]``: whether some S has a in C(S, q) and b
+        in S minus C(S, q), over q = 1..n (``_kernels.chosen_over_edges``):
+        a read-only bool array of shape ``(n, n, n)``."""
+        chosen = self.cols[1:]
+        rejected = ~chosen
+        rejected &= _kernels._masks(self.n)
+        edges = _kernels.chosen_over_edges(self.n, chosen, rejected)
+        edges.setflags(write=False)
+        return edges
 
     def _check_domain(self, p: Problem) -> None:
         if not (0 < p.set < (1 << self.n)):

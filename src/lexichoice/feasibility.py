@@ -107,14 +107,15 @@ def flex_materialize(
 def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:
     """Rejection only when capacity is full or the augmentation is infeasible.
 
-    A problem (S, q) violates it when |C(S, q)| != q and some a in S outside
-    C(S, q) keeps C(S, q) + a in the family; the witness is the first such
-    problem and its lowest such a.
+    Capacity q is full when at least q alternatives are chosen.  A problem
+    (S, q) violates it when |C(S, q)| < q and some a in S outside C(S, q)
+    keeps C(S, q) + a in the family; the witness is the first such problem
+    and its lowest such a, which :func:`replay_f_witness` confirms.
     """
     n = c.n
     got = c.cols[1:]
     addable = _kernels._masks(n) & ~got & c.family.augment[got]
-    full = np.bitwise_count(got) == np.arange(1, n + 1, dtype=np.uint8)[:, None]
+    full = np.bitwise_count(got) >= np.arange(1, n + 1, dtype=np.uint8)[:, None]
     viol = ~full & (addable != 0)
     if not viol.any():
         return AxiomReport("f_capacity_filling")

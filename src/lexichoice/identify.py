@@ -15,7 +15,6 @@ import heapq
 
 import numpy as np
 
-from .axioms import relation_edges
 from .core import ChoiceTable, Problem, popcount
 from .rules import (
     CapacityWise,
@@ -134,11 +133,10 @@ def extract_responsive(c: ChoiceTable) -> PriorityOrdering:
 def linear_extension(edges: np.ndarray) -> list[int]:
     """Kahn order of the relation ``edges`` (``edges[a, b]``: a before b).
 
-    ``edges`` is an (n, n) bool edge matrix such as
-    :func:`~lexichoice.axioms.relation_edges` returns.  The lowest-index
-    ready alternative goes first.  On a cyclic relation the order stops
-    short: the alternatives left out are exactly those still holding a
-    predecessor.
+    ``edges`` is an (n, n) bool edge matrix such as one capacity's
+    ``ChoiceTable.chosen_over``.  The lowest-index ready alternative goes
+    first.  On a cyclic relation the order stops short: the alternatives
+    left out are exactly those still holding a predecessor.
     """
     n = len(edges)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -170,7 +168,7 @@ def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
     n = c.n
     orderings: list[PriorityOrdering] = []
     for q in range(1, n + 1):
-        rank = linear_extension(relation_edges(c, q))
+        rank = linear_extension(c.chosen_over[q - 1])
         if len(rank) != n:
             cyc = [lab for a, lab in enumerate(c.universe.labels) if a not in rank]
             raise ExtractionError(

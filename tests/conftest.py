@@ -158,6 +158,28 @@ def augmentation_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """The whole-table scans made during the test: under ``removal`` the
+    ``outcast`` argument of each ``_kernels._removal_violations`` call, and
+    under ``edges`` the chosen columns of each ``_kernels.chosen_over_edges``
+    call, as a ``(Q, 2**n)`` array."""
+    calls = {"removal": [], "edges": []}
+    removal, edges = _kernels._removal_violations, _kernels.chosen_over_edges
+
+    def counted_removal(n, rows, outcast=False):
+        calls["removal"].append(outcast)
+        return removal(n, rows, outcast)
+
+    def counted_edges(n, chosen, rejected):
+        calls["edges"].append(np.asarray(chosen).reshape(-1, 1 << n))
+        return edges(n, chosen, rejected)
+
+    monkeypatch.setattr(_kernels, "_removal_violations", counted_removal)
+    monkeypatch.setattr(_kernels, "chosen_over_edges", counted_edges)
+    return calls
+
+
 def set_major(table) -> np.ndarray:
     """A writable int64 copy of the table's entries as ``[S, q]``, the
     set-major matrix that ``ChoiceTable(u, entries)`` takes."""

@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexichoice import (Lexicographic, PriorityProfile, make_universe, materialize,
+                        ordering_from_labels)
 from lexichoice.cli import main
 
 LEX_SPEC = {
@@ -143,6 +146,38 @@ def test_flex_commands_build_the_augmentations_once(tmp_path, capsys, augmentati
         augmentation_calls.clear()
         code, _, _ = _run(capsys, argv)
         assert code == 0 and augmentation_calls == [3], argv
+
+
+def test_check_derives_each_scan_once(tmp_path, capsys, scan_calls):
+    # a default check of an n = 8 lexicographic rule: gross substitutes and
+    # path independence share one removal scan, which decides path
+    # independence since the table is capacity-filling; WRARP and CWRARP
+    # share one computation of the chosen-over edges of all 8 capacities;
+    # CWARP's revealed edges of capacities 2..8 are one block at n = 8
+    labels = [f"x{i}" for i in range(8)]
+    rng = random.Random("scans")
+    profile = [rng.sample(labels, 8) for _ in range(8)]
+    lex = _write(tmp_path, "lex8.json", {"universe": labels,
+                                         "rule": {"kind": "lexicographic", "profile": profile}})
+    code, out, _ = _run(capsys, ["check", lex, "--replay-witness"])
+    assert code in (0, 1) and len(json.loads(out)["axioms"]) == 8
+    assert scan_calls["removal"] == [False]
+    u = make_universe(labels)
+    table = materialize(Lexicographic(PriorityProfile(tuple(
+        ordering_from_labels(u, r) for r in profile))), u)
+    chosen = [c for c in scan_calls["edges"] if np.array_equal(c, table.cols[1:])]
+    revealed = [c for c in scan_calls["edges"] if np.array_equal(c, table.cols[2:] & ~table.cols[1:-1])]
+    assert len(chosen) == len(revealed) == 1 and len(scan_calls["edges"]) == 2
+    # C(S, q) = S & {x0}: heritage holds and capacity filling fails, so
+    # path independence also runs the outcast scan
+    entries = [[0] + [s & 1] * 8 for s in range(1 << 8)]
+    only = _write(tmp_path, "only.json", {"universe": labels,
+                                          "rule": {"kind": "table", "entries": entries}})
+    scan_calls["removal"].clear()
+    code, out, _ = _run(capsys, ["check", only, "--axioms", "capacity_filling,path_independence"])
+    verdicts = {k: v["verdict"] for k, v in json.loads(out)["axioms"].items()}
+    assert code == 1 and verdicts == {"capacity_filling": "fail", "path_independence": "pass"}
+    assert scan_calls["removal"] == [False, True]
 
 
 def test_check_input_error(tmp_path, capsys):

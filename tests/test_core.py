@@ -20,6 +20,7 @@ from lexichoice import (
     flex_materialize,
     make_family,
     make_universe,
+    _kernels,
 )
 from lexichoice.core import iter_bits, popcount
 
@@ -214,6 +215,33 @@ def test_table_rows_are_built_once_and_readonly():
     with pytest.raises(ValueError):
         rows[1, 0] = 3
     assert t == ChoiceTable(t.universe, set_major(t))  # rows take no part in equality
+
+
+def test_table_scans_are_built_once_and_readonly():
+    # the heritage flags of the one removal scan, and the chosen-over edges
+    # of every capacity, both kept beside rows: on a table over 4
+    # alternatives whose entries are random subsets of their sets
+    n = 4
+    rng = np.random.default_rng(4)
+    masks = np.arange(1 << n)
+    entries = np.zeros((1 << n, n + 1), dtype=np.int64)
+    entries[:, 1:] = masks[:, None] & rng.integers(0, 1 << n, (1 << n, n))
+    t = ChoiceTable(universe(n), entries)
+    heritage, edges = t.heritage, t.chosen_over
+    assert heritage is t.heritage and edges is t.chosen_over
+    assert heritage.dtype == np.bool_ and heritage.shape == (1 << n,)
+    assert heritage.tolist() == _kernels._removal_violations(n, t.rows).tolist()
+    assert heritage.any() and not heritage.all()
+    assert edges.dtype == np.bool_ and edges.shape == (n, n, n)
+    for q in range(1, n + 1):
+        for a in range(n):
+            for b in range(n):
+                want = any((t.cols[q, s] >> a) & 1 and ((s & ~t.cols[q, s]) >> b) & 1
+                           for s in range(1 << n))
+                assert edges[q - 1, a, b] == want, (q, a, b)
+    for array in (heritage, edges):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = True
 
 
 def _resolves(name: str) -> bool:

@@ -212,6 +212,28 @@ def test_f_capacity_filling_failure_and_replay(rng):
     assert not replay_f_witness(t, "f_capacity_filling", rep.witness)
 
 
+def test_f_capacity_filling_counts_an_overfull_cell_as_full():
+    # C({a, b, c}, 1) = {a, b} holds more than q = 1 alternatives (validate()
+    # refuses it), and c would keep it feasible: capacity is full, so the
+    # first violation is the under-filled C({a, b, c}, 2) = {a}, which replay
+    # confirms.  With 2 alternatives a cell holding more than q holds all of
+    # S, so it has no addable alternative: 3 is the fewest that show this.
+    u = universe(3)
+    f = make_family(u, [u.full_mask])
+    profile = PriorityProfile(tuple(ordering_from_labels(u, r) for r in ("abc", "bca", "cab")))
+    t = flex_materialize(profile, f, u)
+    assert check_f_capacity_filling(t).ok
+    s = u.full_mask
+    bad = _patched_table(t, {(s, 1): u.mask_of("ab"), (s, 2): u.mask_of("a")})
+    with pytest.raises(ValueError, match="exceeds capacity"):
+        bad.validate()
+    rep = check_f_capacity_filling(bad)
+    assert rep.witness == {"S": ["a", "b", "c"], "q": 2, "alt": "b", "chosen": ["a"]}
+    assert replay_f_witness(bad, "f_capacity_filling", rep.witness)
+    over = _patched_table(t, {(s, 1): u.mask_of("ab")})
+    assert check_f_capacity_filling(over).ok
+
+
 def test_csarp_failure_and_replay():
     n = 3
     u = universe(n)
@@ -305,13 +327,13 @@ def test_f_edges_match_loop_oracle(rng, n):
 
 
 def _f_capacity_filling_loop(c):
-    # Per-cell loop: the first (S, q) with |C(S, q)| != q and some a in S
+    # Per-cell loop: the first (S, q) with |C(S, q)| < q and some a in S
     # outside C(S, q) keeping C(S, q) + a feasible; a is the lowest such.
     n = c.n
     for s in range(1, 1 << n):
         for q in range(1, n + 1):
             got = int(c.cols[q, s])
-            if popcount(got) == q:
+            if popcount(got) >= q:
                 continue
             for a in iter_bits(s & ~got):
                 if feasible(c.family, got | (1 << a)):
@@ -374,6 +396,7 @@ def test_flex_scans_match_loop_oracles(rng, n):
         want = _f_capacity_filling_loop(t)
         assert rep.verdict == ("pass" if want is None else "fail")
         assert rep.witness == want
+        assert rep.ok or replay_f_witness(t, "f_capacity_filling", rep.witness)
         msg = _error(t.validate)
         assert msg == _error(_validate_loop, t)
         seen.add(rep.verdict)

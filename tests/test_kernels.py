@@ -249,13 +249,23 @@ def _rows(table):
     return _kernels._rows(_cols(table))
 
 
+def _first_violations(n, table):
+    """Both first-violation kernels on a set-major matrix, each given the
+    rows and heritage flags that a ``ChoiceTable`` keeps."""
+    rows = _rows(table)
+    heritage = _kernels._removal_violations(n, rows)
+    return (_kernels.gs_first_violation(n, rows, heritage),
+            _kernels.path_independence_first(n, rows, heritage))
+
+
 def _assert_first_violations_agree(n, table):
+    gs, pi = _first_violations(n, table)
     want = np.full(4, -1, dtype=np.int64)
     _gs_first_violation_loops(n, table, want)
-    assert np.array_equal(_kernels.gs_first_violation(n, _rows(table)), want)
+    assert np.array_equal(gs, want)
     want = np.full(3, -1, dtype=np.int64)
     _path_independence_first_loops(n, table, want)
-    assert np.array_equal(_kernels.path_independence_first(n, _rows(table)), want)
+    assert np.array_equal(pi, want)
 
 
 # --- kernel vs oracle ----------------------------------------------------------
@@ -462,6 +472,36 @@ def test_word_wide_chosen_over_edges_agree_on_sixteen_bit_columns(n):
         assert not _kernels.chosen_over_edges(n, chosen, rejected).any()
 
 
+@pytest.mark.parametrize("n", range(1, MAX_ALTERNATIVES + 1))
+def test_blocked_chosen_over_edges_agree_with_single_columns(n):
+    # (Q, 2**n) columns go through the capacities in blocks of
+    # capacity_block(n): all of them at n <= 12, 8 at n = 13 (a remainder of
+    # 4 and 5), 4 at n = 14 (a remainder of 1 and 2), 2 at n = 15 and 1 at
+    # n = 16.
+    # Sparse columns keep the per-set oracle fast: it reads only the
+    # nonempty sets, since an edge does not depend on which S witnesses it
+    rng = np.random.default_rng(100 + n)
+    size = 1 << n
+    assert _kernels.capacity_block(n) == (1 << 16) >> max(n, 2)
+    for count in (n, n - 1, 0):
+        chosen, rejected = np.zeros((2, count, size), dtype=np.uint16)
+        if n <= 10:
+            chosen[:] = rng.integers(0, 1 << 16, (count, size), dtype=np.uint16)
+            rejected[:] = rng.integers(0, 1 << 16, (count, size), dtype=np.uint16)
+        else:
+            for q in range(count):
+                at = rng.integers(0, size, 8)
+                chosen[q, at] = rng.integers(0, 1 << 16, 8, dtype=np.uint16)
+                rejected[q, at] = rng.integers(0, 1 << 16, 8, dtype=np.uint16)
+        got = _kernels.chosen_over_edges(n, chosen, rejected)
+        assert got.dtype == np.bool_ and got.shape == (count, n, n)
+        for q in range(count):
+            assert np.array_equal(got[q], _kernels.chosen_over_edges(n, chosen[q], rejected[q]))
+            live = np.flatnonzero((chosen[q] != 0) & (rejected[q] != 0))
+            want = _chosen_over_edges_loops(n, chosen[q, live].tolist(), rejected[q, live].tolist())
+            assert np.array_equal(got[q], want), q
+
+
 def test_chosen_over_edges_below_one_word():
     # at n <= 1 the columns hold fewer than the four sets of a word
     assert _kernels.chosen_over_edges(0, np.zeros(1, np.uint16), np.ones(1, np.uint16)).shape == (0, 0)
@@ -507,6 +547,69 @@ def test_first_violation_kernels_agree_on_every_single_column_rule():
         _assert_first_violations_agree(3, table)
 
 
+def _filling_choices(n, s, q):
+    """Every subset of s of min(|s|, q) alternatives."""
+    size = min(s.bit_count(), q)
+    return [m for m in range(1 << n) if m & ~s == 0 and m.bit_count() == size]
+
+
+def test_path_independence_on_every_capacity_filling_table():
+    # every capacity-filling table at n = 3, each capacity's column chosen
+    # on its own (24 x 3 x 1 = 72): there path independence is decided by
+    # the heritage flags alone, without the outcast scan
+    n = 3
+    cells = [(s, q) for q in range(1, n + 1) for s in range(1, 1 << n)]
+    verdicts = []
+    for picks in itertools.product(*(_filling_choices(n, s, q) for s, q in cells)):
+        table = np.zeros((1 << n, n + 1), dtype=np.int64)
+        for (s, q), m in zip(cells, picks):
+            table[s, q] = m
+        _assert_first_violations_agree(n, table)
+        verdicts.append(bool((_first_violations(n, table)[1] < 0).all()))
+    assert len(verdicts) == 72 and 0 < sum(verdicts) < 72
+
+
+def _threshold_table(rng, n, whole):
+    """C(S, q) = S & A_q for |S| <= k_q, else empty: heritage holds and
+    capacity filling fails; with ``whole`` k_q = n, and the table is path
+    independent, else k_q < n, and outcast fails at some set."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    table = np.zeros((1 << n, n + 1), dtype=np.int64)
+    for q in range(1, n + 1):
+        keep = rng.randrange(1, 1 << n) | 1 << rng.randrange(n)
+        k = n if whole else rng.randrange(1, n)
+        table[:, q] = np.where(np.bitwise_count(masks) <= k, masks & keep, 0)
+    return table
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_path_independence_branches_agree(scan_calls, n):
+    # the kernel's (S, T, q), or -1, against the loop oracle on both sides
+    # of the capacity-filling branch: capacity-filling tables (ordering-built
+    # ones pass; with cells moved to other sets of the same size they
+    # usually fail) never run the outcast scan, and tables that fail
+    # capacity filling but keep heritage run it.  Path independent tables
+    # only at n <= 8, where the 4**n oracle is fast enough.
+    rng = random.Random(f"branches-{n}")
+    scans = scan_calls["removal"]  # the outcast argument of each removal scan
+    kinds = []
+    for _ in range(3):
+        valid = set_major(materialize(Lexicographic(random_profile(rng, n)), universe(n)))
+        moved = np.array(valid)
+        for _ in range(rng.randrange(1, 4)):
+            s, q = 0, n
+            while s.bit_count() <= q:  # a set with more than one choice at q
+                s, q = rng.randrange(1, 1 << n), rng.randrange(1, n)
+            moved[s, q] = rng.choice([m for m in _filling_choices(n, s, q) if m != moved[s, q]])
+        kinds += [("filling", moved), ("not_filling", _threshold_table(rng, n, whole=False))]
+        if n <= 8:
+            kinds += [("filling", valid), ("not_filling", _threshold_table(rng, n, whole=True))]
+    for kind, table in kinds:
+        scans.clear()
+        _assert_first_violations_agree(n, table)
+        assert scans == ([False, True] if kind == "not_filling" else [False]), kind
+
+
 # --- past the small tables: uint16 masks -----------------------------------------
 
 # The kernels compute on uint16 masks.  At n = 7..10 the removal scan pads
@@ -546,9 +649,9 @@ def test_first_violation_kernels_agree_on_wide_tables(n):
     else:  # the 4**n path-independence oracle is too slow on a passing table
         want = np.full(4, -1, dtype=np.int64)
         _gs_first_violation_loops(n, valid, want)
-        assert np.array_equal(_kernels.gs_first_violation(n, _rows(valid)), want)
-        # ordering-built tables are path independent
-        assert (_kernels.path_independence_first(n, _rows(valid)) == -1).all()
+        gs, pi = _first_violations(n, valid)
+        assert np.array_equal(gs, want)
+        assert (pi == -1).all()  # ordering-built tables are path independent
     for mutations in (1, 3, 16):
         for _ in range(3):
             table = np.array(valid)
