@@ -31,7 +31,11 @@ single-removal scan, which a table runs once (``ChoiceTable.heritage``):
 path independence holds exactly when heritage and outcast do
 (Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
 matching"), and on a capacity-filling table heritage implies outcast, so
-the outcast scan runs only on a table that is not capacity-filling.  The
+only a table that is not capacity-filling adds the outcast condition to its
+heritage flags, in a scan of that condition alone.  Capacity filling and
+whether every entry is a subset of its set are decided once per table too
+(``ChoiceTable.unfilled`` and ``ChoiceTable.subsets``), for the capacity
+filling checker and path independence alike.  The
 verdict costs O(n^2 2^n), and the set-major search for its first
 (S, T, q), a Python loop over sets, runs only when the verdict is fail.
 ``tests/test_kernels.py`` holds per-set loop versions of every kernel and
@@ -279,31 +283,50 @@ def _rows(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _removal_violations(n: int, cols: np.ndarray, outcast: bool = False) -> np.ndarray:
-    """Per set S, whether removing one b in S breaks heritage at some q:
-    C(S, q) minus b not contained in C(S minus b, q), with S minus b
-    nonempty.  With ``outcast`` also flag a rejected b whose removal changes
-    the choice: b not in C(S, q) and C(S minus b, q) != C(S, q).
+def _removal_violations(n: int, cols: np.ndarray, condition: str = "heritage") -> np.ndarray:
+    """Per set S, whether removing one b in S breaks ``condition`` at some
+    q: "heritage", C(S, q) minus b not contained in C(S minus b, q), with
+    S minus b nonempty; or "outcast", b rejected (not in C(S, q)) and
+    C(S minus b, q) != C(S, q).
 
     ``cols`` is the table as rows (``ChoiceTable.rows``).  The sets holding b
     and their partners without b are the two halves of a reshape, so each
-    alternative costs one pass over the table and no gather.  Both
-    conditions leave the offending bits of each cell, and a set's 16 cells
-    are read as four 64-bit words to find whether any bit is left.
+    alternative costs one pass over the table and no gather.  The condition
+    leaves the offending bits of each cell, and a set's 16 cells are read
+    as four 64-bit words to find whether any bit is left.
     """
     viol = np.zeros(1 << n, dtype=bool)
     for b in range(n):
         bit = np.uint16(1 << b)
         pairs = cols.reshape(-1, 2, 1 << b, MASK_BITS)
         without, with_b = pairs[:, 0], pairs[:, 1]
-        bad = with_b & ~without & ~bit
-        bad[0, 0] = 0  # S = {b}: S minus b is empty
-        if outcast:  # all ones where b is not in C(S, q), else zero
-            bad |= (with_b ^ without) & (((with_b >> b) & 1) - np.uint16(1))
+        if condition == "heritage":
+            bad = with_b & ~without & ~bit
+            bad[0, 0] = 0  # S = {b}: S minus b is empty
+        else:  # all ones where b is not in C(S, q), else zero
+            bad = (with_b ^ without) & (((with_b >> b) & 1) - np.uint16(1))
         words = bad.view(np.uint64)
         left = (words[..., 0] | words[..., 1] | words[..., 2] | words[..., 3]) != 0
         viol.reshape(-1, 2, 1 << b)[:, 1] |= left
     return viol
+
+
+def _unfilled(n: int, cols: np.ndarray) -> np.ndarray:
+    """``out[q-1, S]``: whether |C(S, q)| != min(|S|, q), the cells of the
+    table ``cols`` that break capacity filling, over q = 1..n; the empty set
+    is never flagged.  A table keeps its first cell as
+    ``ChoiceTable.unfilled``."""
+    sizes = np.bitwise_count(_masks(n))
+    want = np.minimum(sizes, np.arange(1, n + 1, dtype=np.uint8)[:, None])
+    out = np.bitwise_count(cols[1:]) != want
+    out[:, 0] = False
+    return out
+
+
+def _subsets(n: int, cols: np.ndarray) -> bool:
+    """Whether every C(S, q), q = 1..n, of the table ``cols`` is a subset of
+    S.  A table keeps this as ``ChoiceTable.subsets``."""
+    return not (cols[1:] & ~_masks(n)).any()
 
 
 def gs_first_violation(n: int, rows: np.ndarray, heritage: np.ndarray) -> np.ndarray:
@@ -311,7 +334,7 @@ def gs_first_violation(n: int, rows: np.ndarray, heritage: np.ndarray) -> np.nda
     not from (S without b, q); all -1 when no violation exists.
 
     ``rows`` is a table as rows (``ChoiceTable.rows``, from :func:`_rows`),
-    and ``heritage`` its :func:`_removal_violations` without outcast
+    and ``heritage`` its :func:`_removal_violations` of heritage
     (``ChoiceTable.heritage``): the first flagged set is refined in
     (q, a, b) order.
     """
@@ -333,11 +356,16 @@ def gs_first_violation(n: int, rows: np.ndarray, heritage: np.ndarray) -> np.nda
     return out
 
 
-def path_independence_first(n: int, rows: np.ndarray, heritage: np.ndarray) -> np.ndarray:
+def path_independence_first(
+    n: int, rows: np.ndarray, heritage: np.ndarray, subsets: bool, filling: bool
+) -> np.ndarray:
     """First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q); all -1 when
-    the table, given as ``rows`` (``ChoiceTable.rows``) with its heritage
-    flags ``heritage`` (:func:`_removal_violations`, ``ChoiceTable.heritage``),
-    is path independent.
+    the table, given as ``rows`` (``ChoiceTable.rows``), is path
+    independent.  The caller decides the rest once per table: ``heritage``,
+    the flags of :func:`_removal_violations` (``ChoiceTable.heritage``);
+    ``subsets``, whether every C(S, q) is a subset of S (:func:`_subsets`);
+    and ``filling``, whether the table is capacity-filling (no cell of
+    :func:`_unfilled`).
 
     The verdict comes from heritage and outcast, which together are
     equivalent to path independence for a choice function
@@ -347,25 +375,22 @@ def path_independence_first(n: int, rows: np.ndarray, heritage: np.ndarray) -> n
     Aygun-Sonmez 2013): if b in S is rejected at (S, q), then
     |C(S, q)| = q <= |S minus b| = |C(S minus b, q)|, and heritage,
     C(S, q) within C(S minus b, q), forces the two to be equal.  So the
-    heritage flags decide the verdict, and the outcast scan runs only on a
-    table that is not capacity-filling; both cost O(n^2 2^n).  Only when
-    they fail, or when some C(S, q) is not a subset of S (the equivalence
-    needs that), are the sets S searched in ascending order, on the rows
-    that the removal scan reads.  Each S is compared with every T and q at
-    once, and the search stops at the first S with a violation.  The
-    condition is symmetric in S and T, so a violation (S, T) with T < S
+    heritage flags decide the verdict, and a table that is not
+    capacity-filling runs only the outcast condition of the removal scan,
+    since its heritage flags are already known; both cost O(n^2 2^n).
+    Only when they fail, or when some C(S, q) is not a subset of S (the
+    equivalence needs that), are the sets S searched in ascending order, on
+    the rows that the removal scan reads.  Each S is compared with every T
+    and q at once, and the search stops at the first S with a violation.
+    The condition is symmetric in S and T, so a violation (S, T) with T < S
     would have stopped the search at T: only T >= S need comparing.
     """
     out = np.full(3, -1, dtype=np.int64)
+    if subsets and not heritage.any():
+        if filling or not _removal_violations(n, rows, "outcast").any():
+            return out
     masks = _masks(n)
     body = rows[:, :n]
-    if not (rows & ~masks[:, None]).any() and not heritage.any():
-        sizes = np.bitwise_count(masks)[:, None]
-        filling = np.array_equal(
-            np.bitwise_count(body), np.minimum(sizes, np.arange(1, n + 1, dtype=np.uint8))
-        )
-        if filling or not _removal_violations(n, rows, outcast=True).any():
-            return out
     q_idx = np.arange(n)
     for s in range(1, 1 << n):
         union = body[s | masks[s:]]

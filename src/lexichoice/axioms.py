@@ -48,14 +48,9 @@ def _labels(c: ChoiceTable, mask: int) -> list[str]:
 
 def check_capacity_filling(c: ChoiceTable) -> AxiomReport:
     """|C(S, q)| must equal min(|S|, q) at every problem."""
-    set_sizes = np.bitwise_count(_kernels._masks(c.n))
-    want = np.minimum(set_sizes, np.arange(1, c.n + 1, dtype=np.uint8)[:, None])
-    viol = np.bitwise_count(c.cols[1:]) != want
-    viol[:, 0] = False
-    if not viol.any():
+    if c.unfilled is None:
         return AxiomReport("capacity_filling")
-    s, qi = first_cell(viol)
-    q = qi + 1
+    s, q = c.unfilled
     return AxiomReport(
         "capacity_filling",
         {
@@ -255,7 +250,9 @@ def check_cwrarp(c: ChoiceTable) -> AxiomReport:
 
 def check_path_independence(c: ChoiceTable) -> AxiomReport:
     """C(S union T, q) must equal C(C(S,q) union C(T,q), q) for all S, T, q."""
-    out = _kernels.path_independence_first(c.n, c.rows, c.heritage)
+    out = _kernels.path_independence_first(
+        c.n, c.rows, c.heritage, c.subsets, c.unfilled is None
+    )
     if out[0] < 0:
         return AxiomReport("path_independence")
     s, t, q = (int(v) for v in out)

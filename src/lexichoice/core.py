@@ -173,6 +173,10 @@ class ChoiceTable:
     - ``heritage``: per set, the flag of that one scan (heritage broken by
       removing one alternative), which decides gross substitutes and, with
       capacity filling, path independence;
+    - ``unfilled`` and ``subsets``: the first problem that breaks capacity
+      filling, and whether every entry is a subset of its set, which
+      decide capacity filling and, with the heritage flags, path
+      independence;
     - ``chosen_over``: the chosen-over edges of every capacity, which decide
       WRARP and CWRARP and order the capacity-wise responsive extraction.
     """
@@ -212,6 +216,23 @@ class ChoiceTable:
         flags = _kernels._removal_violations(self.n, self.rows)
         flags.setflags(write=False)
         return flags
+
+    @cached_property
+    def unfilled(self) -> Problem | None:
+        """The first problem (S, q), in canonical order, with
+        |C(S, q)| != min(|S|, q) (``_kernels._unfilled``), or None when the
+        table is capacity-filling."""
+        cells = _kernels._unfilled(self.n, self.cols)
+        if not cells.any():
+            return None
+        s, qi = first_cell(cells)
+        return Problem(s, qi + 1)
+
+    @cached_property
+    def subsets(self) -> bool:
+        """Whether every C(S, q), q = 1..n, is a subset of S
+        (``_kernels._subsets``)."""
+        return _kernels._subsets(self.n, self.cols)
 
     @cached_property
     def chosen_over(self) -> np.ndarray:

@@ -11,14 +11,17 @@ Preferences are tuples ranking every object and ``None`` (the null object),
 best first.  Allocation problems and allocations are index-aligned tuples.
 A space is read once, when it is built, into two arrays: the ranking ids
 of its profiles (ids from one cached catalogue per tuple of objects) and
-its capacity vectors.  :func:`allocations` returns one read-only array of
-every allocation, which the one deferred acceptance implementation fills
-for every problem at once; :func:`da_allocate` is its call on one problem,
-and any other mechanism is called once per problem, each ranking given as a
-tuple.  A structure keeps the deferred acceptance allocation of the last
-space it allocated, so a sweep of checkers over one space allocates it
-once.  The checkers append the misreports and unit capacity increases that
-a space lacks by one lookup, and allocate only those.
+its capacity vectors.  :func:`allocations` returns one read-only
+``(P, C, n)`` int8 array of every allocation, which the one deferred
+acceptance implementation fills for every problem at once; its state is
+agent-major (one row per agent or object over the problems still
+running), and round 1, which the profile alone decides, is found once per
+profile.  :func:`da_allocate` is its call on one problem, and any other
+mechanism is called once per problem, each ranking given as a tuple.  A
+structure keeps the deferred acceptance allocation of the last space it
+allocated, so a sweep of checkers over one space allocates it once.  The
+checkers append the misreports and unit capacity increases that a space
+lacks by one lookup, and allocate only those.
 """
 
 from __future__ import annotations
@@ -187,7 +190,9 @@ class MechanismSpace:
     agent i's ranking at ``profiles[p]`` in ``all_preferences(objects)``,
     and ``caps[c]``, the vector ``capacities[c]``.  The first malformed
     profile, else capacity vector, is refused there by name.  Rankings
-    given as lists (or other sequences) are read as tuples.
+    given as lists (or other sequences) are read as tuples.  The profile
+    pairs that truncation invariance compares are listed on first use and
+    kept (:attr:`truncation_pairs`).
     """
 
     agents: tuple[str, ...]
@@ -224,6 +229,13 @@ class MechanismSpace:
         caps.setflags(write=False)
         for name, value in (("agents", agents), ("objects", objects), ("ids", pidx), ("caps", caps)):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def truncation_pairs(self) -> tuple[np.ndarray, ...]:
+        """The profile pairs that truncation invariance compares, listed on
+        first use (:func:`_truncation_pairs`) and kept, so that a space that
+        is never checked for it pays nothing."""
+        return _truncation_pairs(self.objects, self.ids)
 
 
 def exhaustive_space(agents, objects) -> MechanismSpace:
@@ -266,70 +278,97 @@ def _da_slots(
 ) -> np.ndarray:
     """Deferred acceptance on every problem at once: each profile of ranking
     ids ``pidx`` (:attr:`MechanismSpace.ids`) with each capacity vector of
-    ``caps``; the result holds each agent's slot.
+    ``caps``; the result is the ``(P, C, n)`` int8 array of each agent's
+    slot, ``out[p, c, i]``, which :func:`_allocate` makes read-only.
 
-    Problem ``p * C + c`` keeps, per agent, the index into the flattened
-    ``slot_at`` of their latest application, the agent mask that each
-    object holds and the mask of the agents rejected in the last round.  A
-    round moves each rejected agent one place down their ranking; each
-    object that got applicants re-chooses from what it holds plus them with
-    one gather from its table, and the others keep what they hold.  An agent
-    is held by at most one object and an agent who reaches the null object
-    stays there, so a problem with no one rejected is done: each agent's
-    last application is their allotment.  Runs are capped at n * |O| + 1
-    rounds; exceeding the cap means some rule is violating its contract.
+    The state is agent-major, so that every array operation runs along the
+    long axis of the problems still running: per agent, the index into the
+    flattened ``slot_at`` of their latest application, ``(n, problems)``;
+    per object, the agent mask it holds and its capacity, ``(O, problems)``;
+    and per problem its index ``p * C + c`` and the mask of the agents
+    rejected in the last round.  A round moves each rejected agent one place
+    down their ranking; each object that got applicants re-chooses from what
+    it holds plus them with one gather from its table, and the others keep
+    what they hold (a table that is not capacity-filling could change a held
+    set on a re-choice).  An agent is held by at most one object and an
+    agent who reaches the null object stays there, so a problem with no one
+    rejected is done: each agent's last application is their allotment,
+    and the problems still running are compacted by index.
+
+    In round 1 everyone applies to their first choice, which the profile
+    alone decides, so its applicants are found once per profile: each
+    object chooses from them at every capacity, and each capacity vector
+    takes its capacity's row.  Every problem starts from its profile's
+    first choices, which stand as the allotments of the problems that round
+    1 leaves with no one rejected.  Runs are capped at n * |O| + 1 rounds;
+    exceeding the cap means some rule is violating its contract.
     ``rounds``, given for one problem, receives the trace that
     :func:`da_allocate` returns.
     """
     n, objects = cs.agents.n, cs.objects
-    n_obj = len(objects)
-    n_caps = len(caps)
+    n_obj, n_prof, n_caps = len(objects), len(pidx), len(caps)
     slot_at = _rankings(objects)[2].reshape(-1)
     mask_t = np.min_scalar_type(cs.agents.full_mask)
-    bits = np.left_shift(mask_t.type(1), np.arange(n, dtype=mask_t))
-    total = len(pidx) * n_caps
-    out = np.empty((total, n), dtype=np.int8)
-    problem = np.arange(total, dtype=np.int32)
-    at = np.repeat(pidx * (n_obj + 1) - 1, n_caps, axis=0)
-    held = np.zeros((total, n_obj), dtype=mask_t)
-    free = np.full(total, cs.agents.full_mask, dtype=mask_t)
+    bits = np.left_shift(mask_t.type(1), np.arange(n, dtype=mask_t))[:, None]
     tables = [cs.table(x).cols for x in objects]  # row 0, read at q = 0, is empty
+
+    def applicants(target):  # per object, the mask of the agents applying to it
+        new = [np.bitwise_or.reduce(np.where(target == x, bits, 0), axis=0) for x in range(n_obj)]
+        if rounds is not None:  # the one problem's round, keyed by lowest applicant
+            applied = [(int(m[0]), x) for x, m in zip(objects, new) if m[0]]
+            applied.sort(key=lambda item: item[0] & -item[0])
+            rounds.append({x: sorted(cs.agents.labels_of(m)) for m, x in applied})
+        return new
+
+    # round 1, per profile; problems are read capacity vector first here,
+    # c * P + p, and each survivor takes its profile's column
+    start = pidx.T * (n_obj + 1)  # (n, P): the first place of each ranking
+    first = slot_at.take(start)
+    new = applicants(first)
+    held = np.empty((n_obj, n_caps, n_prof), dtype=mask_t)
+    rejected = np.zeros((n_caps, n_prof), dtype=mask_t)
+    for x in range(n_obj):
+        held[x] = tables[x].take(new[x], axis=1).take(caps[:, x], axis=0)
+        rejected |= new[x] & ~held[x]
+    out = np.repeat(first.T, n_caps, axis=0)  # (P * C, n), problem p * C + c
+    going = np.flatnonzero(rejected)
+    cap, prof = np.divmod(going, n_prof)
+    problem = (prof * n_caps + cap).astype(np.int32)
+    at = start.take(prof, axis=1)
+    held = held.reshape(n_obj, n_caps * n_prof).take(going, axis=1)
+    quota = caps.T.take(cap, axis=1)
+    free = rejected.take(going)
     limit = n * n_obj + 1
-    for _ in range(limit):
+    for _ in range(limit - 1):
         if not problem.size:
             break
-        moving = (free[:, None] & bits) != 0
+        moving = (free & bits) != 0
         at += moving
-        target = slot_at[at]
-        cap_row = problem % n_caps
-        rejected = np.zeros(problem.size, dtype=mask_t)
-        applied = {}
+        placed = slot_at.take(at)
+        new = applicants(np.where(moving, placed, n_obj))  # those not moving stay put
+        free = np.zeros(problem.size, dtype=mask_t)
         for x in range(n_obj):
-            new = ((target == x) & moving) @ bits
-            rows = np.flatnonzero(new)
+            rows = np.flatnonzero(new[x])
             if not rows.size:
                 continue
-            if rounds is not None:
-                applied[objects[x]] = int(new[0])
-            pool = held[rows, x] | new[rows]
-            accepted = tables[x][caps[cap_row[rows], x], pool].astype(mask_t, copy=False)
-            held[rows, x] = accepted
-            rejected[rows] |= pool & ~accepted
-        if rounds is not None:
-            rounds.append({
-                x: sorted(cs.agents.labels_of(m))
-                for x, m in sorted(applied.items(), key=lambda item: item[1] & -item[1])
-            })
-        done = rejected == 0
-        out[problem[done]] = target[done]
-        going = ~done
-        problem, at, held, free = problem[going], at[going], held[going], rejected[going]
+            pool = held[x].take(rows) | new[x].take(rows)
+            accepted = tables[x][quota[x].take(rows), pool].astype(mask_t, copy=False)
+            held[x, rows] = accepted
+            free[rows] |= pool & ~accepted
+        keep = np.flatnonzero(free)
+        if keep.size < problem.size:
+            done = np.flatnonzero(free == 0)
+            out[problem.take(done)] = placed.take(done, axis=1).T
+            problem, at, held, quota, free = (
+                problem.take(keep), at.take(keep, axis=1), held.take(keep, axis=1),
+                quota.take(keep, axis=1), free.take(keep),
+            )
     if problem.size:
         raise RuntimeError(
             f"deferred acceptance exceeded {limit} rounds; a choice rule is "
             "violating its contract"
         )
-    return out.reshape(len(pidx), n_caps, n)
+    return out.reshape(n_prof, n_caps, n)
 
 
 def _per_problem(m: Mechanism, objects: tuple[str, ...], pidx: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -354,7 +393,7 @@ def _allocate(
     vectors ``extra_caps`` after its vectors: the problems that a checker
     appends.  Only those are allocated on top of the space's own problems,
     which a :class:`DAMechanism` takes from its structure when the
-    structure last allocated this space, and which are read-only."""
+    structure last allocated this space.  The array is read-only."""
     if isinstance(m, DAMechanism):
         cs = m.structure
         if space.objects != cs.objects:
@@ -370,9 +409,9 @@ def _allocate(
         run = functools.partial(_per_problem, m, space.objects)
         base = _read_only(run(space.ids, space.caps))
     if extra_ids is not None and len(extra_ids):
-        return np.concatenate([base, run(extra_ids, space.caps)])
+        return _read_only(np.concatenate([base, run(extra_ids, space.caps)]))
     if extra_caps is not None and len(extra_caps):
-        return np.concatenate([base, run(space.ids, extra_caps)], axis=1)
+        return _read_only(np.concatenate([base, run(space.ids, extra_caps)], axis=1))
     return base
 
 
@@ -602,22 +641,19 @@ def check_resource_monotonicity(m: Mechanism, space: MechanismSpace) -> AxiomRep
     )
 
 
-def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> AxiomReport:
-    """Moving the null object up, while keeping assignments acceptable, is inert.
-
-    Compares profile pairs (R, R') that rank the objects identically, where
-    every agent's acceptable set under R' is contained in their acceptable
-    set under R (each agent truncates, never extends), and where each agent's
-    assignment under R stays weakly above null under R'.  Only the last
-    condition depends on capacities, so the pairs are listed once: groups of
-    profiles that rank the objects alike in order of first appearance, R then
-    R' in space order within a group.  The witness is the first pair of the
-    first capacity vector whose allocations differ.
-    """
-    pidx = space.ids
-    alloc = allocations(m, space)
-    n_prof, n_caps, n = alloc.shape
-    _, _, slot_at, rank_of = _rankings(space.objects)
+def _truncation_pairs(objects: tuple[str, ...], pidx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The profile pairs (R, R') that truncation invariance compares, for
+    the profiles of ranking ids ``pidx``: R and R' rank the objects
+    identically and differ, and every agent's acceptable set under R' is
+    contained in their acceptable set under R.  Pairs are listed by groups
+    of profiles that rank the objects alike, in order of first appearance,
+    R then R' in space order within a group.  Returns the read-only indices
+    of R and of R', and per pair the allocation rows allowed under R': one
+    mask with bit i * (|O| + 1) + s for each agent i and each slot s that
+    agent i ranks weakly above null under R' (Python ints where int64 would
+    overflow)."""
+    n = pidx.shape[1]
+    _, _, slot_at, rank_of = _rankings(objects)
     n_prefs, width = slot_at.shape
     n_obj = width - 1
     orders = slot_at[slot_at != n_obj].reshape(n_prefs, n_obj)
@@ -628,7 +664,7 @@ def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> AxiomRep
     acc = accept[pidx]
     members = np.argsort(group, kind="stable")
     starts = np.flatnonzero(np.diff(group[members], prepend=-1))
-    first, second = [], []
+    first, second = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for g in np.split(members, starts[1:]):
         if len(g) < 2:
             continue
@@ -637,14 +673,34 @@ def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> AxiomRep
         a, b = np.nonzero(within)
         first.append(g[a])
         second.append(g[b])
-    if not first:
-        return AxiomReport("truncation_invariance")
     first, second = np.concatenate(first), np.concatenate(second)
-    # an allocation row as one mask with bit i * width + slot per agent i
     dtype = np.int64 if n * width < 63 else object
-    offsets = np.arange(n) * width
-    allowed = (acc.astype(dtype) << offsets).sum(1)[second]
-    one = np.array(1, dtype=dtype)
+    allowed = (acc.astype(dtype) << np.arange(n) * width).sum(1)[second]
+    for array in (first, second, allowed):
+        array.setflags(write=False)
+    return first, second, allowed
+
+
+def check_truncation_invariance(m: Mechanism, space: MechanismSpace) -> AxiomReport:
+    """Moving the null object up, while keeping assignments acceptable, is inert.
+
+    Compares profile pairs (R, R') that rank the objects identically, where
+    every agent's acceptable set under R' is contained in their acceptable
+    set under R (each agent truncates, never extends), and where each agent's
+    assignment under R stays weakly above null under R'.  Only the last
+    condition depends on capacities, so the pairs depend on the space alone,
+    which lists them on the first call and keeps them
+    (:attr:`MechanismSpace.truncation_pairs`).  The witness is the first
+    pair of the first capacity vector whose allocations differ.
+    """
+    alloc = allocations(m, space)
+    first, second, allowed = space.truncation_pairs
+    if not first.size:
+        return AxiomReport("truncation_invariance")
+    n_caps, n = alloc.shape[1:]
+    # an allocation row as one mask with bit i * width + slot per agent i
+    offsets = np.arange(n) * (len(space.objects) + 1)
+    one = np.array(1, dtype=allowed.dtype)
     for c in range(n_caps):
         held = (one << (offsets + alloc[:, c])).sum(1)
         x, y = held[first], held[second]

@@ -161,21 +161,29 @@ def augmentation_calls(monkeypatch):
 @pytest.fixture
 def scan_calls(monkeypatch):
     """The whole-table scans made during the test: under ``removal`` the
-    ``outcast`` argument of each ``_kernels._removal_violations`` call, and
-    under ``edges`` the chosen columns of each ``_kernels.chosen_over_edges``
-    call, as a ``(Q, 2**n)`` array."""
-    calls = {"removal": [], "edges": []}
-    removal, edges = _kernels._removal_violations, _kernels.chosen_over_edges
+    condition of each ``_kernels._removal_violations`` call, under
+    ``edges`` the chosen columns of each ``_kernels.chosen_over_edges``
+    call, as a ``(Q, 2**n)`` array, and under ``unfilled`` the n of each
+    capacity filling scan ``_kernels._unfilled``."""
+    calls = {"removal": [], "edges": [], "unfilled": []}
+    removal, edges, unfilled = (
+        _kernels._removal_violations, _kernels.chosen_over_edges, _kernels._unfilled
+    )
 
-    def counted_removal(n, rows, outcast=False):
-        calls["removal"].append(outcast)
-        return removal(n, rows, outcast)
+    def counted_removal(n, rows, condition="heritage"):
+        calls["removal"].append(condition)
+        return removal(n, rows, condition)
 
     def counted_edges(n, chosen, rejected):
         calls["edges"].append(np.asarray(chosen).reshape(-1, 1 << n))
         return edges(n, chosen, rejected)
 
+    def counted_unfilled(n, cols):
+        calls["unfilled"].append(n)
+        return unfilled(n, cols)
+
     monkeypatch.setattr(_kernels, "_removal_violations", counted_removal)
+    monkeypatch.setattr(_kernels, "_unfilled", counted_unfilled)
     monkeypatch.setattr(_kernels, "chosen_over_edges", counted_edges)
     return calls
 

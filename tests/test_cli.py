@@ -161,7 +161,7 @@ def test_check_derives_each_scan_once(tmp_path, capsys, scan_calls):
                                          "rule": {"kind": "lexicographic", "profile": profile}})
     code, out, _ = _run(capsys, ["check", lex, "--replay-witness"])
     assert code in (0, 1) and len(json.loads(out)["axioms"]) == 8
-    assert scan_calls["removal"] == [False]
+    assert scan_calls["removal"] == ["heritage"] and scan_calls["unfilled"] == [8]
     u = make_universe(labels)
     table = materialize(Lexicographic(PriorityProfile(tuple(
         ordering_from_labels(u, r) for r in profile))), u)
@@ -169,15 +169,17 @@ def test_check_derives_each_scan_once(tmp_path, capsys, scan_calls):
     revealed = [c for c in scan_calls["edges"] if np.array_equal(c, table.cols[2:] & ~table.cols[1:-1])]
     assert len(chosen) == len(revealed) == 1 and len(scan_calls["edges"]) == 2
     # C(S, q) = S & {x0}: heritage holds and capacity filling fails, so
-    # path independence also runs the outcast scan
+    # path independence adds the outcast condition alone to the heritage
+    # flags, and capacity filling is decided once for both checkers
     entries = [[0] + [s & 1] * 8 for s in range(1 << 8)]
     only = _write(tmp_path, "only.json", {"universe": labels,
                                           "rule": {"kind": "table", "entries": entries}})
     scan_calls["removal"].clear()
+    scan_calls["unfilled"].clear()
     code, out, _ = _run(capsys, ["check", only, "--axioms", "capacity_filling,path_independence"])
     verdicts = {k: v["verdict"] for k, v in json.loads(out)["axioms"].items()}
     assert code == 1 and verdicts == {"capacity_filling": "fail", "path_independence": "pass"}
-    assert scan_calls["removal"] == [False, True]
+    assert scan_calls["removal"] == ["heritage", "outcast"] and scan_calls["unfilled"] == [8]
 
 
 def test_check_input_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import builtins
 import importlib
 import pkgutil
+import random
 import re
 import sys
 from pathlib import Path
@@ -16,15 +17,20 @@ from lexichoice import (
     PriorityOrdering,
     PriorityProfile,
     Problem,
+    check_capacity_filling,
     check_f_capacity_filling,
+    check_path_independence,
     flex_materialize,
     make_family,
     make_universe,
     _kernels,
 )
 from lexichoice.core import iter_bits, popcount
+from lexichoice.rules import Lexicographic, materialize
 
-from conftest import enumerate_problems, rejected, set_major, table_from_function, universe
+from conftest import (
+    enumerate_problems, random_profile, rejected, set_major, table_from_function, universe,
+)
 
 
 def test_universe_validation():
@@ -242,6 +248,24 @@ def test_table_scans_are_built_once_and_readonly():
     for array in (heritage, edges):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = True
+
+
+def test_capacity_filling_is_decided_once_per_table(scan_calls):
+    # the first problem that breaks capacity filling and the subset guard,
+    # kept beside the heritage flags: on a lexicographic table, then with
+    # one entry cut to fewer alternatives and one moved outside its set
+    n = 4
+    t = materialize(Lexicographic(random_profile(random.Random(4), n)), universe(n))
+    assert t.unfilled is None and t.subsets
+    entries = set_major(t)
+    entries[0b0111, 2] = 0b0001  # C({a, b, c}, 2) = {a}
+    entries[0b0011, 1] = 0b0100  # C({a, b}, 1) = {c}
+    cut = ChoiceTable(universe(n), entries)
+    assert cut.unfilled == Problem(0b0111, 2) and not cut.subsets
+    for _ in range(2):
+        assert check_capacity_filling(cut).witness == {"S": ["a", "b", "c"], "q": 2, "chosen": ["a"]}
+        assert not check_path_independence(cut).ok
+    assert scan_calls["unfilled"] == [n] * 2  # once per table
 
 
 def _resolves(name: str) -> bool:

@@ -116,9 +116,9 @@ def _gs_first_violation_loops(n, table, out):
                                 return
 
 
-def _removal_violation_at(n, table, s, outcast):
-    # Whether some b in S and q break heritage at S (C(S, q) minus b not
-    # within C(S minus b, q), S minus b nonempty) or, with outcast, b is
+def _removal_violation_at(n, table, s, condition):
+    # Whether some b in S and q break the condition at S: heritage, C(S, q)
+    # minus b not within C(S minus b, q), S minus b nonempty; or outcast, b
     # rejected and C(S minus b, q) != C(S, q).
     for b in range(n):
         if not (s >> b) & 1:
@@ -126,15 +126,15 @@ def _removal_violation_at(n, table, s, outcast):
         sub = s & ~(1 << b)
         for q in range(1, n + 1):
             c, d = table[s, q], table[sub, q]
-            if sub and c & ~d & ~(1 << b):
+            if condition == "heritage" and sub and c & ~d & ~(1 << b):
                 return True
-            if outcast and not (c >> b) & 1 and c != d:
+            if condition == "outcast" and not (c >> b) & 1 and c != d:
                 return True
     return False
 
 
-def _removal_violations_loops(n, table, outcast):
-    return [s > 0 and _removal_violation_at(n, table, s, outcast) for s in range(1 << n)]
+def _removal_violations_loops(n, table, condition):
+    return [s > 0 and _removal_violation_at(n, table, s, condition) for s in range(1 << n)]
 
 
 def _path_independence_first_loops(n, table, out):
@@ -251,11 +251,13 @@ def _rows(table):
 
 def _first_violations(n, table):
     """Both first-violation kernels on a set-major matrix, each given the
-    rows and heritage flags that a ``ChoiceTable`` keeps."""
-    rows = _rows(table)
+    rows, heritage flags, subset guard and capacity filling verdict that a
+    ``ChoiceTable`` keeps."""
+    rows, cols = _rows(table), _cols(table)
     heritage = _kernels._removal_violations(n, rows)
+    subsets, filling = _kernels._subsets(n, cols), not _kernels._unfilled(n, cols).any()
     return (_kernels.gs_first_violation(n, rows, heritage),
-            _kernels.path_independence_first(n, rows, heritage))
+            _kernels.path_independence_first(n, rows, heritage, subsets, filling))
 
 
 def _assert_first_violations_agree(n, table):
@@ -591,7 +593,7 @@ def test_path_independence_branches_agree(scan_calls, n):
     # capacity filling but keep heritage run it.  Path independent tables
     # only at n <= 8, where the 4**n oracle is fast enough.
     rng = random.Random(f"branches-{n}")
-    scans = scan_calls["removal"]  # the outcast argument of each removal scan
+    scans = scan_calls["removal"]  # the condition of each removal scan
     kinds = []
     for _ in range(3):
         valid = set_major(materialize(Lexicographic(random_profile(rng, n)), universe(n)))
@@ -607,7 +609,7 @@ def test_path_independence_branches_agree(scan_calls, n):
     for kind, table in kinds:
         scans.clear()
         _assert_first_violations_agree(n, table)
-        assert scans == ([False, True] if kind == "not_filling" else [False]), kind
+        assert scans == (["heritage", "outcast"] if kind == "not_filling" else ["heritage"]), kind
 
 
 # --- past the small tables: uint16 masks -----------------------------------------
@@ -757,9 +759,9 @@ def test_removal_scan_agrees_on_any_sixteen_bit_entries(n):
                 table[s, q] = rng.choice([rng.randrange(1 << 16), 1 << rng.randrange(n, 16),
                                           s & rng.randrange(1 << n)])
             narrow = _rows(table)
-            for outcast in (False, True):
-                want = _removal_violations_loops(n, table, outcast)
-                assert _kernels._removal_violations(n, narrow, outcast).tolist() == want
+            for condition in ("heritage", "outcast"):
+                want = _removal_violations_loops(n, table, condition)
+                assert _kernels._removal_violations(n, narrow, condition).tolist() == want
 
 
 def test_removal_scan_at_sixteen_alternatives():
@@ -772,7 +774,7 @@ def test_removal_scan_at_sixteen_alternatives():
         s = rng.randrange(1, 1 << n)
         table[s, q] = rng.choice([s & rng.randrange(1 << n), rng.randrange(1 << 16)])
         sets.update([s] + [s | 1 << b for b in range(n)])
-    for outcast in (False, True):
-        viol = _kernels._removal_violations(n, _rows(table), outcast)
+    for condition in ("heritage", "outcast"):
+        viol = _kernels._removal_violations(n, _rows(table), condition)
         for s in sorted(sets):
-            assert viol[s] == _removal_violation_at(n, table, s, outcast), (s, outcast)
+            assert viol[s] == _removal_violation_at(n, table, s, condition), (s, condition)

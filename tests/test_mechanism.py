@@ -19,6 +19,7 @@ from lexichoice import (
     all_preferences,
     AxiomReport,
     build_rotating,
+    check_capacity_filling,
     check_gross_substitutes,
     check_resource_monotonicity,
     check_isd,
@@ -611,6 +612,146 @@ def test_array_da_matches_da_allocate():
             assert got.shape == (len(space.profiles), len(space.capacities), n)
             assert _allocation_rows(space, got) == _per_problem_rows(cs, space), kinds
     assert seen == set(DA_RULE_KINDS)
+
+
+# --- the whole-space shortcuts: agent-major rounds, round 1 per profile ----------
+
+
+def _assert_placed_scan(cs, space, alloc):
+    """``alloc`` is the read-only ``(P, C, n)`` int8 array of the space's
+    allocations, each equal to the placed-scan loop's."""
+    assert alloc.shape == (len(space.profiles), len(space.capacities), cs.agents.n)
+    assert alloc.dtype == np.int8 and not alloc.flags.writeable
+    assert _allocation_rows(space, alloc) == _per_problem_rows(cs, space)
+
+
+def _cut_structure(agents, objects, cuts):
+    """Responsive rules in agent order whose table of x is cut at ``cuts``,
+    a map (set, capacity) -> mask: tables that fail capacity filling, where
+    re-choosing from a held set alone can change it."""
+    u = make_universe(agents)
+    rules = {x: Responsive(ordering_from_labels(u, agents)) for x in objects}
+    entries = set_major(materialize(rules["x"], u))
+    for (s, q), m in cuts.items():
+        entries[s, q] = m
+    rules["x"] = TableRule(ChoiceTable(u, entries))
+    return ChoiceStructure(u, objects, rules)
+
+
+def test_whole_space_da_on_exhaustive_spaces():
+    """The exhaustive 4 x 2 space of the benchmark's sweep, over its rotating
+    structure and over a table that fails capacity filling, and the 2 x 3
+    space over mixed rules: every problem against the placed-scan loop."""
+    agents = ("i", "j", "k", "l")
+    space = exhaustive_space(agents, ("x", "y"))
+    cut = _cut_structure(agents, ("x", "y"), {(0b1111, 3): 0b0011, (0b0111, 2): 0b0100})
+    assert not check_capacity_filling(cut.table("x")).ok
+    for cs in (_rotating_structure(agents, ("x", "y")), cut):
+        _assert_placed_scan(cs, space, allocations(DAMechanism(cs), space))
+    rng = random.Random(27)
+    u = make_universe(("i", "j"))
+    kinds = ("lexicographic", "rotating", "responsive")
+    rules = {x: _random_rule(rng, u, k) for x, k in zip("xyz", kinds)}
+    cs = ChoiceStructure(u, ("x", "y", "z"), rules)
+    space = exhaustive_space(("i", "j"), ("x", "y", "z"))
+    _assert_placed_scan(cs, space, allocations(DAMechanism(cs), space))
+
+
+def test_whole_space_da_on_explicit_spaces():
+    """Spaces that list a profile or a capacity vector more than once, hold
+    vectors with capacities 0 and n, pair one profile with many vectors or
+    many profiles with one vector: the first round is shared by the vectors
+    of a profile, and no problem may take another's."""
+    rng = random.Random(28)
+    agents, objects = ("i", "j", "k"), ("x", "y")
+    prefs = all_preferences(objects)
+    everything = exhaustive_space(agents, objects)
+    for kind in ("rotating", "table", "walk_open"):
+        u = make_universe(agents)
+        cs = ChoiceStructure(u, objects, {x: _random_rule(rng, u, kind) for x in objects})
+        profiles = tuple(tuple(rng.choice(prefs) for _ in agents) for _ in range(12))
+        vectors = tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(12))
+        spaces = [
+            MechanismSpace(agents, objects, profiles + profiles[:5],
+                           vectors + ((0, 3), (3, 0), (0, 0), (3, 3), vectors[0])),
+            MechanismSpace(agents, objects, profiles[:1], everything.capacities),
+            MechanismSpace(agents, objects, everything.profiles, ((2, 1),)),
+            MechanismSpace(agents, objects, everything.profiles[::-1], ((3, 0), (3, 0))),
+        ]
+        for space in spaces:
+            _assert_placed_scan(cs, space, allocations(DAMechanism(cs), space))
+
+
+def test_whole_space_da_keeps_held_sets_without_applicants():
+    """C({i, j, k}, 2) = {i, j} but C({i, j}, 2) = {i}: when k, rejected by
+    x, applies to y, x gets no applicants and keeps {i, j}, where a re-choice
+    of x would reject j.  Random tables that fail capacity filling too."""
+    agents, objects = ("i", "j", "k"), ("x", "y")
+    cs = _cut_structure(agents, objects, {(0b011, 2): 0b001})
+    space = exhaustive_space(agents, objects)
+    alloc = allocations(DAMechanism(cs), space)
+    _assert_placed_scan(cs, space, alloc)
+    p = space.profiles.index((("x", "y", None),) * 3)
+    assert _allocation_rows(space, alloc)[p][space.capacities.index((2, 1))] == ("x", "x", "y")
+    rng = random.Random(29)
+    for n in (3, 4):
+        agents = tuple("ijkl"[:n])
+        u = make_universe(agents)
+        tables = []
+        while len(tables) < len(objects):
+            table = _non_gs_table(rng, u)
+            if not check_capacity_filling(table).ok:
+                tables.append(TableRule(table))
+        cs = ChoiceStructure(u, objects, dict(zip(objects, tables)))
+        space = (single_object_space if n == 4 else exhaustive_space)(agents, objects)
+        _assert_placed_scan(cs, space, allocations(DAMechanism(cs), space))
+
+
+def test_whole_space_da_on_appended_problems():
+    """The problems that checkers append: capacity vectors after a
+    single-object space's (ISD) and profiles after a sampled space's
+    (strategy-proofness), allocated on top of the kept allocation."""
+    agents, objects = ("i", "j", "k", "l"), ("x", "y")
+    cs = _rotating_structure(agents, objects)
+    m = DAMechanism(cs)
+    space = single_object_space(agents, objects)
+    allocations(m, space)  # kept: the appended vectors alone are allocated next
+    extra = ((1, 1), (4, 1), (1, 4), (2, 3))
+    alloc = mechanism._allocate(m, space, extra_caps=np.array(extra, dtype=np.int16))
+    whole = MechanismSpace(agents, objects, space.profiles, space.capacities + extra)
+    _assert_placed_scan(cs, whole, alloc)
+    space = sampled_space(agents, objects, 30, seed=27)
+    ids = np.array([[k, (k + 1) % 6, 5 - k, k // 2] for k in range(6)], dtype=np.int32)
+    alloc = mechanism._allocate(m, space, extra_ids=ids)
+    prefs = all_preferences(objects)
+    added = tuple(tuple(prefs[k] for k in row) for row in ids.tolist())
+    whole = MechanismSpace(agents, objects, space.profiles + added, space.capacities)
+    _assert_placed_scan(cs, whole, alloc)
+
+
+def test_truncation_pairs_are_listed_once_per_space(monkeypatch):
+    """Two truncation checks on one space list its (R, R') pairs once, on
+    the first call, and report alike; a space never checked lists none."""
+    calls = []
+    real = mechanism._truncation_pairs
+
+    def counted(objects, pidx):
+        calls.append(pidx)
+        return real(objects, pidx)
+
+    monkeypatch.setattr(mechanism, "_truncation_pairs", counted)
+    agents, objects = ("i", "j", "k", "l"), ("x", "y")
+    space = exhaustive_space(agents, objects)
+    reports = [check_truncation_invariance(DAMechanism(_rotating_structure(agents, objects)), space)
+               for _ in range(2)]
+    assert len(calls) == 1 and calls[0] is space.ids
+    assert reports[0] == reports[1] and reports[0].verdict == "fail"
+    first, second, allowed = space.truncation_pairs
+    assert len(first) == len(second) == len(allowed) == 19440
+    assert not any(a.flags.writeable for a in (first, second, allowed))
+    m = DAMechanism(_rotating_structure(agents, objects))
+    check_weak_isd(m, single_object_space(agents, objects))
+    assert len(calls) == 1
 
 
 def test_space_demands_match_demand_oracle():
