@@ -139,13 +139,15 @@ def cmd_check(args) -> int:
     except SpecError as e:
         return _fail_input(str(e))
     available = FLEX_CHECKS if spec.is_flex else ALL_CHECKS
-    if args.axioms:
+    if args.axioms is not None:
         names = [x.strip() for x in args.axioms.split(",") if x.strip()]
         unknown = [x for x in names if x not in available]
         if unknown:
             return _fail_input(
                 f"unknown axioms {unknown}; available: {sorted(available)}"
             )
+        if not names:
+            return _fail_input(f"--axioms names no axiom; available: {sorted(available)}")
     else:
         names = list(available)
     table = spec.table()

@@ -25,6 +25,7 @@ from lexichoice import (
     _kernels,
     all_preferences,
     make_universe,
+    serialize,
 )
 
 
@@ -156,6 +157,29 @@ def augmentation_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_augmentations", counted)
     return calls
+
+
+@pytest.fixture
+def table_reads(monkeypatch):
+    """How each table spec's entries were read during the test: ``"bytes"``
+    for each spec that ``serialize._byte_read`` returned, ``"json"`` for each
+    ``serialize._table`` call, which reads the nested lists of ``json``."""
+    reads = []
+    byte_read, table = serialize._byte_read, serialize._table
+
+    def counted_byte_read(data):
+        spec = byte_read(data)
+        if spec is not None:
+            reads.append("bytes")
+        return spec
+
+    def counted_table(u, rows):
+        reads.append("json")
+        return table(u, rows)
+
+    monkeypatch.setattr(serialize, "_byte_read", counted_byte_read)
+    monkeypatch.setattr(serialize, "_table", counted_table)
+    return reads
 
 
 @pytest.fixture

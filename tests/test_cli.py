@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexichoice import (Lexicographic, PriorityProfile, make_universe, materialize,
+from lexichoice import (ALL_CHECKS, Lexicographic, PriorityProfile, make_universe, materialize,
                         ordering_from_labels)
 from lexichoice.cli import main
 
@@ -119,6 +119,17 @@ def test_check_axiom_subset_and_text_format(tmp_path, capsys):
     assert "iaa" not in out
     code, _, err = _run(capsys, ["check", path, "--axioms", "bogus"])
     assert code == 2 and "unknown axioms" in err
+
+
+@pytest.mark.parametrize("listed", [",", "", " , ,"])
+def test_check_refuses_an_axiom_list_that_names_none(tmp_path, capsys, listed):
+    # a pass over zero checks is no pass: exit 2, not an empty "all_pass"
+    spec = {"universe": ["a", "b"], "rule": {"kind": "responsive", "ordering": ["b", "a"]}}
+    code, out, err = _run(capsys, ["check", _write(tmp_path, "r.json", spec), "--axioms", listed])
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == (
+        f"error: --axioms names no axiom; available: {sorted(ALL_CHECKS)}"
+    )
 
 
 def test_check_flex_spec_uses_flex_axioms(tmp_path, capsys):
@@ -535,6 +546,14 @@ def cli_calls(draw, kind):
     return command, spec, ["--kind", draw(st.sampled_from(matching + ["flex", "lexicographic"]))]
 
 
+# a spec file as written compact, indented, or with tabs and CRLF line ends
+SPEC_LAYOUTS = {
+    "compact": lambda spec: json.dumps(spec).encode(),
+    "indent": lambda spec: json.dumps(spec, indent=2).encode(),
+    "tab_crlf": lambda spec: json.dumps(spec, indent="\t").replace("\n", "\r\n").encode(),
+}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_cli_exit_codes_on_arbitrary_specs(tmp_path_factory, kind):
     # exit 0, 1 or 2 only; never a traceback; exit 1 only with a fail verdict
@@ -542,10 +561,10 @@ def test_cli_exit_codes_on_arbitrary_specs(tmp_path_factory, kind):
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-    @given(call=cli_calls(kind))
-    def run(call):
+    @given(call=cli_calls(kind), layout=st.sampled_from(sorted(SPEC_LAYOUTS)))
+    def run(call, layout):
         command, spec, flags = call
-        path.write_text(json.dumps(spec))
+        path.write_bytes(SPEC_LAYOUTS[layout](spec))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(path), *flags])

@@ -267,12 +267,15 @@ def test_matrix_writer_matches_oracle_in_any_row_blocks(monkeypatch, block_bytes
     monkeypatch.setattr(serialize, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(block_bytes)
     for shape in [(1, 1), (1, 5), (7, 1), (9, 4), (33, 17)]:
-        for top in (0, 9, 10, 99, 100, 65535):
-            matrix = rng.integers(0, top + 1, size=shape, dtype=np.uint16)
+        for top in (0, 9, 10, 99, 100, 65535, 99999):
+            dtype = np.uint16 if top <= 65535 else np.int64  # a table's, a byte read's
+            matrix = rng.integers(0, top + 1, size=shape, dtype=dtype)
             matrix.flat[-1] = top
             for nl in ("\n", "\n    ", "\n" + " " * 12):
                 text = b"".join(serialize._matrix_blocks(matrix, nl))
                 assert text == oracle_json(matrix.tolist())[:-1].replace("\n", nl).encode()
+            compact = b"".join(serialize._matrix_blocks(matrix, "", ""))
+            assert compact == json.dumps(matrix.tolist(), separators=(",", ":")).encode()
 
 
 def test_da_table_rules_are_digested_from_their_tables(tmp_path, monkeypatch, capsys):
@@ -439,3 +442,165 @@ def test_load_spec_errors(tmp_path):
     assert spec.digest == (
         "d48d3db8c6c1df2d72daeda2d0bf5b91583e1c1c6ecd0228b5ace87ef73772dc"
     )
+
+
+# --- the byte read of a table spec ---------------------------------------------
+
+# the layouts a table spec file may come in, each read by one numpy parse
+LAYOUTS = {
+    "compact": lambda spec: json.dumps(spec).encode(),
+    "indent": lambda spec: json.dumps(spec, indent=2).encode(),
+    "sorted_indent": lambda spec: json.dumps(spec, indent=2, sort_keys=True).encode(),
+    "separators": lambda spec: json.dumps(spec, separators=(",", ":")).encode(),
+    "tab_crlf": lambda spec: json.dumps(spec, indent="\t").replace("\n", "\r\n").encode(),
+    "utf8_bom": lambda spec: b"\xef\xbb\xbf" + json.dumps(spec).encode(),
+    "utf16": lambda spec: json.dumps(spec).encode("utf-16"),
+    "utf16_le": lambda spec: json.dumps(spec).encode("utf-16-le"),
+    "utf32": lambda spec: json.dumps(spec).encode("utf-32"),
+}
+
+
+def _outcome(read):
+    """A spec read as (digest, table bytes), or a refusal as its message."""
+    try:
+        spec = read()
+    except SpecError as e:
+        return "error", str(e)
+    return spec.digest, spec.table().cols.tobytes()
+
+
+def _both_paths(path, table_reads):
+    """The outcomes of ``load_spec`` and of the json path on one file, with
+    the reads each made."""
+    generic = _outcome(lambda: parse_spec(serialize.load_json(path)))
+    generic_reads = table_reads[:]
+    table_reads.clear()
+    fast = _outcome(lambda: load_spec(path))
+    fast_reads = table_reads[:]
+    table_reads.clear()
+    return (generic, generic_reads), (fast, fast_reads)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_table_specs_are_read_from_their_bytes(tmp_path, table_reads, layout):
+    rng = random.Random(layout)
+    path = tmp_path / "table.json"
+    for n in range(1, 13):
+        spec = perturbed_table_spec(rng, n)
+        path.write_bytes(LAYOUTS[layout](spec))
+        (generic, generic_reads), (fast, fast_reads) = _both_paths(str(path), table_reads)
+        assert fast == generic and generic[0] == oracle_digest(spec), n
+        assert generic_reads == ["json"] and fast_reads == ["bytes"], n
+
+
+ROWS = "[[0, 0, 0], [0, 1, 1], [0, 2, 2], [0, 1, 3]]"
+ESCAPED_KEY = '"entr\\u0069es"'  # decodes to "entries"
+DECOY = '"x\\"entries": ' + ROWS + ", "  # a key whose text holds "entries"
+
+
+def _table_doc(entries=ROWS, universe='["a", "b"]', key='"entries"', top="", kind="table"):
+    return f'{{{top}"universe": {universe}, "rule": {{"kind": "{kind}", {key}: {entries}}}}}'
+
+
+ADVERSARIAL = {
+    "duplicate_key_null_first": _table_doc(entries='null, "entries": ' + ROWS),
+    "duplicate_key_matrix_first": _table_doc(entries=ROWS + ', "entries": null'),
+    "decoy_key": _table_doc(top=DECOY),
+    "decoy_key_escaped_null": _table_doc(top=DECOY, key=ESCAPED_KEY, entries="null"),
+    "decoy_key_escaped_matrix": _table_doc(top=DECOY, key=ESCAPED_KEY),
+    "label_entries": _table_doc(universe='["entries", "b"]'),
+    "label_entries_escaped_key": _table_doc(universe='["b", "entries"]', key=ESCAPED_KEY),
+    "top_level_entries": _table_doc(top='"entries": ' + ROWS + ", "),
+    "top_level_entries_escaped_key": _table_doc(top='"entries": ' + ROWS + ", ", key=ESCAPED_KEY),
+    "top_level_entries_only": _table_doc(top='"entries": ' + ROWS + ", ", key='"rows"'),
+    "nested_entries": _table_doc(key='"x": {"entries": ' + ROWS + "}, " + ESCAPED_KEY),
+    "not_a_table": _table_doc(kind="responsive", entries=ROWS + ', "ordering": ["a", "b"]'),
+    "null_entries": _table_doc(entries="null"),
+    "negative_zero": _table_doc(entries=ROWS.replace("[0, 0, 0]", "[-0, 0, 0]")),
+    "leading_zero": _table_doc(entries=ROWS.replace("[0, 1, 1]", "[0, 01, 1]")),
+    "empty_cell": _table_doc(entries=ROWS.replace("[0, 0, 0]", "[, 0, 0]")),
+    "empty_inner_cell": _table_doc(entries=ROWS.replace("[0, 1, 1]", "[0, , 1]")),
+    # the same bytes as ROWS in another order: one cell short of a digit,
+    # one a zero too long
+    "empty_cell_and_leading_zero": _table_doc(
+        entries=ROWS.replace("[0, 0, 0]", "[, 0, 0]").replace("[0, 1, 1]", "[0, 01, 1]")),
+    "empty_last_cell_and_leading_zero": _table_doc(
+        entries=ROWS.replace("[0, 0, 0]", "[0, 0, ]").replace("[0, 1, 1]", "[0, 01, 1]")),
+    "two_numbers_in_a_cell": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1 1, 3]")),
+    "two_numbers_over_a_newline": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1, 1\n3]")),
+    "trailing_comma_in_a_row": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1, 3,]")),
+    "trailing_comma_in_the_matrix": _table_doc(entries=ROWS[:-1] + ",]"),
+    "six_digit_entry": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1, 100000]")),
+    "entry_of_2_63": _table_doc(entries=ROWS.replace("[0, 1, 3]", f"[0, 1, {2**63}]")),
+    "entry_of_2_64_plus_1": _table_doc(entries=ROWS.replace("[0, 1, 3]", f"[0, 1, {2**64 + 1}]")),
+    "entry_1e400": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1, 1e400]")),
+    "entry_nan": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1, NaN]")),
+    "entry_true": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1, true]")),
+    "entry_plus_one": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, +1, 3]")),
+    "ragged_rows": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1]")),
+    "depth_3_matrix": _table_doc(entries="[" + ROWS + "]"),
+    "another_n": _table_doc(entries="[[0, 0], [0, 1]]"),
+    "junk_after_the_matrix": _table_doc(entries=ROWS + " ]"),
+    "non_ascii_digit": _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1, \uff13]")),
+    "utf16_lone_surrogate": _table_doc(
+        entries=ROWS.replace("[0, 1, 3]", "[0, 1, \udc80]")).encode("utf-16", "surrogatepass"),
+    "two_boms": b"\xef\xbb\xbf" * 2 + _table_doc().encode(),
+    "utf16_two_boms": ("\ufeff" + _table_doc()).encode("utf-16"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_adversarial_table_specs_end_as_on_the_json_path(tmp_path, table_reads, name):
+    path = tmp_path / "spec.json"
+    doc = ADVERSARIAL[name]
+    path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
+    (generic, generic_reads), (fast, fast_reads) = _both_paths(str(path), table_reads)
+    assert fast == generic
+    # the byte read never applies; where json gets as far as the entries,
+    # the json path reads them, as it does with no byte read at all
+    assert fast_reads == generic_reads and "bytes" not in fast_reads
+
+
+@pytest.mark.parametrize("doc", [
+    _table_doc(universe='["a", "a"]'),
+    _table_doc(universe='["a", 1]'),
+    _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1, 4]")),
+    _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 1, 99999]")),
+    _table_doc(entries=ROWS.replace("[0, 1, 3]", "[0, 3, 3]")),
+])
+def test_byte_read_refuses_a_bad_spec_as_the_json_path_does(tmp_path, table_reads, doc):
+    # valid JSON with a bad universe or table: the byte read raises the
+    # error that parse_spec raises on json's value
+    path = tmp_path / "spec.json"
+    path.write_bytes(doc.encode())
+    (generic, _), (fast, fast_reads) = _both_paths(str(path), table_reads)
+    assert fast == generic and fast[0] == "error" and fast_reads == []
+
+
+def test_byte_read_agrees_with_json_on_edited_matrices(tmp_path_factory):
+    # random edits inside and around the matrix of one n = 2 spec, in bytes
+    # the byte read either accepts or must refuse
+    path = tmp_path_factory.mktemp("edits") / "spec.json"
+    base = _table_doc().encode()
+    lo, hi = base.index(b"[["), base.index(b"]]") + 3
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(edits=st.lists(
+        st.tuples(st.integers(lo, hi), st.integers(0, 2), st.sampled_from(b"0123456789,[] \n\t-+.e}\"")),
+        min_size=1, max_size=3,
+    ))
+    def run(edits):
+        text = bytearray(base)
+        for at, how, byte in edits:
+            at = min(at, len(text) - 1)
+            if how == 0:
+                text[at] = byte
+            elif how == 1:
+                text.insert(at, byte)
+            else:
+                del text[at]
+        path.write_bytes(bytes(text))
+        assert _outcome(lambda: load_spec(str(path))) == _outcome(
+            lambda: parse_spec(serialize.load_json(str(path))))
+
+    run()
