@@ -3,8 +3,9 @@
 Four kernels, each with exactly one implementation: ``cwlex_fill`` (the
 greedy fill of every capacity-wise and, with a family's augmentation table,
 feasibility-constrained rule), ``chosen_over_edges`` (the edges of a
-chosen-over relation given two bitmask columns, which decide WRARP, CWARP,
-CWRARP, CSARP and order both extractions), ``gs_first_violation`` and
+chosen-over relation given two bitmask columns, over every set or over
+runs of sets, which decide WRARP, CWARP, CWRARP, CSARP and order both
+extractions), ``gs_first_violation`` and
 ``path_independence_first``.  They work on whole table columns at once.
 ``cwlex_fill`` makes each greedy pick one gather from a per-ordering "top"
 table (the best alternative of every mask) and starts capacity q from
@@ -24,11 +25,26 @@ capacities at once as fit a fixed L2 budget (:func:`capacity_block`: all
 of them at n <= 12, one at n = 16); a checker that fails looks up the
 witnessing sets of its one reported pair afterwards.  A table computes the
 chosen-over edges of all its capacities once (``ChoiceTable.chosen_over``),
-for WRARP, CWRARP and the capacity-wise responsive extraction; CWARP's
-revealed edges go one block at a time, so it stops at its first failing
-block.  Gross substitutes (heritage) and path independence share one
-single-removal scan, which a table runs once (``ChoiceTable.heritage``):
-path independence holds exactly when heritage and outcast do
+for WRARP, CWRARP and the capacity-wise responsive extraction.  The q+1
+witness lemma: on a table that is capacity-filling, holds subsets of its
+sets and keeps heritage, if a is in C(S, q) and b in S minus C(S, q), then
+T = C(S, q) with b has q+1 alternatives; heritage, one removal at a time,
+gives C(S, q) within C(T, q), and filling gives |C(T, q)| = q, so
+C(T, q) = C(S, q) and a is chosen over b at T.  If the table is also
+monotone, C(S, q-1) lies within T, and the same steps at q-1 give
+C(T, q-1) = C(S, q-1), so every revealed (CWARP) edge has such a T too;
+without monotonicity it need not.  So when a check has already derived
+those facts (``ChoiceTable.witness_sets_apply``), the edges of capacity q
+come from the C(n, q+1) sets of exactly q+1 alternatives
+(:func:`witness_set_columns`, 65,519 sets over all 16 capacities at
+n = 16 rather than 16 x 65,536), which the same ``chosen_over_edges``
+reads as runs, one OR-reduction per run; CWARP then takes all its
+capacities at once rather than block by block.  Extraction derives none of
+the facts and reads every set.  Otherwise CWARP's revealed edges go one
+block at a time, so it stops at its first failing block.  Gross
+substitutes (heritage) and path independence share one single-removal
+scan, which a table runs once (``ChoiceTable.heritage``): path
+independence holds exactly when heritage and outcast do
 (Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
 matching"), and on a capacity-filling table heritage implies outcast, so
 only a table that is not capacity-filling adds the outcast condition to its
@@ -226,51 +242,107 @@ def capacity_block(n: int) -> int:
     return max(1, _BLOCK_BYTES // (4 * max(1 << n, 4)))
 
 
-def chosen_over_edges(n: int, chosen: np.ndarray, rejected: np.ndarray) -> np.ndarray:
+def chosen_over_edges(
+    n: int, chosen: np.ndarray, rejected: np.ndarray, starts: np.ndarray | None = None
+) -> np.ndarray:
     """The edges of chosen-over relations as (n, n) bool matrices.
 
-    ``chosen`` and ``rejected`` are bitmask columns over all 2**n sets, read
-    as uint16; ``edges[a, b]`` is true when some S has a in ``chosen[S]`` and
-    b in ``rejected[S]``.  One column of each gives one ``(n, n)`` matrix;
-    ``(Q, 2**n)`` columns, one row per capacity, give ``(Q, n, n)``.  Bits
-    at or above n of either column are ignored.  Every row counts, row 0
-    included; on table columns row 0 is empty.
+    ``chosen`` and ``rejected`` are bitmask columns, read as uint16;
+    ``edges[a, b]`` is true when some set has a in its ``chosen`` mask and b
+    in its ``rejected`` mask.  Bits at or above n of either column are
+    ignored.  The columns come in one of two forms:
+
+    - over all 2**n sets: one column of each gives one ``(n, n)`` matrix, and
+      ``(Q, 2**n)`` columns, one row per capacity, give ``(Q, n, n)``.  Every
+      row counts, row 0 included; on table columns row 0 is empty.
+    - with ``starts``, as runs of any sets (:func:`witness_set_columns`):
+      ``chosen`` and ``rejected`` are 1-D uint16 columns whose length is a
+      multiple of 4, ``starts`` holds the position of each run's first set,
+      a multiple of 4, ascending, and each run holds at least 4 sets (pad
+      with empty sets).  They give one ``(n, n)`` matrix per run.
 
     The columns are read as uint64 words of four 16-bit lanes.  Per
     alternative a, ``((chosen >> a) & LANES) * 0xFFFF`` is all ones in each
     lane whose chosen mask holds a; ANDed with the rejected words and
-    OR-reduced along the sets, it leaves per capacity a word whose four
-    lanes fold into row a, so a row is one pass over the columns.  The
-    capacities go in blocks of :func:`capacity_block` (all of them at
-    n <= 12, one at a time at n = 16), so a block's columns stay in L2, and
-    the lanes of a block fold once.  Columns shorter than a word (n <= 1)
-    are padded with empty sets.
+    OR-reduced over each run's words, it leaves per run a word whose four
+    lanes fold into row a, so a row is one pass over the columns.  Columns
+    over all sets go in blocks of :func:`capacity_block` capacities (all of
+    them at n <= 12, one at a time at n = 16), so a block's columns stay in
+    L2, and are padded with empty sets to whole words (n <= 1); the lanes of
+    a block fold once.
     """
     chosen, rejected = np.asarray(chosen), np.asarray(rejected)
+    if starts is not None:
+        ch, rej = chosen.view(np.uint64), rejected.view(np.uint64)
+        return _lane_edges(n, ch, rej, np.asarray(starts) // 4)
     size, width = 1 << n, max(1 << n, 4)
     cap_chosen = chosen.reshape(-1, size)
     cap_rejected = rejected.reshape(-1, size)
     count = len(cap_chosen)
     block = capacity_block(n)
-    shifts = np.arange(n, dtype=np.uint64)
     edges = np.empty((count, n, n), dtype=bool)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         padded = np.zeros((2, hi - lo, width), dtype=np.uint16)
         padded[0, :, :size], padded[1, :, :size] = cap_chosen[lo:hi], cap_rejected[lo:hi]
-        ch, rej = padded.view(np.uint64)
-        lane = np.empty_like(ch)
-        words = np.empty((n, hi - lo), dtype=np.uint64)
-        for a in range(n):
-            np.right_shift(ch, np.uint64(a), out=lane)
-            lane &= _LANES
-            lane *= np.uint64(0xFFFF)
-            lane &= rej
-            np.bitwise_or.reduce(lane, axis=1, out=words[a])
-        words |= words >> np.uint64(32)
-        words |= words >> np.uint64(16)
-        edges[lo:hi] = ((words.T[..., None] >> shifts) & np.uint64(1)).astype(bool)
+        ch, rej = padded.reshape(2, -1).view(np.uint64)
+        edges[lo:hi] = _lane_edges(n, ch, rej, np.arange(0, len(ch), width // 4))
     return edges.reshape(chosen.shape[:-1] + (n, n))
+
+
+def _lane_edges(n: int, ch: np.ndarray, rej: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The ``(len(starts), n, n)`` edges of the runs of uint64 words of
+    :func:`chosen_over_edges` that begin at the words ``starts``."""
+    lane = np.empty_like(ch)
+    words = np.empty((n, len(starts)), dtype=np.uint64)
+    for a in range(n):
+        np.right_shift(ch, np.uint64(a), out=lane)
+        lane &= _LANES
+        lane *= np.uint64(0xFFFF)
+        lane &= rej
+        np.bitwise_or.reduceat(lane, starts, out=words[a])
+    words |= words >> np.uint64(32)
+    words |= words >> np.uint64(16)
+    return ((words.T[..., None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+
+
+def witness_set_columns(
+    n: int, cols: np.ndarray, first: int, revealed: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chosen-over columns of capacities q = first..n of the table
+    ``cols`` over the sets of exactly q+1 alternatives alone, as the runs
+    ``(chosen, rejected, starts)`` of :func:`chosen_over_edges`.
+
+    Per set S of a run: C(S, q) and S minus C(S, q); with ``revealed``,
+    both also drop C(S, q-1) (``axioms.relation_columns`` at those sets).
+    Capacity q's sets are one run of the masks sorted by size
+    (:func:`_by_size`), so one gather from ``cols[q]``, and one from
+    ``cols[q-1]`` with ``revealed``, fills its run, which is padded with
+    empty sets to whole words, and to one word at q = n, where no set has
+    q+1 alternatives.  On a table that fills capacity, holds subsets of its
+    sets and keeps heritage (and, with ``revealed``, is monotone), these
+    runs give the edges of the columns over all sets; see
+    ``ChoiceTable.witness_sets_apply``.
+    """
+    by_size, _, larger = _by_size(n)
+    bounds = larger + larger[-1:]  # the sets of q+1 alternatives: bounds[q]:bounds[q+1]
+    capacities = range(first, n + 1)
+    lengths = [max(4, (bounds[q + 1] - bounds[q] + 3) // 4 * 4) for q in capacities]
+    starts = np.cumsum([0] + lengths)[:-1]
+    chosen = np.zeros(sum(lengths), dtype=np.uint16)
+    rejected = np.zeros_like(chosen)
+    for q, at in zip(capacities, starts.tolist()):
+        sets = by_size[bounds[q] : bounds[q + 1]]
+        run = slice(at, at + len(sets))
+        cur = cols[q].take(sets)
+        if revealed:
+            prev = cols[q - 1].take(sets)
+            chosen[run] = cur & ~prev
+            rejected[run] = sets & ~(cur | prev)
+        else:
+            chosen[run] = cur
+            rejected[run] = sets & ~cur
+    return chosen, rejected, starts
 
 
 def _rows(cols: np.ndarray) -> np.ndarray:

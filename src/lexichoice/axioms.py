@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import ChoiceTable, Problem, first_cell, iter_bits, popcount
+from .core import ChoiceTable, Problem, iter_bits, popcount
 from .rules import CapacityWiseLists
 
 
@@ -80,13 +80,10 @@ def check_gross_substitutes(c: ChoiceTable) -> AxiomReport:
 
 def check_monotonicity(c: ChoiceTable) -> AxiomReport:
     """C(S, q) must be contained in C(S, q+1)."""
-    lost = c.cols[1:c.n] & ~c.cols[2:]
-    viol = lost != 0
-    if not viol.any():
+    if c.nonmonotone is None:
         return AxiomReport("monotonicity")
-    s, qi = first_cell(viol)
-    q = qi + 1
-    alt = next(iter_bits(int(lost[qi, s])))
+    s, q = c.nonmonotone
+    alt = next(iter_bits(int(c.cols[q, s]) & ~int(c.cols[q + 1, s])))
     return AxiomReport(
         "monotonicity",
         {"S": _labels(c, s), "q": q, "alt": c.universe.labels[alt]},
@@ -189,10 +186,17 @@ def _asymmetry(axiom: str, c: ChoiceTable, capacities, edges, revealed: bool) ->
 def check_cwarp(c: ChoiceTable) -> AxiomReport:
     """The revealed preference relation must be asymmetric at every capacity.
 
-    Its edges are computed one block of capacities at a time
-    (``_kernels.capacity_block``), and the scan stops at the first block
-    with a two-way pair.
+    When the table is known to be capacity-filling, subset-valued,
+    heritage-keeping and monotone (``ChoiceTable.witness_sets_apply``), the
+    edges of every capacity q come at once from its sets of q+1
+    alternatives.  Otherwise they are computed over every set one block of
+    capacities at a time (``_kernels.capacity_block``), and the scan stops
+    at the first block with a two-way pair.
     """
+    if c.witness_sets_apply(revealed=True):
+        runs = _kernels.witness_set_columns(c.n, c.cols, 2, revealed=True)
+        edges = _kernels.chosen_over_edges(c.n, *runs)
+        return _asymmetry("cwarp", c, range(2, c.n + 1), edges, revealed=True)
     block = _kernels.capacity_block(c.n)
     for lo in range(2, c.n + 1, block):
         capacities = np.arange(lo, min(lo + block, c.n + 1))

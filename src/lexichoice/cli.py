@@ -148,6 +148,7 @@ def cmd_check(args) -> int:
             )
         if not names:
             return _fail_input(f"--axioms names no axiom; available: {sorted(available)}")
+        names = [x for x in available if x in names]  # each once, in canonical order
     else:
         names = list(available)
     table = spec.table()

@@ -176,9 +176,21 @@ class ChoiceTable:
     - ``unfilled`` and ``subsets``: the first problem that breaks capacity
       filling, and whether every entry is a subset of its set, which
       decide capacity filling and, with the heritage flags, path
-      independence;
+      independence.  A table built from ``cols``, or one that
+      :meth:`validate` accepts, knows ``subsets`` without a scan;
+    - ``nonmonotone``: the first problem that breaks monotonicity, which
+      decides monotonicity;
     - ``chosen_over``: the chosen-over edges of every capacity, which decide
       WRARP and CWRARP and order the capacity-wise responsive extraction.
+
+    The q+1 witness lemma: on a table that is capacity-filling, holds
+    subsets of its sets and keeps heritage, every chosen-over edge of
+    capacity q has a witness set of exactly q+1 alternatives, and so does
+    every revealed (CWARP) edge when the table is also monotone (the proof
+    is at :meth:`witness_sets_apply`).  When a check has already derived
+    those facts, ``chosen_over`` and CWARP read the C(n, q+1) sets of q+1
+    alternatives per capacity rather than all 2**n; otherwise, as in
+    extraction, which derives none of them, they read every set.
     """
 
     def __init__(self, universe: Universe, entries=None, *, cols: np.ndarray | None = None):
@@ -190,8 +202,10 @@ class ChoiceTable:
                 f"cols must be uint16 of shape {(n + 1, 1 << n)}, "
                 f"got {cols.dtype} {cols.shape}"
             )
-        elif cols.base is not None or not cols.flags.c_contiguous:
-            cols = cols.copy()
+        else:
+            if cols.base is not None or not cols.flags.c_contiguous:
+                cols = cols.copy()
+            self.subsets = True  # a fill's entries are subsets of their sets
         cols.setflags(write=False)
         self.universe = universe
         self.cols = cols
@@ -235,14 +249,59 @@ class ChoiceTable:
         return _kernels._subsets(self.n, self.cols)
 
     @cached_property
+    def nonmonotone(self) -> Problem | None:
+        """The first problem (S, q), in canonical order, with C(S, q) not
+        contained in C(S, q+1), or None when the table is monotone."""
+        cells = (self.cols[1 : self.n] & ~self.cols[2:]) != 0
+        if not cells.any():
+            return None
+        s, qi = first_cell(cells)
+        return Problem(s, qi + 1)
+
+    def witness_sets_apply(self, revealed: bool = False) -> bool:
+        """Whether this table is already known to be capacity-filling
+        (``unfilled``), to hold subsets of its sets (``subsets``) and to keep
+        heritage (``heritage``), and, with ``revealed``, to be monotone
+        (``nonmonotone``).  Only facts derived before are read: this derives
+        none, so a table whose checkers have not asked for them says False.
+
+        On such a table every chosen-over edge of capacity q, and with
+        ``revealed`` every revealed one, has a witness set of exactly q+1
+        alternatives, so the sets of q+1 alternatives
+        (``_kernels.witness_set_columns``) give all the edges of capacity q.
+        If a is in C(S, q) and b in S minus C(S, q), then T = C(S, q) with b
+        has q+1 alternatives.  Heritage, one removal of an alternative of S
+        outside T at a time, gives C(S, q) within C(T, q), and filling gives
+        |C(T, q)| = q, so C(T, q) = C(S, q): a is chosen over b at T.  If the
+        table is also monotone, C(S, q-1) lies within C(S, q), so within T,
+        and the same steps at q-1 give C(T, q-1) = C(S, q-1): a revealed
+        edge at S is one at T.  Without monotonicity that step fails.
+        """
+        known = self.__dict__
+        heritage = known.get("heritage")
+        return (
+            known.get("subsets") is True
+            and known.get("unfilled", ()) is None
+            and heritage is not None
+            and not heritage.any()
+            and (not revealed or known.get("nonmonotone", ()) is None)
+        )
+
+    @cached_property
     def chosen_over(self) -> np.ndarray:
         """``chosen_over[q-1, a, b]``: whether some S has a in C(S, q) and b
         in S minus C(S, q), over q = 1..n (``_kernels.chosen_over_edges``):
-        a read-only bool array of shape ``(n, n, n)``."""
-        chosen = self.cols[1:]
-        rejected = ~chosen
-        rejected &= _kernels._masks(self.n)
-        edges = _kernels.chosen_over_edges(self.n, chosen, rejected)
+        a read-only bool array of shape ``(n, n, n)``.  It reads only the
+        sets of q+1 alternatives at capacity q when
+        :meth:`witness_sets_apply`, and every set otherwise."""
+        if self.witness_sets_apply():
+            runs = _kernels.witness_set_columns(self.n, self.cols, 1)
+            edges = _kernels.chosen_over_edges(self.n, *runs)
+        else:
+            chosen = self.cols[1:]
+            rejected = ~chosen
+            rejected &= _kernels._masks(self.n)
+            edges = _kernels.chosen_over_edges(self.n, chosen, rejected)
         edges.setflags(write=False)
         return edges
 
@@ -261,6 +320,7 @@ class ChoiceTable:
         error = _first_invalid(self.n, self.cols)
         if error is not None:
             raise ValueError(error)
+        self.subsets = True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChoiceTable):

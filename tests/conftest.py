@@ -185,11 +185,13 @@ def table_reads(monkeypatch):
 @pytest.fixture
 def scan_calls(monkeypatch):
     """The whole-table scans made during the test: under ``removal`` the
-    condition of each ``_kernels._removal_violations`` call, under
-    ``edges`` the chosen columns of each ``_kernels.chosen_over_edges``
-    call, as a ``(Q, 2**n)`` array, and under ``unfilled`` the n of each
-    capacity filling scan ``_kernels._unfilled``."""
-    calls = {"removal": [], "edges": [], "unfilled": []}
+    condition of each ``_kernels._removal_violations`` call; per
+    ``_kernels.chosen_over_edges`` call, its chosen columns, under ``edges``
+    as a ``(Q, 2**n)`` array when they cover every set, and under
+    ``witness_edges`` as the 1-D runs of the sets of q+1 alternatives
+    (``_kernels.witness_set_columns``) when ``starts`` is given; and under
+    ``unfilled`` the n of each capacity filling scan ``_kernels._unfilled``."""
+    calls = {"removal": [], "edges": [], "witness_edges": [], "unfilled": []}
     removal, edges, unfilled = (
         _kernels._removal_violations, _kernels.chosen_over_edges, _kernels._unfilled
     )
@@ -198,9 +200,12 @@ def scan_calls(monkeypatch):
         calls["removal"].append(condition)
         return removal(n, rows, condition)
 
-    def counted_edges(n, chosen, rejected):
-        calls["edges"].append(np.asarray(chosen).reshape(-1, 1 << n))
-        return edges(n, chosen, rejected)
+    def counted_edges(n, chosen, rejected, starts=None):
+        if starts is None:
+            calls["edges"].append(np.asarray(chosen).reshape(-1, 1 << n))
+        else:
+            calls["witness_edges"].append(np.asarray(chosen))
+        return edges(n, chosen, rejected, starts)
 
     def counted_unfilled(n, cols):
         calls["unfilled"].append(n)

@@ -113,6 +113,44 @@ def test_checkers_agree_with_naive_oracles_on_adversarial_tables(rng, n):
         assert check_iaa(t).ok == naive_iaa_holds(fn, n)
 
 
+def _first_nonmonotone_loops(t: ChoiceTable):
+    # the first (S, q), sets then capacities, with an alternative of
+    # C(S, q) outside C(S, q+1), and the lowest such alternative
+    for s in range(1, 1 << t.n):
+        for q in range(1, t.n):
+            lost = t.choose(Problem(s, q)) & ~t.choose(Problem(s, q + 1))
+            if lost:
+                return s, q, next(iter_bits(lost))
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_monotonicity_is_decided_once_and_matches_the_loop_oracle(n):
+    # ChoiceTable.nonmonotone is the checker's one scan; its witness is the
+    # loop oracle's on random subset tables, which mostly fail, and on
+    # lexicographic tables, which pass
+    rng = random.Random(f"monotone-{n}")
+    u = universe(n)
+    for k in range(12):
+        if k % 3:
+            entries = np.zeros((1 << n, n + 1), dtype=np.int64)
+            for s in range(1, 1 << n):
+                entries[s, 1:] = [s & rng.randrange(1 << n) for _ in range(n)]
+            t = ChoiceTable(u, entries)
+        else:
+            t = materialize(Lexicographic(random_profile(rng, n)), u)
+        want = _first_nonmonotone_loops(t)
+        rep = check_monotonicity(t)
+        assert "nonmonotone" in vars(t)  # kept for CWARP's gate
+        assert t.nonmonotone == (None if want is None else Problem(*want[:2]))
+        if want is None:
+            assert rep.ok
+        else:
+            s, q, alt = want
+            assert rep.witness == {"S": sorted(u.labels_of(s)), "q": q, "alt": u.labels[alt]}
+            assert replay_witness(t, "monotonicity", rep.witness)
+
+
 def test_fixture_verdict_matrix():
     tables = _fixture_tables()
     # expected fail sets among the four characterizing axioms + cwarp

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexichoice import (ALL_CHECKS, Lexicographic, PriorityProfile, make_universe, materialize,
-                        ordering_from_labels)
+from lexichoice import (ALL_CHECKS, Lexicographic, PriorityProfile, _kernels, make_universe,
+                        materialize, ordering_from_labels)
+from lexichoice.axioms import check_iaa
 from lexichoice.cli import main
 
 LEX_SPEC = {
@@ -121,6 +122,42 @@ def test_check_axiom_subset_and_text_format(tmp_path, capsys):
     assert code == 2 and "unknown axioms" in err
 
 
+def test_check_runs_each_listed_axiom_once_in_canonical_order(
+    tmp_path, capsys, monkeypatch, scan_calls
+):
+    spec = {"universe": ["a", "b"], "rule": {"kind": "responsive", "ordering": ["b", "a"]}}
+    calls = []
+
+    def counted_iaa(table):
+        calls.append(table.n)
+        return check_iaa(table)
+
+    monkeypatch.setitem(ALL_CHECKS, "iaa", counted_iaa)
+    code, out, _ = _run(capsys, ["check", _write(tmp_path, "r.json", spec), "--axioms", "iaa,iaa"])
+    assert code == 0 and calls == [2] and list(json.loads(out)["axioms"]) == ["iaa"]
+    # a list in any order, with repeats, prints the report of the canonical
+    # list; on the n = 8 lexicographic rule the relation axioms run after
+    # capacity filling, gross substitutes and monotonicity whatever the
+    # order listed, so they read the sets of q+1 alternatives
+    labels = [f"x{i}" for i in range(8)]
+    rng = random.Random("order")
+    lex = {"universe": labels,
+           "rule": {"kind": "lexicographic", "profile": [rng.sample(labels, 8) for _ in range(8)]}}
+    for name, obj in (("rot.json", ROTATING_SPEC), ("lex8.json", lex)):
+        path = _write(tmp_path, name, obj)
+        for fmt in ("json", "text"):
+            forward = _run(capsys, ["check", path, "--replay-witness", "--format", fmt,
+                                    "--axioms", ",".join(ALL_CHECKS)])[:2]
+            backward = list(ALL_CHECKS)[::-1]
+            for listed in (backward, backward + ["iaa", "cwarp"]):
+                scan_calls["edges"].clear()
+                scan_calls["witness_edges"].clear()
+                assert _run(capsys, ["check", path, "--replay-witness", "--format", fmt,
+                                     "--axioms", ",".join(listed)])[:2] == forward, (name, fmt)
+                if name == "lex8.json":
+                    assert len(scan_calls["witness_edges"]) == 2 and scan_calls["edges"] == []
+
+
 @pytest.mark.parametrize("listed", [",", "", " , ,"])
 def test_check_refuses_an_axiom_list_that_names_none(tmp_path, capsys, listed):
     # a pass over zero checks is no pass: exit 2, not an empty "all_pass"
@@ -162,9 +199,11 @@ def test_flex_commands_build_the_augmentations_once(tmp_path, capsys, augmentati
 def test_check_derives_each_scan_once(tmp_path, capsys, scan_calls):
     # a default check of an n = 8 lexicographic rule: gross substitutes and
     # path independence share one removal scan, which decides path
-    # independence since the table is capacity-filling; WRARP and CWRARP
-    # share one computation of the chosen-over edges of all 8 capacities;
-    # CWARP's revealed edges of capacities 2..8 are one block at n = 8
+    # independence since the table is capacity-filling; capacity filling,
+    # heritage and monotonicity are derived before the relation axioms, so
+    # CWARP's revealed edges and the chosen-over edges that WRARP and CWRARP
+    # share are each one call on the sets of q+1 alternatives, and no call
+    # reads every set
     labels = [f"x{i}" for i in range(8)]
     rng = random.Random("scans")
     profile = [rng.sample(labels, 8) for _ in range(8)]
@@ -176,9 +215,30 @@ def test_check_derives_each_scan_once(tmp_path, capsys, scan_calls):
     u = make_universe(labels)
     table = materialize(Lexicographic(PriorityProfile(tuple(
         ordering_from_labels(u, r) for r in profile))), u)
-    chosen = [c for c in scan_calls["edges"] if np.array_equal(c, table.cols[1:])]
-    revealed = [c for c in scan_calls["edges"] if np.array_equal(c, table.cols[2:] & ~table.cols[1:-1])]
-    assert len(chosen) == len(revealed) == 1 and len(scan_calls["edges"]) == 2
+    chosen = _kernels.witness_set_columns(8, table.cols, 1)[0]
+    revealed = _kernels.witness_set_columns(8, table.cols, 2, revealed=True)[0]
+    witness_calls = scan_calls["witness_edges"]
+    assert len(witness_calls) == 2 and scan_calls["edges"] == []
+    assert [np.array_equal(c, chosen) for c in witness_calls].count(True) == 1
+    assert [np.array_equal(c, revealed) for c in witness_calls].count(True) == 1
+    # the same rule with C(all, 1) moved to another alternative breaks
+    # heritage, so both relations read every set: the chosen-over edges of
+    # all 8 capacities once, and CWARP's revealed edges of capacities 2..8
+    # in one block at n = 8
+    entries = table.cols.T.tolist()
+    best = entries[-1][1]
+    entries[-1][1] = 1 << next(i for i in range(8) if 1 << i != best)
+    moved = _write(tmp_path, "moved8.json", {"universe": labels,
+                                             "rule": {"kind": "table", "entries": entries}})
+    for key in scan_calls:
+        scan_calls[key].clear()
+    code, out, _ = _run(capsys, ["check", moved])
+    assert code == 1 and json.loads(out)["axioms"]["gross_substitutes"]["verdict"] == "fail"
+    cols = np.array(entries, dtype=np.uint16).T
+    full = scan_calls["edges"]
+    assert scan_calls["witness_edges"] == [] and len(full) == 2
+    assert [np.array_equal(c, cols[1:]) for c in full].count(True) == 1
+    assert [np.array_equal(c, cols[2:] & ~cols[1:-1]) for c in full].count(True) == 1
     # C(S, q) = S & {x0}: heritage holds and capacity filling fails, so
     # path independence adds the outcast condition alone to the heritage
     # flags, and capacity filling is decided once for both checkers

@@ -268,6 +268,32 @@ def test_capacity_filling_is_decided_once_per_table(scan_calls):
     assert scan_calls["unfilled"] == [n] * 2  # once per table
 
 
+def test_witness_sets_gate_reads_only_derived_facts(monkeypatch):
+    # a fill's table, and a table that validate() accepts, know that their
+    # entries are subsets without the scan; the gate of the sets of q+1
+    # alternatives derives none of its facts, and opens once the checkers
+    # have derived them
+    def no_subsets_scan(n, cols):
+        raise AssertionError("subsets scanned")
+
+    monkeypatch.setattr(_kernels, "_subsets", no_subsets_scan)
+    n = 5
+    lex = materialize(Lexicographic(random_profile(random.Random(5), n)), universe(n))
+    entries = ChoiceTable(universe(n), set_major(lex))
+    validated = ChoiceTable(universe(n), set_major(lex))
+    validated.validate()
+    for t in (lex, entries, validated):
+        assert not t.witness_sets_apply() and not t.witness_sets_apply(revealed=True)
+        assert set(vars(t)) & {"unfilled", "heritage", "nonmonotone"} == set()
+    assert lex.subsets and validated.subsets and "subsets" not in vars(entries)
+    for t in (lex, validated):
+        assert t.unfilled is None and not t.heritage.any()
+        assert t.witness_sets_apply() and not t.witness_sets_apply(revealed=True)
+        assert t.nonmonotone is None and t.witness_sets_apply(revealed=True)
+    assert entries.unfilled is None and not entries.heritage.any()
+    assert entries.nonmonotone is None and not entries.witness_sets_apply()
+
+
 def _resolves(name: str) -> bool:
     """Whether the dotted ``name`` is an attribute path from the package,
     one of its modules or public classes, the builtins or a standard-library

@@ -21,7 +21,8 @@ from lexichoice import (
     Responsive,
     materialize,
 )
-from lexichoice import ChoiceTable, FChoiceTable, MAX_ALTERNATIVES, _kernels, make_family
+from lexichoice import (ALL_CHECKS, ChoiceTable, FChoiceTable, MAX_ALTERNATIVES, _kernels,
+                        make_family)
 
 from conftest import random_ordering, random_profile, set_major, universe
 
@@ -610,6 +611,126 @@ def test_path_independence_branches_agree(scan_calls, n):
         scans.clear()
         _assert_first_violations_agree(n, table)
         assert scans == (["heritage", "outcast"] if kind == "not_filling" else ["heritage"]), kind
+
+
+# --- the sets of q+1 alternatives -----------------------------------------------
+
+RELATIONS = ("wrarp", "cwarp", "cwrarp")
+
+
+def _relation_edges_loops(n, cols, revealed):
+    """Per capacity (q = 1..n, or 2..n with ``revealed``), the loop oracle's
+    edges over every set of the ``(n+1, 2**n)`` table ``cols``."""
+    masks = np.arange(1 << n)
+    out = []
+    for q in range(2 if revealed else 1, n + 1):
+        cur = cols[q].astype(np.int64)
+        prev = cols[q - 1].astype(np.int64) if revealed else np.zeros_like(cur)
+        out.append(_chosen_over_edges_loops(n, (cur & ~prev).tolist(),
+                                            (masks & ~(cur | prev)).tolist()))
+    return np.array(out, dtype=bool).reshape(-1, n, n)
+
+
+def _assert_witness_sets_agree(n, entries):
+    """On the table of the set-major matrix ``entries``: the gate of the
+    sets of q+1 alternatives opens exactly when capacity filling, subsets
+    and heritage hold, and, for revealed edges, monotonicity too; with the
+    gate open the edges of those sets equal the loop oracle's over every set;
+    and WRARP, CWARP and CWRARP report as on a table that derived none of the
+    facts, which reads every set.  Returns the four facts, and whether the
+    revealed edges of the sets of q+1 alternatives equal the oracle's."""
+    u = universe(n)
+    full, gated = ChoiceTable(u, entries), ChoiceTable(u, entries)
+    want = {name: ALL_CHECKS[name](full) for name in RELATIONS}
+    assert not gated.witness_sets_apply() and not gated.witness_sets_apply(revealed=True)
+    facts = (gated.unfilled is None, gated.subsets, not gated.heritage.any(),
+             gated.nonmonotone is None)
+    assert gated.witness_sets_apply() == all(facts[:3])
+    assert gated.witness_sets_apply(revealed=True) == all(facts)
+    assert np.array_equal(gated.chosen_over, _relation_edges_loops(n, gated.cols, False))
+    runs = _kernels.witness_set_columns(n, gated.cols, 2, revealed=True)
+    revealed = _kernels.chosen_over_edges(n, *runs)
+    same = np.array_equal(revealed, _relation_edges_loops(n, gated.cols, True))
+    assert same or not all(facts)
+    assert {name: ALL_CHECKS[name](gated) for name in RELATIONS} == want
+    assert not any(full.witness_sets_apply(r) for r in (False, True))
+    return facts, same
+
+
+def test_witness_sets_on_every_capacity_filling_table():
+    # every capacity-filling table at n = 2 (2) and n = 3 (72): each fills
+    # capacity and holds subsets, and heritage and monotonicity hold or fail
+    seen = set()
+    for n in (2, 3):
+        cells = [(s, q) for q in range(1, n + 1) for s in range(1, 1 << n)]
+        count = 0
+        for picks in itertools.product(*(_filling_choices(n, s, q) for s, q in cells)):
+            table = np.zeros((1 << n, n + 1), dtype=np.int64)
+            for (s, q), m in zip(cells, picks):
+                table[s, q] = m
+            facts, _ = _assert_witness_sets_agree(n, table)
+            assert facts[:2] == (True, True)
+            seen.add(facts)
+            count += 1
+        assert count == {2: 2, 3: 72}[n]
+    assert {f[2:] for f in seen} == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _break_subsets(rng, n, entries):
+    """Move one C(S, q) with |S| > q to a set of its size with an alternative
+    outside S: capacity filling holds and subsets fails."""
+    s, q = 0, n
+    while s.bit_count() <= q or s == (1 << n) - 1:
+        s, q = rng.randrange(1, 1 << n), rng.randrange(1, n)
+    inside = [a for a in range(n) if (entries[s, q] >> a) & 1]
+    outside = [a for a in range(n) if not (s >> a) & 1]
+    entries[s, q] ^= 1 << rng.choice(inside) | 1 << rng.choice(outside)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_witness_sets_on_perturbed_rule_tables(n):
+    # lexicographic, responsive and capacity-wise tables, as built and
+    # perturbed so that they fail capacity filling (cells set to random
+    # subsets), heritage (a cell moved to another subset of its size) or
+    # subsets; capacity-wise rules with fresh capacities fail monotonicity
+    rng = random.Random(f"witness-sets-{n}")
+    keys = _structured_keys(rng, n)
+    seen = set()
+    for name in ("lexicographic", "responsive", "rotating", "partial_prefix"):
+        built = set_major(ChoiceTable(universe(n), cols=_kernels.cwlex_fill(n, keys[name])))
+        variants = [built]
+        if n > 2:
+            dropped, moved, outside = (np.array(built) for _ in range(3))
+            _perturb(rng, n, dropped, 2)
+            s, q = 0, n
+            while s.bit_count() <= q:
+                s, q = rng.randrange(1, 1 << n), rng.randrange(1, n)
+            moved[s, q] = rng.choice([m for m in _filling_choices(n, s, q) if m != moved[s, q]])
+            _break_subsets(rng, n, outside)
+            variants += [dropped, moved, outside]
+        for entries in variants:
+            seen.add(_assert_witness_sets_agree(n, entries)[0])
+    assert (True, True, True, True) in seen
+    if n > 3:
+        assert (True, True, True, False) in seen
+        for fact in range(3):
+            assert any(not facts[fact] for facts in seen), fact
+
+
+def test_revealed_witness_sets_need_monotonicity():
+    # on capacity-wise tables that fill capacity, hold subsets and keep
+    # heritage but are not monotone, the sets of q+1 alternatives can miss
+    # a revealed edge: the gate asks for monotonicity
+    rng = random.Random("need-monotonicity")
+    missed = 0
+    for n in range(3, 9):
+        for _ in range(8):
+            entries = set_major(ChoiceTable(universe(n), cols=_kernels.cwlex_fill(
+                n, _random_keys(rng, n))))
+            facts, same = _assert_witness_sets_agree(n, entries)
+            assert facts[:3] == (True, True, True)
+            missed += not facts[3] and not same
+    assert missed > 0
 
 
 # --- past the small tables: uint16 masks -----------------------------------------
