@@ -25,35 +25,29 @@ capacities at once as fit a fixed L2 budget (:func:`capacity_block`: all
 of them at n <= 12, one at n = 16); a checker that fails looks up the
 witnessing sets of its one reported pair afterwards.  A table computes the
 chosen-over edges of all its capacities once (``ChoiceTable.chosen_over``),
-for WRARP, CWRARP and the capacity-wise responsive extraction.  The q+1
-witness lemma: on a table that is capacity-filling, holds subsets of its
-sets and keeps heritage, if a is in C(S, q) and b in S minus C(S, q), then
-T = C(S, q) with b has q+1 alternatives; heritage, one removal at a time,
-gives C(S, q) within C(T, q), and filling gives |C(T, q)| = q, so
-C(T, q) = C(S, q) and a is chosen over b at T.  If the table is also
-monotone, C(S, q-1) lies within T, and the same steps at q-1 give
-C(T, q-1) = C(S, q-1), so every revealed (CWARP) edge has such a T too;
-without monotonicity it need not.  So when a check has already derived
-those facts (``ChoiceTable.witness_sets_apply``), the edges of capacity q
-come from the C(n, q+1) sets of exactly q+1 alternatives
-(:func:`witness_set_columns`, 65,519 sets over all 16 capacities at
-n = 16 rather than 16 x 65,536), which the same ``chosen_over_edges``
-reads as runs, one OR-reduction per run; CWARP then takes all its
-capacities at once rather than block by block.  Extraction derives none of
-the facts and reads every set.  Otherwise CWARP's revealed edges go one
-block at a time, so it stops at its first failing block.  Gross
-substitutes (heritage) and path independence share one single-removal
-scan, which a table runs once (``ChoiceTable.heritage``): path
-independence holds exactly when heritage and outcast do
-(Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
-matching"), and on a capacity-filling table heritage implies outcast, so
-only a table that is not capacity-filling adds the outcast condition to its
-heritage flags, in a scan of that condition alone.  Capacity filling and
-whether every entry is a subset of its set are decided once per table too
-(``ChoiceTable.unfilled`` and ``ChoiceTable.subsets``), for the capacity
-filling checker and path independence alike.  The
-verdict costs O(n^2 2^n), and the set-major search for its first
-(S, T, q), a Python loop over sets, runs only when the verdict is fail.
+for WRARP, CWRARP and the capacity-wise responsive extraction.  By the q+1
+witness lemma (proved at ``ChoiceTable.witness_sets_apply``), on a table
+that is capacity-filling and keeps heritage every chosen-over edge of
+capacity q has a witness set of exactly q+1 alternatives, and so does every
+revealed (CWARP) edge when the table is also monotone.  So when a check has
+already derived those facts, the edges of capacity q come from the
+C(n, q+1) sets of exactly q+1 alternatives (:func:`witness_set_columns`,
+65,519 sets over all 16 capacities at n = 16 rather than 16 x 65,536),
+which the same ``chosen_over_edges`` reads as runs, one OR-reduction per
+run; CWARP then takes all its capacities at once rather than block by
+block.  Extraction derives none of the facts and reads every set.
+Otherwise CWARP's revealed edges go one block at a time, so it stops at its
+first failing block.  Gross substitutes (heritage) and path independence
+share one single-removal scan, which a table runs once
+(``ChoiceTable.heritage``): path independence holds exactly when heritage
+and outcast do, and on a capacity-filling table heritage implies outcast
+(proved at :func:`path_independence_first`), so only a table that is not
+capacity-filling adds the outcast condition to its heritage flags, in a
+scan of that condition alone.  Capacity filling is decided once per table
+too (``ChoiceTable.unfilled``), for the capacity filling checker and path
+independence alike.  The verdict costs O(n^2 2^n), and the set-major search
+for its first (S, T, q), a Python loop over sets, runs only when the
+verdict is fail.
 ``tests/test_kernels.py`` holds per-set loop versions of every kernel and
 checks that the outputs here match them bit for bit, witness tie-breaks
 included.
@@ -66,10 +60,11 @@ fits in 16 bits; the fill refuses n above 16 and returns its staging array
 as the table.  The single-removal scan reads the table as rows instead, a
 padded row-major uint16 copy that a table builds once (``ChoiceTable.rows``),
 and the two first-violation kernels take its flags as ``heritage``.
-The kernels trust every entry to lie inside the n alternatives:
-``ChoiceTable`` refuses any other when it is built.  Key tensors encode
-priority orderings positionally: ``keys[..., alt]`` is the rank of ``alt``
-(0 = highest priority), and the ranks are 0..n-1.  The fill relies on that:
+The kernels trust every table to be a choice rule, each C(S, q) a subset
+of S with at most q members: ``ChoiceTable`` refuses any other when it is
+built.  Key tensors encode priority orderings positionally:
+``keys[..., alt]`` is the rank of ``alt`` (0 = highest priority), and the
+ranks are 0..n-1.  The fill relies on that:
 it packs an alternative as ``rank << 16 | bit`` in uint32, so that the
 better of two alternatives is the minimum of their packed entries.
 """
@@ -319,10 +314,9 @@ def witness_set_columns(
     (:func:`_by_size`), so one gather from ``cols[q]``, and one from
     ``cols[q-1]`` with ``revealed``, fills its run, which is padded with
     empty sets to whole words, and to one word at q = n, where no set has
-    q+1 alternatives.  On a table that fills capacity, holds subsets of its
-    sets and keeps heritage (and, with ``revealed``, is monotone), these
-    runs give the edges of the columns over all sets; see
-    ``ChoiceTable.witness_sets_apply``.
+    q+1 alternatives.  On a table that fills capacity and keeps heritage
+    (and, with ``revealed``, is monotone), these runs give the edges of the
+    columns over all sets; see ``ChoiceTable.witness_sets_apply``.
     """
     by_size, _, larger = _by_size(n)
     bounds = larger + larger[-1:]  # the sets of q+1 alternatives: bounds[q]:bounds[q+1]
@@ -395,12 +389,6 @@ def _unfilled(n: int, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subsets(n: int, cols: np.ndarray) -> bool:
-    """Whether every C(S, q), q = 1..n, of the table ``cols`` is a subset of
-    S.  A table keeps this as ``ChoiceTable.subsets``."""
-    return not (cols[1:] & ~_masks(n)).any()
-
-
 def gs_first_violation(n: int, rows: np.ndarray, heritage: np.ndarray) -> np.ndarray:
     """First (S, q, a, b) in canonical order with a chosen from (S, q) but
     not from (S without b, q); all -1 when no violation exists.
@@ -429,38 +417,37 @@ def gs_first_violation(n: int, rows: np.ndarray, heritage: np.ndarray) -> np.nda
 
 
 def path_independence_first(
-    n: int, rows: np.ndarray, heritage: np.ndarray, subsets: bool, filling: bool
+    n: int, rows: np.ndarray, heritage: np.ndarray, filling: bool
 ) -> np.ndarray:
     """First (S, T, q) with C(S|T, q) != C(C(S,q)|C(T,q), q); all -1 when
     the table, given as ``rows`` (``ChoiceTable.rows``), is path
     independent.  The caller decides the rest once per table: ``heritage``,
-    the flags of :func:`_removal_violations` (``ChoiceTable.heritage``);
-    ``subsets``, whether every C(S, q) is a subset of S (:func:`_subsets`);
-    and ``filling``, whether the table is capacity-filling (no cell of
+    the flags of :func:`_removal_violations` (``ChoiceTable.heritage``), and
+    ``filling``, whether the table is capacity-filling (no cell of
     :func:`_unfilled`).
 
     The verdict comes from heritage and outcast, which together are
-    equivalent to path independence for a choice function
-    (Aizerman-Malishevski 1981; see Chambers-Yenmez 2017, "Choice and
-    matching").  On a capacity-filling table heritage implies outcast
-    (substitutes and the law of aggregate demand give path independence;
-    Aygun-Sonmez 2013): if b in S is rejected at (S, q), then
-    |C(S, q)| = q <= |S minus b| = |C(S minus b, q)|, and heritage,
-    C(S, q) within C(S minus b, q), forces the two to be equal.  So the
+    equivalent to path independence for a choice rule, whose C(S, q) is a
+    subset of S (Aizerman-Malishevski 1981; see Chambers-Yenmez 2017,
+    "Choice and matching").  Heritage implies outcast on a capacity-filling
+    table (substitutes and the law of aggregate demand give path
+    independence; Aygun-Sonmez 2013).  Proof: if b in S is rejected at
+    (S, q), then C(S, q) != S, so filling gives |C(S, q)| = q and
+    |S minus b| >= q, so |C(S minus b, q)| = q too; heritage, C(S, q)
+    minus b within C(S minus b, q), is C(S, q) within C(S minus b, q), and
+    two sets of q members, one within the other, are equal.  So the
     heritage flags decide the verdict, and a table that is not
     capacity-filling runs only the outcast condition of the removal scan,
     since its heritage flags are already known; both cost O(n^2 2^n).
-    Only when they fail, or when some C(S, q) is not a subset of S (the
-    equivalence needs that), are the sets S searched in ascending order, on
-    the rows that the removal scan reads.  Each S is compared with every T
-    and q at once, and the search stops at the first S with a violation.
-    The condition is symmetric in S and T, so a violation (S, T) with T < S
+    Only when they fail are the sets S searched in ascending order, on the
+    rows that the removal scan reads.  Each S is compared with every T and
+    q at once, and the search stops at the first S with a violation.  The
+    condition is symmetric in S and T, so a violation (S, T) with T < S
     would have stopped the search at T: only T >= S need comparing.
     """
     out = np.full(3, -1, dtype=np.int64)
-    if subsets and not heritage.any():
-        if filling or not _removal_violations(n, rows, "outcast").any():
-            return out
+    if not heritage.any() and (filling or not _removal_violations(n, rows, "outcast").any()):
+        return out
     masks = _masks(n)
     body = rows[:, :n]
     q_idx = np.arange(n)

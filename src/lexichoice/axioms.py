@@ -5,9 +5,9 @@ Every checker scans the full problem space and returns an
 the first counterexample found in a deterministic canonical order (sets
 ascending by bitmask, capacities ascending, alternatives ascending).  Two
 scans take capacities first, then sets: :func:`check_iaa` reports the first
-violating set of the lowest capacity that has one, and
-:meth:`~lexichoice.core.ChoiceTable.validate` refuses the first bad entry of
-the lowest capacity that has one.
+violating set of the lowest capacity that has one, and a
+:class:`~lexichoice.core.ChoiceTable` refuses, when it is built, the first
+bad entry of the lowest capacity that has one.
 Witnesses are structured label-based dicts that :func:`replay_witness` can
 re-check against the raw table.
 """
@@ -186,8 +186,8 @@ def _asymmetry(axiom: str, c: ChoiceTable, capacities, edges, revealed: bool) ->
 def check_cwarp(c: ChoiceTable) -> AxiomReport:
     """The revealed preference relation must be asymmetric at every capacity.
 
-    When the table is known to be capacity-filling, subset-valued,
-    heritage-keeping and monotone (``ChoiceTable.witness_sets_apply``), the
+    When the table is known to be capacity-filling, heritage-keeping and
+    monotone (``ChoiceTable.witness_sets_apply``), the
     edges of every capacity q come at once from its sets of q+1
     alternatives.  Otherwise they are computed over every set one block of
     capacities at a time (``_kernels.capacity_block``), and the scan stops
@@ -254,9 +254,7 @@ def check_cwrarp(c: ChoiceTable) -> AxiomReport:
 
 def check_path_independence(c: ChoiceTable) -> AxiomReport:
     """C(S union T, q) must equal C(C(S,q) union C(T,q), q) for all S, T, q."""
-    out = _kernels.path_independence_first(
-        c.n, c.rows, c.heritage, c.subsets, c.unfilled is None
-    )
+    out = _kernels.path_independence_first(c.n, c.rows, c.heritage, c.unfilled is None)
     if out[0] < 0:
         return AxiomReport("path_independence")
     s, t, q = (int(v) for v in out)

@@ -26,8 +26,8 @@ class DomainError(ValueError):
 class Problem(NamedTuple):
     """A choice problem: a nonempty subset (bitmask) and a capacity.  A
     "first" witness is first in canonical order: by set bitmask, then
-    capacity, except in ``check_iaa`` and ``ChoiceTable.validate``, which
-    take capacities first, then sets."""
+    capacity, except in ``check_iaa`` and the entry that a ``ChoiceTable``
+    refuses when it is built, which take capacities first, then sets."""
 
     set: int
     capacity: int
@@ -112,7 +112,7 @@ def first_cell(viol: np.ndarray) -> tuple[int, int]:
 
 
 def _first_invalid(n: int, cols: np.ndarray) -> str | None:
-    """The error :meth:`ChoiceTable.validate` raises on ``cols`` (entries
+    """The error a :class:`ChoiceTable` build raises on ``cols`` (entries
     ``cols[q, S]`` of any integer type), or None: per capacity, ascending,
     the first set whose entry is not a subset of it, then the first whose
     entry exceeds the capacity; then a nonempty row 0 or column 0."""
@@ -133,9 +133,9 @@ def _first_invalid(n: int, cols: np.ndarray) -> str | None:
 
 def _narrow(n: int, entries) -> np.ndarray:
     """A set-major integer matrix ``entries[S, q]`` as a new ``(n+1, 2**n)``
-    uint16 array; a matrix of any other dtype (float, bool, str) is refused,
-    and an entry that is negative or has a bit at or above n is refused with
-    the error :meth:`ChoiceTable.validate` would raise on the matrix."""
+    uint16 array, refused unless it is a choice table: a matrix of another
+    shape or of any other dtype (float, bool, str) is refused, and so is
+    the first invalid entry, with the error of :func:`_first_invalid`."""
     entries = np.asarray(entries)
     size = 1 << n
     if entries.shape != (size, n + 1):
@@ -144,9 +144,14 @@ def _narrow(n: int, entries) -> np.ndarray:
         )
     if entries.dtype.kind not in "iu":
         raise ValueError(f"entries must be integers, got dtype {entries.dtype}")
-    if np.bitwise_or.reduce(entries, axis=None) >> n:  # a negative entry too
-        raise ValueError(_first_invalid(n, entries.astype(np.int64).T))
-    return entries.astype(np.uint16).T.copy()
+    # an entry that is negative or has a bit at or above n is invalid, and
+    # is read as int64 so that narrowing cannot wrap it into a valid one
+    wide = np.bitwise_or.reduce(entries, axis=None) >> n
+    cols = entries.astype(np.int64 if wide else np.uint16).T.copy()
+    error = _first_invalid(n, cols)
+    if error is not None:
+        raise ValueError(error)
+    return cols
 
 
 class ChoiceTable:
@@ -157,14 +162,14 @@ class ChoiceTable:
     capacity is one contiguous column.  Row 0 holds C(S, 0), the empty set
     (the C(S, 0) = empty-set convention), and column 0 (S = 0) is unused.
 
-    A table is built from ``entries``, a set-major matrix ``entries[S, q]``
-    of shape ``(2**n, n+1)`` and an integer dtype, narrowed into a new array:
-    a matrix of any other dtype is refused, and an entry that is negative or
-    has a bit at or above n is refused with the ``ValueError`` that
-    :meth:`validate` would raise on the matrix.  Or
-    it is built from ``cols``, a fill's own array in this layout, whose
-    entries are subsets of their sets: a C-contiguous uint16 array that owns
-    its data is frozen in place (made read-only), and any other is copied.
+    Every table is a capacity-constrained choice rule: C(S, q) is a subset
+    of S with at most q members, and row 0 and column 0 are empty.  A table
+    is built from ``entries``, a set-major matrix ``entries[S, q]`` of shape
+    ``(2**n, n+1)`` and an integer dtype, narrowed into a new array: a
+    matrix of another shape or dtype is refused, and so is the first entry
+    that breaks the contract, per capacity ascending, then per set
+    (:func:`_first_invalid`), with a ``ValueError`` that names it.  The
+    kernels and checkers rely on the contract and never test it again.
     The table never changes once built, so what its checkers derive from it
     is built on first use and kept, each array by one producer:
 
@@ -173,42 +178,40 @@ class ChoiceTable:
     - ``heritage``: per set, the flag of that one scan (heritage broken by
       removing one alternative), which decides gross substitutes and, with
       capacity filling, path independence;
-    - ``unfilled`` and ``subsets``: the first problem that breaks capacity
-      filling, and whether every entry is a subset of its set, which
-      decide capacity filling and, with the heritage flags, path
-      independence.  A table built from ``cols``, or one that
-      :meth:`validate` accepts, knows ``subsets`` without a scan;
+    - ``unfilled``: the first problem that breaks capacity filling, which
+      decides capacity filling and, with the heritage flags, path
+      independence;
     - ``nonmonotone``: the first problem that breaks monotonicity, which
       decides monotonicity;
     - ``chosen_over``: the chosen-over edges of every capacity, which decide
       WRARP and CWRARP and order the capacity-wise responsive extraction.
 
-    The q+1 witness lemma: on a table that is capacity-filling, holds
-    subsets of its sets and keeps heritage, every chosen-over edge of
-    capacity q has a witness set of exactly q+1 alternatives, and so does
-    every revealed (CWARP) edge when the table is also monotone (the proof
-    is at :meth:`witness_sets_apply`).  When a check has already derived
-    those facts, ``chosen_over`` and CWARP read the C(n, q+1) sets of q+1
-    alternatives per capacity rather than all 2**n; otherwise, as in
-    extraction, which derives none of them, they read every set.
+    The q+1 witness lemma: on a table that is capacity-filling and keeps
+    heritage, every chosen-over edge of capacity q has a witness set of
+    exactly q+1 alternatives, and so does every revealed (CWARP) edge when
+    the table is also monotone (the proof is at :meth:`witness_sets_apply`).
+    When a check has already derived those facts, ``chosen_over`` and CWARP
+    read the C(n, q+1) sets of q+1 alternatives per capacity rather than all
+    2**n; otherwise, as in extraction, which derives none of them, they read
+    every set.
     """
 
-    def __init__(self, universe: Universe, entries=None, *, cols: np.ndarray | None = None):
-        n = universe.n
-        if cols is None:
-            cols = _narrow(n, entries)
-        elif cols.dtype != np.uint16 or cols.shape != (n + 1, 1 << n):
-            raise ValueError(
-                f"cols must be uint16 of shape {(n + 1, 1 << n)}, "
-                f"got {cols.dtype} {cols.shape}"
-            )
-        else:
-            if cols.base is not None or not cols.flags.c_contiguous:
-                cols = cols.copy()
-            self.subsets = True  # a fill's entries are subsets of their sets
+    def __init__(self, universe: Universe, entries):
+        cols = _narrow(universe.n, entries)
         cols.setflags(write=False)
         self.universe = universe
         self.cols = cols
+
+    @classmethod
+    def _of_fill(cls, universe: Universe, cols: np.ndarray):
+        """The table whose ``cols`` is a fill's own new array
+        (``_kernels.cwlex_fill``), which is a choice rule by construction:
+        frozen in place (made read-only), neither checked nor copied."""
+        table = cls.__new__(cls)
+        cols.setflags(write=False)
+        table.universe = universe
+        table.cols = cols
+        return table
 
     @property
     def n(self) -> int:
@@ -243,12 +246,6 @@ class ChoiceTable:
         return Problem(s, qi + 1)
 
     @cached_property
-    def subsets(self) -> bool:
-        """Whether every C(S, q), q = 1..n, is a subset of S
-        (``_kernels._subsets``)."""
-        return _kernels._subsets(self.n, self.cols)
-
-    @cached_property
     def nonmonotone(self) -> Problem | None:
         """The first problem (S, q), in canonical order, with C(S, q) not
         contained in C(S, q+1), or None when the table is monotone."""
@@ -260,28 +257,30 @@ class ChoiceTable:
 
     def witness_sets_apply(self, revealed: bool = False) -> bool:
         """Whether this table is already known to be capacity-filling
-        (``unfilled``), to hold subsets of its sets (``subsets``) and to keep
-        heritage (``heritage``), and, with ``revealed``, to be monotone
-        (``nonmonotone``).  Only facts derived before are read: this derives
-        none, so a table whose checkers have not asked for them says False.
+        (``unfilled``) and to keep heritage (``heritage``), and, with
+        ``revealed``, to be monotone (``nonmonotone``).  Only facts derived
+        before are read: this derives none, so a table whose checkers have
+        not asked for them says False.
 
-        On such a table every chosen-over edge of capacity q, and with
-        ``revealed`` every revealed one, has a witness set of exactly q+1
-        alternatives, so the sets of q+1 alternatives
+        The q+1 witness lemma: on such a table every chosen-over edge of
+        capacity q, and with ``revealed`` every revealed one, has a witness
+        set of exactly q+1 alternatives, so the sets of q+1 alternatives
         (``_kernels.witness_set_columns``) give all the edges of capacity q.
-        If a is in C(S, q) and b in S minus C(S, q), then T = C(S, q) with b
-        has q+1 alternatives.  Heritage, one removal of an alternative of S
-        outside T at a time, gives C(S, q) within C(T, q), and filling gives
-        |C(T, q)| = q, so C(T, q) = C(S, q): a is chosen over b at T.  If the
-        table is also monotone, C(S, q-1) lies within C(S, q), so within T,
-        and the same steps at q-1 give C(T, q-1) = C(S, q-1): a revealed
-        edge at S is one at T.  Without monotonicity that step fails.
+        Proof: let a be in C(S, q) and b in S minus C(S, q).  C(S, q) is a
+        subset of S with at most q members (the table's contract), and
+        since b is rejected, filling gives it exactly q, so T = C(S, q) with
+        b has q+1 alternatives.  Heritage, one removal of an alternative of
+        S outside T at a time, gives C(S, q) within C(T, q), and filling
+        gives |C(T, q)| = q, so C(T, q) = C(S, q): a is chosen over b at T.
+        If the table is also monotone, C(S, q-1) lies within C(S, q), so
+        within T, and the same steps at q-1 give C(T, q-1) = C(S, q-1): a
+        revealed edge at S is one at T.  Without monotonicity that step
+        fails.
         """
         known = self.__dict__
         heritage = known.get("heritage")
         return (
-            known.get("subsets") is True
-            and known.get("unfilled", ()) is None
+            known.get("unfilled", ()) is None
             and heritage is not None
             and not heritage.any()
             and (not revealed or known.get("nonmonotone", ()) is None)
@@ -314,13 +313,6 @@ class ChoiceTable:
     def choose(self, p: Problem) -> int:
         self._check_domain(p)
         return int(self.cols[p.capacity, p.set])
-
-    def validate(self) -> None:
-        """Assert C(S, q) subset-of S and |C(S, q)| <= q on every entry."""
-        error = _first_invalid(self.n, self.cols)
-        if error is not None:
-            raise ValueError(error)
-        self.subsets = True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChoiceTable):

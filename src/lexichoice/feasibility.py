@@ -78,18 +78,16 @@ def _require_family(f: FeasibilityFamily, u: Universe) -> None:
 
 class FChoiceTable(ChoiceTable):
     """A choice table whose entries must additionally be feasible and
-    nonempty, under a family over the universe's n alternatives."""
+    nonempty, under a family over the universe's n alternatives.  Built from
+    ``entries``, it refuses what a ``ChoiceTable`` refuses, then the first
+    empty or infeasible choice in canonical order (set, then capacity)."""
 
-    def __init__(self, universe: Universe, family: FeasibilityFamily, entries=None,
-                 *, cols: np.ndarray | None = None):
+    def __init__(self, universe: Universe, family: FeasibilityFamily, entries):
         _require_family(family, universe)
-        super().__init__(universe, entries, cols=cols)
+        super().__init__(universe, entries)
         self.family = family
-
-    def validate(self) -> None:
-        super().validate()  # every entry is now a subset of its S
         body = self.cols[1:, 1:]
-        bad = (body == 0) | ~self.family.membership[body]
+        bad = (body == 0) | ~family.membership[body]
         if bad.any():
             s, qi = first_cell(bad)
             what = "empty" if body[qi, s] == 0 else "infeasible"
@@ -101,7 +99,9 @@ def flex_materialize(
 ) -> FChoiceTable:
     _require_family(f, u)
     keys = Lexicographic(profile).keys()
-    return FChoiceTable(u, f, cols=_kernels.cwlex_fill(u.n, keys, f.augment))
+    table = FChoiceTable._of_fill(u, _kernels.cwlex_fill(u.n, keys, f.augment))
+    table.family = f
+    return table
 
 
 def check_f_capacity_filling(c: FChoiceTable) -> AxiomReport:

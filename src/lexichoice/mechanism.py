@@ -150,18 +150,22 @@ def da_allocate(
 
     Each round, rejected agents apply to their next-preferred object; every
     available object re-chooses from its held set plus new applicants.  This
-    is :func:`allocations` of a :class:`DAMechanism` on the one-problem
-    space.  With ``trace`` it also returns the rounds: per round, each
-    object that got applicants maps to their sorted labels, keyed in the
-    order of their lowest applicant.  Raises ``ValueError`` on a malformed
-    problem (not one ranking per agent, or not one capacity in 0..n per
-    object).
+    is the deferred acceptance of :func:`allocations` (:func:`_da_slots`)
+    on the one problem, read from the agents' own rankings, one row each,
+    rather than from the catalogue of all (|O|+1)! rankings.  With
+    ``trace`` it also returns the rounds: per round, each object that got
+    applicants maps to their sorted labels, keyed in the order of their
+    lowest applicant.  Raises ``ValueError`` on a malformed problem (not
+    one ranking per agent, or not one capacity in 0..n per object).
     """
-    require_problem(prob, cs.agents.n, cs.objects)
-    space = MechanismSpace(cs.agents.labels, cs.objects, (prob.preferences,), (prob.capacities,))
+    n, names = cs.agents.n, cs.objects + (None,)
+    require_problem(prob, n, cs.objects)
+    slot = {x: s for s, x in enumerate(names)}
+    slot_at = np.array([[slot[x] for x in pref] for pref in prob.preferences], dtype=np.intp)
+    caps = np.array([prob.capacities], dtype=np.intp)
     rounds = [] if trace else None
-    slots = _da_slots(cs, space.ids, space.caps, rounds)[0, 0].tolist()
-    result = tuple((cs.objects + (None,))[s] for s in slots)
+    slots = _da_slots(cs, slot_at, np.arange(n).reshape(1, n), caps, rounds)[0, 0].tolist()
+    result = tuple(names[s] for s in slots)
     return (result, rounds) if trace else result
 
 
@@ -274,12 +278,16 @@ def single_object_space(agents, objects) -> MechanismSpace:
 
 
 def _da_slots(
-    cs: ChoiceStructure, pidx: np.ndarray, caps: np.ndarray, rounds: list | None = None
+    cs: ChoiceStructure, slot_at: np.ndarray, pidx: np.ndarray, caps: np.ndarray,
+    rounds: list | None = None,
 ) -> np.ndarray:
     """Deferred acceptance on every problem at once: each profile of ranking
-    ids ``pidx`` (:attr:`MechanismSpace.ids`) with each capacity vector of
-    ``caps``; the result is the ``(P, C, n)`` int8 array of each agent's
-    slot, ``out[p, c, i]``, which :func:`_allocate` makes read-only.
+    ids ``pidx`` with each capacity vector of ``caps``, where ranking k puts
+    slot ``slot_at[k, r]`` r-th; the result is the ``(P, C, n)`` array of
+    each agent's slot, ``out[p, c, i]``, of ``slot_at``'s dtype.
+    :func:`_allocate` passes the ranking catalogue of :func:`_rankings`
+    with :attr:`MechanismSpace.ids` and makes the int8 result read-only;
+    :func:`da_allocate` passes its one problem's rankings, one per agent.
 
     The state is agent-major, so that every array operation runs along the
     long axis of the problems still running: per agent, the index into the
@@ -307,7 +315,7 @@ def _da_slots(
     """
     n, objects = cs.agents.n, cs.objects
     n_obj, n_prof, n_caps = len(objects), len(pidx), len(caps)
-    slot_at = _rankings(objects)[2].reshape(-1)
+    slot_at = slot_at.reshape(-1)
     mask_t = np.min_scalar_type(cs.agents.full_mask)
     bits = np.left_shift(mask_t.type(1), np.arange(n, dtype=mask_t))[:, None]
     tables = [cs.table(x).cols for x in objects]  # row 0, read at q = 0, is empty
@@ -400,7 +408,7 @@ def _allocate(
             raise ValueError("the space's objects are not the structure's objects")
         if space.agents != tuple(cs.agents.labels):
             raise ValueError("the space's agents are not the structure's agents")
-        run = functools.partial(_da_slots, cs)
+        run = functools.partial(_da_slots, cs, _rankings(cs.objects)[2])
         kept, base = cs._allocated  # one read: another thread may replace it
         if kept is not space:
             base = _read_only(run(space.ids, space.caps))

@@ -119,15 +119,11 @@ class CapacityWise:
 
 @dataclass(frozen=True)
 class TableRule:
-    """A rule given by its table, which is validated when the rule is built:
-    deferred acceptance relies on every choice being a subset of its pool,
-    so that an agent is held by at most one object.  The ordering kinds
-    yield valid tables by construction."""
+    """A rule given by its table.  A ``ChoiceTable`` is a choice rule from
+    the moment it is built, each choice a subset of its set, which deferred
+    acceptance relies on, so that an agent is held by at most one object."""
 
     table: ChoiceTable
-
-    def __post_init__(self):
-        self.table.validate()
 
 
 ChoiceRule = Lexicographic | Responsive | CapacityWise | TableRule
@@ -233,7 +229,7 @@ def materialize(rule: ChoiceRule, u: Universe) -> ChoiceTable:
         raise TypeError(f"not a choice rule: {rule!r}")
     if n_rule != u.n:
         raise ValueError("rule is defined over a different universe size")
-    return ChoiceTable(u, cols=_kernels.cwlex_fill(u.n, rule.keys()))
+    return ChoiceTable._of_fill(u, _kernels.cwlex_fill(u.n, rule.keys()))
 
 
 def ordering_from_labels(u: Universe, labels) -> PriorityOrdering:

@@ -256,6 +256,12 @@ def _ordering(u: Universe, labels, where: str) -> PriorityOrdering:
         raise SpecError(f"{where}: {e}") from None
 
 
+def _orderings(u: Universe, row, where: str) -> tuple[PriorityOrdering, ...]:
+    if not isinstance(row, list):
+        raise SpecError(f"{where} must be a list of orderings")
+    return tuple(_ordering(u, o, f"{where}[{t}]") for t, o in enumerate(row))
+
+
 def _profile(u: Universe, rows, where: str) -> PriorityProfile:
     if not isinstance(rows, list) or len(rows) != u.n:
         raise SpecError(f"{where}: profile must list exactly {u.n} orderings")
@@ -347,13 +353,7 @@ def _rule(u: Universe, rule_obj):
             raise SpecError(f"rule: lists must have exactly {u.n} entries")
         try:
             lists = CapacityWiseLists(
-                tuple(
-                    tuple(
-                        _ordering(u, o, f"lists[{q}][{t}]")
-                        for t, o in enumerate(row)
-                    )
-                    for q, row in enumerate(rows)
-                )
+                tuple(_orderings(u, row, f"lists[{q}]") for q, row in enumerate(rows))
             )
         except (TypeError, ValueError) as e:
             raise SpecError(f"rule: {e}") from None

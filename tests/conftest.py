@@ -24,6 +24,7 @@ from lexichoice import (
     Problem,
     _kernels,
     all_preferences,
+    core,
     make_universe,
     serialize,
 )
@@ -82,6 +83,19 @@ def table_from_function(u, choose) -> ChoiceTable:
     for p in enumerate_problems(u):
         entries[p.set, p.capacity] = choose(p.set, p.capacity)
     return ChoiceTable(u, entries)
+
+
+def random_choices(rng: random.Random, n: int) -> np.ndarray:
+    """A set-major matrix whose every C(S, q) is a random subset of S with
+    at most q members: a choice rule, which mostly breaks capacity filling,
+    monotonicity and heritage."""
+    entries = np.zeros((1 << n, n + 1), dtype=np.int64)
+    for s in range(1, 1 << n):
+        members = [a for a in range(n) if (s >> a) & 1]
+        for q in range(1, n + 1):
+            k = rng.randrange(0, min(len(members), q) + 1)
+            entries[s, q] = sum(1 << a for a in rng.sample(members, k))
+    return entries
 
 
 def rejected(table, p) -> int:
@@ -189,11 +203,14 @@ def scan_calls(monkeypatch):
     ``_kernels.chosen_over_edges`` call, its chosen columns, under ``edges``
     as a ``(Q, 2**n)`` array when they cover every set, and under
     ``witness_edges`` as the 1-D runs of the sets of q+1 alternatives
-    (``_kernels.witness_set_columns``) when ``starts`` is given; and under
-    ``unfilled`` the n of each capacity filling scan ``_kernels._unfilled``."""
-    calls = {"removal": [], "edges": [], "witness_edges": [], "unfilled": []}
-    removal, edges, unfilled = (
-        _kernels._removal_violations, _kernels.chosen_over_edges, _kernels._unfilled
+    (``_kernels.witness_set_columns``) when ``starts`` is given; under
+    ``unfilled`` the n of each capacity filling scan ``_kernels._unfilled``;
+    and under ``invalid`` the n of each validity scan ``core._first_invalid``
+    of a table built from a matrix."""
+    calls = {"removal": [], "edges": [], "witness_edges": [], "unfilled": [], "invalid": []}
+    removal, edges, unfilled, invalid = (
+        _kernels._removal_violations, _kernels.chosen_over_edges, _kernels._unfilled,
+        core._first_invalid,
     )
 
     def counted_removal(n, rows, condition="heritage"):
@@ -211,9 +228,14 @@ def scan_calls(monkeypatch):
         calls["unfilled"].append(n)
         return unfilled(n, cols)
 
+    def counted_invalid(n, cols):
+        calls["invalid"].append(n)
+        return invalid(n, cols)
+
     monkeypatch.setattr(_kernels, "_removal_violations", counted_removal)
     monkeypatch.setattr(_kernels, "_unfilled", counted_unfilled)
     monkeypatch.setattr(_kernels, "chosen_over_edges", counted_edges)
+    monkeypatch.setattr(core, "_first_invalid", counted_invalid)
     return calls
 
 

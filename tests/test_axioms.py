@@ -56,6 +56,7 @@ from conftest import (
     naive_iaa_holds,
     naive_iaa_witness,
     naive_monotone_holds,
+    random_choices,
     random_ordering,
     random_profile,
     set_major,
@@ -127,16 +128,13 @@ def _first_nonmonotone_loops(t: ChoiceTable):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_monotonicity_is_decided_once_and_matches_the_loop_oracle(n):
     # ChoiceTable.nonmonotone is the checker's one scan; its witness is the
-    # loop oracle's on random subset tables, which mostly fail, and on
+    # loop oracle's on random choice rules, which mostly fail, and on
     # lexicographic tables, which pass
     rng = random.Random(f"monotone-{n}")
     u = universe(n)
     for k in range(12):
         if k % 3:
-            entries = np.zeros((1 << n, n + 1), dtype=np.int64)
-            for s in range(1, 1 << n):
-                entries[s, 1:] = [s & rng.randrange(1 << n) for _ in range(n)]
-            t = ChoiceTable(u, entries)
+            t = ChoiceTable(u, random_choices(rng, n))
         else:
             t = materialize(Lexicographic(random_profile(rng, n)), u)
         want = _first_nonmonotone_loops(t)
@@ -448,7 +446,7 @@ def test_witnesses_keep_their_order_on_the_capacity_major_table(n):
     # One violation at (S1, q1) and one at (S2, q2), S1 < S2 and q1 > q2.
     # The set-major searches report S1's; a search that took the first cell
     # of the (q, S) array capacity first would report S2's.  IAA scans
-    # capacities in order, like its loop oracle, and ChoiceTable.validate
+    # capacities in order, like its loop oracle, and building a ChoiceTable
     # checks capacity by capacity: both report S2's.
     rng = random.Random(f"witness-order-{n}")
     u = universe(n)
@@ -472,15 +470,21 @@ def test_witnesses_keep_their_order_on_the_capacity_major_table(n):
         "iaa": ("iaa", lambda e: at(check_iaa(ChoiceTable(u, e)).witness, "S_prime")),
         "f_capacity_filling": ("drop", lambda e: at(
             check_f_capacity_filling(FChoiceTable(u, everything, e)).witness)),
-        "FChoiceTable.validate": ("empty", lambda e: _raised(FChoiceTable(u, everything, e).validate)),
+        "FChoiceTable build": ("empty", lambda e: _raised(lambda: FChoiceTable(u, everything, e))),
         "first_difference": ("empty", lambda e: tuple(
             ChoiceTable(u, e).first_difference(ChoiceTable(u, lex)))),
-        "ChoiceTable.validate": ("outside", lambda e: _raised(ChoiceTable(u, e).validate)),
+        "ChoiceTable build": ("outside", lambda e: _raised(lambda: ChoiceTable(u, e))),
     }
     for name, (kind, outcome) in outcomes.items():
         assert outcome(_plant(lex, kind, [(s1, q1)])) == (s1, q1), name
+        if name == "f_capacity_filling" and q2 == 1:
+            # the drop empties C(S2, 1), which an FChoiceTable refuses
+            for cells in ([(s2, q2)], [(s1, q1), (s2, q2)]):
+                e = _plant(lex, kind, cells)
+                assert _raised(lambda: FChoiceTable(u, everything, e)) == (s2, q2)
+            continue
         assert outcome(_plant(lex, kind, [(s2, q2)])) == (s2, q2), name
-        first = (s2, q2) if name in ("iaa", "ChoiceTable.validate") else (s1, q1)
+        first = (s2, q2) if name in ("iaa", "ChoiceTable build") else (s1, q1)
         assert outcome(_plant(lex, kind, [(s1, q1), (s2, q2)])) == first, name
 
 

@@ -253,6 +253,26 @@ def test_check_derives_each_scan_once(tmp_path, capsys, scan_calls):
     assert scan_calls["removal"] == ["heritage", "outcast"] and scan_calls["unfilled"] == [8]
 
 
+def test_a_table_built_from_a_matrix_is_scanned_once(tmp_path, capsys, table_reads, scan_calls):
+    # one validity scan per table built from a matrix, whichever way the
+    # spec is read: a table spec that the byte read takes, one that it
+    # declines (an alternative labelled "entries" listed before the rule),
+    # and a da spec with one table rule
+    u = make_universe(LEX_SPEC["universe"])
+    profile = PriorityProfile(tuple(ordering_from_labels(u, r) for r in LEX_SPEC["rule"]["profile"]))
+    entries = materialize(Lexicographic(profile), u).cols.T.tolist()
+    table = {"kind": "table", "entries": entries}
+    fast = _write(tmp_path, "fast.json", {"universe": ["a", "b", "c"], "rule": table})
+    slow = _write(tmp_path, "slow.json", {"universe": ["entries", "b", "c"], "rule": table})
+    da = _write(tmp_path, "da.json", dict(DA_SPEC, rules=dict(DA_SPEC["rules"], y=table)))
+    for argv, read in ((["check", fast], ["bytes"]), (["check", slow], ["json"]), (["da", da], ["json"])):
+        table_reads.clear()
+        scan_calls["invalid"].clear()
+        code, _, _ = _run(capsys, argv)
+        assert code in (0, 1) and table_reads == read, argv
+        assert scan_calls["invalid"] == [3], argv
+
+
 def test_check_input_error(tmp_path, capsys):
     code, _, err = _run(capsys, ["check", str(tmp_path / "nope.json")])
     assert code == 2 and "error:" in err
@@ -429,6 +449,10 @@ def test_rule_spec_input_errors(tmp_path, capsys):
         (
             dict(LEX_SPEC, rule={"kind": "capacity_wise", "lists": [[profile[0]]]}),
             "rule: lists must have exactly 3 entries",
+        ),
+        (
+            dict(LEX_SPEC, rule={"kind": "capacity_wise", "lists": [[profile[0]], 5, "ab"]}),
+            "rule: lists[1] must be a list of orderings",
         ),
         (
             dict(LEX_SPEC, rule={"kind": "flex", "profile": profile, "maximal_feasible_sets": [["a", "z"]]}),

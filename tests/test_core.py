@@ -29,7 +29,8 @@ from lexichoice.core import iter_bits, popcount
 from lexichoice.rules import Lexicographic, materialize
 
 from conftest import (
-    enumerate_problems, random_profile, rejected, set_major, table_from_function, universe,
+    enumerate_problems, random_choices, random_profile, rejected, set_major, table_from_function,
+    universe,
 )
 
 
@@ -61,8 +62,8 @@ def test_negative_masks_are_refused():
     u = make_universe("ab")
     with pytest.raises(ValueError, match="negative bitmask"):
         u.labels_of(-2)
-    # a table whose C({a}, 2) is -2 is refused when it is built, with the
-    # error that validate() would raise on the matrix
+    # a table whose C({a}, 2) is -2 is refused when it is built, as an
+    # entry that is not a subset of its set
     f = make_family(u, [u.full_mask])
     order = PriorityOrdering((0, 1))
     t = flex_materialize(PriorityProfile((order, order)), f, u)
@@ -116,7 +117,6 @@ def _tiny_table():
 
 def test_table_choose_and_domain():
     t = _tiny_table()
-    t.validate()
     assert t.choose(Problem(3, 1)) == 1
     assert rejected(t, Problem(3, 1)) == 2
     with pytest.raises(DomainError):
@@ -130,20 +130,28 @@ def test_table_choose_and_domain():
 
 
 def test_table_validate_rejects_bad_entries():
+    # a table is checked when it is built: per capacity, ascending, the
+    # first set whose entry is not a subset of it, then the first whose entry
+    # exceeds the capacity; then a nonempty row 0 (a nonempty column 0 is an
+    # entry outside its empty set)
     u = universe(2)
-    entries = np.zeros((4, 3), dtype=np.int64)
-    entries[1, 1] = 2  # not a subset of {a}
-    with pytest.raises(ValueError):
-        ChoiceTable(u, entries).validate()
-    entries = np.zeros((4, 3), dtype=np.int64)
-    entries[3, 1] = 3  # exceeds capacity 1
-    with pytest.raises(ValueError):
-        ChoiceTable(u, entries).validate()
-    with pytest.raises(ValueError):
-        ChoiceTable(u, np.zeros((4, 2), dtype=np.int64))
-    for cols in (np.zeros((3, 4), dtype=np.int64), np.zeros((4, 3), dtype=np.uint16)):
-        with pytest.raises(ValueError, match="cols must be uint16 of shape"):
-            ChoiceTable(u, cols=cols)
+    for cells, message in [
+        ({(1, 1): 2}, "entry at (S=0x1, q=1) is not a subset of S"),
+        ({(3, 1): 3}, "entry at (S=0x3, q=1) exceeds capacity"),
+        ({(3, 1): 3, (1, 2): 2}, "entry at (S=0x3, q=1) exceeds capacity"),
+        ({(3, 1): 3, (2, 1): 1}, "entry at (S=0x2, q=1) is not a subset of S"),
+        ({(0, 2): 1}, "entry at (S=0x0, q=2) is not a subset of S"),
+        ({(3, 0): 1}, "row 0 / column 0 must be empty"),
+    ]:
+        entries = np.zeros((4, 3), dtype=np.int64)
+        for cell, value in cells.items():
+            entries[cell] = value
+        with pytest.raises(ValueError) as got:
+            ChoiceTable(u, entries)
+        assert str(got.value) == message, cells
+    for shape in ((4, 2), (3, 4)):
+        with pytest.raises(ValueError, match="entries must have shape"):
+            ChoiceTable(u, np.zeros(shape, dtype=np.int64))
 
 
 def test_entries_must_have_an_integer_dtype():
@@ -190,23 +198,16 @@ def test_table_from_a_view_ignores_later_writes():
     u = universe(3)
     base = set_major(table_from_function(u, lambda mask, q: mask & -mask))
     t = ChoiceTable(u, base[:])
-    t.validate()
     before = hash(t)
     base[1, 1] = 0b110  # C({a}, 1) = {b, c} in the array the view reads
-    t.validate()
     assert t.choose(Problem(1, 1)) == 0b001
     assert hash(t) == before
     # set-major entries are narrowed into a new array, so the caller's stays
-    # writable; a fill's owned uint16 array is frozen in place, not copied,
-    # and a view of one is copied
+    # writable; a fill's own array is frozen in place, not copied
     assert base.flags.writeable
     owned = np.array(t.cols)
-    assert ChoiceTable(u, cols=owned).cols is owned
+    assert ChoiceTable._of_fill(u, owned).cols is owned
     assert not owned.flags.writeable
-    view = np.array(t.cols)[:]
-    frozen = ChoiceTable(u, cols=view)
-    view[1, 1] = 0b110
-    assert frozen == t and view.flags.writeable
 
 
 def test_table_rows_are_built_once_and_readonly():
@@ -226,13 +227,10 @@ def test_table_rows_are_built_once_and_readonly():
 def test_table_scans_are_built_once_and_readonly():
     # the heritage flags of the one removal scan, and the chosen-over edges
     # of every capacity, both kept beside rows: on a table over 4
-    # alternatives whose entries are random subsets of their sets
+    # alternatives whose entries are random subsets of their sets, each
+    # within capacity
     n = 4
-    rng = np.random.default_rng(4)
-    masks = np.arange(1 << n)
-    entries = np.zeros((1 << n, n + 1), dtype=np.int64)
-    entries[:, 1:] = masks[:, None] & rng.integers(0, 1 << n, (1 << n, n))
-    t = ChoiceTable(universe(n), entries)
+    t = ChoiceTable(universe(n), random_choices(random.Random(4), n))
     heritage, edges = t.heritage, t.chosen_over
     assert heritage is t.heritage and edges is t.chosen_over
     assert heritage.dtype == np.bool_ and heritage.shape == (1 << n,)
@@ -251,47 +249,34 @@ def test_table_scans_are_built_once_and_readonly():
 
 
 def test_capacity_filling_is_decided_once_per_table(scan_calls):
-    # the first problem that breaks capacity filling and the subset guard,
-    # kept beside the heritage flags: on a lexicographic table, then with
-    # one entry cut to fewer alternatives and one moved outside its set
+    # the first problem that breaks capacity filling, kept beside the
+    # heritage flags: on a lexicographic table, then with one entry cut to
+    # fewer alternatives
     n = 4
     t = materialize(Lexicographic(random_profile(random.Random(4), n)), universe(n))
-    assert t.unfilled is None and t.subsets
+    assert t.unfilled is None
     entries = set_major(t)
     entries[0b0111, 2] = 0b0001  # C({a, b, c}, 2) = {a}
-    entries[0b0011, 1] = 0b0100  # C({a, b}, 1) = {c}
     cut = ChoiceTable(universe(n), entries)
-    assert cut.unfilled == Problem(0b0111, 2) and not cut.subsets
+    assert cut.unfilled == Problem(0b0111, 2)
     for _ in range(2):
         assert check_capacity_filling(cut).witness == {"S": ["a", "b", "c"], "q": 2, "chosen": ["a"]}
         assert not check_path_independence(cut).ok
     assert scan_calls["unfilled"] == [n] * 2  # once per table
 
 
-def test_witness_sets_gate_reads_only_derived_facts(monkeypatch):
-    # a fill's table, and a table that validate() accepts, know that their
-    # entries are subsets without the scan; the gate of the sets of q+1
-    # alternatives derives none of its facts, and opens once the checkers
-    # have derived them
-    def no_subsets_scan(n, cols):
-        raise AssertionError("subsets scanned")
-
-    monkeypatch.setattr(_kernels, "_subsets", no_subsets_scan)
+def test_witness_sets_gate_reads_only_derived_facts():
+    # the gate of the sets of q+1 alternatives derives none of its facts,
+    # and opens once the checkers have derived them, on a fill's table and
+    # on the table built from its entries alike
     n = 5
     lex = materialize(Lexicographic(random_profile(random.Random(5), n)), universe(n))
-    entries = ChoiceTable(universe(n), set_major(lex))
-    validated = ChoiceTable(universe(n), set_major(lex))
-    validated.validate()
-    for t in (lex, entries, validated):
+    for t in (lex, ChoiceTable(universe(n), set_major(lex))):
         assert not t.witness_sets_apply() and not t.witness_sets_apply(revealed=True)
         assert set(vars(t)) & {"unfilled", "heritage", "nonmonotone"} == set()
-    assert lex.subsets and validated.subsets and "subsets" not in vars(entries)
-    for t in (lex, validated):
         assert t.unfilled is None and not t.heritage.any()
         assert t.witness_sets_apply() and not t.witness_sets_apply(revealed=True)
         assert t.nonmonotone is None and t.witness_sets_apply(revealed=True)
-    assert entries.unfilled is None and not entries.heritage.any()
-    assert entries.nonmonotone is None and not entries.witness_sets_apply()
 
 
 def _resolves(name: str) -> bool:

@@ -160,7 +160,7 @@ def test_flex_materialize_matches_naive_oracle(rng, n):
         sets = explicit_sets(f)
         profile = random_profile(rng, n)
         t = flex_materialize(profile, f, u)
-        t.validate()
+        assert FChoiceTable(u, f, set_major(t)) == t  # a fill is a valid table
         for s in range(1, 1 << n):
             for q in range(1, n + 1):
                 want = mask_of(
@@ -213,25 +213,23 @@ def test_f_capacity_filling_failure_and_replay(rng):
 
 
 def test_f_capacity_filling_counts_an_overfull_cell_as_full():
-    # C({a, b, c}, 1) = {a, b} holds more than q = 1 alternatives (validate()
-    # refuses it), and c would keep it feasible: capacity is full, so the
-    # first violation is the under-filled C({a, b, c}, 2) = {a}, which replay
-    # confirms.  With 2 alternatives a cell holding more than q holds all of
-    # S, so it has no addable alternative: 3 is the fewest that show this.
+    # C({a, b, c}, 1) = {a, b} holds more than q = 1 alternatives, and c
+    # would keep it feasible: no table holds such a cell, since building one
+    # refuses it, so the checker and its replay see only the under-filled
+    # C({a, b, c}, 2) = {a}.
     u = universe(3)
     f = make_family(u, [u.full_mask])
     profile = PriorityProfile(tuple(ordering_from_labels(u, r) for r in ("abc", "bca", "cab")))
     t = flex_materialize(profile, f, u)
     assert check_f_capacity_filling(t).ok
     s = u.full_mask
-    bad = _patched_table(t, {(s, 1): u.mask_of("ab"), (s, 2): u.mask_of("a")})
-    with pytest.raises(ValueError, match="exceeds capacity"):
-        bad.validate()
+    for edits in ({(s, 1): u.mask_of("ab"), (s, 2): u.mask_of("a")}, {(s, 1): u.mask_of("ab")}):
+        with pytest.raises(ValueError, match=r"^entry at \(S=0x7, q=1\) exceeds capacity$"):
+            _patched_table(t, edits)
+    bad = _patched_table(t, {(s, 2): u.mask_of("a")})
     rep = check_f_capacity_filling(bad)
     assert rep.witness == {"S": ["a", "b", "c"], "q": 2, "alt": "b", "chosen": ["a"]}
     assert replay_f_witness(bad, "f_capacity_filling", rep.witness)
-    over = _patched_table(t, {(s, 1): u.mask_of("ab")})
-    assert check_f_capacity_filling(over).ok
 
 
 def test_csarp_failure_and_replay():
@@ -270,7 +268,6 @@ def test_csarp_cycle_witness_on_perturbed_flex_table():
     entries = set_major(flex_materialize(profile, f, u))
     entries[u.mask_of("bcd"), 1] = u.mask_of("d")  # d over b and c at q = 1
     t = FChoiceTable(u, f, entries)
-    t.validate()
     rep = check_csarp(t)
     # the search starts at a, which lies on no cycle; a's stack prefix is cut
     assert rep.witness == {"q": 1, "cycle": ["b", "c", "d", "b"]}
@@ -311,11 +308,11 @@ def test_f_edges_match_loop_oracle(rng, n):
         f = random_family(rng, n)
         entries = set_major(flex_materialize(random_profile(rng, n), f, u))
         if trial % 2:
-            # perturb a few entries to random subsets so that cycles appear
+            # perturb a few entries to random choices so that cycles appear
             for _ in range(3):
                 s = rng.randrange(1, 1 << n)
                 q = rng.randrange(1, n + 1)
-                entries[s, q] = s & rng.randrange(1 << n)
+                entries[s, q] = _random_choice(rng, f, s, q)
         t = FChoiceTable(u, f, entries)
         for q in range(1, n + 1):
             edges = _f_edges(t, q)
@@ -346,16 +343,16 @@ def _f_capacity_filling_loop(c):
     return None
 
 
-def _validate_loop(c):
-    # Per-cell loop after the plain table checks: the first empty or
+def _build_loop(u, f, entries):
+    # Per-cell loop after the plain table's checks: the first empty or
     # infeasible entry in canonical order.
-    ChoiceTable.validate(c)
-    for mask in range(1, 1 << c.n):
-        for q in range(1, c.n + 1):
-            got = int(c.cols[q, mask])
+    ChoiceTable(u, entries)
+    for mask in range(1, 1 << u.n):
+        for q in range(1, u.n + 1):
+            got = int(entries[mask, q])
             if got == 0:
                 raise ValueError(f"empty choice at (S={mask:#x}, q={q})")
-            if not feasible(c.family, got):
+            if not feasible(f, got):
                 raise ValueError(f"infeasible choice at (S={mask:#x}, q={q})")
 
 
@@ -367,7 +364,18 @@ def _error(fn, *args):
     return None
 
 
-def _perturbed_flex_table(rng, n, mode):
+def _random_choice(rng, f, s, q, under=False):
+    """A random nonempty feasible subset of S with at most q members, and
+    with ``under`` fewer than min(|S|, q) where one can be."""
+    members = sorted(members_of(s))
+    most = min(q, len(members))
+    while True:
+        pick = mask_of(rng.sample(members, rng.randint(1, max(1, most - under))))
+        if feasible(f, pick):
+            return pick
+
+
+def _perturbed_flex_entries(rng, n, mode):
     u = universe(n)
     f = random_family(rng, n)
     entries = set_major(flex_materialize(random_profile(rng, n), f, u))
@@ -376,32 +384,36 @@ def _perturbed_flex_table(rng, n, mode):
         members = sorted(members_of(s))
         rng.shuffle(members)
         entries[s, q] = {
-            "subset": s & rng.randrange(1 << n),
+            "under": _random_choice(rng, f, s, q, under=True),  # valid, under-filled
             "any": rng.randrange(1 << n),  # often not a subset of S
             "whole": s,  # exceeds q when |S| > q
             "empty": 0,
             "filled": mask_of(members[:q]),  # capacity-filled, maybe infeasible
         }[mode]
-    return FChoiceTable(u, f, entries)
+    return u, f, entries
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_flex_scans_match_loop_oracles(rng, n):
-    # verdict, witness and validation message against the per-cell loops
+    # the build's refusal against the per-cell loop, and on each table it
+    # builds, verdict and witness against the per-cell loop
     seen = set()
     for trial in range(60):
-        mode = ("subset", "any", "whole", "empty", "filled")[trial % 5]
-        t = _perturbed_flex_table(rng, n, mode)
+        mode = ("under", "any", "whole", "empty", "filled")[trial % 5]
+        u, f, entries = _perturbed_flex_entries(rng, n, mode)
+        msg = _error(FChoiceTable, u, f, entries)
+        assert msg == _error(_build_loop, u, f, entries)
+        seen.add(msg and msg.split(" at ")[0])
+        if msg is not None:
+            continue
+        t = FChoiceTable(u, f, entries)
         rep = check_f_capacity_filling(t)
         want = _f_capacity_filling_loop(t)
         assert rep.verdict == ("pass" if want is None else "fail")
         assert rep.witness == want
         assert rep.ok or replay_f_witness(t, "f_capacity_filling", rep.witness)
-        msg = _error(t.validate)
-        assert msg == _error(_validate_loop, t)
         seen.add(rep.verdict)
-        seen.add(msg and msg.split(" at ")[0])
-    # both verdicts, a valid table, and each kind of validation error
+    # both verdicts, a valid table, and each kind of refusal
     assert seen == {"pass", "fail", None, "entry", "empty choice", "infeasible choice"}
 
 

@@ -227,7 +227,8 @@ def _random_table(rng, n, mutations=3):
 
 
 def _perturb(rng, n, entries, mutations):
-    """Set a few entries to random subsets to exercise fail paths."""
+    """Set a few entries to random subsets of their sets, each within
+    capacity, to exercise fail paths."""
     for _ in range(mutations):
         s = rng.randrange(1, 1 << n)
         q = rng.randrange(1, n + 1)
@@ -235,6 +236,8 @@ def _perturb(rng, n, entries, mutations):
         for a in range(n):
             if (s >> a) & 1 and rng.random() < 0.5:
                 sub &= ~(1 << a)
+        while sub.bit_count() > q:
+            sub &= sub - 1
         entries[s, q] = sub
 
 
@@ -252,13 +255,13 @@ def _rows(table):
 
 def _first_violations(n, table):
     """Both first-violation kernels on a set-major matrix, each given the
-    rows, heritage flags, subset guard and capacity filling verdict that a
-    ``ChoiceTable`` keeps."""
-    rows, cols = _rows(table), _cols(table)
+    rows, heritage flags and capacity filling verdict that a ``ChoiceTable``
+    keeps."""
+    rows = _rows(table)
     heritage = _kernels._removal_violations(n, rows)
-    subsets, filling = _kernels._subsets(n, cols), not _kernels._unfilled(n, cols).any()
+    filling = not _kernels._unfilled(n, _cols(table)).any()
     return (_kernels.gs_first_violation(n, rows, heritage),
-            _kernels.path_independence_first(n, rows, heritage, subsets, filling))
+            _kernels.path_independence_first(n, rows, heritage, filling))
 
 
 def _assert_first_violations_agree(n, table):
@@ -522,13 +525,32 @@ def test_first_violation_kernels_agree(rng, n):
             _assert_first_violations_agree(n, _random_table(rng, n, mutations))
 
 
+def _is_choice_rule(table) -> bool:
+    """Whether every entry of the set-major matrix ``table`` is a subset of
+    its set with at most q members, so that row 0 and column 0 are empty."""
+    return all(
+        not (int(c) & ~s or int(c).bit_count() > q)
+        for s, row in enumerate(table.tolist()) for q, c in enumerate(row)
+    )
+
+
+def _assert_agree_or_refused(n, table):
+    """The first-violation kernels agree with their loops on a choice rule,
+    and building a table refuses any other matrix."""
+    if _is_choice_rule(table):
+        _assert_first_violations_agree(n, table)
+    else:
+        with pytest.raises(ValueError):
+            ChoiceTable(universe(n), table)
+
+
 def test_first_violation_kernels_agree_on_every_small_table():
     # every table at n = 1, row 0 included; at n = 2 every table whose
     # entries are subsets of their sets (256), and one column repeated at
-    # each capacity with any entries at all, row 0 included (256), where
-    # C(S, q) need not lie in S
+    # each capacity with any entries at all, row 0 included (256): a matrix
+    # whose C(S, q) is not a subset of S with at most q members is refused
     for col in itertools.product(range(2), repeat=2):
-        _assert_first_violations_agree(1, np.array([[0, col[0]], [0, col[1]]]))
+        _assert_agree_or_refused(1, np.array([[0, col[0]], [0, col[1]]]))
     subsets = [[m for m in range(4) if m & ~s == 0] for s in range(4)]
     for col1 in itertools.product(*subsets[1:]):
         for col2 in itertools.product(*subsets[1:]):
@@ -538,7 +560,7 @@ def test_first_violation_kernels_agree_on_every_small_table():
     for col in itertools.product(range(4), repeat=4):
         table = np.zeros((4, 3), dtype=np.int64)
         table[:, 1] = table[:, 2] = col
-        _assert_first_violations_agree(2, table)
+        _assert_agree_or_refused(2, table)
 
 
 def test_first_violation_kernels_agree_on_every_single_column_rule():
@@ -573,13 +595,16 @@ def test_path_independence_on_every_capacity_filling_table():
 
 
 def _threshold_table(rng, n, whole):
-    """C(S, q) = S & A_q for |S| <= k_q, else empty: heritage holds and
-    capacity filling fails; with ``whole`` k_q = n, and the table is path
-    independent, else k_q < n, and outcast fails at some set."""
+    """C(S, q) = S & A_q for |S| <= k_q, else empty, with A_q nonempty and
+    of at most q alternatives: heritage holds and capacity filling fails;
+    with ``whole`` k_q = n, and the table is path independent, else
+    k_q < n, and outcast fails at some set."""
     masks = np.arange(1 << n, dtype=np.int64)
     table = np.zeros((1 << n, n + 1), dtype=np.int64)
     for q in range(1, n + 1):
         keep = rng.randrange(1, 1 << n) | 1 << rng.randrange(n)
+        while keep.bit_count() > q:
+            keep &= keep - 1
         k = n if whole else rng.randrange(1, n)
         table[:, q] = np.where(np.bitwise_count(masks) <= k, masks & keep, 0)
     return table
@@ -633,8 +658,8 @@ def _relation_edges_loops(n, cols, revealed):
 
 def _assert_witness_sets_agree(n, entries):
     """On the table of the set-major matrix ``entries``: the gate of the
-    sets of q+1 alternatives opens exactly when capacity filling, subsets
-    and heritage hold, and, for revealed edges, monotonicity too; with the
+    sets of q+1 alternatives opens exactly when capacity filling and
+    heritage hold, and, for revealed edges, monotonicity too; with the
     gate open the edges of those sets equal the loop oracle's over every set;
     and WRARP, CWARP and CWRARP report as on a table that derived none of the
     facts, which reads every set.  Returns the four facts, and whether the
@@ -643,9 +668,8 @@ def _assert_witness_sets_agree(n, entries):
     full, gated = ChoiceTable(u, entries), ChoiceTable(u, entries)
     want = {name: ALL_CHECKS[name](full) for name in RELATIONS}
     assert not gated.witness_sets_apply() and not gated.witness_sets_apply(revealed=True)
-    facts = (gated.unfilled is None, gated.subsets, not gated.heritage.any(),
-             gated.nonmonotone is None)
-    assert gated.witness_sets_apply() == all(facts[:3])
+    facts = (gated.unfilled is None, not gated.heritage.any(), gated.nonmonotone is None)
+    assert gated.witness_sets_apply() == all(facts[:2])
     assert gated.witness_sets_apply(revealed=True) == all(facts)
     assert np.array_equal(gated.chosen_over, _relation_edges_loops(n, gated.cols, False))
     runs = _kernels.witness_set_columns(n, gated.cols, 2, revealed=True)
@@ -659,7 +683,7 @@ def _assert_witness_sets_agree(n, entries):
 
 def test_witness_sets_on_every_capacity_filling_table():
     # every capacity-filling table at n = 2 (2) and n = 3 (72): each fills
-    # capacity and holds subsets, and heritage and monotonicity hold or fail
+    # capacity, and heritage and monotonicity hold or fail
     seen = set()
     for n in (2, 3):
         cells = [(s, q) for q in range(1, n + 1) for s in range(1, 1 << n)]
@@ -669,16 +693,16 @@ def test_witness_sets_on_every_capacity_filling_table():
             for (s, q), m in zip(cells, picks):
                 table[s, q] = m
             facts, _ = _assert_witness_sets_agree(n, table)
-            assert facts[:2] == (True, True)
+            assert facts[0]
             seen.add(facts)
             count += 1
         assert count == {2: 2, 3: 72}[n]
-    assert {f[2:] for f in seen} == {(True, True), (True, False), (False, True), (False, False)}
+    assert {f[1:] for f in seen} == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _break_subsets(rng, n, entries):
     """Move one C(S, q) with |S| > q to a set of its size with an alternative
-    outside S: capacity filling holds and subsets fails."""
+    outside S, which building a table refuses."""
     s, q = 0, n
     while s.bit_count() <= q or s == (1 << n) - 1:
         s, q = rng.randrange(1, 1 << n), rng.randrange(1, n)
@@ -691,13 +715,14 @@ def _break_subsets(rng, n, entries):
 def test_witness_sets_on_perturbed_rule_tables(n):
     # lexicographic, responsive and capacity-wise tables, as built and
     # perturbed so that they fail capacity filling (cells set to random
-    # subsets), heritage (a cell moved to another subset of its size) or
-    # subsets; capacity-wise rules with fresh capacities fail monotonicity
+    # subsets) or heritage (a cell moved to another subset of its size);
+    # capacity-wise rules with fresh capacities fail monotonicity.  A cell
+    # moved outside its set is refused when the table is built.
     rng = random.Random(f"witness-sets-{n}")
     keys = _structured_keys(rng, n)
     seen = set()
     for name in ("lexicographic", "responsive", "rotating", "partial_prefix"):
-        built = set_major(ChoiceTable(universe(n), cols=_kernels.cwlex_fill(n, keys[name])))
+        built = _kernels.cwlex_fill(n, keys[name]).T.astype(np.int64)
         variants = [built]
         if n > 2:
             dropped, moved, outside = (np.array(built) for _ in range(3))
@@ -707,29 +732,30 @@ def test_witness_sets_on_perturbed_rule_tables(n):
                 s, q = rng.randrange(1, 1 << n), rng.randrange(1, n)
             moved[s, q] = rng.choice([m for m in _filling_choices(n, s, q) if m != moved[s, q]])
             _break_subsets(rng, n, outside)
-            variants += [dropped, moved, outside]
+            with pytest.raises(ValueError, match="is not a subset of S$"):
+                ChoiceTable(universe(n), outside)
+            variants += [dropped, moved]
         for entries in variants:
             seen.add(_assert_witness_sets_agree(n, entries)[0])
-    assert (True, True, True, True) in seen
+    assert (True, True, True) in seen
     if n > 3:
-        assert (True, True, True, False) in seen
-        for fact in range(3):
+        assert (True, True, False) in seen
+        for fact in range(2):
             assert any(not facts[fact] for facts in seen), fact
 
 
 def test_revealed_witness_sets_need_monotonicity():
-    # on capacity-wise tables that fill capacity, hold subsets and keep
-    # heritage but are not monotone, the sets of q+1 alternatives can miss
-    # a revealed edge: the gate asks for monotonicity
+    # on capacity-wise tables that fill capacity and keep heritage but are
+    # not monotone, the sets of q+1 alternatives can miss a revealed edge:
+    # the gate asks for monotonicity
     rng = random.Random("need-monotonicity")
     missed = 0
     for n in range(3, 9):
         for _ in range(8):
-            entries = set_major(ChoiceTable(universe(n), cols=_kernels.cwlex_fill(
-                n, _random_keys(rng, n))))
+            entries = _kernels.cwlex_fill(n, _random_keys(rng, n)).T.astype(np.int64)
             facts, same = _assert_witness_sets_agree(n, entries)
-            assert facts[:3] == (True, True, True)
-            missed += not facts[3] and not same
+            assert facts[:2] == (True, True)
+            missed += not facts[2] and not same
     assert missed > 0
 
 
@@ -784,7 +810,7 @@ def test_first_violation_kernels_agree_on_wide_tables(n):
 
 def test_fills_at_sixteen_alternatives():
     # the table is the fill's uint16 staging array, row q holding C(., q):
-    # it is C-contiguous and owns its data, so ChoiceTable freezes it uncopied
+    # it is C-contiguous and owns its data, so a table freezes it uncopied
     n = 16
     rng = random.Random("fill-16")
     u = universe(n)
@@ -809,7 +835,7 @@ def test_fills_at_sixteen_alternatives():
     for kind, (table, choose) in fills.items():
         assert table.dtype == np.uint16 and table.shape == (n + 1, 1 << n), kind
         assert table.flags.c_contiguous and table.flags.owndata, kind
-        assert ChoiceTable(u, cols=table).cols is table, kind
+        assert ChoiceTable._of_fill(u, table).cols is table, kind
         assert not table[0].any() and not table[:, 0].any(), kind
         for s in rows:
             assert table[1:, s].tolist() == [choose(s, q) for q in range(1, n + 1)], (kind, s)
@@ -825,7 +851,7 @@ def test_engine_bound_fits_the_kernel_masks():
 
 def _refuses_entry(n, entries):
     # both table classes refuse the matrix when they are built, with the
-    # error that validate() would raise on it, and leave it unchanged
+    # error that names its first invalid entry, and leave it unchanged
     u = universe(n)
     before = entries.copy()
     family = make_family(u, [u.full_mask])
@@ -867,9 +893,9 @@ def test_entries_outside_the_universe_are_refused():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6] + WIDE)
 def test_removal_scan_agrees_on_any_sixteen_bit_entries(n):
-    # entries of an unvalidated table need not be subsets of their sets:
-    # the scan itself reads bits at or above n but below 16 like any other,
-    # though ChoiceTable refuses such entries when it is built
+    # the scan itself reads any 16-bit entries, bits at or above n but below
+    # 16 like any other, though ChoiceTable refuses such entries when it is
+    # built
     rng = random.Random(f"removal-{n}")
     valid = set_major(materialize(Lexicographic(random_profile(rng, n)), universe(n)))
     for mutations in (1, 3, 16):

@@ -389,28 +389,26 @@ def test_da_refuses_malformed_problems(prefs, caps):
 _INVALID_TABLE_ERROR = "entry at (S=0x1, q=1) is not a subset of S"
 
 
-def _invalid_table():
-    """C({i}, 1) = {i, j}: as the table of x, x could hold j while y holds j too."""
+def _invalid_entries():
+    """The agents and a matrix with C({i}, 1) = {i, j}: as the table of x, x
+    could hold j while y holds j too."""
     u = make_universe(("i", "j"))
     entries = set_major(materialize(Responsive(ordering_from_labels(u, ("i", "j"))), u))
     entries[0b01, 1] = 0b11
-    return ChoiceTable(u, entries)
+    return u, entries
 
 
 def test_structure_refuses_invalid_table_rule():
-    """A table rule is refused when it is built, with the error of
-    ``ChoiceTable.validate``, so no structure can hold an invalid table."""
-    table = _invalid_table()
-    with pytest.raises(ValueError) as want:
-        table.validate()
-    assert str(want.value) == _INVALID_TABLE_ERROR
+    """A matrix that is not a choice rule is refused when its table is
+    built, so no table rule, and no structure, can hold it."""
+    u, entries = _invalid_entries()
     with pytest.raises(ValueError) as got:
         ChoiceStructure(
-            table.universe,
+            u,
             ("x", "y"),
-            {"x": TableRule(table), "y": Responsive(ordering_from_labels(table.universe, ("j", "i")))},
+            {"x": TableRule(ChoiceTable(u, entries)), "y": Responsive(ordering_from_labels(u, ("j", "i")))},
         )
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == _INVALID_TABLE_ERROR
 
 
 # --- deferred acceptance against the loop that rescans placed agents ------------
@@ -466,9 +464,7 @@ def _non_gs_table(rng, u):
         q = rng.randrange(1, u.n + 1)
         members = list(iter_bits(s))
         entries[s, q] = sum(1 << i for i in rng.sample(members, rng.randint(0, min(q, len(members)))))
-    table = ChoiceTable(u, entries)
-    table.validate()
-    return table
+    return ChoiceTable(u, entries)
 
 
 def _random_rule(rng, u, kind):
@@ -538,6 +534,36 @@ def test_traced_da_matches_placed_scan_loop_on_wide_masks(n):
             assert [list(r.items()) for r in rounds] == [list(r.items()) for r in want_rounds]
             longest = max(longest, len(rounds))
     assert longest >= 4  # rejection chains, not one round of acceptances
+
+
+def test_da_allocate_reads_only_its_own_rankings(monkeypatch):
+    """One problem allocates from its agents' rankings alone, trace
+    included: at 12 objects the catalogue of all 13! rankings would not fit
+    in memory, and it is never listed."""
+    rng = random.Random(12)
+    objects = tuple(f"o{k}" for k in range(12))
+    u = make_universe(("i", "j", "k"))
+    rules = {x: _random_rule(rng, u, DA_RULE_KINDS[k % len(DA_RULE_KINDS)]) for k, x in enumerate(objects)}
+    cs = ChoiceStructure(u, objects, rules)
+
+    def listed(*args):
+        raise AssertionError("the ranking catalogue was listed")
+
+    monkeypatch.setattr(mechanism, "_rankings", listed)
+    monkeypatch.setattr(mechanism, "all_preferences", listed)
+    longest = 0
+    for _ in range(30):
+        prob = AllocationProblem(
+            tuple(tuple(rng.sample(objects + (None,), 13)) for _ in range(3)),
+            tuple(rng.choice((0, 1, 1, 2)) for _ in objects),
+        )
+        want, want_rounds = _placed_scan_da(cs, prob)
+        got, rounds = da_allocate(cs, prob, trace=True)
+        assert got == want, prob
+        assert [list(r.items()) for r in rounds] == [list(r.items()) for r in want_rounds]
+        assert da_allocate(cs, prob) == want
+        longest = max(longest, len(rounds))
+    assert longest >= 3  # rejection chains, not one round of acceptances
 
 
 def test_da_reads_list_rankings_as_tuples():
@@ -793,7 +819,7 @@ _SPACE_ERRORS = {  # per edit of a space, the error that refuses it; None for a 
     "short_profile": "profile 5 of the space is malformed: problem lists 1 preferences for 2 agents",
     # profiles are read first, though the capacity comes first in problem order
     "cap_and_ranking": f"profile 5 of the space is malformed: {_RANKING_ERROR}",
-    "invalid_table": _INVALID_TABLE_ERROR,  # refused by its table rule
+    "invalid_table": _INVALID_TABLE_ERROR,  # refused by its table
     "bad_ranking_no_capacities": f"profile 5 of the space is malformed: {_RANKING_ERROR}",
     "short_profile_no_capacities": "profile 5 of the space is malformed: "
     "problem lists 1 preferences for 2 agents",
@@ -809,7 +835,7 @@ def test_array_da_refuses_malformed_spaces(edit):
     """A space is refused when it is built, directly or through
     ``dataclasses.replace``, with an error that names its first malformed
     profile, else its first malformed capacity vector.  An invalid table is
-    refused in the same ways by its table rule, before any allocation."""
+    refused when it is built, before any table rule or allocation."""
     cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
     space = exhaustive_space(("i", "j"), ("x", "y"))
     profiles, capacities = space.profiles, space.capacities
@@ -836,8 +862,8 @@ def test_array_da_refuses_malformed_spaces(edit):
     )
     if edit == "invalid_table":
         builds = (
-            lambda: dataclasses.replace(TableRule(cs.table("x")), table=_invalid_table()),
-            lambda: TableRule(_invalid_table()),
+            lambda: dataclasses.replace(TableRule(cs.table("x")), table=ChoiceTable(*_invalid_entries())),
+            lambda: TableRule(ChoiceTable(*_invalid_entries())),
         )
     want = _SPACE_ERRORS[edit]
     for build in builds:
@@ -849,8 +875,7 @@ def test_array_da_refuses_malformed_spaces(edit):
 def test_space_is_read_once_into_read_only_arrays():
     """The ranking ids and capacity vectors of a space, and the arrays of the
     cached ranking catalogue, are read-only; they take no part in equality
-    or hashing; and a second ``da_allocate`` on the same objects reuses the
-    catalogue."""
+    or hashing; and ``da_allocate`` does not read the catalogue."""
     space = exhaustive_space(("i", "j"), ("x", "y"))
     prefs = all_preferences(("x", "y"))
     assert space.ids.tolist() == [[prefs.index(r) for r in rs] for rs in space.profiles]
@@ -867,10 +892,9 @@ def test_space_is_read_once_into_read_only_arrays():
         dataclasses.replace(space, ids=space.ids)
     cs = _responsive_structure(("i", "j"), {"x": ("i", "j"), "y": ("j", "i")})
     prob = AllocationProblem((("x", "y", None), ("x", None, "y")), (1, 1))
+    info = _rankings.cache_info()
     assert da_allocate(cs, prob) == ("x", None)
-    misses = _rankings.cache_info().misses
-    assert da_allocate(cs, prob) == ("x", None)
-    assert _rankings.cache_info().misses == misses
+    assert _rankings.cache_info() == info
 
 
 def test_repeated_or_null_object_names_are_refused():
@@ -1235,9 +1259,9 @@ def da_calls(monkeypatch):
     calls = []
     real = mechanism._da_slots
 
-    def counted(cs, pidx, caps, rounds=None):
+    def counted(cs, slot_at, pidx, caps, rounds=None):
         calls.append((pidx, caps))
-        return real(cs, pidx, caps, rounds)
+        return real(cs, slot_at, pidx, caps, rounds)
 
     monkeypatch.setattr(mechanism, "_da_slots", counted)
     return calls
@@ -1312,16 +1336,16 @@ def test_kept_allocation_is_read_only_and_per_space(da_calls):
 
 
 def test_invalid_table_is_refused_on_every_call():
-    """A table rule over an invalid table is refused each time it is built,
-    with the error of ``ChoiceTable.validate``; the refusal changes nothing,
-    so an allocation can never fail on a table."""
-    table = _invalid_table()
-    cols = table.cols.copy()
+    """An invalid matrix is refused each time a table is built from it, with
+    the error that names its first invalid entry; the refusal changes
+    nothing, so an allocation can never fail on a table."""
+    u, entries = _invalid_entries()
+    before = entries.copy()
     for _ in range(3):
         with pytest.raises(ValueError) as got:
-            TableRule(table)
+            ChoiceTable(u, entries)
         assert str(got.value) == _INVALID_TABLE_ERROR
-    assert np.array_equal(table.cols, cols) and not table.cols.flags.writeable
+    assert np.array_equal(entries, before) and entries.flags.writeable
 
 
 # --- the paper's characterization, exhaustively at 5 agents x 2 objects ---------

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_profile, table_entries, universe
 from lexichoice import (
+    ChoiceTable,
+    FChoiceTable,
     Lexicographic,
     Responsive,
     casebook,
@@ -338,7 +340,8 @@ def test_parse_responsive_and_boston():
             },
         }
     )
-    assert spec.table().validate() is None
+    t = spec.table()
+    assert ChoiceTable(t.universe, table_entries(t)) == t  # a valid table
 
 
 def test_parse_capacity_wise():
@@ -351,7 +354,8 @@ def test_parse_capacity_wise():
             },
         }
     )
-    assert spec.table().validate() is None
+    t = spec.table()
+    assert ChoiceTable(t.universe, table_entries(t)) == t  # a valid table
 
 
 def test_parse_flex():
@@ -367,7 +371,7 @@ def test_parse_flex():
     )
     assert spec.is_flex
     t = spec.table()
-    t.validate()
+    assert FChoiceTable(t.universe, t.family, table_entries(t)) == t  # a valid table
 
 
 @pytest.mark.parametrize(
