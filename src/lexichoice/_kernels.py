@@ -35,9 +35,15 @@ C(n, q+1) sets of exactly q+1 alternatives (:func:`witness_set_columns`,
 65,519 sets over all 16 capacities at n = 16 rather than 16 x 65,536),
 which the same ``chosen_over_edges`` reads as runs, one OR-reduction per
 run; CWARP then takes all its capacities at once rather than block by
-block.  Extraction derives none of the facts and reads every set.
-Otherwise CWARP's revealed edges go one block at a time, so it stops at its
-first failing block.  Gross substitutes (heritage) and path independence
+block.  IAA, on a table with the same facts, decides capacity q on the
+C(n, q+2) sets of exactly q+2 alternatives, also one run of the masks
+sorted by size (the q+2 witness lemma, proved at ``axioms.check_iaa``).
+The capacity-wise responsive extraction derives none of the facts: it
+proposes its orderings from the runs of the sets of q+1 alternatives and
+keeps them when their rebuild equals the table, which proves the facts;
+otherwise it reads every set.  Where the facts are not known, CWARP's
+revealed edges go one block at a time, so it stops at its first failing
+block.  Gross substitutes (heritage) and path independence
 share one single-removal scan, which a table runs once
 (``ChoiceTable.heritage``): path independence holds exactly when heritage
 and outcast do, and on a capacity-filling table heritage implies outcast
@@ -146,7 +152,11 @@ def _by_size(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Every mask over n alternatives sorted by size, ascending within a
     size, as read-only uint16 (to gather with) and intp (to scatter into a
     row with) arrays, and per q = 0..n the position of the first mask of
-    more than q alternatives, which is the number of masks of at most q."""
+    more than q alternatives, which is the number of masks of at most q.
+    So the masks of exactly k alternatives are the run between the
+    positions of k-1 and k: the witness sets of the relation axioms
+    (k = q+1) and of IAA (k = q+2) are such runs, and a fill's suffix is
+    all the runs from k = q+1 on."""
     masks = _masks(n)
     sizes = np.bitwise_count(masks)
     by_size = masks[np.argsort(sizes, kind="stable")]

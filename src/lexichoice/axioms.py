@@ -8,6 +8,12 @@ scans take capacities first, then sets: :func:`check_iaa` reports the first
 violating set of the lowest capacity that has one, and a
 :class:`~lexichoice.core.ChoiceTable` refuses, when it is built, the first
 bad entry of the lowest capacity that has one.
+Once a check has derived capacity filling, heritage and monotonicity, the
+relation axioms read only the sets of q+1 alternatives at capacity q, and
+:func:`check_iaa` only those of q+2: the q+1 and q+2 witness lemmas
+(proved at ``ChoiceTable.witness_sets_apply`` and :func:`check_iaa`) show
+that these sets give the verdict of the whole space, and each witness is
+still looked up over every set.
 Witnesses are structured label-based dicts that :func:`replay_witness` can
 re-check against the raw table.
 """
@@ -90,42 +96,95 @@ def check_monotonicity(c: ChoiceTable) -> AxiomReport:
     )
 
 
+def _iaa_first(sets: np.ndarray, chosen: np.ndarray, chosen_next: np.ndarray, slot: np.ndarray):
+    """The first IAA violation among ``sets`` at one capacity q, or None.
+
+    ``sets`` is an ascending array of nonempty uint16 masks, ``chosen`` and
+    ``chosen_next`` their C(S, q) and C(S, q+1), and ``slot`` a uint16 array
+    of 2**n entries to group in.  Each set is compared with the first set
+    of ``sets`` sharing its rejection set, so the scan is linear in the sets
+    rather than quadratic in set pairs.  A rejection set is a mask below
+    2**n, so sets are grouped by direct address: each set's newly accepted
+    set is written into the slot of its rejection set, from the last set
+    down, so the first set of each rejection set is written last and stays.
+    NumPy writes the repeated indices of a one-dimensional assignment in
+    order; ``test_iaa_witness_matches_loop_oracle`` pins the witness this
+    gives.  A violation is ``(f, i, rejected, new)``: the positions in
+    ``sets`` of the first set S and of the first set S' that disagrees
+    with it, and the rejection and newly accepted sets of every set.
+    """
+    rej = sets & ~chosen
+    new = chosen_next & rej
+    slot[rej[::-1]] = new[::-1]
+    bad = new != slot[rej]
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return int(np.argmax(rej == rej[i])), i, rej, new  # f: the first set with rej[i]
+
+
 def check_iaa(c: ChoiceTable) -> AxiomReport:
     """Irrelevance of accepted alternatives.
 
     Equal rejection sets at q must yield equal newly-accepted sets at q+1.
-    Per capacity, each set is compared with the first set sharing its
-    rejection set, so the scan is linear in the problem space rather than
-    quadratic in set pairs.  A rejection set is a mask below 2**n, so sets
-    are grouped by direct address: each set's newly accepted set is written
-    into the slot of its rejection set, from the last set down, so the
-    first set of each rejection set is written last and stays.  NumPy
-    writes the repeated indices of a one-dimensional assignment in order;
-    ``test_iaa_witness_matches_loop_oracle`` pins the witness this gives.
+    Capacities ascend, and at each one :func:`_iaa_first` scans every set;
+    the first violation is reported.
+
+    The q+2 witness lemma: let the table be capacity-filling, keep heritage
+    and be monotone (``ChoiceTable.witness_sets_apply(revealed=True)``).
+    Then IAA fails at q exactly when two sets of exactly q+2 alternatives
+    have the same rejection set at q and newly accept different sets at
+    q+1.  Proof: let S1 and S2 share R = Si minus C(Si, q) and differ in
+    their new sets C(Si, q+1) within R.  R is not empty, since otherwise
+    both new sets are, so filling gives |Ai| = q, where Ai = C(Si, q).
+    Monotonicity and filling give C(Si, q+1) = Ai with one xi of R added,
+    and x1 != x2.  Let Ti = Ai with x1 and x2 added.  Remove the other
+    members of R from Si one at a time: each removed b lies outside both
+    choices and every set on the way keeps at least q+2 members, so
+    heritage and filling keep C(., q) = Ai and C(., q+1) = Ai with xi.  So
+    T1 and T2, of q+2 alternatives each, both reject {x1, x2} at q and
+    newly accept x1 != x2 at q+1.  A set of q+1 alternatives rejects one
+    alternative and newly accepts exactly that one, so it never violates;
+    at q = n-1 no set has q+2 alternatives.
+
+    So when a check has already derived those facts, capacity q is decided
+    on its C(n, q+2) sets of q+2 alternatives, one run of the masks sorted
+    by size (``_kernels._by_size``; 65,399 sets over all capacities at
+    n = 16, against 15 x 65,535), and only the first capacity that fails
+    there is scanned again over every set, which gives the same first
+    violation as the full scan.  Otherwise every capacity scans every set.
     """
-    masks = _kernels._masks(c.n)[1:]
-    slot = np.empty(1 << c.n, dtype=np.uint16)
-    for q in range(1, c.n):
-        rej = masks & ~c.cols[q, 1:]
-        new = c.cols[q + 1, 1:] & rej
-        slot[rej[::-1]] = new[::-1]
-        bad = new != slot[rej]
-        if bad.any():
-            i = int(np.argmax(bad))
-            f = int(np.argmax(rej == rej[i]))  # the first set with rej[i]
-            s0, s = int(masks[f]), int(masks[i])
-            return AxiomReport(
-                "iaa",
-                {
-                    "S": _labels(c, s0),
-                    "S_prime": _labels(c, s),
-                    "q": q,
-                    "rejected": _labels(c, int(rej[i])),
-                    "new_accepted_S": _labels(c, int(new[f])),
-                    "new_accepted_S_prime": _labels(c, int(new[i])),
-                },
-            )
-    return AxiomReport("iaa")
+    n = c.n
+    masks = _kernels._masks(n)[1:]
+    slot = np.empty(1 << n, dtype=np.uint16)
+    if c.witness_sets_apply(revealed=True):
+        by_size, _, larger = _kernels._by_size(n)
+
+        def fails(q: int) -> bool:  # on the sets of q+2 alternatives
+            sets = by_size[larger[q + 1] : larger[q + 2]]
+            return _iaa_first(sets, c.cols[q].take(sets), c.cols[q + 1].take(sets), slot) is not None
+
+        capacities = (q for q in range(1, n - 1) if fails(q))
+    else:
+        capacities = range(1, n)
+    for q in capacities:
+        violation = _iaa_first(masks, c.cols[q, 1:], c.cols[q + 1, 1:], slot)
+        if violation is not None:
+            break
+    else:
+        return AxiomReport("iaa")
+    f, i, rej, new = violation
+    return AxiomReport(
+        "iaa",
+        {
+            "S": _labels(c, int(masks[f])),
+            "S_prime": _labels(c, int(masks[i])),
+            "q": q,
+            "rejected": _labels(c, int(rej[i])),
+            "new_accepted_S": _labels(c, int(new[f])),
+            "new_accepted_S_prime": _labels(c, int(new[i])),
+        },
+    )
 
 
 # --- revealed preference axioms ----------------------------------------------

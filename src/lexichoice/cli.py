@@ -17,6 +17,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -322,9 +323,15 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and then kept:
+    parsing reads a parser and leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     code = COMMANDS[args.command](args)
     elapsed = time.perf_counter() - start

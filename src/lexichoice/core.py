@@ -58,10 +58,15 @@ class Universe:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each label's index, built on the first :meth:`index` call."""
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label, such as a list
             raise ValueError(f"unknown alternative {label!r}") from None
 
     def mask_of(self, labels) -> int:
@@ -184,7 +189,8 @@ class ChoiceTable:
     - ``nonmonotone``: the first problem that breaks monotonicity, which
       decides monotonicity;
     - ``chosen_over``: the chosen-over edges of every capacity, which decide
-      WRARP and CWRARP and order the capacity-wise responsive extraction.
+      WRARP and CWRARP and order the capacity-wise responsive extraction
+      of a table whose proposal from the sets of q+1 alternatives fails.
 
     The q+1 witness lemma: on a table that is capacity-filling and keeps
     heritage, every chosen-over edge of capacity q has a witness set of
@@ -192,8 +198,8 @@ class ChoiceTable:
     the table is also monotone (the proof is at :meth:`witness_sets_apply`).
     When a check has already derived those facts, ``chosen_over`` and CWARP
     read the C(n, q+1) sets of q+1 alternatives per capacity rather than all
-    2**n; otherwise, as in extraction, which derives none of them, they read
-    every set.
+    2**n, and IAA the C(n, q+2) sets of q+2 (the q+2 witness lemma, proved
+    at ``axioms.check_iaa``); otherwise they read every set.
     """
 
     def __init__(self, universe: Universe, entries):

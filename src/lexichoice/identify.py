@@ -15,6 +15,7 @@ import heapq
 
 import numpy as np
 
+from . import _kernels
 from .core import ChoiceTable, Problem, popcount
 from .rules import (
     CapacityWise,
@@ -156,6 +157,14 @@ def linear_extension(edges: np.ndarray) -> list[int]:
     return rank
 
 
+def _capacity_wise_rebuild(c: ChoiceTable, orderings: list[PriorityOrdering]) -> ChoiceTable:
+    """The table of the rule whose capacity q is responsive to ``orderings[q-1]``."""
+    lists = CapacityWiseLists(
+        tuple(tuple([o] * q) for q, o in enumerate(orderings, start=1))
+    )
+    return materialize(CapacityWise(lists), c.universe)
+
+
 def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
     """One ordering per capacity whose top-q sets reproduce the table.
 
@@ -164,8 +173,33 @@ def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
     outrank every rejected one at every set).  Incomparable alternatives
     are broken by lowest index; a cycle or a validation mismatch raises
     :class:`ExtractionError`.
+
+    The orderings are first proposed from the chosen-over edges of the
+    sets of q+1 alternatives alone (``_kernels.witness_set_columns``),
+    which are not kept as ``ChoiceTable.chosen_over``: WRARP and CWRARP
+    read that, and it must hold the edges of every set.  If every proposed
+    order is complete (the proposal stops at the first that is not) and
+    their rebuild equals the table, they are returned.  Otherwise the
+    edges over every set (``ChoiceTable.chosen_over``) give the orderings
+    and the errors.  Both give the same result: a capacity-wise responsive
+    table fills capacity and keeps heritage, so by the q+1 witness lemma
+    (``ChoiceTable.witness_sets_apply``) its edges on the sets of q+1
+    alternatives are all its edges, and a rebuild that matches means the
+    edges over every set give the same orderings.  A proposal that fails
+    means the table is not capacity-wise responsive, and the edges over
+    every set find the error.  A table that fails pays for the proposal,
+    and at worst for one more rebuild.
     """
     n = c.n
+    proposed: list[PriorityOrdering] = []
+    for edges in _kernels.chosen_over_edges(n, *_kernels.witness_set_columns(n, c.cols, 1)):
+        rank = linear_extension(edges)
+        if len(rank) != n:
+            break
+        proposed.append(PriorityOrdering(tuple(rank)))
+    else:
+        if _capacity_wise_rebuild(c, proposed).first_difference(c) is None:
+            return proposed
     orderings: list[PriorityOrdering] = []
     for q in range(1, n + 1):
         rank = linear_extension(c.chosen_over[q - 1])
@@ -177,12 +211,9 @@ def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
                 step=f"capacity {q}",
             )
         orderings.append(PriorityOrdering(tuple(rank)))
-    lists = CapacityWiseLists(
-        tuple(tuple([o] * q) for q, o in enumerate(orderings, start=1))
-    )
     require_rebuild(
         c,
-        materialize(CapacityWise(lists), c.universe),
+        _capacity_wise_rebuild(c, orderings),
         "table is not capacity-wise responsive: first mismatch at problem {}",
     )
     return orderings

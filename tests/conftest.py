@@ -24,6 +24,7 @@ from lexichoice import (
     Problem,
     _kernels,
     all_preferences,
+    axioms,
     core,
     make_universe,
     serialize,
@@ -96,6 +97,45 @@ def random_choices(rng: random.Random, n: int) -> np.ndarray:
             k = rng.randrange(0, min(len(members), q) + 1)
             entries[s, q] = sum(1 << a for a in rng.sample(members, k))
     return entries
+
+
+def admissible_tables(n: int):
+    """Every table over n alternatives that is capacity-filling, keeps
+    heritage (gross substitutes) and is monotone, each as a fresh
+    :class:`ChoiceTable`: 1, 2, 12 and 384 tables at n = 1..4.
+
+    Filling and monotonicity make the choices of a set S a chain, the top
+    q of one ordering of S at each q below |S| and S itself from |S| on,
+    so each set picks one ordering of its members.  Sets go in size order,
+    and an ordering is kept only when heritage holds against the choices
+    of every S minus b, already picked.
+    """
+    u = universe(n)
+    sets = sorted(range(1, 1 << n), key=core.popcount)
+    entries = np.zeros((1 << n, n + 1), dtype=np.int64)
+
+    def chains(s):
+        for order in itertools.permutations(sorted(members_of(s))):
+            yield [mask_of(order[:q]) for q in range(1, n + 1)]
+
+    def keeps_heritage(s, chain):
+        for b in members_of(s):
+            sub = s & ~(1 << b)
+            if sub and any(chain[q - 1] & ~(1 << b) & ~entries[sub, q] for q in range(1, n + 1)):
+                return False
+        return True
+
+    def walk(i):
+        if i == len(sets):
+            yield ChoiceTable(u, entries)
+            return
+        s = sets[i]
+        for chain in chains(s):
+            if keeps_heritage(s, chain):
+                entries[s, 1:] = chain
+                yield from walk(i + 1)
+
+    yield from walk(0)
 
 
 def rejected(table, p) -> int:
@@ -205,12 +245,14 @@ def scan_calls(monkeypatch):
     ``witness_edges`` as the 1-D runs of the sets of q+1 alternatives
     (``_kernels.witness_set_columns``) when ``starts`` is given; under
     ``unfilled`` the n of each capacity filling scan ``_kernels._unfilled``;
-    and under ``invalid`` the n of each validity scan ``core._first_invalid``
-    of a table built from a matrix."""
-    calls = {"removal": [], "edges": [], "witness_edges": [], "unfilled": [], "invalid": []}
-    removal, edges, unfilled, invalid = (
+    under ``invalid`` the n of each validity scan ``core._first_invalid``
+    of a table built from a matrix; and under ``iaa`` the number of sets
+    that each call of the IAA loop body ``axioms._iaa_first`` reads."""
+    calls = {"removal": [], "edges": [], "witness_edges": [], "unfilled": [], "invalid": [],
+             "iaa": []}
+    removal, edges, unfilled, invalid, iaa = (
         _kernels._removal_violations, _kernels.chosen_over_edges, _kernels._unfilled,
-        core._first_invalid,
+        core._first_invalid, axioms._iaa_first,
     )
 
     def counted_removal(n, rows, condition="heritage"):
@@ -232,7 +274,12 @@ def scan_calls(monkeypatch):
         calls["invalid"].append(n)
         return invalid(n, cols)
 
+    def counted_iaa(sets, chosen, chosen_next, slot):
+        calls["iaa"].append(len(sets))
+        return iaa(sets, chosen, chosen_next, slot)
+
     monkeypatch.setattr(_kernels, "_removal_violations", counted_removal)
+    monkeypatch.setattr(axioms, "_iaa_first", counted_iaa)
     monkeypatch.setattr(_kernels, "_unfilled", counted_unfilled)
     monkeypatch.setattr(_kernels, "chosen_over_edges", counted_edges)
     monkeypatch.setattr(core, "_first_invalid", counted_invalid)

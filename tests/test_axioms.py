@@ -16,12 +16,14 @@ from lexichoice import (
     ChoiceStructure,
     ChoiceTable,
     DAMechanism,
+    ExtractionError,
     FChoiceTable,
     Lexicographic,
     PriorityOrdering,
 
     Problem,
     Responsive,
+    _kernels,
     check_capacity_filling,
     check_cwarp,
     check_cwrarp,
@@ -33,10 +35,12 @@ from lexichoice import (
     check_path_independence,
     check_wrarp,
     exhaustive_space,
+    extract_lex_profile,
     make_family,
     materialize,
     replay_witness,
 )
+from lexichoice.axioms import _iaa_first
 from lexichoice.core import iter_bits, popcount
 from lexichoice.casebook import (
     favored_singleton_table,
@@ -50,6 +54,7 @@ from lexichoice.casebook import (
 )
 
 from conftest import (
+    admissible_tables,
     members_of,
     naive_capacity_filling_holds,
     naive_gs_holds,
@@ -395,16 +400,98 @@ def test_asymmetry_witnesses_match_loop_oracle(rng, n):
                         assert replay_witness(t, axiom, want), axiom
 
 
+def _naive_iaa_report(t: ChoiceTable) -> dict | None:
+    """``naive_iaa_witness`` of the table, with labels for member sets."""
+    want = naive_iaa_witness(_choose_fn(t), t.n)
+    if want is not None:
+        want = {k: v if k == "q" else sorted(t.universe.labels[a] for a in v)
+                for k, v in want.items()}
+    return want
+
+
+def _derived(t: ChoiceTable) -> ChoiceTable:
+    """A new table equal to ``t`` that has derived capacity filling,
+    heritage and monotonicity, as a default check has before IAA."""
+    d = ChoiceTable(t.universe, set_major(t))
+    d.unfilled, d.heritage, d.nonmonotone
+    return d
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_iaa_witness_matches_loop_oracle(rng, n):
     for mutations in (0, 1, 3, 10):
         for _ in range(10):
             t = _perturbed_lex_table(rng, n, mutations)
-            want = naive_iaa_witness(_choose_fn(t), n)
-            if want is not None:
-                want = {k: v if k == "q" else sorted(t.universe.labels[a] for a in v)
-                        for k, v in want.items()}
+            want = _naive_iaa_report(t)
             assert check_iaa(t).witness == want
+            # with the facts derived; a perturbed table mostly breaks one,
+            # and then IAA scans every set
+            assert check_iaa(_derived(t)).witness == want
+
+
+def _iaa_capacity_verdicts(t: ChoiceTable, witness_sets: bool) -> list[bool]:
+    """Per capacity q = 1..n-1, whether ``_iaa_first`` finds no violation
+    among every set, or among the sets of q+2 alternatives alone."""
+    by_size, _, larger = _kernels._by_size(t.n)
+    bounds = larger + larger[-1:]  # no set has n+1 alternatives
+    slot = np.empty(1 << t.n, dtype=np.uint16)
+    out = []
+    for q in range(1, t.n):
+        sets = by_size[bounds[q + 1] : bounds[q + 2]] if witness_sets else _kernels._masks(t.n)[1:]
+        out.append(_iaa_first(sets, t.cols[q].take(sets), t.cols[q + 1].take(sets), slot) is None)
+    return out
+
+
+def _assert_iaa_on_admissible(t: ChoiceTable) -> bool:
+    """On a table that fills capacity, keeps heritage and is monotone: the
+    IAA report, with the facts derived (the q+2 witness sets) and without
+    (every set), equals the loop oracle's; the verdict of each capacity on
+    its sets of q+2 alternatives is the full scan's; and IAA passes exactly
+    when the lexicographic extraction succeeds and when CWARP passes.
+    Returns whether IAA passes."""
+    derived = _derived(t)
+    assert derived.witness_sets_apply(revealed=True)
+    assert not t.witness_sets_apply(revealed=True)
+    want = _naive_iaa_report(t)
+    assert check_iaa(t).witness == want
+    assert check_iaa(derived).witness == want
+    assert not t.witness_sets_apply(revealed=True)  # check_iaa derives no fact
+    assert _iaa_capacity_verdicts(t, True) == _iaa_capacity_verdicts(t, False)
+    try:
+        extract_lex_profile(t)
+        extracted = True
+    except ExtractionError:
+        extracted = False
+    assert (want is None) == extracted == check_cwarp(t).ok == check_cwarp(derived).ok
+    return want is None
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 12), (4, 384)])
+def test_iaa_on_every_admissible_table(n, count):
+    # every table at n <= 4 that fills capacity, keeps heritage and is
+    # monotone; 288 of the 384 at n = 4 are lexicographic
+    passed = [_assert_iaa_on_admissible(t) for t in admissible_tables(n)]
+    assert len(passed) == count
+    assert passed.count(True) == {1: 1, 2: 2, 3: 12, 4: 288}[n]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_iaa_on_random_admissible_capacity_wise_tables(n):
+    # capacity-wise rules whose capacity q inserts one ordering into
+    # capacity q-1's list, kept when they keep heritage and are monotone
+    # (they fill capacity): at n >= 5 many of them fail IAA
+    rng = random.Random(f"admissible-{n}")
+    passed = []
+    for _ in range(25):
+        orderings = [random_ordering(rng, n)]
+        lists = [tuple(orderings)]
+        for q in range(2, n + 1):
+            orderings.insert(rng.randrange(q), random_ordering(rng, n))
+            lists.append(tuple(orderings))
+        t = materialize(CapacityWise(CapacityWiseLists(tuple(lists))), universe(n))
+        if t.unfilled is None and not t.heritage.any() and t.nonmonotone is None:
+            passed.append(_assert_iaa_on_admissible(ChoiceTable(t.universe, set_major(t))))
+    assert len(passed) >= 20 and set(passed) == {True, False}
 
 
 def _low(mask: int) -> int:

@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lexichoice
 from lexichoice import (ALL_CHECKS, Lexicographic, PriorityProfile, _kernels, make_universe,
                         materialize, ordering_from_labels)
 from lexichoice.axioms import check_iaa
@@ -253,6 +258,39 @@ def test_check_derives_each_scan_once(tmp_path, capsys, scan_calls):
     assert scan_calls["removal"] == ["heritage", "outcast"] and scan_calls["unfilled"] == [8]
 
 
+def test_iaa_reads_the_sets_of_q_plus_2_alternatives_after_the_facts(tmp_path, capsys, scan_calls):
+    # a default check derives capacity filling, heritage and monotonicity
+    # before IAA, which then decides capacity q on its C(8, q+2) sets of q+2
+    # alternatives and scans every set only at the first capacity that
+    # fails there; --axioms iaa alone derives no fact and scans every set
+    # of every capacity it reaches.  Both print the same IAA report.
+    labels = [f"x{i}" for i in range(8)]
+    rng = random.Random("iaa-runs")
+    lex = {"universe": labels,
+           "rule": {"kind": "lexicographic", "profile": [rng.sample(labels, 8) for _ in range(8)]}}
+    lists, orderings = [], []  # each capacity inserts one ordering into the last list
+    for q in range(1, 9):
+        orderings.insert(rng.randrange(q), rng.sample(labels, 8))
+        lists.append(list(orderings))
+    inserted = {"universe": labels, "rule": {"kind": "capacity_wise", "lists": lists}}
+    runs = [math.comb(8, q + 2) for q in range(1, 7)]
+    for name, spec, failing in (("lex8.json", lex, None), ("inserted8.json", inserted, 2)):
+        path = _write(tmp_path, name, spec)
+        scan_calls["iaa"].clear()
+        code, out, _ = _run(capsys, ["check", path, "--replay-witness"])
+        report = json.loads(out)["axioms"]["iaa"]
+        assert code in (0, 1)
+        if failing is None:
+            assert report["verdict"] == "pass" and scan_calls["iaa"] == runs
+        else:
+            assert report["witness"]["q"] == failing and report["witness_replayed"] is True
+            assert scan_calls["iaa"] == runs[:failing] + [255]
+        scan_calls["iaa"].clear()
+        code, out, _ = _run(capsys, ["check", path, "--replay-witness", "--axioms", "iaa"])
+        assert json.loads(out)["axioms"]["iaa"] == report
+        assert scan_calls["iaa"] == [255] * (failing or 7)
+
+
 def test_a_table_built_from_a_matrix_is_scanned_once(tmp_path, capsys, table_reads, scan_calls):
     # one validity scan per table built from a matrix, whichever way the
     # spec is read: a table spec that the byte read takes, one that it
@@ -271,6 +309,40 @@ def test_a_table_built_from_a_matrix_is_scanned_once(tmp_path, capsys, table_rea
         code, _, _ = _run(capsys, argv)
         assert code in (0, 1) and table_reads == read, argv
         assert scan_calls["invalid"] == [3], argv
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(tmp_path):
+    # main builds its parser once per process: usage errors (exit 2) and then
+    # a valid command, all in one process, print what each prints in a
+    # process of its own, the elapsed lines on stderr aside
+    path = _write(tmp_path, "lex.json", LEX_SPEC)
+    runs = [["check"], ["extract", path, "--kind", "bogus"], ["extract", path, "--format", "text"]]
+    script = (
+        "import json, sys\n"
+        "from lexichoice.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    try:\n"
+        "        code = main(argv)\n"
+        "    except SystemExit as e:\n"
+        "        code = e.code\n"
+        "    sys.stdout.flush()\n"
+        "    print('exit', code, file=sys.stderr, flush=True)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lexichoice.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def printed(batch):
+        run = subprocess.run([sys.executable, "-c", script, json.dumps(batch)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        err = [line for line in run.stderr.splitlines() if not line.startswith("elapsed: ")]
+        return run.stdout, err
+
+    fresh = [printed([argv]) for argv in runs]
+    one = printed(runs)
+    assert one == ("".join(out for out, _ in fresh), sum((err for _, err in fresh), []))
+    assert [line for line in one[1] if line.startswith("exit ")] == ["exit 2", "exit 2", "exit 0"]
+    assert "lexichoice check: error: the following arguments are required: spec" in one[1]
 
 
 def test_check_input_error(tmp_path, capsys):

@@ -46,6 +46,9 @@ def test_universe_validation():
     assert u.index("c") == 2
     with pytest.raises(ValueError, match="^unknown alternative 'z'$"):
         u.index("z")
+    # a label that cannot be a key, as in a fabricated witness, is unknown too
+    with pytest.raises(ValueError, match=r"^unknown alternative \['a'\]$"):
+        u.index(["a"])
     assert u.mask_of("ac") == 0b101
     assert u.labels_of(0b101) == ("a", "c")
 

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from lexichoice import (
     CapacityWise,
+    ChoiceTable,
     CapacityWiseLists,
     ExtractionError,
     Lexicographic,
@@ -29,7 +31,7 @@ from lexichoice.casebook import (
     walk_open_rule_5,
 )
 
-from conftest import random_ordering, random_profile, universe
+from conftest import random_ordering, random_profile, set_major, universe
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -152,6 +154,84 @@ def test_capacity_wise_responsive_failures():
         "the table violates the per-capacity revealed preference axiom"
     )
     assert err.value.step == "capacity 2"
+
+
+def _capacity_wise_over_every_set(t: ChoiceTable):
+    """The capacity-wise responsive extraction read from the chosen-over
+    edges over every set of a fresh copy of ``t``: its orderings, or the
+    message, step and problem of its error."""
+    t = ChoiceTable(t.universe, set_major(t))
+    n = t.n
+    orderings = []
+    for q in range(1, n + 1):
+        rank = linear_extension(t.chosen_over[q - 1])
+        if len(rank) != n:
+            cyc = [lab for a, lab in enumerate(t.universe.labels) if a not in rank]
+            return (f"chosen-over relation at capacity {q} is cyclic among {cyc}; "
+                    "the table violates the per-capacity revealed preference axiom",
+                    f"capacity {q}", None)
+        orderings.append(PriorityOrdering(tuple(rank)))
+    lists = CapacityWiseLists(tuple(tuple([o] * q) for q, o in enumerate(orderings, start=1)))
+    diff = materialize(CapacityWise(lists), t.universe).first_difference(t)
+    if diff is not None:
+        return (f"table is not capacity-wise responsive: first mismatch at problem {diff}",
+                None, diff)
+    return orderings
+
+
+def _capacity_wise_extracted(t: ChoiceTable):
+    try:
+        return extract_capacity_wise_responsive(t)
+    except ExtractionError as e:
+        return str(e), e.step, e.problem
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_capacity_wise_extraction_reads_the_sets_of_q_plus_1(n):
+    # a capacity-wise responsive table is extracted from its sets of q+1
+    # alternatives alone: the edges over every set are never built
+    rng = random.Random(f"cw-reads-{n}")
+    u = universe(n)
+    for _ in range(4 if n > 8 else 10):
+        per_q = [random_ordering(rng, n) for _ in range(n)]
+        lists = CapacityWiseLists(tuple(tuple([per_q[q - 1]] * q) for q in range(1, n + 1)))
+        t = materialize(CapacityWise(lists), u)
+        orderings = extract_capacity_wise_responsive(t)
+        assert "chosen_over" not in t.__dict__
+        assert orderings == _capacity_wise_over_every_set(t)
+        assert orderings[0] == per_q[0]  # capacity 1 orders every alternative
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_capacity_wise_extraction_errors_are_those_of_every_set(n):
+    # tables that are not capacity-wise responsive fail the proposal from
+    # the sets of q+1 alternatives, and then report the error that the
+    # edges over every set give: the same message, step and problem
+    rng = random.Random(f"cw-errors-{n}")
+    u = universe(n)
+    seen = set()
+    casebook = {3: [constant_singleton_table(), trigger_switch_table()], 5: [switching_rule_table()]}
+    for t in casebook.get(n, []):
+        assert _capacity_wise_extracted(t) == _capacity_wise_over_every_set(t)
+    for _ in range(6):
+        per_q = [random_ordering(rng, n) for _ in range(n)]
+        responsive = CapacityWiseLists(tuple(tuple([per_q[q - 1]] * q) for q in range(1, n + 1)))
+        mixed = CapacityWiseLists(tuple(
+            tuple(random_ordering(rng, n) for _ in range(q)) for q in range(1, n + 1)))
+        tables = [materialize(Lexicographic(random_profile(rng, n)), u),
+                  materialize(CapacityWise(mixed), u)]
+        for rule in (CapacityWise(responsive), Lexicographic(random_profile(rng, n))):
+            entries = set_major(materialize(rule, u))
+            s = rng.randrange(1, 1 << n)
+            q = rng.randrange(1, n + 1)
+            members = [a for a in range(n) if (s >> a) & 1]
+            entries[s, q] = sum(1 << a for a in rng.sample(members, min(q, len(members)) - 1))
+            tables.append(ChoiceTable(u, entries))
+        for t in tables:
+            got = _capacity_wise_extracted(t)
+            assert got == _capacity_wise_over_every_set(t)
+            seen.add("ok" if isinstance(got, list) else "cyclic" if got[1] else "mismatch")
+    assert seen >= ({"cyclic", "mismatch"} if n > 3 else {"mismatch"})
 
 
 def test_rotating_equivalent_to_alternating_profile():
