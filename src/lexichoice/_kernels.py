@@ -2,10 +2,9 @@
 
 Four kernels, each with exactly one implementation: ``cwlex_fill`` (the
 greedy fill of every capacity-wise and, with a family's augmentation table,
-feasibility-constrained rule), ``chosen_over_edges`` (the edges of a
-chosen-over relation given two bitmask columns, over every set or over
-runs of sets, which decide WRARP, CWARP, CWRARP, CSARP and order both
-extractions), ``gs_first_violation`` and
+feasibility-constrained rule), ``chosen_over_edges`` (the edges of the
+chosen-over relations of runs of sets, which decide WRARP, CWARP, CWRARP,
+CSARP and order both extractions), ``gs_first_violation`` and
 ``path_independence_first``.  They work on whole table columns at once.
 ``cwlex_fill`` makes each greedy pick one gather from a per-ordering "top"
 table (the best alternative of every mask) and starts capacity q from
@@ -19,41 +18,39 @@ gathering 8.9 M.  Its top tables come from half tables: one subset DP of n
 vectorized steps builds, for all the rule's distinct orderings at once, the
 best of every mask over the low n//2 and over the high n - n//2
 alternatives, and an ordering's top table is one outer minimum of its two.
-``chosen_over_edges`` reads the chosen and rejected columns as words of
-four 16-bit lanes and makes one pass over them per alternative, for as many
-capacities at once as fit a fixed L2 budget (:func:`capacity_block`: all
-of them at n <= 12, one at n = 16); a checker that fails looks up the
-witnessing sets of its one reported pair afterwards.  A table computes the
-chosen-over edges of all its capacities once (``ChoiceTable.chosen_over``),
-for WRARP, CWRARP and the capacity-wise responsive extraction.  By the q+1
-witness lemma (proved at ``ChoiceTable.witness_sets_apply``), on a table
-that is capacity-filling and keeps heritage every chosen-over edge of
-capacity q has a witness set of exactly q+1 alternatives, and so does every
-revealed (CWARP) edge when the table is also monotone.  So when a check has
-already derived those facts, the edges of capacity q come from the
-C(n, q+1) sets of exactly q+1 alternatives (:func:`witness_set_columns`,
-65,519 sets over all 16 capacities at n = 16 rather than 16 x 65,536),
-which the same ``chosen_over_edges`` reads as runs, one OR-reduction per
-run; CWARP then takes all its capacities at once rather than block by
-block.  IAA, on a table with the same facts, decides capacity q on the
-C(n, q+2) sets of exactly q+2 alternatives, also one run of the masks
-sorted by size (the q+2 witness lemma, proved at ``axioms.check_iaa``).
-The capacity-wise responsive extraction derives none of the facts: it
-proposes its orderings from the runs of the sets of q+1 alternatives and
-keeps them when their rebuild equals the table, which proves the facts;
-otherwise it reads every set.  Where the facts are not known, CWARP's
-revealed edges go one block at a time, so it stops at its first failing
-block.  Gross substitutes (heritage) and path independence
-share one single-removal scan, which a table runs once
-(``ChoiceTable.heritage``): path independence holds exactly when heritage
-and outcast do, and on a capacity-filling table heritage implies outcast
-(proved at :func:`path_independence_first`), so only a table that is not
-capacity-filling adds the outcast condition to its heritage flags, in a
-scan of that condition alone.  Capacity filling is decided once per table
-too (``ChoiceTable.unfilled``), for the capacity filling checker and path
-independence alike.  The verdict costs O(n^2 2^n), and the set-major search
-for its first (S, T, q), a Python loop over sets, runs only when the
-verdict is fail.
+``chosen_over_edges`` takes uint16 chosen and rejected columns cut into
+runs, one per capacity, which :func:`relation_runs` builds from a table,
+and makes one pass per alternative over as many runs at once as fit a fixed
+L2 budget (every capacity at n <= 12, one at n = 16); a checker that fails
+looks up the witnessing sets of its one reported pair afterwards.  A table
+computes the chosen-over edges of all its capacities once
+(``ChoiceTable.chosen_over``), for WRARP and CWRARP.  By the q+1 witness
+lemma (proved at ``ChoiceTable.witness_sets_apply``), on a table that is
+capacity-filling and keeps heritage every chosen-over edge of capacity q
+has a witness set of exactly q+1 alternatives, and so does every revealed
+(CWARP) edge when the table is also monotone.  So when a check has already
+derived those facts, capacity q's run holds only the C(n, q+1) sets of
+exactly q+1 alternatives (65,519 sets over all 16 capacities at n = 16
+rather than 16 x 65,536), and CWARP takes all its capacities at once.  IAA,
+on a table with the same facts, decides capacity q on the C(n, q+2) sets of
+exactly q+2 alternatives, also one run of the masks sorted by size (the q+2
+witness lemma, proved at ``axioms.check_iaa``).  The capacity-wise
+responsive extraction derives none of the facts: it proposes its orderings
+from the runs of the sets of q+1 alternatives and keeps them when their
+rebuild equals the table, which proves the facts; otherwise it reads every
+set, one capacity at a time up to the first cyclic one.  Where the facts
+are not known, CWARP's revealed edges go one :func:`capacity_block` of
+capacities at a time, so it stops at its first failing block.  Gross
+substitutes (heritage) and path independence share one single-removal scan,
+which a table runs once (``ChoiceTable.heritage``): path independence holds
+exactly when heritage and outcast do, and on a capacity-filling table
+heritage implies outcast (proved at :func:`path_independence_first`), so
+only a table that is not capacity-filling adds the outcast condition to its
+heritage flags, in a scan of that condition alone.  Capacity filling is
+decided once per table too (``ChoiceTable.unfilled``), for the capacity
+filling checker and path independence alike.  The verdict costs O(n^2 2^n),
+and the set-major search for its first (S, T, q), a Python loop over sets,
+runs only when the verdict is fail.
 ``tests/test_kernels.py`` holds per-set loop versions of every kernel and
 checks that the outputs here match them bit for bit, witness tie-breaks
 included.
@@ -236,117 +233,93 @@ def cwlex_fill(n: int, keys: np.ndarray, augment: np.ndarray | None = None) -> n
     return cols
 
 
-_LANES = np.uint64(0x0001_0001_0001_0001)  # bit 0 of each 16-bit lane
-_BLOCK_BYTES = 1 << 18  # a block of the edge kernel's columns stays in L2, like serialize's row blocks
+_BLOCK_BYTES = 1 << 18  # a group of the edge kernel's runs stays in L2, like serialize's blocks
 
 
 def capacity_block(n: int) -> int:
     """How many capacities' chosen and rejected columns over 2**n sets, as
     uint16, fit in ``_BLOCK_BYTES``: 2**(16-n), so every capacity at n <= 12,
     4 at n = 14 and 1 at n = 16."""
-    return max(1, _BLOCK_BYTES // (4 * max(1 << n, 4)))
+    return max(1, _BLOCK_BYTES >> (n + 2))
 
 
 def chosen_over_edges(
-    n: int, chosen: np.ndarray, rejected: np.ndarray, starts: np.ndarray | None = None
+    n: int, chosen: np.ndarray, rejected: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
-    """The edges of chosen-over relations as (n, n) bool matrices.
+    """The edges of chosen-over relations, one ``(n, n)`` bool matrix per run
+    of sets: a ``(len(starts), n, n)`` array.
 
-    ``chosen`` and ``rejected`` are bitmask columns, read as uint16;
-    ``edges[a, b]`` is true when some set has a in its ``chosen`` mask and b
-    in its ``rejected`` mask.  Bits at or above n of either column are
-    ignored.  The columns come in one of two forms:
+    ``chosen`` and ``rejected`` are 1-D uint16 bitmask columns, one entry per
+    set, and ``starts`` holds the position of each run's first set,
+    ascending, each run holding at least one set (:func:`relation_runs`
+    builds them).  ``edges[r, a, b]`` is true when some set of run r has a
+    in its ``chosen`` mask and b in its ``rejected`` mask.  Bits at or above
+    n of either column are ignored.
 
-    - over all 2**n sets: one column of each gives one ``(n, n)`` matrix, and
-      ``(Q, 2**n)`` columns, one row per capacity, give ``(Q, n, n)``.  Every
-      row counts, row 0 included; on table columns row 0 is empty.
-    - with ``starts``, as runs of any sets (:func:`witness_set_columns`):
-      ``chosen`` and ``rejected`` are 1-D uint16 columns whose length is a
-      multiple of 4, ``starts`` holds the position of each run's first set,
-      a multiple of 4, ascending, and each run holds at least 4 sets (pad
-      with empty sets).  They give one ``(n, n)`` matrix per run.
-
-    The columns are read as uint64 words of four 16-bit lanes.  Per
-    alternative a, ``((chosen >> a) & LANES) * 0xFFFF`` is all ones in each
-    lane whose chosen mask holds a; ANDed with the rejected words and
-    OR-reduced over each run's words, it leaves per run a word whose four
-    lanes fold into row a, so a row is one pass over the columns.  Columns
-    over all sets go in blocks of :func:`capacity_block` capacities (all of
-    them at n <= 12, one at a time at n = 16), so a block's columns stay in
-    L2, and are padded with empty sets to whole words (n <= 1); the lanes of
-    a block fold once.
+    Per alternative a, ``((chosen >> a) & 1) * 0xFFFF`` is all ones at each
+    set whose chosen mask holds a; ANDed with the rejected masks and
+    OR-reduced over each run (``np.bitwise_or.reduceat``), it leaves per run
+    the mask of row a, so a row is one pass over the columns.  Consecutive
+    runs go in groups whose columns fit ``_BLOCK_BYTES`` (a longer run is a
+    group alone), so that a group's n passes read it from L2: every capacity
+    of a table in one group at n <= 12, one at a time at n = 16.
     """
-    chosen, rejected = np.asarray(chosen), np.asarray(rejected)
-    if starts is not None:
-        ch, rej = chosen.view(np.uint64), rejected.view(np.uint64)
-        return _lane_edges(n, ch, rej, np.asarray(starts) // 4)
-    size, width = 1 << n, max(1 << n, 4)
-    cap_chosen = chosen.reshape(-1, size)
-    cap_rejected = rejected.reshape(-1, size)
-    count = len(cap_chosen)
-    block = capacity_block(n)
-    edges = np.empty((count, n, n), dtype=bool)
-    for lo in range(0, count, block):
-        hi = min(lo + block, count)
-        padded = np.zeros((2, hi - lo, width), dtype=np.uint16)
-        padded[0, :, :size], padded[1, :, :size] = cap_chosen[lo:hi], cap_rejected[lo:hi]
-        ch, rej = padded.reshape(2, -1).view(np.uint64)
-        edges[lo:hi] = _lane_edges(n, ch, rej, np.arange(0, len(ch), width // 4))
-    return edges.reshape(chosen.shape[:-1] + (n, n))
+    starts = np.asarray(starts, dtype=np.intp)
+    bounds = starts.tolist() + [len(chosen)]
+    rows = np.empty((n, len(starts)), dtype=np.uint16)
+    first = 0
+    while first < len(starts):
+        last = first + 1  # the group: runs first..last-1
+        while last < len(starts) and 4 * (bounds[last + 1] - bounds[first]) <= _BLOCK_BYTES:
+            last += 1
+        lo, hi = bounds[first], bounds[last]
+        ch, rej, at = chosen[lo:hi], rejected[lo:hi], starts[first:last] - lo
+        hit = np.empty_like(ch)
+        for a in range(n):
+            np.right_shift(ch, a, out=hit)
+            hit &= 1
+            hit *= np.uint16(0xFFFF)
+            hit &= rej
+            np.bitwise_or.reduceat(hit, at, out=rows[a, first:last])
+        first = last
+    return ((rows.T[..., None] >> np.arange(n, dtype=np.uint16)) & 1).astype(bool)
 
 
-def _lane_edges(n: int, ch: np.ndarray, rej: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The ``(len(starts), n, n)`` edges of the runs of uint64 words of
-    :func:`chosen_over_edges` that begin at the words ``starts``."""
-    lane = np.empty_like(ch)
-    words = np.empty((n, len(starts)), dtype=np.uint64)
-    for a in range(n):
-        np.right_shift(ch, np.uint64(a), out=lane)
-        lane &= _LANES
-        lane *= np.uint64(0xFFFF)
-        lane &= rej
-        np.bitwise_or.reduceat(lane, starts, out=words[a])
-    words |= words >> np.uint64(32)
-    words |= words >> np.uint64(16)
-    return ((words.T[..., None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(bool)
-
-
-def witness_set_columns(
-    n: int, cols: np.ndarray, first: int, revealed: bool = False
+def relation_runs(
+    n: int, cols: np.ndarray, capacities: range, witness: bool = False, revealed: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chosen-over columns of capacities q = first..n of the table
-    ``cols`` over the sets of exactly q+1 alternatives alone, as the runs
-    ``(chosen, rejected, starts)`` of :func:`chosen_over_edges`.
+    """The chosen-over columns of the table ``cols`` at ``capacities``, a
+    consecutive range within 1..n, as the runs ``(chosen, rejected,
+    starts)`` of :func:`chosen_over_edges`, one run per capacity.
 
-    Per set S of a run: C(S, q) and S minus C(S, q); with ``revealed``,
-    both also drop C(S, q-1) (``axioms.relation_columns`` at those sets).
-    Capacity q's sets are one run of the masks sorted by size
-    (:func:`_by_size`), so one gather from ``cols[q]``, and one from
-    ``cols[q-1]`` with ``revealed``, fills its run, which is padded with
-    empty sets to whole words, and to one word at q = n, where no set has
-    q+1 alternatives.  On a table that fills capacity and keeps heritage
-    (and, with ``revealed``, is monotone), these runs give the edges of the
-    columns over all sets; see ``ChoiceTable.witness_sets_apply``.
+    Per set S of capacity q's run: C(S, q) and S minus C(S, q); with
+    ``revealed``, both also drop C(S, q-1) (C(S, 0) is the empty set), which
+    gives the revealed preference columns of CWARP and CSARP.  A run holds
+    every set, at the position of its mask, or with ``witness`` the sets of
+    exactly q+1 alternatives alone, one run of the masks sorted by size
+    (:func:`_by_size`) gathered from ``cols[q]`` (and ``cols[q-1]``); at
+    q = n no set has q+1 alternatives, and the run holds the empty set
+    alone, which gives no edge.  On a table that fills capacity and keeps
+    heritage (and, with ``revealed``, is monotone) the witness runs give the
+    edges of the runs over every set; see ``ChoiceTable.witness_sets_apply``.
     """
-    by_size, _, larger = _by_size(n)
-    bounds = larger + larger[-1:]  # the sets of q+1 alternatives: bounds[q]:bounds[q+1]
-    capacities = range(first, n + 1)
-    lengths = [max(4, (bounds[q + 1] - bounds[q] + 3) // 4 * 4) for q in capacities]
-    starts = np.cumsum([0] + lengths)[:-1]
-    chosen = np.zeros(sum(lengths), dtype=np.uint16)
-    rejected = np.zeros_like(chosen)
-    for q, at in zip(capacities, starts.tolist()):
-        sets = by_size[bounds[q] : bounds[q + 1]]
-        run = slice(at, at + len(sets))
-        cur = cols[q].take(sets)
-        if revealed:
-            prev = cols[q - 1].take(sets)
-            chosen[run] = cur & ~prev
-            rejected[run] = sets & ~(cur | prev)
-        else:
-            chosen[run] = cur
-            rejected[run] = sets & ~cur
-    return chosen, rejected, starts
+    lo, hi = capacities.start, capacities.stop
+    if witness:
+        by_size, _, larger = _by_size(n)
+        runs = [by_size[larger[q] : larger[q + 1]] if q < n else by_size[:1] for q in capacities]
+        bounds = np.cumsum([0] + [len(run) for run in runs])
+        sets = np.concatenate([by_size[:0], *runs])
+        cur, prev = np.empty((2, len(sets)), dtype=np.uint16)
+        for q, run, at in zip(capacities, runs, bounds.tolist()):
+            cols[q].take(run, out=cur[at : at + len(run)])
+            if revealed:
+                cols[q - 1].take(run, out=prev[at : at + len(run)])
+    else:
+        sets, cur, prev = _masks(n), cols[lo:hi], cols[lo - 1 : hi - 1]
+        bounds = np.arange(hi - lo + 1) << n
+    chosen, rejected = (cur & ~prev, ~(cur | prev)) if revealed else (cur, ~cur)
+    rejected &= sets
+    return chosen.reshape(-1), rejected.reshape(-1), bounds[:-1]
 
 
 def _rows(cols: np.ndarray) -> np.ndarray:

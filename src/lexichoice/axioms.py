@@ -190,24 +190,11 @@ def check_iaa(c: ChoiceTable) -> AxiomReport:
 # --- revealed preference axioms ----------------------------------------------
 
 
-def relation_columns(c: ChoiceTable, q, revealed: bool = False):
-    """Per set S: C(S, q) and S minus C(S, q), the chosen-over columns at q.
-
-    With ``revealed`` both columns also drop C(S, q-1), which gives the
-    revealed preference columns (C(S, 0) is the empty set).  Both are uint16
-    and read rows of ``c.cols``; an integer array of capacities ``q`` gives
-    one row of each per capacity.
-    """
-    cur = c.cols[q]
-    masks = _kernels._masks(c.n)
-    if not revealed:
-        return cur, masks & ~cur
-    prev = c.cols[q - 1]
-    return cur & ~prev, masks & ~(cur | prev)
-
-
-def _first_set(chosen: np.ndarray, rejected: np.ndarray, a: int, b: int) -> int:
-    """The first S with a in ``chosen[S]`` and b in ``rejected[S]`` (0 if none)."""
+def _first_set(c: ChoiceTable, q: int, a: int, b: int, revealed: bool = False) -> int:
+    """The first S with a chosen over b at (S, q), or revealed preferred to
+    b with ``revealed``, on the run of capacity q over every set
+    (``_kernels.relation_runs``), whose positions are the masks; 0 if none."""
+    chosen, rejected, _ = _kernels.relation_runs(c.n, c.cols, range(q, q + 1), revealed=revealed)
     return int(np.argmax(((chosen >> a) & (rejected >> b) & 1) != 0))
 
 
@@ -229,15 +216,14 @@ def _asymmetry(axiom: str, c: ChoiceTable, capacities, edges, revealed: bool) ->
         return AxiomReport(axiom)
     i, a, b = found
     q = capacities[i]
-    cols = relation_columns(c, q, revealed)
     return AxiomReport(
         axiom,
         {
             "q": q,
             "a": c.universe.labels[a],
             "b": c.universe.labels[b],
-            "S_ab": _labels(c, _first_set(*cols, a, b)),
-            "S_ba": _labels(c, _first_set(*cols, b, a)),
+            "S_ab": _labels(c, _first_set(c, q, a, b, revealed)),
+            "S_ba": _labels(c, _first_set(c, q, b, a, revealed)),
         },
     )
 
@@ -246,21 +232,21 @@ def check_cwarp(c: ChoiceTable) -> AxiomReport:
     """The revealed preference relation must be asymmetric at every capacity.
 
     When the table is known to be capacity-filling, heritage-keeping and
-    monotone (``ChoiceTable.witness_sets_apply``), the
-    edges of every capacity q come at once from its sets of q+1
-    alternatives.  Otherwise they are computed over every set one block of
-    capacities at a time (``_kernels.capacity_block``), and the scan stops
-    at the first block with a two-way pair.
+    monotone (``ChoiceTable.witness_sets_apply``), the edges of every
+    capacity q come at once from its sets of q+1 alternatives
+    (``_kernels.relation_runs`` with ``witness``).  Otherwise they are
+    computed over every set one block of capacities at a time
+    (``_kernels.capacity_block``), and the scan stops at the first block
+    with a two-way pair.
     """
-    if c.witness_sets_apply(revealed=True):
-        runs = _kernels.witness_set_columns(c.n, c.cols, 2, revealed=True)
-        edges = _kernels.chosen_over_edges(c.n, *runs)
-        return _asymmetry("cwarp", c, range(2, c.n + 1), edges, revealed=True)
-    block = _kernels.capacity_block(c.n)
-    for lo in range(2, c.n + 1, block):
-        capacities = np.arange(lo, min(lo + block, c.n + 1))
-        edges = _kernels.chosen_over_edges(c.n, *relation_columns(c, capacities, revealed=True))
-        report = _asymmetry("cwarp", c, capacities.tolist(), edges, revealed=True)
+    n = c.n
+    witness = c.witness_sets_apply(revealed=True)
+    block = n if witness else _kernels.capacity_block(n)
+    for lo in range(2, n + 1, block):
+        capacities = range(lo, min(lo + block, n + 1))
+        runs = _kernels.relation_runs(n, c.cols, capacities, witness, revealed=True)
+        edges = _kernels.chosen_over_edges(n, *runs)
+        report = _asymmetry("cwarp", c, capacities, edges, revealed=True)
         if not report.ok:
             return report
     return AxiomReport("cwarp")
@@ -292,7 +278,7 @@ def check_cwrarp(c: ChoiceTable) -> AxiomReport:
 
     def least(a: int, b: int) -> tuple[int, int]:
         return min(
-            (_first_set(*relation_columns(c, q), a, b), q)
+            (_first_set(c, q, a, b), q)
             for q in range(1, n + 1)
             if edges[q - 1, a, b]
         )

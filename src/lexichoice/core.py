@@ -189,8 +189,7 @@ class ChoiceTable:
     - ``nonmonotone``: the first problem that breaks monotonicity, which
       decides monotonicity;
     - ``chosen_over``: the chosen-over edges of every capacity, which decide
-      WRARP and CWRARP and order the capacity-wise responsive extraction
-      of a table whose proposal from the sets of q+1 alternatives fails.
+      WRARP and CWRARP.
 
     The q+1 witness lemma: on a table that is capacity-filling and keeps
     heritage, every chosen-over edge of capacity q has a witness set of
@@ -271,7 +270,8 @@ class ChoiceTable:
         The q+1 witness lemma: on such a table every chosen-over edge of
         capacity q, and with ``revealed`` every revealed one, has a witness
         set of exactly q+1 alternatives, so the sets of q+1 alternatives
-        (``_kernels.witness_set_columns``) give all the edges of capacity q.
+        (``_kernels.relation_runs`` with ``witness``) give all the edges of
+        capacity q.
         Proof: let a be in C(S, q) and b in S minus C(S, q).  C(S, q) is a
         subset of S with at most q members (the table's contract), and
         since b is rejected, filling gives it exactly q, so T = C(S, q) with
@@ -295,18 +295,13 @@ class ChoiceTable:
     @cached_property
     def chosen_over(self) -> np.ndarray:
         """``chosen_over[q-1, a, b]``: whether some S has a in C(S, q) and b
-        in S minus C(S, q), over q = 1..n (``_kernels.chosen_over_edges``):
-        a read-only bool array of shape ``(n, n, n)``.  It reads only the
-        sets of q+1 alternatives at capacity q when
-        :meth:`witness_sets_apply`, and every set otherwise."""
-        if self.witness_sets_apply():
-            runs = _kernels.witness_set_columns(self.n, self.cols, 1)
-            edges = _kernels.chosen_over_edges(self.n, *runs)
-        else:
-            chosen = self.cols[1:]
-            rejected = ~chosen
-            rejected &= _kernels._masks(self.n)
-            edges = _kernels.chosen_over_edges(self.n, chosen, rejected)
+        in S minus C(S, q), over q = 1..n (``_kernels.chosen_over_edges`` of
+        ``_kernels.relation_runs``): a read-only bool array of shape
+        ``(n, n, n)``.  Capacity q reads only its sets of q+1 alternatives
+        when :meth:`witness_sets_apply`, and every set otherwise."""
+        n = self.n
+        runs = _kernels.relation_runs(n, self.cols, range(1, n + 1), self.witness_sets_apply())
+        edges = _kernels.chosen_over_edges(n, *runs)
         edges.setflags(write=False)
         return edges
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .axioms import AxiomReport, relation_columns
+from .axioms import AxiomReport
 from .core import ChoiceTable, Universe, first_cell, iter_bits, popcount
 from .identify import ExtractionError, linear_extension, require_rebuild
 from .rules import Lexicographic, PriorityOrdering, PriorityProfile
@@ -141,8 +141,8 @@ def _f_edges(c: FChoiceTable, q: int) -> np.ndarray:
     """
     if not 1 <= q <= c.n:
         raise ValueError(f"capacity {q} outside 1..{c.n}")
-    new, rej = relation_columns(c, q, revealed=True)
-    return _kernels.chosen_over_edges(c.n, new, rej & c.family.augment[c.cols[q - 1]])
+    new, rej, starts = _kernels.relation_runs(c.n, c.cols, range(q, q + 1), revealed=True)
+    return _kernels.chosen_over_edges(c.n, new, rej & c.family.augment[c.cols[q - 1]], starts)[0]
 
 
 def replay_f_witness(c: FChoiceTable, axiom: str, w: dict) -> bool:

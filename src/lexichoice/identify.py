@@ -175,24 +175,25 @@ def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
     :class:`ExtractionError`.
 
     The orderings are first proposed from the chosen-over edges of the
-    sets of q+1 alternatives alone (``_kernels.witness_set_columns``),
-    which are not kept as ``ChoiceTable.chosen_over``: WRARP and CWRARP
-    read that, and it must hold the edges of every set.  If every proposed
-    order is complete (the proposal stops at the first that is not) and
-    their rebuild equals the table, they are returned.  Otherwise the
-    edges over every set (``ChoiceTable.chosen_over``) give the orderings
-    and the errors.  Both give the same result: a capacity-wise responsive
-    table fills capacity and keeps heritage, so by the q+1 witness lemma
-    (``ChoiceTable.witness_sets_apply``) its edges on the sets of q+1
-    alternatives are all its edges, and a rebuild that matches means the
-    edges over every set give the same orderings.  A proposal that fails
-    means the table is not capacity-wise responsive, and the edges over
-    every set find the error.  A table that fails pays for the proposal,
-    and at worst for one more rebuild.
+    sets of q+1 alternatives alone (``_kernels.relation_runs`` with
+    ``witness``), which are not kept as ``ChoiceTable.chosen_over``: WRARP
+    and CWRARP read that, and it must hold the edges of every set.  If
+    every proposed order is complete (the proposal stops at the first that
+    is not) and their rebuild equals the table, they are returned.
+    Otherwise the edges over every set give the orderings and the errors,
+    one capacity at a time up to the first cyclic one.  Both give the same
+    result: a capacity-wise responsive table fills capacity and keeps
+    heritage, so by the q+1 witness lemma (``ChoiceTable.witness_sets_apply``)
+    its edges on the sets of q+1 alternatives are all its edges, and a
+    rebuild that matches means the edges over every set give the same
+    orderings.  A proposal that fails means the table is not capacity-wise
+    responsive, and the edges over every set find the error.  A table that
+    fails pays for the proposal, and at worst for one more rebuild.
     """
     n = c.n
     proposed: list[PriorityOrdering] = []
-    for edges in _kernels.chosen_over_edges(n, *_kernels.witness_set_columns(n, c.cols, 1)):
+    runs = _kernels.relation_runs(n, c.cols, range(1, n + 1), witness=True)
+    for edges in _kernels.chosen_over_edges(n, *runs):
         rank = linear_extension(edges)
         if len(rank) != n:
             break
@@ -202,7 +203,8 @@ def extract_capacity_wise_responsive(c: ChoiceTable) -> list[PriorityOrdering]:
             return proposed
     orderings: list[PriorityOrdering] = []
     for q in range(1, n + 1):
-        rank = linear_extension(c.chosen_over[q - 1])
+        edges = _kernels.chosen_over_edges(n, *_kernels.relation_runs(n, c.cols, range(q, q + 1)))
+        rank = linear_extension(edges[0])
         if len(rank) != n:
             cyc = [lab for a, lab in enumerate(c.universe.labels) if a not in rank]
             raise ExtractionError(

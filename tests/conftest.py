@@ -239,19 +239,17 @@ def table_reads(monkeypatch):
 @pytest.fixture
 def scan_calls(monkeypatch):
     """The whole-table scans made during the test: under ``removal`` the
-    condition of each ``_kernels._removal_violations`` call; per
-    ``_kernels.chosen_over_edges`` call, its chosen columns, under ``edges``
-    as a ``(Q, 2**n)`` array when they cover every set, and under
-    ``witness_edges`` as the 1-D runs of the sets of q+1 alternatives
-    (``_kernels.witness_set_columns``) when ``starts`` is given; under
-    ``unfilled`` the n of each capacity filling scan ``_kernels._unfilled``;
-    under ``invalid`` the n of each validity scan ``core._first_invalid``
-    of a table built from a matrix; and under ``iaa`` the number of sets
-    that each call of the IAA loop body ``axioms._iaa_first`` reads."""
-    calls = {"removal": [], "edges": [], "witness_edges": [], "unfilled": [], "invalid": [],
-             "iaa": []}
-    removal, edges, unfilled, invalid, iaa = (
-        _kernels._removal_violations, _kernels.chosen_over_edges, _kernels._unfilled,
+    condition of each ``_kernels._removal_violations`` call; under ``runs``
+    each ``_kernels.relation_runs`` call, as ``(capacities, witness,
+    revealed)``, which builds the columns of every chosen-over scan and
+    witness lookup; under ``unfilled`` the n of each capacity filling scan
+    ``_kernels._unfilled``; under ``invalid`` the n of each validity scan
+    ``core._first_invalid`` of a table built from a matrix; and under
+    ``iaa`` the number of sets that each call of the IAA loop body
+    ``axioms._iaa_first`` reads."""
+    calls = {"removal": [], "runs": [], "unfilled": [], "invalid": [], "iaa": []}
+    removal, runs, unfilled, invalid, iaa = (
+        _kernels._removal_violations, _kernels.relation_runs, _kernels._unfilled,
         core._first_invalid, axioms._iaa_first,
     )
 
@@ -259,12 +257,9 @@ def scan_calls(monkeypatch):
         calls["removal"].append(condition)
         return removal(n, rows, condition)
 
-    def counted_edges(n, chosen, rejected, starts=None):
-        if starts is None:
-            calls["edges"].append(np.asarray(chosen).reshape(-1, 1 << n))
-        else:
-            calls["witness_edges"].append(np.asarray(chosen))
-        return edges(n, chosen, rejected, starts)
+    def counted_runs(n, cols, capacities, witness=False, revealed=False):
+        calls["runs"].append((capacities, witness, revealed))
+        return runs(n, cols, capacities, witness, revealed)
 
     def counted_unfilled(n, cols):
         calls["unfilled"].append(n)
@@ -281,7 +276,7 @@ def scan_calls(monkeypatch):
     monkeypatch.setattr(_kernels, "_removal_violations", counted_removal)
     monkeypatch.setattr(axioms, "_iaa_first", counted_iaa)
     monkeypatch.setattr(_kernels, "_unfilled", counted_unfilled)
-    monkeypatch.setattr(_kernels, "chosen_over_edges", counted_edges)
+    monkeypatch.setattr(_kernels, "relation_runs", counted_runs)
     monkeypatch.setattr(core, "_first_invalid", counted_invalid)
     return calls
 

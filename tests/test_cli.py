@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexichoice
-from lexichoice import (ALL_CHECKS, Lexicographic, PriorityProfile, _kernels, make_universe,
+from lexichoice import (ALL_CHECKS, ChoiceTable, Lexicographic, PriorityProfile, make_universe,
                         materialize, ordering_from_labels)
 from lexichoice.axioms import check_iaa
 from lexichoice.cli import main
@@ -143,7 +143,8 @@ def test_check_runs_each_listed_axiom_once_in_canonical_order(
     # a list in any order, with repeats, prints the report of the canonical
     # list; on the n = 8 lexicographic rule the relation axioms run after
     # capacity filling, gross substitutes and monotonicity whatever the
-    # order listed, so they read the sets of q+1 alternatives
+    # order listed, so they read the sets of q+1 alternatives, and only the
+    # witness lookups read every set, one capacity each
     labels = [f"x{i}" for i in range(8)]
     rng = random.Random("order")
     lex = {"universe": labels,
@@ -155,12 +156,14 @@ def test_check_runs_each_listed_axiom_once_in_canonical_order(
                                     "--axioms", ",".join(ALL_CHECKS)])[:2]
             backward = list(ALL_CHECKS)[::-1]
             for listed in (backward, backward + ["iaa", "cwarp"]):
-                scan_calls["edges"].clear()
-                scan_calls["witness_edges"].clear()
+                scan_calls["runs"].clear()
                 assert _run(capsys, ["check", path, "--replay-witness", "--format", fmt,
                                      "--axioms", ",".join(listed)])[:2] == forward, (name, fmt)
                 if name == "lex8.json":
-                    assert len(scan_calls["witness_edges"]) == 2 and scan_calls["edges"] == []
+                    scans = [call for call in scan_calls["runs"] if call[1]]
+                    assert scans == [(range(2, 9), True, True), (range(1, 9), True, False)]
+                    lookups = [call for call in scan_calls["runs"] if not call[1]]
+                    assert lookups and all(len(call[0]) == 1 for call in lookups)
 
 
 @pytest.mark.parametrize("listed", [",", "", " , ,"])
@@ -201,35 +204,53 @@ def test_flex_commands_build_the_augmentations_once(tmp_path, capsys, augmentati
         assert code == 0 and augmentation_calls == [3], argv
 
 
+def _witness_lookups(table, axioms) -> list:
+    """The ``_kernels.relation_runs`` calls of a check's witness lookups, in
+    checker order, each of one capacity over every set: for a failing CWARP
+    (its revealed columns) and WRARP, one per direction of the reported
+    pair, and for a failing CWRARP one per capacity that holds each
+    direction."""
+    u, calls = table.universe, []
+    for name, revealed in (("cwarp", True), ("wrarp", False)):
+        if axioms[name]["verdict"] == "fail":
+            q = axioms[name]["witness"]["q"]
+            calls += [(range(q, q + 1), False, revealed)] * 2
+    if axioms["cwrarp"]["verdict"] == "fail":
+        w = axioms["cwrarp"]["witness"]
+        a, b = u.index(w["a"]), u.index(w["b"])
+        calls += [(range(q, q + 1), False, False) for x, y in ((a, b), (b, a))
+                  for q in range(1, table.n + 1) if table.chosen_over[q - 1, x, y]]
+    return calls
+
+
 def test_check_derives_each_scan_once(tmp_path, capsys, scan_calls):
     # a default check of an n = 8 lexicographic rule: gross substitutes and
     # path independence share one removal scan, which decides path
     # independence since the table is capacity-filling; capacity filling,
     # heritage and monotonicity are derived before the relation axioms, so
     # CWARP's revealed edges and the chosen-over edges that WRARP and CWRARP
-    # share are each one call on the sets of q+1 alternatives, and no call
-    # reads every set
+    # share are each built once from the sets of q+1 alternatives, and only
+    # the witness lookups read every set, one capacity each
     labels = [f"x{i}" for i in range(8)]
     rng = random.Random("scans")
     profile = [rng.sample(labels, 8) for _ in range(8)]
     lex = _write(tmp_path, "lex8.json", {"universe": labels,
                                          "rule": {"kind": "lexicographic", "profile": profile}})
     code, out, _ = _run(capsys, ["check", lex, "--replay-witness"])
-    assert code in (0, 1) and len(json.loads(out)["axioms"]) == 8
+    axioms = json.loads(out)["axioms"]
+    assert code == 1 and len(axioms) == 8
     assert scan_calls["removal"] == ["heritage"] and scan_calls["unfilled"] == [8]
+    runs = list(scan_calls["runs"])
     u = make_universe(labels)
     table = materialize(Lexicographic(PriorityProfile(tuple(
         ordering_from_labels(u, r) for r in profile))), u)
-    chosen = _kernels.witness_set_columns(8, table.cols, 1)[0]
-    revealed = _kernels.witness_set_columns(8, table.cols, 2, revealed=True)[0]
-    witness_calls = scan_calls["witness_edges"]
-    assert len(witness_calls) == 2 and scan_calls["edges"] == []
-    assert [np.array_equal(c, chosen) for c in witness_calls].count(True) == 1
-    assert [np.array_equal(c, revealed) for c in witness_calls].count(True) == 1
+    lookups = _witness_lookups(table, axioms)
+    assert [axioms[k]["verdict"] for k in ("cwarp", "wrarp", "cwrarp")] == ["pass", "fail", "fail"]
+    assert runs == [(range(2, 9), True, True), (range(1, 9), True, False)] + lookups
     # the same rule with C(all, 1) moved to another alternative breaks
-    # heritage, so both relations read every set: the chosen-over edges of
-    # all 8 capacities once, and CWARP's revealed edges of capacities 2..8
-    # in one block at n = 8
+    # heritage, so both relations read every set: CWARP's revealed edges of
+    # capacities 2..8 in one block at n = 8, and the chosen-over edges of
+    # all 8 capacities once
     entries = table.cols.T.tolist()
     best = entries[-1][1]
     entries[-1][1] = 1 << next(i for i in range(8) if 1 << i != best)
@@ -238,12 +259,13 @@ def test_check_derives_each_scan_once(tmp_path, capsys, scan_calls):
     for key in scan_calls:
         scan_calls[key].clear()
     code, out, _ = _run(capsys, ["check", moved])
-    assert code == 1 and json.loads(out)["axioms"]["gross_substitutes"]["verdict"] == "fail"
-    cols = np.array(entries, dtype=np.uint16).T
-    full = scan_calls["edges"]
-    assert scan_calls["witness_edges"] == [] and len(full) == 2
-    assert [np.array_equal(c, cols[1:]) for c in full].count(True) == 1
-    assert [np.array_equal(c, cols[2:] & ~cols[1:-1]) for c in full].count(True) == 1
+    axioms = json.loads(out)["axioms"]
+    assert code == 1 and axioms["gross_substitutes"]["verdict"] == "fail"
+    runs = list(scan_calls["runs"])
+    lookups = _witness_lookups(ChoiceTable(u, entries), axioms)
+    cwarp = lookups[:2] if axioms["cwarp"]["verdict"] == "fail" else []
+    assert runs == ([(range(2, 9), False, True)] + cwarp + [(range(1, 9), False, False)]
+                    + lookups[len(cwarp):])
     # C(S, q) = S & {x0}: heritage holds and capacity filling fails, so
     # path independence adds the outcast condition alone to the heritage
     # flags, and capacity filling is decided once for both checkers

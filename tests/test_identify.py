@@ -234,6 +234,31 @@ def test_capacity_wise_extraction_errors_are_those_of_every_set(n):
     assert seen >= ({"cyclic", "mismatch"} if n > 3 else {"mismatch"})
 
 
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_failing_capacity_wise_extraction_reads_every_set_up_to_the_cyclic_capacity(n, scan_calls):
+    # after a proposal that fails, the edges over every set come one
+    # capacity at a time, up to the first cyclic one (all n when the rebuild
+    # is what fails), and ChoiceTable.chosen_over is never built
+    rng = random.Random(f"cw-cyclic-{n}")
+    u = universe(n)
+    seen = set()
+    for _ in range(6):
+        t = materialize(Lexicographic(random_profile(rng, n)), u)
+        scan_calls["runs"].clear()
+        got = _capacity_wise_extracted(t)
+        runs = list(scan_calls["runs"])
+        assert "chosen_over" not in t.__dict__
+        assert got == _capacity_wise_over_every_set(t)
+        assert runs[0] == (range(1, n + 1), True, False)
+        if isinstance(got, list):
+            assert runs[1:] == []
+            continue
+        k = int(got[1].split()[1]) if got[1] else n  # step: "capacity k"
+        assert runs[1:] == [(range(q, q + 1), False, False) for q in range(1, k + 1)]
+        seen.add(k)
+    assert any(k < n for k in seen)
+
+
 def test_rotating_equivalent_to_alternating_profile():
     u = universe(5)
     w = ordering_from_labels(u, "abcde")

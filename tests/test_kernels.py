@@ -8,6 +8,7 @@ contract is stated, and writes into a preallocated output.
 
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -398,35 +399,73 @@ def test_augmentations_agree(n):
         assert _kernels._augmentations(n, feas).tolist() == want
 
 
+def _runs(columns):
+    """The pairs ``(chosen, rejected)`` of 1-D columns, one run each, as the
+    uint16 runs ``(chosen, rejected, starts)`` of ``chosen_over_edges``."""
+    chosen = np.concatenate([np.zeros(0, np.uint16)] + [np.asarray(c, np.uint16) for c, _ in columns])
+    rejected = np.concatenate([np.zeros(0, np.uint16)] + [np.asarray(r, np.uint16) for _, r in columns])
+    starts = np.cumsum([0] + [len(c) for c, _ in columns])[:-1]
+    return chosen, rejected, starts
+
+
+def _agree_per_run(n, columns):
+    """The kernel's edges of the runs ``columns`` at once, checked per run
+    against the loop oracle, which reads only the sets nonempty in both
+    columns: an edge does not depend on which set witnesses it."""
+    got = _kernels.chosen_over_edges(n, *_runs(columns))
+    assert got.dtype == np.bool_ and got.shape == (len(columns), n, n)
+    for edges, (chosen, rejected) in zip(got, columns):
+        chosen, rejected = np.asarray(chosen, np.uint16), np.asarray(rejected, np.uint16)
+        live = np.flatnonzero((chosen != 0) & (rejected != 0))
+        want = _chosen_over_edges_loops(n, chosen[live].tolist(), rejected[live].tolist())
+        assert np.array_equal(edges, want)
+    return got
+
+
+def _cut(column, lengths):
+    """``column`` cut into consecutive runs, their lengths cycling through
+    ``lengths``; the last run takes what is left."""
+    out, at, k = [], 0, 0
+    while at < len(column):
+        out.append(column[at : at + lengths[k % len(lengths)]])
+        at += len(out[-1])
+        k += 1
+    return out
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_chosen_over_edges_agree_on_table_columns(rng, n):
-    # chosen-over and revealed columns of valid and perturbed tables; row 0
-    # is empty there, so the edges are exactly the nonzero first witnesses
+    # chosen-over and revealed columns of valid and perturbed tables, each
+    # capacity one run over every set; row 0 is empty there, so the edges
+    # are exactly the nonzero first witnesses
     masks = np.arange(1 << n, dtype=np.int64)
     for _ in range(20):
         table = _random_table(rng, n)
+        columns = []
         for q in range(1, n + 1):
             prev, cur = table[:, q - 1], table[:, q]
-            columns = [(cur, masks & ~cur)]
+            columns.append((cur, masks & ~cur))
             if q >= 2:
                 columns.append((cur & ~prev, masks & ~cur & ~prev))
-            for chosen, rejected in columns:
-                got = _kernels.chosen_over_edges(n, chosen, rejected)
-                assert got.dtype == np.bool_ and got.shape == (n, n)
-                assert np.array_equal(got, _chosen_over_edges_loops(n, chosen, rejected))
-                assert np.array_equal(got, _chosen_over_wit_columns_loops(n, chosen, rejected) != 0)
+        got = _agree_per_run(n, columns)
+        for edges, (chosen, rejected) in zip(got, columns):
+            assert np.array_equal(edges, _chosen_over_wit_columns_loops(n, chosen, rejected) != 0)
+            assert np.array_equal(_kernels.chosen_over_edges(n, *_runs([(chosen, rejected)]))[0], edges)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_chosen_over_edges_agree_on_arbitrary_columns(n):
     # row 0 set, chosen and rejected overlapping, rejected bits at or
-    # above n
+    # above n; each pair of columns as one run, and cut into runs of 1, 2,
+    # 3 and 5 sets
     rng = np.random.default_rng(n)
     size = 1 << n
 
     def agree(chosen, rejected):
         want = _chosen_over_edges_loops(n, chosen, rejected)
-        assert np.array_equal(_kernels.chosen_over_edges(n, chosen, rejected), want)
+        assert np.array_equal(_agree_per_run(n, [(chosen, rejected)])[0], want)
+        for lengths in ([1], [2], [3], [5], [1, 2, 3, 5]):
+            _agree_per_run(n, list(zip(_cut(chosen, lengths), _cut(rejected, lengths))))
         return want
 
     for _ in range(10):
@@ -445,20 +484,19 @@ def test_chosen_over_edges_agree_on_arbitrary_columns(n):
 
 @pytest.mark.parametrize("n", range(1, MAX_ALTERNATIVES + 1))
 def test_word_wide_chosen_over_edges_agree_on_sixteen_bit_columns(n):
-    # the kernel reads the columns as uint64 words of four 16-bit lanes.
-    # Random uint16 columns set bits at and above n in both, which it
-    # ignores; sparse ones (a few nonempty sets) keep the relation partial
-    # and the per-set oracle fast at every n
+    # Random uint16 columns set bits at and above n in both, which the
+    # kernel ignores; sparse ones (a few nonempty sets) keep the relation
+    # partial and the per-set oracle fast at every n
     rng = np.random.default_rng(n)
     size = 1 << n
     low = np.uint16(size - 1)
 
     def agree(chosen, rejected):
         want = _chosen_over_edges_loops(n, chosen.tolist(), rejected.tolist())
-        got = _kernels.chosen_over_edges(n, chosen, rejected)
-        assert got.dtype == np.bool_ and got.shape == (n, n)
-        assert np.array_equal(got, want)
-        assert np.array_equal(_kernels.chosen_over_edges(n, chosen & low, rejected & low), want)
+        got = _kernels.chosen_over_edges(n, chosen, rejected, [0])
+        assert got.dtype == np.bool_ and got.shape == (1, n, n)
+        assert np.array_equal(got[0], want)
+        assert np.array_equal(_kernels.chosen_over_edges(n, chosen & low, rejected & low, [0])[0], want)
 
     def bits(count):  # 16-bit masks of about four bits each
         return (rng.integers(0, 1 << 16, count, dtype=np.uint16)
@@ -472,50 +510,100 @@ def test_word_wide_chosen_over_edges_agree_on_sixteen_bit_columns(n):
         at = rng.integers(0, size, 8)
         chosen[at], rejected[at] = bits(8), bits(8)
         agree(chosen, rejected)
-    if n >= 2:  # a and b in neighbouring lanes of one word pair nothing
+    if n >= 2:  # a at one set and b at the next pair nothing
         chosen, rejected = np.zeros((2, size), dtype=np.uint16)
         chosen[size - 2], rejected[size - 1] = 1, 2
-        assert not _kernels.chosen_over_edges(n, chosen, rejected).any()
+        assert not _kernels.chosen_over_edges(n, chosen, rejected, [0]).any()
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ALTERNATIVES + 1))
 def test_blocked_chosen_over_edges_agree_with_single_columns(n):
-    # (Q, 2**n) columns go through the capacities in blocks of
-    # capacity_block(n): all of them at n <= 12, 8 at n = 13 (a remainder of
+    # Q runs of 2**n sets go in groups of capacity_block(n) runs, those that
+    # fit _BLOCK_BYTES: all of them at n <= 12, 8 at n = 13 (a remainder of
     # 4 and 5), 4 at n = 14 (a remainder of 1 and 2), 2 at n = 15 and 1 at
-    # n = 16.
-    # Sparse columns keep the per-set oracle fast: it reads only the
-    # nonempty sets, since an edge does not depend on which S witnesses it
+    # n = 16; zero runs give no edges.  At n >= 14 runs of other lengths,
+    # some longer than a group, straddle the group bounds.
+    # Sparse columns keep the per-set oracle fast
     rng = np.random.default_rng(100 + n)
     size = 1 << n
-    assert _kernels.capacity_block(n) == (1 << 16) >> max(n, 2)
-    for count in (n, n - 1, 0):
-        chosen, rejected = np.zeros((2, count, size), dtype=np.uint16)
+    assert _kernels.capacity_block(n) == (1 << 16) >> n
+    assert _kernels.capacity_block(n) * 4 * size == _kernels._BLOCK_BYTES
+
+    def column(length):
+        out = np.zeros(length, dtype=np.uint16)
         if n <= 10:
-            chosen[:] = rng.integers(0, 1 << 16, (count, size), dtype=np.uint16)
-            rejected[:] = rng.integers(0, 1 << 16, (count, size), dtype=np.uint16)
+            out[:] = rng.integers(0, 1 << 16, length, dtype=np.uint16)
         else:
-            for q in range(count):
-                at = rng.integers(0, size, 8)
-                chosen[q, at] = rng.integers(0, 1 << 16, 8, dtype=np.uint16)
-                rejected[q, at] = rng.integers(0, 1 << 16, 8, dtype=np.uint16)
-        got = _kernels.chosen_over_edges(n, chosen, rejected)
-        assert got.dtype == np.bool_ and got.shape == (count, n, n)
-        for q in range(count):
-            assert np.array_equal(got[q], _kernels.chosen_over_edges(n, chosen[q], rejected[q]))
-            live = np.flatnonzero((chosen[q] != 0) & (rejected[q] != 0))
-            want = _chosen_over_edges_loops(n, chosen[q, live].tolist(), rejected[q, live].tolist())
-            assert np.array_equal(got[q], want), q
+            out[rng.integers(0, length, 8)] = rng.integers(0, 1 << 16, 8, dtype=np.uint16)
+        return out
+
+    for count in (n, n - 1, 0):
+        columns = [(column(size), column(size)) for _ in range(count)]
+        got = _agree_per_run(n, columns)
+        for q, pair in enumerate(columns):
+            assert np.array_equal(got[q], _kernels.chosen_over_edges(n, *_runs([pair]))[0])
+    if n >= 14:
+        lengths = [size // 2 + 1, size + 3, 7, size - 5, 3 * size // 2, 1, size // 3]
+        columns = []
+        for length in lengths:
+            chosen, rejected = column(length), column(length)
+            # a pair at the first and last set of the run
+            chosen[[0, -1]], rejected[[0, -1]] = 1 << rng.integers(n), 1 << rng.integers(n)
+            columns.append((chosen, rejected))
+        _agree_per_run(n, columns)
 
 
 def test_chosen_over_edges_below_one_word():
-    # at n <= 1 the columns hold fewer than the four sets of a word
-    assert _kernels.chosen_over_edges(0, np.zeros(1, np.uint16), np.ones(1, np.uint16)).shape == (0, 0)
+    # short runs: n = 0 and n = 1, one or two sets per run, a run holding
+    # only the empty set, and zero runs
+    assert _kernels.chosen_over_edges(0, np.zeros(1, np.uint16), np.ones(1, np.uint16), [0]).shape == (1, 0, 0)
     values = [0, 1, 2, 3, 0xFFFF]
     for c0, c1, r0, r1 in itertools.product(values, repeat=4):
         chosen, rejected = np.array([c0, c1], np.uint16), np.array([r0, r1], np.uint16)
         want = _chosen_over_edges_loops(1, [c0, c1], [r0, r1])
-        assert np.array_equal(_kernels.chosen_over_edges(1, chosen, rejected), want)
+        assert np.array_equal(_kernels.chosen_over_edges(1, chosen, rejected, [0])[0], want)
+        split = _kernels.chosen_over_edges(1, chosen, rejected, [0, 1])
+        assert np.array_equal(split[0], _chosen_over_edges_loops(1, [c0], [r0]))
+        assert np.array_equal(split[1], _chosen_over_edges_loops(1, [c1], [r1]))
+    for n in (1, 2, 8, 16):
+        empty = np.zeros(1, np.uint16)
+        assert not _kernels.chosen_over_edges(n, empty, empty, [0]).any()
+        none = np.zeros(0, np.uint16)
+        assert _kernels.chosen_over_edges(n, none, none, np.zeros(0, np.intp)).shape == (0, n, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9])
+def test_relation_runs_lay_out_one_run_per_capacity(rng, n):
+    # over every set capacity q's run is its row of the table, a set at the
+    # position of its mask; with witness it is the sets of exactly q+1
+    # alternatives, ascending, and the empty set alone at q = n; a range
+    # of no capacity gives zero runs
+    cols = ChoiceTable(universe(n), _random_table(rng, n)).cols
+    masks = np.arange(1 << n)
+    for lo, hi in ((1, n + 1), (2, n + 1), (n, n + 1), (2, 2)):
+        capacities = range(lo, hi)
+        for revealed in (False, True):
+            chosen, rejected, starts = _kernels.relation_runs(n, cols, capacities, revealed=revealed)
+            assert chosen.dtype == rejected.dtype == np.uint16
+            assert starts.tolist() == [(q - lo) << n for q in capacities]
+            for i, q in enumerate(capacities):
+                run = slice(i << n, (i + 1) << n)
+                prev = cols[q - 1] if revealed else np.zeros_like(cols[q])
+                assert np.array_equal(chosen[run], cols[q] & ~prev)
+                assert np.array_equal(rejected[run], masks & ~(cols[q] | prev))
+            chosen, rejected, starts = _kernels.relation_runs(n, cols, capacities, True, revealed)
+            bounds = starts.tolist() + [len(chosen)]
+            assert [b - a for a, b in zip(bounds, bounds[1:])] == [
+                comb(n, q + 1) if q < n else 1 for q in capacities]
+            if not revealed:
+                sets = (chosen | rejected).astype(np.int64)
+                for q, a, b in zip(capacities, bounds, bounds[1:]):
+                    run = sets[a:b]
+                    if q == n:
+                        assert run.tolist() == [0] and chosen[a] == 0
+                    else:
+                        assert all(np.diff(run) > 0) and all(np.bitwise_count(run) == q + 1)
+                        assert np.array_equal(chosen[a:b], cols[q, run])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -663,7 +751,7 @@ def _assert_witness_sets_agree(n, entries):
     gate open the edges of those sets equal the loop oracle's over every set;
     and WRARP, CWARP and CWRARP report as on a table that derived none of the
     facts, which reads every set.  Returns the four facts, and whether the
-    revealed edges of the sets of q+1 alternatives equal the oracle's."""
+    revealed edges of the sets of q+1 alternatives equal those of every set."""
     u = universe(n)
     full, gated = ChoiceTable(u, entries), ChoiceTable(u, entries)
     want = {name: ALL_CHECKS[name](full) for name in RELATIONS}
@@ -672,9 +760,16 @@ def _assert_witness_sets_agree(n, entries):
     assert gated.witness_sets_apply() == all(facts[:2])
     assert gated.witness_sets_apply(revealed=True) == all(facts)
     assert np.array_equal(gated.chosen_over, _relation_edges_loops(n, gated.cols, False))
-    runs = _kernels.witness_set_columns(n, gated.cols, 2, revealed=True)
-    revealed = _kernels.chosen_over_edges(n, *runs)
-    same = np.array_equal(revealed, _relation_edges_loops(n, gated.cols, True))
+
+    def edges(witness, revealed):
+        capacities = range(2 if revealed else 1, n + 1)
+        runs = _kernels.relation_runs(n, gated.cols, capacities, witness, revealed)
+        return _kernels.chosen_over_edges(n, *runs)
+
+    for revealed in (False, True):
+        assert np.array_equal(edges(False, revealed), _relation_edges_loops(n, gated.cols, revealed))
+    assert np.array_equal(edges(True, False), edges(False, False)) or not all(facts[:2])
+    same = np.array_equal(edges(True, True), edges(False, True))
     assert same or not all(facts)
     assert {name: ALL_CHECKS[name](gated) for name in RELATIONS} == want
     assert not any(full.witness_sets_apply(r) for r in (False, True))
